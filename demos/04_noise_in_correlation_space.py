@@ -9,14 +9,13 @@ import numpy as np
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
-from noisy_mbqc.channels import bit_flip, mixed_unitary, validate
+from noisy_mbqc.channels import apply, bit_flip, channel, mixed_unitary, validate
 from noisy_mbqc.mpo import (
     mpo_apply_channel,
     mpo_cluster,
     mpo_contract,
     mpo_logical_output,
     mpo_measure,
-    site_superop,
 )
 
 X_KETS = (dm.PLUS, dm.MINUS)
@@ -57,5 +56,5 @@ state = mpo_measure(state, 1, X_KETS[0], 0)
 for s, branch in enumerate(state.sites[1].ops[0]):
     print(f"branch {s}:\n{np.round(branch, 4)}")
 print("the noisy branch is a rank-one projector: the step stopped rotating")
-sop = site_superop(state.sites[1], 0, 0)
-print("site superoperator trace on I/2:", np.trace(sop(dm.I2 / 2)).real)
+step = channel(state.sites[1].ops[0])
+print("logical step trace on I/2:", np.trace(apply(step, dm.I2 / 2)).real)

@@ -9,7 +9,6 @@ against a brute-force density-matrix oracle.
 
 from . import block, channels, cli, densemath, mpo, oracle, teleport
 from .block import (
-    BlockChannel,
     BlockNoiseConfig,
     MeasSpec,
     compose_block_noise,
@@ -30,7 +29,6 @@ from .channels import (
     validate,
 )
 from .mpo import (
-    LogicalSuperop,
     MpoState,
     SiteTensor,
     mpo_apply_channel,
@@ -61,7 +59,6 @@ __all__ = [
     "mpo",
     "oracle",
     "teleport",
-    "BlockChannel",
     "BlockNoiseConfig",
     "MeasSpec",
     "compose_block_noise",
@@ -78,7 +75,6 @@ __all__ = [
     "pauli_decompose",
     "pauli_reconstruct",
     "validate",
-    "LogicalSuperop",
     "MpoState",
     "SiteTensor",
     "mpo_apply_channel",

@@ -84,17 +84,7 @@ class BlockNoiseConfig:
         }
 
 
-@dataclass(frozen=True)
-class BlockChannel:
-    """One measurement step as a trace-non-increasing channel, with notes on
-    which noise-location mappings went into it."""
-
-    kraus: KrausChannel
-    meas: MeasSpec
-    applied: tuple[str, ...] = ()
-
-
-def ideal_block(meas: MeasSpec) -> BlockChannel:
+def ideal_block(meas: MeasSpec) -> KrausChannel:
     """Noiseless step channel for the given basis and outcome."""
     k = meas.outcome
     if meas.basis == Z_BASIS:
@@ -102,11 +92,7 @@ def ideal_block(meas: MeasSpec) -> BlockChannel:
     else:
         xk = np.linalg.matrix_power(dm.X, k)
         op = xk @ dm.H @ dm.rz(-meas.phi) / np.sqrt(2.0)
-    return BlockChannel(
-        kraus=KrausChannel((op,), TRACE_NON_INCREASING),
-        meas=meas,
-        applied=("ideal",),
-    )
+    return KrausChannel((op,), TRACE_NON_INCREASING)
 
 
 def map_resource_noise(alpha2: KrausChannel) -> KrausChannel:
@@ -163,23 +149,12 @@ def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
         composite = compose(
             map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome), composite
         )
-    composite = compose(ideal_block(meas).kraus, composite)
+    composite = compose(ideal_block(meas), composite)
     if cfg.alpha2 is not None:
         composite = compose(map_resource_noise(cfg.alpha2), composite)
     if cfg.alpha4 is not None:
         composite = compose(cfg.alpha4, composite)
     return composite
-
-
-def block_channel(cfg: BlockNoiseConfig) -> BlockChannel:
-    """Like :func:`compose_block_noise` but keeping provenance metadata."""
-    applied = ["ideal"]
-    for name, ch in cfg.channels().items():
-        if ch is not None:
-            applied.append(name)
-    return BlockChannel(
-        kraus=compose_block_noise(cfg), meas=cfg.meas, applied=tuple(applied)
-    )
 
 
 def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:
@@ -195,7 +170,7 @@ def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:
                 raise ZBasisUnsupported(
                     "noisy blocks require an equatorial measurement"
                 )
-            out = apply(ideal_block(cfg.meas).kraus, out)
+            out = apply(ideal_block(cfg.meas), out)
         else:
             out = apply(compose_block_noise(cfg), out)
     return out

@@ -419,7 +419,7 @@ def _run_block_chain(spec: ExperimentSpec, rng) -> list[CaseResult]:
             }
             cfg = BlockNoiseConfig(meas=meas, **alphas)
             if meas.basis == "z" and not alphas:
-                closed = apply(ideal_block(meas).kraus, closed)
+                closed = apply(ideal_block(meas), closed)
             else:
                 closed = apply(compose_block_noise(cfg), closed)
             circuit.extend(_block_circuit_ops(cfg, i))

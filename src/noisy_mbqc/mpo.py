@@ -1,12 +1,16 @@
-"""Matrix product operators with logical superoperators on the bond space.
+"""Matrix product operators contracted by one left-to-right sweep.
 
 An ``MpoState`` stores, per site, a family of bond-space objects indexed by
 the physical value i and a Kraus-like index s.  Interior sites hold matrices
-A[i, s]; their branch superoperator for the physical pair (i, j) acts as
-rho -> sum_s A[i, s] rho A[j, s]^dag.  The final site is the boundary and
-holds vectors v[i, s]; it closes a branch with the scalar functional
-sum_s v[i, s]^dag rho v[j, s].  Contracting over all physical index strings,
-starting from the correlation-space seed, rebuilds the dense operator.
+A[i, s]; the final site is the boundary and holds vectors v[i, s].  The
+contraction starts from the correlation-space seed and carries a tensor
+T[r, c] of bond operators over the open sites seen so far.  An interior site
+is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c] A[j, s]^dag; a
+measured site has one physical slot, so T keeps its size.  The boundary
+closes the sweep with out[(r,i),(c,j)] = sum_s v[i, s]^dag T[r, c] v[j, s],
+which is the dense operator with the first site as most significant bit.
+A measured interior site's logical step is the channel with Kraus operators
+A[0, s]; stopping the sweep before the boundary composes those steps.
 
 Physical single-site events update the stored families in place of the
 dense state:
@@ -65,31 +69,6 @@ class SiteTensor:
     def bond_dim(self) -> int:
         first = self.ops[0][0]
         return first.shape[-1] if self.boundary else first.shape[0]
-
-
-@dataclass(frozen=True)
-class LogicalSuperop:
-    """Map rho -> sum_s left[s] rho right[s]^dag on the bond space."""
-
-    left: tuple[np.ndarray, ...]
-    right: tuple[np.ndarray, ...]
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(rho, dtype=complex))
-        for l, r in zip(self.left, self.right):
-            out += l @ rho @ dm.dag(r)
-        return out
-
-    def choi(self) -> np.ndarray:
-        """Choi matrix of the map over the bond space."""
-        d = self.left[0].shape[0]
-        c = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                c += np.kron(e, self(e))
-        return c
 
 
 @dataclass(frozen=True)
@@ -172,62 +151,37 @@ def mpo_one_clean(n: int) -> MpoState:
 # ---------------------------------------------------------------------------
 
 
-def site_superop(site: SiteTensor, i: int, j: int) -> LogicalSuperop:
-    """Branch superoperator of an interior site for physical pair (i, j)."""
-    if site.boundary:
-        raise ValueError("boundary sites close branches, they have no superoperator")
-    return LogicalSuperop(left=site.ops[i], right=site.ops[j])
+def _absorb(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """T'[(r,i),(c,j)] = sum_s A[i,s] T[r,c] A[j,s]^dag for a stacked family
+    A of shape (P, S, D', D)."""
+    left = np.tensordot(a, t, axes=([3], [2]))  # (i, s, a, r, c, d)
+    out = np.tensordot(left, a.conj(), axes=([1, 5], [1, 3]))  # (i, a, r, c, j, e)
+    r, c, p, d = t.shape[0], t.shape[1], a.shape[0], a.shape[2]
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(r * p, c * p, d, d)
 
 
-def _boundary_scalar(site: SiteTensor, i: int, j: int, rho: np.ndarray) -> complex:
-    total = 0.0 + 0.0j
-    for vi, vj in zip(site.ops[i], site.ops[j]):
-        total += np.vdot(vi, rho @ vj)
-    return total
+def _sweep(state: MpoState) -> np.ndarray:
+    """Seed carried through every interior site, shape (2^k, 2^k, D, D) over
+    the k open ones; the first site is the most significant bit."""
+    t = np.asarray(state.seed, dtype=complex)[None, None]
+    for site in state.sites[:-1]:
+        t = _absorb(t, np.asarray(site.ops))
+    return t
 
 
 def mpo_contract(state: MpoState) -> np.ndarray:
     """Dense operator over the unmeasured sites, first site most significant.
 
-    Iterates every physical index string, composing site superoperators from
-    the seed and closing each branch with the boundary functional.
+    Sweeps left to right from the seed and closes with the boundary, whose
+    vectors enter as the 1 x D rows v[i, s]^dag.
     """
     open_count = state.unmeasured_count()
     if open_count > CONTRACTION_MAX_QUBITS:
         raise SizeLimit(
             f"contraction over {open_count} open sites exceeds 2^{CONTRACTION_MAX_QUBITS}"
         )
-    dim = 2**open_count
-    out = np.zeros((dim, dim), dtype=complex)
-    sites = state.sites
-    last = len(sites) - 1
-
-    def descend(idx: int, row: int, col: int, rho: np.ndarray):
-        site = sites[idx]
-        if idx == last and site.boundary:
-            if site.measured:
-                out[row, col] += _boundary_scalar(site, 0, 0, rho)
-            else:
-                for i in range(2):
-                    for j in range(2):
-                        out[(row << 1) | i, (col << 1) | j] += _boundary_scalar(
-                            site, i, j, rho
-                        )
-            return
-        if site.measured:
-            descend(idx + 1, row, col, site_superop(site, 0, 0)(rho))
-        else:
-            for i in range(2):
-                for j in range(2):
-                    descend(
-                        idx + 1,
-                        (row << 1) | i,
-                        (col << 1) | j,
-                        site_superop(site, i, j)(rho),
-                    )
-
-    descend(0, 0, 0, np.asarray(state.seed, dtype=complex))
-    return out
+    rows = np.asarray(state.sites[-1].ops).conj()[:, :, None, :]
+    return _absorb(_sweep(state), rows)[:, :, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +294,10 @@ def mpo_apply_channel(state: MpoState, index: int, eta: KrausChannel) -> MpoStat
 
 
 def mpo_logical_output(state: MpoState) -> np.ndarray:
-    """Compose every measured interior site's superoperator on the seed.
+    """The sweep stopped before the boundary, with every interior site measured.
 
     The result is the correlation-space operator carried to the boundary;
-    its trace is the probability of the recorded outcome string.  Requires
-    every non-boundary site to be measured.
+    its trace is the probability of the recorded outcome string.
     """
     pending = [
         i
@@ -353,12 +306,7 @@ def mpo_logical_output(state: MpoState) -> np.ndarray:
     ]
     if pending:
         raise UnmeasuredSites(f"sites {pending} are still open")
-    rho = np.asarray(state.seed, dtype=complex)
-    for site in state.sites:
-        if site.boundary:
-            continue
-        rho = site_superop(site, 0, 0)(rho)
-    return rho
+    return _sweep(state)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,24 +336,35 @@ def mpo_to_dict(state: MpoState) -> dict:
 
 
 def mpo_from_dict(doc: dict) -> MpoState:
-    """Inverse of :func:`mpo_to_dict`."""
+    """Inverse of :func:`mpo_to_dict`; a malformed document raises
+    DimensionMismatch."""
+    seed = dm.mat_from_json(doc["seed"])
+    if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
+        raise DimensionMismatch(f"seed must be a square matrix, got {seed.shape}")
+    entries = doc["sites"]
+    if [bool(e["boundary"]) for e in entries] != [False] * (len(entries) - 1) + [True]:
+        raise DimensionMismatch("the last site, and only the last site, is the boundary")
     sites = []
-    for entry in doc["sites"]:
-        fams = []
-        for fam in entry["matrices"]:
-            mats = []
-            for rows in fam:
-                m = dm.mat_from_json(rows)
-                if entry["boundary"]:
-                    m = m.reshape(-1)
-                mats.append(m)
-            fams.append(tuple(mats))
+    for idx, entry in enumerate(entries):
+        boundary, measured = bool(entry["boundary"]), bool(entry["measured"])
+        shape = seed.shape[:1] if boundary else seed.shape
+        fams = tuple(
+            tuple(dm.mat_from_json(rows) for rows in fam) for fam in entry["matrices"]
+        )
+        if boundary:
+            fams = tuple(tuple(v.reshape(-1) for v in fam) for fam in fams)
+        if len(fams) != (1 if measured else 2):
+            raise DimensionMismatch(f"site {idx} has {len(fams)} physical slots")
+        if not fams[0] or any(len(fam) != len(fams[0]) for fam in fams):
+            raise DimensionMismatch(f"site {idx} slots differ in s_count")
+        if any(m.shape != shape for fam in fams for m in fam):
+            raise DimensionMismatch(f"site {idx} operators must have shape {shape}")
         sites.append(
             SiteTensor(
-                ops=tuple(fams),
-                boundary=bool(entry["boundary"]),
-                measured=bool(entry["measured"]),
+                ops=fams,
+                boundary=boundary,
+                measured=measured,
                 outcome=entry.get("outcome"),
             )
         )
-    return MpoState(sites=tuple(sites), seed=dm.mat_from_json(doc["seed"]))
+    return MpoState(sites=tuple(sites), seed=seed)

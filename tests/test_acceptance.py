@@ -49,7 +49,6 @@ from noisy_mbqc.mpo import (
     mpo_maximally_mixed,
     mpo_measure,
     mpo_one_clean,
-    site_superop,
 )
 from noisy_mbqc.teleport import diagonal_resource, teleport_branch
 
@@ -239,7 +238,7 @@ def test_criterion_4_worked_examples():
     for phi in (0.0, 1.1):
         for k in (0, 1):
             meas = MeasSpec.equatorial(phi, k)
-            step = ideal_block(meas).kraus
+            step = ideal_block(meas)
 
             # bit-flip on the resource dissolves
             cfg = BlockNoiseConfig(meas=meas, alpha2=bit_flip(0.3))
@@ -265,7 +264,7 @@ def test_criterion_4_worked_examples():
 
     for k in (0, 1):
         meas = MeasSpec.equatorial(0.0, k)
-        step = ideal_block(meas).kraus
+        step = ideal_block(meas)
 
         # bit-flip just before the X readout dissolves
         cfg = BlockNoiseConfig(meas=meas, alpha3=bit_flip(0.3))
@@ -341,7 +340,7 @@ def test_criterion_7_correlation_space_propagation():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, bit_flip(0.5))
         state = mpo_measure(state, 1, X_KETS[m], m)
-        got = site_superop(state.sites[1], 0, 0).choi()
+        got = choi(channel(state.sites[1].ops[0]))
         hz = dm.H @ np.linalg.matrix_power(dm.Z, m)
         ok &= dm.max_abs_diff(got, 0.5 * choi(unitary_channel(hz))) <= 1e-10
 
@@ -363,9 +362,9 @@ def test_criterion_7_correlation_space_propagation():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, ixy)
         state = mpo_measure(state, 1, X_KETS[m], m)
-        got = site_superop(state.sites[1], 0, 0).choi()
+        got = choi(channel(state.sites[1].ops[0]))
         model = compose(
-            ideal_block(MeasSpec.equatorial(0.0, m)).kraus,
+            ideal_block(MeasSpec.equatorial(0.0, m)),
             validate([np.sqrt(p0 + p1) * dm.I2, np.sqrt(p2) * dm.Z]),
         )
         ok &= dm.max_abs_diff(got, choi(model)) <= 1e-10

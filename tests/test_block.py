@@ -6,7 +6,6 @@ from noisy_mbqc import densemath as dm
 from noisy_mbqc.block import (
     BlockNoiseConfig,
     MeasSpec,
-    block_channel,
     compose_block_noise,
     ideal_block,
     map_measurement_noise,
@@ -36,25 +35,25 @@ def single(op):
 
 def test_ideal_block_kraus_forms():
     np.testing.assert_allclose(
-        ideal_block(MeasSpec.equatorial(0.0, 0)).kraus.ops[0],
+        ideal_block(MeasSpec.equatorial(0.0, 0)).ops[0],
         dm.H / np.sqrt(2),
         atol=1e-12,
     )
     phi = 0.9
     np.testing.assert_allclose(
-        ideal_block(MeasSpec.equatorial(phi, 1)).kraus.ops[0],
+        ideal_block(MeasSpec.equatorial(phi, 1)).ops[0],
         dm.X @ dm.H @ dm.rz(-phi) / np.sqrt(2),
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        ideal_block(MeasSpec.z(1)).kraus.ops[0], dm.Z / np.sqrt(2), atol=1e-12
+        ideal_block(MeasSpec.z(1)).ops[0], dm.Z / np.sqrt(2), atol=1e-12
     )
 
 
 def test_ideal_block_halves_trace(rng):
     rho = random_density(rng)
     for meas in (MeasSpec.z(0), MeasSpec.equatorial(1.7, 1)):
-        out = apply(ideal_block(meas).kraus, rho)
+        out = apply(ideal_block(meas), rho)
         assert np.trace(out).real == pytest.approx(0.5, abs=1e-12)
 
 
@@ -170,7 +169,7 @@ def test_compose_noiseless_equals_ideal():
         meas = MeasSpec.equatorial(1.2, k)
         cfg = BlockNoiseConfig(meas=meas)
         assert channels_equal(
-            compose_block_noise(cfg), ideal_block(meas).kraus, tol=1e-12
+            compose_block_noise(cfg), ideal_block(meas), tol=1e-12
         )
 
 
@@ -179,7 +178,7 @@ def test_compose_input_noise_only(rng):
     meas = MeasSpec.equatorial(0.3, 1)
     cfg = BlockNoiseConfig(meas=meas, alpha1=a1)
     assert channels_equal(
-        compose_block_noise(cfg), compose(ideal_block(meas).kraus, a1), tol=1e-12
+        compose_block_noise(cfg), compose(ideal_block(meas), a1), tol=1e-12
     )
 
 
@@ -188,7 +187,7 @@ def test_compose_output_noise_only(rng):
     meas = MeasSpec.equatorial(2.2, 0)
     cfg = BlockNoiseConfig(meas=meas, alpha4=a4)
     assert channels_equal(
-        compose_block_noise(cfg), compose(a4, ideal_block(meas).kraus), tol=1e-12
+        compose_block_noise(cfg), compose(a4, ideal_block(meas)), tol=1e-12
     )
 
 
@@ -197,22 +196,13 @@ def test_compose_resource_and_measurement_example():
     for k in (0, 1):
         meas = MeasSpec.equatorial(0.0, k)
         cfg = BlockNoiseConfig(meas=meas, alpha2=phase_flip(0.5), alpha3=bit_flip(0.5))
-        want = compose(phase_flip(0.5), ideal_block(meas).kraus)
+        want = compose(phase_flip(0.5), ideal_block(meas))
         assert channels_equal(compose_block_noise(cfg), want, tol=1e-12)
 
 
 def test_compose_rejects_z_basis():
     with pytest.raises(ZBasisUnsupported):
         compose_block_noise(BlockNoiseConfig(meas=MeasSpec.z(0)))
-
-
-def test_block_channel_provenance(rng):
-    cfg = BlockNoiseConfig(
-        meas=MeasSpec.equatorial(0.5, 0), alpha2=random_channel(rng, 2)
-    )
-    bc = block_channel(cfg)
-    assert bc.applied == ("ideal", "alpha2")
-    assert bc.kraus.dim == 2
 
 
 def test_oracle_equivalence_random_configs(rng):

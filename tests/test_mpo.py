@@ -7,6 +7,7 @@ from noisy_mbqc.channels import (
     XZ_STD,
     basis_element,
     bit_flip,
+    channel,
     choi,
     compose,
     mixed_unitary,
@@ -17,6 +18,7 @@ from noisy_mbqc.channels import (
 )
 from noisy_mbqc.errors import (
     AlreadyMeasured,
+    DimensionMismatch,
     NotNormalized,
     NotUnitary,
     SizeLimit,
@@ -36,7 +38,6 @@ from noisy_mbqc.mpo import (
     mpo_measure,
     mpo_one_clean,
     mpo_to_dict,
-    site_superop,
 )
 
 X_KETS = (dm.PLUS, dm.MINUS)
@@ -59,7 +60,8 @@ def test_cluster_branches_are_rank_one():
     state = mpo_cluster(3)
     for i in range(2):
         for j in range(2):
-            out = site_superop(state.sites[0], i, j)(state.seed)
+            a_i, a_j = state.sites[0].ops[i][0], state.sites[0].ops[j][0]
+            out = a_i @ state.seed @ dm.dag(a_j)
             assert np.linalg.matrix_rank(out, tol=1e-12) <= 1
 
 
@@ -344,9 +346,9 @@ def test_bit_flip_then_x_measure_is_invisible():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, bit_flip(0.5))
         state = x_measure(state, 1, m)
-        sop = site_superop(state.sites[1], 0, 0)
+        step = channel(state.sites[1].ops[0])
         ideal = unitary_channel(dm.H @ np.linalg.matrix_power(dm.Z, m))
-        np.testing.assert_allclose(sop.choi(), 0.5 * choi(ideal), atol=1e-12)
+        np.testing.assert_allclose(choi(step), 0.5 * choi(ideal), atol=1e-12)
 
 
 def test_ixy_channel_then_x_measure_is_z_with_p2():
@@ -355,11 +357,11 @@ def test_ixy_channel_then_x_measure_is_z_with_p2():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, ch)
         state = x_measure(state, 1, m)
-        got = site_superop(state.sites[1], 0, 0).choi()
+        got = choi(channel(state.sites[1].ops[0]))
         from noisy_mbqc.block import MeasSpec, ideal_block
 
         model = compose(
-            ideal_block(MeasSpec.equatorial(0.0, m)).kraus,
+            ideal_block(MeasSpec.equatorial(0.0, m)),
             validate([np.sqrt(p0 + p1) * dm.I2, np.sqrt(p2) * dm.Z]),
         )
         np.testing.assert_allclose(got, choi(model), atol=1e-12)
@@ -385,21 +387,34 @@ def test_hadamard_noise_then_x_measure_projects():
 # --- random programs against the oracle -------------------------------------------
 
 
+def _mixed_ops(clean: int, n: int) -> list:
+    ops = [oracle.PrepState(0, dm.projector(dm.KET0))] if clean else []
+    return ops + [oracle.PrepState(i, dm.I2 / 2) for i in range(clean, n)]
+
+
 def test_random_programs_match_oracle(rng):
-    for trial in range(20):
-        n = int(rng.integers(3, 6))
-        state = mpo_cluster(n)
-        ops = oracle.cluster_ops(n)
+    # (state, oracle ops) per builder over n sites in total
+    builders = (
+        lambda n: (mpo_cluster(n), oracle.cluster_ops(n)),
+        lambda n: (mpo_maximally_mixed(n), _mixed_ops(0, n)),
+        lambda n: (mpo_one_clean(n - 1), _mixed_ops(1, n)),
+    )
+    logical_checks = 0
+    for trial in range(36):
+        kind = trial % 3
+        n = int(rng.integers(3, 8))
+        state, ops = builders[kind](n)
         # at most one update per site: the conjugation rules assume tensors
-        # still carry the cluster symmetry
+        # still carry the cluster symmetry; the mixed builders lack it, and
+        # only Paulis are exact there
         sites = list(rng.permutation(n - 1))[: int(rng.integers(1, n))]
         for site in sites:
-            kind = rng.integers(0, 3)
-            if kind == 0:
+            event = rng.integers(0, 3) if kind == 0 else 0
+            if event == 0:
                 a, b = int(rng.integers(0, 2)), int(rng.integers(0, 2))
                 state = mpo_apply_pauli(state, site, (a, b))
                 ops.append(oracle.Unitary1Q(site, basis_element(a, b, XZ_STD)))
-            elif kind == 1:
+            elif event == 1:
                 u = random_channel(rng, 1).ops[0]
                 state = mpo_apply_unitary(state, site, u)
                 ops.append(oracle.Unitary1Q(site, u))
@@ -407,14 +422,28 @@ def test_random_programs_match_oracle(rng):
                 ch = random_channel(rng, int(rng.integers(2, 4)))
                 state = mpo_apply_channel(state, site, ch)
                 ops.append(oracle.Channel1Q(site, ch))
-        for site in sites:
-            if rng.random() < 0.5:
-                m = int(rng.integers(0, 2))
-                state = x_measure(state, site, m)
-                ops.append(oracle.Measure(site, X_KETS, m, remove=True))
-        np.testing.assert_allclose(
-            mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-9
-        )
+        # X, Y or a random complex basis on any site, the boundary included;
+        # a third of the programs measure exactly the interior sites
+        if trial % 9 < 3:
+            measured = list(range(n - 1))
+        else:
+            p = rng.random()
+            measured = [s for s in range(n) if rng.random() < p]
+        for site in rng.permutation(measured):
+            u = (dm.H, dm.H @ np.diag([1, 1j]), random_channel(rng, 1).ops[0])[
+                int(rng.integers(0, 3))
+            ]
+            kets = (u[:, 0], u[:, 1])
+            m = int(rng.integers(0, 2))
+            state = mpo_measure(state, int(site), kets[m], m)
+            ops.append(oracle.Measure(int(site), kets, m, remove=True))
+        dense = oracle.simulate(n, ops).state
+        np.testing.assert_allclose(mpo_contract(state), dense, atol=1e-9)
+        if measured == list(range(n - 1)):
+            got = np.trace(mpo_logical_output(state))
+            assert abs(got - np.trace(dense)) <= 1e-9
+            logical_checks += 1
+    assert logical_checks > 0
 
 
 # --- serialization -----------------------------------------------------------------
@@ -429,3 +458,34 @@ def test_serialization_roundtrip(rng):
     assert doc["sites"][0]["measured"] is True
     assert doc["sites"][1]["s_count"] == 2
     assert doc["sites"][2]["boundary"] is True
+
+
+def _ragged_s_count(sites):
+    sites[1]["matrices"][0].append(sites[1]["matrices"][0][0])
+
+
+def _third_slot(sites):
+    sites[1]["matrices"].append(sites[1]["matrices"][0])
+
+
+def _no_boundary(sites):
+    sites.pop()
+
+
+def _boundary_first(sites):
+    sites.insert(0, sites.pop())
+
+
+def _wrong_bond_dim(sites):
+    sites[0]["matrices"][0][0] = [[[1.0, 0.0]] * 3] * 3
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_ragged_s_count, _third_slot, _no_boundary, _boundary_first, _wrong_bond_dim],
+)
+def test_from_dict_rejects_malformed_sites(corrupt):
+    doc = mpo_to_dict(mpo_cluster(3))
+    corrupt(doc["sites"])
+    with pytest.raises(DimensionMismatch):
+        mpo_from_dict(doc)

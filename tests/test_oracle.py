@@ -36,7 +36,7 @@ def test_single_block_circuit_matches_step_channel(rng):
             meas = MeasSpec.equatorial(phi, k)
             ops = [PrepState(0, rho), PrepPlus(1), CZ(0, 1), Measure(0, meas, k)]
             got = simulate(2, ops).state
-            want = apply(ideal_block(meas).kraus, rho)
+            want = apply(ideal_block(meas), rho)
             np.testing.assert_allclose(got, want, atol=1e-12)
             assert np.trace(got).real == pytest.approx(
                 0.5 * np.trace(rho).real, abs=1e-10
@@ -157,7 +157,7 @@ def test_block_oracle_noiseless_matches_ideal_choi():
     for k in (0, 1):
         cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(0.4, k))
         np.testing.assert_allclose(
-            block_oracle_channel(cfg), choi(ideal_block(cfg.meas).kraus), atol=1e-12
+            block_oracle_channel(cfg), choi(ideal_block(cfg.meas)), atol=1e-12
         )
 
 
