@@ -8,10 +8,10 @@ Document layout (all kinds)::
 
     {
       "kind": "teleport" | "block_chain" | "mpo",
-      "tolerance": 1e-9,            # optional, default 1e-9
+      "tolerance": 1e-9,            # optional, default 1e-9; finite, >= 0
       "seed": 7,                    # optional, default 0
       "channels": {                 # named single-qubit channels
-        "noise":  {"builtin": "phase_flip", "p": 0.5},
+        "noise":  {"builtin": "phase_flip", "p": 0.5},   # p in [0, 1]
         "custom": {"dim": 2, "ops": [[[[0.7,0],[0,0]], ...], ...]}
       },
       ...kind-specific fields...
@@ -50,6 +50,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -149,15 +150,15 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
             if builtin == "identity":
                 return identity_channel()
             if builtin == "bit_flip":
-                return bit_flip(float(obj["p"]))
+                return bit_flip(_probability(obj["p"], f"channels.{name}.p"))
             if builtin == "phase_flip":
-                return phase_flip(float(obj["p"]))
+                return phase_flip(_probability(obj["p"], f"channels.{name}.p"))
             if builtin == "depolarizing":
                 return depolarizing()
             if builtin == "unitary":
                 return unitary_channel(dm.mat_from_json(obj["matrix"]))
             if builtin == "mixed_unitary":
-                p = float(obj["p"])
+                p = _probability(obj["p"], f"channels.{name}.p")
                 u = dm.mat_from_json(obj["matrix"])
                 return mixed_unitary([(1.0 - p, dm.I2), (p, u)])
             raise ParseError(f"channels.{name}: unknown builtin {builtin!r}")
@@ -168,6 +169,28 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
     except NotAChannel as exc:
         raise NotAChannel(f"channels.{name}: {exc}") from exc
     raise ParseError(f"channels.{name}: needs either 'builtin' or 'ops'")
+
+
+def _number(obj, where: str) -> float:
+    try:
+        return float(obj)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: expected a number, got {obj!r}") from None
+
+
+def _probability(obj, where: str) -> float:
+    p = _number(obj, where)
+    _require(0.0 <= p <= 1.0, f"{where} must be a probability in [0, 1], got {p}")
+    return p
+
+
+def _tolerance(obj, where: str) -> float:
+    tol = _number(obj, where)
+    _require(
+        math.isfinite(tol) and tol >= 0.0,
+        f"{where} must be finite and non-negative, got {tol}",
+    )
+    return tol
 
 
 def _parse_state(obj, where: str) -> np.ndarray:
@@ -207,8 +230,10 @@ def parse_experiment(text: str) -> ExperimentSpec:
     kind = doc.get("kind")
     _require(kind in EXPERIMENT_KINDS, f"kind must be one of {EXPERIMENT_KINDS}")
 
+    channel_defs = doc.get("channels", {})
+    _require(isinstance(channel_defs, dict), "channels: expected an object")
     channels: dict[str, KrausChannel] = {}
-    for name, obj in sorted(doc.get("channels", {}).items()):
+    for name, obj in sorted(channel_defs.items()):
         channels[name] = _parse_channel_def(name, obj)
 
     payload = dict(doc)
@@ -216,7 +241,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
         kind=kind,
         channels=channels,
         payload=payload,
-        tolerance=float(doc.get("tolerance", 1e-9)),
+        tolerance=_tolerance(doc.get("tolerance", 1e-9), "tolerance"),
         seed=int(doc.get("seed", 0)),
         spec_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
@@ -327,7 +352,7 @@ def run_experiment(
     case_filter: str | None = None,
 ) -> Report:
     """Execute closed-form and oracle paths for every case of the spec."""
-    tol = spec.tolerance if tolerance is None else tolerance
+    tol = spec.tolerance if tolerance is None else _tolerance(tolerance, "tolerance")
     rng_seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(rng_seed)
 

@@ -6,6 +6,15 @@ measurement with ``remove=True`` traces them out, so long chains can be
 simulated with a small live register.  Everything is linear in the state,
 which lets callers feed computational basis elements |i><j| to assemble
 process matrices; no positivity is enforced on prepared operators.
+
+Every op costs O(4^m) on m live sites and touches only its sites' ket and
+bra axes: a single-site unitary, channel or kept projection is one matmul
+with the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ negates two
+quarter-slices in place; a removing measurement contracts <v| and |v> into
+the site's axes.  No 2^m x 2^m operator is built.  Single-site maps hold two
+state-sized arrays, the state and a spare they write into (268 MB each by
+shape at m=12); a removing measurement frees the spare and holds the state
+plus its half- and quarter-sized contractions.
 """
 
 from __future__ import annotations
@@ -107,12 +116,17 @@ def measurement_kets(basis) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Register:
-    """Live subset of the register as a dense operator."""
+    """Live subset of the register as a dense operator.
+
+    Each kernel views the state as one ket and one bra axis per live site and
+    touches only the axes of the sites it acts on, O(4^m) for m live sites.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.sites: list[int] = []  # kept in ascending site order
         self.state = np.array([[1.0 + 0j]])
+        self.spare = np.empty((0, 0), dtype=complex)
 
     @property
     def m(self) -> int:
@@ -136,41 +150,55 @@ class _Register:
         if block.shape != (2, 2):
             raise DimensionMismatch("prepared state must be a 2x2 operator")
         pos = bisect_left(self.sites, site)
-        m = self.m
-        grown = np.kron(self.state, block)  # new axis last
-        if pos != m:
-            t = grown.reshape((2,) * (2 * (m + 1)))
-            ket = list(range(m))
-            ket.insert(pos, m)
-            perm = ket + [m + 1 + i for i in ket]
-            grown = t.transpose(perm).reshape(2 ** (m + 1), 2 ** (m + 1))
+        left, right = 2**pos, 2 ** (self.m - pos)
+        grown = self.state.reshape(left, 1, right, left, 1, right) * block.reshape(
+            1, 2, 1, 1, 2, 1
+        )
         self.sites.insert(pos, site)
-        self.state = grown
+        self.state = grown.reshape(2**self.m, 2**self.m)
 
-    def embed(self, op: np.ndarray, pos: int) -> np.ndarray:
-        left = np.eye(2**pos, dtype=complex)
-        right = np.eye(2 ** (self.m - pos - 1), dtype=complex)
-        return dm.kron(left, op, right)
+    def apply(self, ops, pos: int):
+        """rho -> sum_r K_r rho K_r^dag on the site at ``pos``.
 
-    def sandwich(self, ops, pos: int):
-        out = np.zeros_like(self.state)
-        for op in ops:
-            full = self.embed(op, pos)
-            out += full @ self.state @ dm.dag(full)
-        self.state = out
+        The superoperator sum_r K_r (x) conj(K_r) acts on the site's (ket,
+        bra) axis pair in one matmul, whatever the Kraus count.  The state
+        and one spare array of its size trade places, so repeated maps on
+        a register of one size allocate nothing.
+        """
+        ks = np.asarray(ops)
+        sup = np.einsum("rij,rkl->ikjl", ks, ks.conj()).reshape(4, 4)
+        if self.spare.shape != self.state.shape:
+            self.spare = np.empty(self.state.shape, dtype=complex)
+        left, right = 2**pos, 2 ** (self.m - pos - 1)
+        site_axes = (left, 2, right, left, 2, right)
+        pair_first = (2, 2, left, right, left, right)
+        moved = self.spare.reshape(pair_first)
+        np.copyto(moved, self.state.reshape(site_axes).transpose(1, 4, 0, 2, 3, 5))
+        mixed = np.matmul(sup, moved.reshape(4, -1), out=self.state.reshape(4, -1))
+        back = self.spare.reshape(site_axes)
+        np.copyto(back, mixed.reshape(pair_first).transpose(2, 0, 3, 4, 1, 5))
+        self.state, self.spare = back.reshape(self.state.shape), self.state
 
     def cz(self, pa: int, pb: int):
-        m = self.m
-        idx = np.arange(2**m)
-        ba = (idx >> (m - 1 - pa)) & 1
-        bb = (idx >> (m - 1 - pb)) & 1
-        d = 1.0 - 2.0 * (ba & bb)
-        self.state = d[:, None] * self.state * d[None, :]
+        """Negate in place the quarter-slice where both ket bits are 1, then
+        the one where both bra bits are 1."""
+        lo, hi = sorted((pa, pb))
+        dim = 2**self.m
+        a, mid, b = 2**lo, 2 ** (hi - lo - 1), 2 ** (self.m - hi - 1)
+        rows = self.state.reshape(a, 2, mid, 2, b * dim)
+        rows[:, 1, :, 1] *= -1
+        cols = rows.reshape(dim * a, 2, mid, 2, b)
+        cols[:, 1, :, 1] *= -1
+        self.state = cols.reshape(dim, dim)
 
-    def remove(self, pos: int):
-        keep = [i for i in range(self.m) if i != pos]
-        self.state = dm.partial_trace(self.state, keep, (2,) * self.m)
+    def project_out(self, ket: np.ndarray, pos: int):
+        """<v| rho |v> on the site at ``pos``, which leaves the register."""
+        self.spare = np.empty((0, 0), dtype=complex)  # free it: the register shrinks
+        left, right = 2**pos, 2 ** (self.m - pos - 1)
+        half = np.matmul(ket.conj(), self.state.reshape(left, 2, -1))
+        reduced = np.matmul(ket, half.reshape(-1, 2, right))
         del self.sites[pos]
+        self.state = reduced.reshape(2**self.m, 2**self.m)
 
 
 def simulate(n: int, ops, max_qubits: int | None = None) -> SimResult:
@@ -199,19 +227,20 @@ def simulate(n: int, ops, max_qubits: int | None = None) -> SimResult:
             u = np.asarray(op.u, dtype=complex)
             if u.shape != (2, 2):
                 raise DimensionMismatch("single-site unitary must be 2x2")
-            reg.sandwich([u], reg.pos(op.site))
+            reg.apply([u], reg.pos(op.site))
         elif isinstance(op, Channel1Q):
             if op.channel.dim != 2:
                 raise DimensionMismatch("site channels must be single-qubit")
-            reg.sandwich(op.channel.ops, reg.pos(op.site))
+            reg.apply(op.channel.ops, reg.pos(op.site))
         elif isinstance(op, Measure):
             if op.outcome not in (0, 1):
                 raise ValueError("measurement outcome must be 0 or 1")
-            kets = measurement_kets(op.basis)
+            ket = measurement_kets(op.basis)[op.outcome]
             pos = reg.pos(op.site)
-            reg.sandwich([dm.projector(kets[op.outcome])], pos)
             if op.remove:
-                reg.remove(pos)
+                reg.project_out(ket, pos)
+            else:
+                reg.apply([dm.projector(ket)], pos)
             outcomes.append((op.site, op.outcome))
         else:
             raise TypeError(f"unknown circuit op {op!r}")

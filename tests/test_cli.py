@@ -288,3 +288,41 @@ def test_main_respects_register_cap(tmp_path, monkeypatch):
     spec_path.write_text(spec_text(doc))
     monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "2")
     assert main(["run", str(spec_path)]) == 2  # teleportation needs 3 sites
+
+
+def _run_doc(tmp_path, doc, *extra) -> int:
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text(doc))
+    return main(["run", str(spec_path), *extra])
+
+
+def test_main_channels_not_an_object_is_spec_error(tmp_path, capsys):
+    assert _run_doc(tmp_path, dict(MINIMAL_BLOCK, channels=[])) == 2
+    assert "channels: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_main_bad_document_tolerance_is_spec_error(tmp_path, capsys, tol):
+    assert _run_doc(tmp_path, dict(MINIMAL_BLOCK, tolerance=tol)) == 2
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_main_bad_tol_flag_is_spec_error(tmp_path, capsys, tol):
+    assert _run_doc(tmp_path, MINIMAL_BLOCK, f"--tol={tol}") == 2
+    assert "tolerance must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("builtin", ["bit_flip", "phase_flip", "mixed_unitary"])
+@pytest.mark.parametrize("p", [1.5, -0.25, float("nan"), float("inf")])
+def test_parse_rejects_bad_probability(builtin, p):
+    noise = {"builtin": builtin, "p": p, "matrix": dm.mat_to_json(dm.H)}
+    doc = dict(MINIMAL_BLOCK, channels={"noise": noise})
+    with pytest.raises(ParseError, match=r"channels\.noise\.p"):
+        parse_experiment(spec_text(doc))
+
+
+def test_parse_accepts_probability_bounds():
+    for p in (0.0, 1.0):
+        doc = dict(MINIMAL_BLOCK, channels={"noise": {"builtin": "bit_flip", "p": p}})
+        assert "noise" in parse_experiment(spec_text(doc)).channels

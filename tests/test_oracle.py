@@ -1,6 +1,10 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from conftest import random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
@@ -12,6 +16,7 @@ from noisy_mbqc.errors import (
     SizeLimit,
     ZBasisUnsupported,
 )
+from noisy_mbqc.mpo import mpo_apply_channel, mpo_cluster, mpo_contract, mpo_measure
 from noisy_mbqc.oracle import (
     CZ,
     Channel1Q,
@@ -183,3 +188,129 @@ def test_block_oracle_full_hadamard_resource_noise():
 def test_block_oracle_rejects_z_basis():
     with pytest.raises(ZBasisUnsupported):
         block_oracle_channel(BlockNoiseConfig(meas=MeasSpec.z(0), alpha1=bit_flip(0.1)))
+
+
+# --- the axis-local kernels against the embed-and-matmul reference ------------------
+
+
+def _embed(op, pos, m):
+    return dm.kron(np.eye(2**pos), op, np.eye(2 ** (m - pos - 1)))
+
+
+def reference_simulate(ops):
+    """The embed-and-matmul oracle: each single-site op as a full 2^m x 2^m
+    matrix, O(8^m) per op, and removal as a projection then a partial trace."""
+    sites, state = [], np.array([[1.0 + 0j]])
+    for op in ops:
+        m = len(sites)
+        if isinstance(op, (PrepPlus, PrepState)):
+            rho = dm.projector(dm.PLUS) if isinstance(op, PrepPlus) else op.rho
+            pos = bisect_left(sites, op.site)
+            ket = list(range(m))
+            ket.insert(pos, m)
+            t = np.kron(state, rho).reshape((2,) * (2 * m + 2))
+            state = t.transpose(ket + [m + 1 + i for i in ket]).reshape(2 ** (m + 1), -1)
+            sites.insert(pos, op.site)
+        elif isinstance(op, CZ):
+            bits = (np.arange(2**m)[:, None] >> (m - 1 - np.arange(m))) & 1
+            d = 1.0 - 2.0 * (bits[:, sites.index(op.a)] & bits[:, sites.index(op.b)])
+            state = d[:, None] * state * d[None, :]
+        else:
+            pos = sites.index(op.site)
+            if isinstance(op, Unitary1Q):
+                kraus = [op.u]
+            elif isinstance(op, Channel1Q):
+                kraus = op.channel.ops
+            else:
+                kraus = [dm.projector(measurement_kets(op.basis)[op.outcome])]
+            state = sum(_embed(k, pos, m) @ state @ dm.dag(_embed(k, pos, m)) for k in kraus)
+            if isinstance(op, Measure) and op.remove:
+                keep = [i for i in range(m) if i != pos]
+                state = dm.partial_trace(state, keep, (2,) * m)
+                del sites[pos]
+    return state
+
+
+def _random_unitary(rng):
+    return random_channel(rng, 1).ops[0]
+
+
+@st.composite
+def circuits(draw):
+    """A random circuit ``(n, ops)`` over at most 6 sites.
+
+    Sites are prepared in a random order, any live pair may meet in a CZ, and
+    measurements either keep the projected site or remove it.
+    """
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(s) for s in rng.permutation(n)]
+    live: list[int] = []
+    ops: list = []
+    for _ in range(draw(st.integers(0, 14))):
+        step = draw(st.sampled_from(["prep", "cz", "unitary", "channel", "measure"]))
+        if step == "prep" or not live:
+            if not order:
+                continue
+            site = order.pop()
+            prep = draw(st.sampled_from(["plus", "density", "element"]))
+            if prep == "plus":
+                ops.append(PrepPlus(site))
+            elif prep == "density":
+                ops.append(PrepState(site, random_density(rng)))
+            else:
+                e = np.zeros((2, 2), dtype=complex)
+                e[draw(st.integers(0, 1)), draw(st.integers(0, 1))] = 1.0
+                ops.append(PrepState(site, e))
+            live.append(site)
+        elif step == "cz":
+            if len(live) < 2:
+                continue
+            a, b = rng.choice(live, size=2, replace=False)
+            ops.append(CZ(int(a), int(b)))
+        else:
+            site = int(rng.choice(live))
+            if step == "unitary":
+                ops.append(Unitary1Q(site, _random_unitary(rng)))
+            elif step == "channel":
+                ops.append(Channel1Q(site, random_channel(rng, draw(st.integers(1, 4)))))
+            else:
+                u = draw(st.sampled_from(["x", "z", "equatorial", "random"]))
+                if u == "random":
+                    v = _random_unitary(rng)
+                    basis = (v[:, 0], v[:, 1])
+                else:
+                    basis = {
+                        "x": MeasSpec.equatorial(0.0),
+                        "z": MeasSpec.z(),
+                        "equatorial": MeasSpec.equatorial(float(rng.uniform(0, 6.3))),
+                    }[u]
+                remove = draw(st.booleans())
+                ops.append(Measure(site, basis, draw(st.integers(0, 1)), remove=remove))
+                if remove:
+                    live.remove(site)
+    return n, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_simulate_matches_embed_reference(circuit):
+    n, ops = circuit
+    np.testing.assert_allclose(
+        simulate(n, ops).state, reference_simulate(ops), rtol=0, atol=1e-12
+    )
+
+
+def test_eleven_site_noisy_cluster_matches_mpo(rng):
+    # a random channel on every site but the boundary, all of them measured
+    n = 11
+    state, ops = mpo_cluster(n), oracle.cluster_ops(n)
+    for site in range(n - 1):
+        ch = random_channel(rng, int(rng.integers(1, 5)))
+        state = mpo_apply_channel(state, site, ch)
+        ops.append(Channel1Q(site, ch))
+    for site in range(n - 1):
+        k = int(rng.integers(0, 2))
+        state = mpo_measure(state, site, (dm.PLUS, dm.MINUS)[k], k)
+        ops.append(Measure(site, (dm.PLUS, dm.MINUS), k, remove=True))
+    np.testing.assert_allclose(simulate(n, ops).state, mpo_contract(state), atol=1e-9)
