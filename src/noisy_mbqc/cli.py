@@ -39,6 +39,17 @@ Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 compared against the dense simulation per outcome string.  An optional
 ``save_mpo`` path stores the prepared (pre-measurement) operator.
 
+Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
+``builder.n``, sites) take an integer or an integral float; null, booleans,
+strings and fractions are bad input.
+
+Reports: ``--out`` writes CSV when the path ends in ``.csv`` and JSON
+otherwise.  The JSON text is what ``json.dump(report_to_dict(report), fh,
+indent=2)`` writes, plus a final newline: floats read as their ``repr``
+(``NaN``, ``Infinity``, ``-Infinity`` when not finite), and two runs of one
+document give byte-identical reports apart from ``meta.timestamp``.  The
+writer streams that text row by row and formats each distinct float once.
+
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault.  ``NOISY_MBQC_MAX_QUBITS``
 caps the dense register (default 12).
@@ -54,7 +65,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -156,15 +167,16 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
             if builtin == "depolarizing":
                 return depolarizing()
             if builtin == "unitary":
-                return unitary_channel(dm.mat_from_json(obj["matrix"]))
+                u = _matrix(obj["matrix"], f"channels.{name}.matrix")
+                return unitary_channel(u)
             if builtin == "mixed_unitary":
                 p = _probability(obj["p"], f"channels.{name}.p")
-                u = dm.mat_from_json(obj["matrix"])
+                u = _matrix(obj["matrix"], f"channels.{name}.matrix")
                 return mixed_unitary([(1.0 - p, dm.I2), (p, u)])
             raise ParseError(f"channels.{name}: unknown builtin {builtin!r}")
         if "ops" in obj:
             return channel_from_dict(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"channels.{name}: malformed definition ({exc})") from exc
     except NotAChannel as exc:
         raise NotAChannel(f"channels.{name}: {exc}") from exc
@@ -176,6 +188,22 @@ def _number(obj, where: str) -> float:
         return float(obj)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a number, got {obj!r}") from None
+
+
+def _integer(obj, where: str) -> int:
+    """A document integer: an int, or a float with no fractional part."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float) and obj.is_integer():
+        return int(obj)
+    raise ParseError(f"{where}: expected an integer, got {obj!r}")
+
+
+def _matrix(obj, where: str) -> np.ndarray:
+    try:
+        return dm.mat_from_json(obj)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
 
 
 def _probability(obj, where: str) -> float:
@@ -202,7 +230,7 @@ def _parse_state(obj, where: str) -> np.ndarray:
         if "state" in obj:
             return _parse_state(obj["state"], where)
         if "matrix" in obj:
-            rho = dm.mat_from_json(obj["matrix"])
+            rho = _matrix(obj["matrix"], f"{where}.matrix")
             if not dm.is_density_operator(rho, normalized=True):
                 raise ParseError(f"{where}: matrix is not a normalised state")
             return rho
@@ -242,7 +270,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
         channels=channels,
         payload=payload,
         tolerance=_tolerance(doc.get("tolerance", 1e-9), "tolerance"),
-        seed=int(doc.get("seed", 0)),
+        seed=_integer(doc.get("seed", 0), "seed"),
         spec_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
     _validate_payload(spec)
@@ -255,8 +283,9 @@ def _validate_payload(spec: ExperimentSpec):
         _resolve_ref(doc.get("resource_noise"), spec.channels, "resource_noise")
         inputs = doc.get("inputs", {"random": 1})
         if isinstance(inputs, dict):
-            _require("random" in inputs and int(inputs["random"]) >= 1,
-                     "inputs: expected {'random': N} or a list of states")
+            _require("random" in inputs, "inputs: expected {'random': N} or a list")
+            n_states = _integer(inputs["random"], "inputs.random")
+            _require(n_states >= 1, "inputs.random must be >= 1")
         else:
             _require(isinstance(inputs, list) and inputs, "inputs: empty list")
             for idx, st in enumerate(inputs):
@@ -283,27 +312,37 @@ def _validate_payload(spec: ExperimentSpec):
             if "input" in doc:
                 _parse_state(doc["input"], "input")
         else:
-            _require(
-                isinstance(suite, dict) and int(suite.get("cases", 0)) >= 1,
-                "random_suite: expected {'cases': N}",
-            )
+            _require(isinstance(suite, dict), "random_suite: expected {'cases': N}")
+            for key, default in (("cases", 0), ("kraus", 2)):
+                where = f"random_suite.{key}"
+                count = _integer(suite.get(key, default), where)
+                _require(count >= 1, f"{where} must be >= 1")
     elif spec.kind == "mpo":
         builder = doc.get("builder")
         _require(
             isinstance(builder, dict)
             and builder.get("name") in ("cluster", "maximally_mixed", "one_clean")
-            and int(builder.get("n", 0)) >= 1,
+            and _integer(builder.get("n", 0), "builder.n") >= 1,
             "builder: expected {'name': cluster|maximally_mixed|one_clean, 'n': N}",
         )
         _require(
-            builder["name"] != "cluster" or int(builder["n"]) >= 2,
+            builder["name"] != "cluster" or builder["n"] >= 2,
             "builder: a cluster needs at least 2 sites",
         )
+        for key in ("site_ops", "measurements"):
+            _require(isinstance(doc.get(key, []), list), f"{key}: expected a list")
+        save = doc.get("save_mpo")
+        _require(save is None or isinstance(save, str), "save_mpo: expected a path")
         for i, op in enumerate(doc.get("site_ops", [])):
             where = f"site_ops[{i}]"
             _require(isinstance(op, dict) and "site" in op, f"{where}: needs a site")
             kinds = [k for k in ("pauli", "unitary", "channel") if k in op]
             _require(len(kinds) == 1, f"{where}: exactly one of pauli/unitary/channel")
+            if "pauli" in op:
+                _require(
+                    isinstance(op["pauli"], list) and len(op["pauli"]) == 2,
+                    f"{where}.pauli: expected [a, b]",
+                )
             if "channel" in op:
                 _resolve_ref(op["channel"], spec.channels, f"{where}.channel")
         for i, m in enumerate(doc.get("measurements", [])):
@@ -321,9 +360,11 @@ def _parse_phi(obj, step_index: int, where: str) -> None:
     if isinstance(obj, (int, float)):
         return
     if isinstance(obj, dict) and "magnitude" in obj:
+        _number(obj["magnitude"], f"{where}.magnitude")
         flips = obj.get("flip_on", [])
         _require(
-            all(isinstance(j, int) and 0 <= j < step_index for j in flips),
+            isinstance(flips, list)
+            and all(isinstance(j, int) and 0 <= j < step_index for j in flips),
             f"{where}: flip_on may only reference earlier steps",
         )
         return
@@ -397,7 +438,8 @@ def _run_teleport(spec: ExperimentSpec, rng) -> list[CaseResult]:
     eps = spec.channels[doc["resource_noise"]]
     inputs_doc = doc.get("inputs", {"random": 1})
     if isinstance(inputs_doc, dict):
-        states = [_random_density(rng) for _ in range(int(inputs_doc["random"]))]
+        n_states = _integer(inputs_doc["random"], "inputs.random")
+        states = [_random_density(rng) for _ in range(n_states)]
     else:
         states = [_parse_state(st, f"inputs[{i}]") for i, st in enumerate(inputs_doc)]
 
@@ -473,8 +515,8 @@ def _block_circuit_ops(cfg: BlockNoiseConfig, step: int) -> list:
 
 def _run_block_random_suite(spec: ExperimentSpec, rng) -> list[CaseResult]:
     suite = spec.payload["random_suite"]
-    n_cases = int(suite["cases"])
-    n_kraus = int(suite.get("kraus", 2))
+    n_cases = _integer(suite["cases"], "random_suite.cases")
+    n_kraus = _integer(suite.get("kraus", 2), "random_suite.kraus")
     cases = []
     for i in range(n_cases):
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -497,7 +539,7 @@ _Z_KETS = (dm.KET0, dm.KET1)
 def _run_mpo(spec: ExperimentSpec, rng) -> list[CaseResult]:
     doc = spec.payload
     builder = doc["builder"]
-    name, n = builder["name"], int(builder["n"])
+    name, n = builder["name"], _integer(builder["n"], "builder.n")
 
     if name == "cluster":
         state = mpo_mod.mpo_cluster(n)
@@ -513,14 +555,14 @@ def _run_mpo(spec: ExperimentSpec, rng) -> list[CaseResult]:
         circuit = [oracle.PrepState(0, dm.projector(dm.KET0))]
         circuit += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
 
-    for op in doc.get("site_ops", []):
-        site = int(op["site"])
+    for i, op in enumerate(doc.get("site_ops", [])):
+        site = _integer(op["site"], f"site_ops[{i}].site")
         if "pauli" in op:
-            a, b = (int(x) for x in op["pauli"])
+            a, b = (_integer(x, f"site_ops[{i}].pauli") for x in op["pauli"])
             state = mpo_mod.mpo_apply_pauli(state, site, (a, b))
             circuit.append(oracle.Unitary1Q(site, basis_element(a, b, XZ_STD)))
         elif "unitary" in op:
-            u = dm.mat_from_json(op["unitary"])
+            u = _matrix(op["unitary"], f"site_ops[{i}].unitary")
             state = mpo_mod.mpo_apply_unitary(state, site, u)
             circuit.append(oracle.Unitary1Q(site, u))
         else:
@@ -529,20 +571,25 @@ def _run_mpo(spec: ExperimentSpec, rng) -> list[CaseResult]:
             circuit.append(oracle.Channel1Q(site, ch))
 
     if doc.get("save_mpo"):
-        with open(doc["save_mpo"], "w", encoding="utf-8") as fh:
-            json.dump(mpo_mod.mpo_to_dict(state), fh)
+        try:
+            with open(doc["save_mpo"], "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(mpo_mod.mpo_to_dict(state)))
+        except OSError as exc:
+            raise ParseError(f"save_mpo: cannot write: {exc}") from exc
 
     measurements = doc.get("measurements", [])
     axes = [
-        (0, 1) if m.get("outcome", "both") == "both" else (int(m["outcome"]),)
-        for m in measurements
+        (0, 1)
+        if m.get("outcome", "both") == "both"
+        else (_integer(m["outcome"], f"measurements[{i}].outcome"),)
+        for i, m in enumerate(measurements)
     ]
     cases = []
     for ks in product(*axes) if measurements else [()]:
         branch_state = state
         branch_circuit = list(circuit)
-        for m_entry, k in zip(measurements, ks):
-            site = int(m_entry["site"])
+        for i, (m_entry, k) in enumerate(zip(measurements, ks)):
+            site = _integer(m_entry["site"], f"measurements[{i}].site")
             kets = _X_KETS if m_entry.get("basis", "x") == "x" else _Z_KETS
             branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k], k)
             branch_circuit.append(oracle.Measure(site, kets, k, remove=True))
@@ -558,7 +605,8 @@ def _run_mpo(spec: ExperimentSpec, rng) -> list[CaseResult]:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: Report) -> dict:
+def _report_skeleton(report: Report, leaf) -> dict:
+    """The report layout, with ``leaf(matrix)`` at each matrix."""
     return {
         "meta": {
             "spec_sha256": report.spec_hash,
@@ -569,8 +617,8 @@ def report_to_dict(report: Report) -> dict:
         "cases": [
             {
                 "case": c.case_id,
-                "closed_form": dm.mat_to_json(c.closed_form),
-                "oracle": dm.mat_to_json(c.oracle),
+                "closed_form": leaf(c.closed_form),
+                "oracle": leaf(c.oracle),
                 "max_entry_diff": c.max_entry_diff,
                 "trace_distance": c.trace_distance,
                 "branch_prob": c.branch_prob,
@@ -584,6 +632,69 @@ def report_to_dict(report: Report) -> dict:
             "pass": report.passed,
         },
     }
+
+
+def report_to_dict(report: Report) -> dict:
+    return _report_skeleton(report, dm.mat_to_json)
+
+
+def _report_chunks(report: Report):
+    """The text of ``json.dumps(report_to_dict(report), indent=2)``, in pieces.
+
+    Matrix leaves become int64 views of their complex entries (re, im
+    interleaved along each row).  Each distinct bit pattern is formatted once,
+    by one ``json.dumps`` of a list (the C encoder), so ``-0.0``, NaN and the
+    infinities read exactly as the pure-Python encoder writes them.
+    """
+    mats: list[np.ndarray] = []
+
+    def leaf(m):
+        mats.append(np.ascontiguousarray(m, dtype=complex).view(np.int64))
+        return mats[-1]
+
+    skeleton = _report_skeleton(report, leaf)
+    bits = dict.fromkeys(chain.from_iterable(m.ravel().tolist() for m in mats))
+    floats = np.array(list(bits), dtype=np.int64).view(np.float64).tolist()
+    text = dict(zip(bits, json.dumps(floats)[1:-1].split(", ")))
+    return _json_chunks(skeleton, text)
+
+
+def _json_chunks(obj, text: dict, pad: str = "\n"):
+    """Yield ``obj`` as ``json.dumps(..., indent=2)`` writes it at ``pad``."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        lead = "{" + inner
+        for key, value in obj.items():
+            yield lead + json.dumps(key) + ": "
+            yield from _json_chunks(value, text, inner)
+            lead = "," + inner
+        yield pad + "}"
+    elif isinstance(obj, list) and obj:
+        lead = "[" + inner
+        for value in obj:
+            yield lead
+            yield from _json_chunks(value, text, inner)
+            lead = "," + inner
+        yield pad + "]"
+    elif isinstance(obj, np.ndarray):
+        yield from _matrix_chunks(obj.tolist(), text, pad)
+    else:
+        yield json.dumps(obj)
+
+
+def _matrix_chunks(rows: list, text: dict, pad: str):
+    """One piece per row of a matrix leaf: its [re, im] pairs, indented."""
+    if not (rows and rows[0]):
+        yield json.dumps(rows, indent=2).replace("\n", pad)
+        return
+    a, b, c = pad + "  ", pad + "    ", pad + "      "
+    pair = "[" + c + "%s," + c + "%s" + b + "]"
+    row = "[" + b + ("," + b).join([pair] * (len(rows[0]) // 2)) + a + "]"
+    lead = "[" + a
+    for bits in rows:
+        yield lead + row % tuple(map(text.__getitem__, bits))
+        lead = "," + a
+    yield pad + "]"
 
 
 def report_from_dict(doc: dict) -> Report:
@@ -614,7 +725,7 @@ def emit_report(report: Report, fmt: str, path: str) -> None:
     """Write a report as JSON (full matrices) or CSV (scalar columns)."""
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, indent=2)
+            fh.writelines(_report_chunks(report))
             fh.write("\n")
         return
     if fmt == "csv":

@@ -1,10 +1,21 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.cli import (
+    CaseResult,
+    Report,
     emit_report,
     main,
     parse_experiment,
@@ -205,15 +216,67 @@ def test_report_json_roundtrip(tmp_path):
         assert ca.max_entry_diff == cb.max_entry_diff
 
 
-def test_report_determinism_modulo_timestamp():
+def test_report_determinism_modulo_timestamp(tmp_path):
     text = spec_text({**MINIMAL_BLOCK, "seed": 3})
-    docs = []
-    for _ in range(2):
+    blobs = []
+    for i in range(2):
         report = run_experiment(parse_experiment(text))
-        doc = report_to_dict(report)
-        doc["meta"]["timestamp"] = "fixed"
-        docs.append(json.dumps(doc, sort_keys=False))
-    assert docs[0] == docs[1]
+        report.timestamp = "fixed"
+        path = tmp_path / f"report{i}.json"
+        emit_report(report, "json", str(path))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 1.0, 0.1, 5e-324, 1e-310, float("nan"), float("inf"), -float("inf")
+]
+report_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+
+
+@st.composite
+def report_matrices(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    # a small pool repeats values; a large one makes most of them distinct
+    pool = draw(st.lists(report_floats, min_size=1, max_size=2 * rows * cols + 1))
+    size = 2 * rows * cols
+    values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    m = np.array(values, dtype=float).view(complex).reshape(rows, cols)
+    layout = draw(st.sampled_from(["contiguous", "transposed", "real part"]))
+    return {"contiguous": m, "transposed": m.T, "real part": m.real}[layout]
+
+
+@st.composite
+def reports(draw):
+    cases = [
+        CaseResult(
+            case_id=draw(st.text(max_size=6)),
+            closed_form=draw(report_matrices()),
+            oracle=draw(report_matrices()),
+            max_entry_diff=draw(report_floats),
+            trace_distance=draw(report_floats),
+            branch_prob=draw(report_floats),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return Report(
+        cases=cases,
+        tolerance=draw(report_floats),
+        seed=draw(st.integers(-(2**70), 2**70)),
+        spec_hash=draw(st.text(max_size=8)),
+        timestamp=draw(st.text(max_size=8)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=reports())
+def test_emit_json_is_json_dumps_of_report_to_dict(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        emit_report(report, "json", path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
 
 
 def test_emit_csv(tmp_path):
@@ -326,3 +389,151 @@ def test_parse_accepts_probability_bounds():
     for p in (0.0, 1.0):
         doc = dict(MINIMAL_BLOCK, channels={"noise": {"builtin": "bit_flip", "p": p}})
         assert "noise" in parse_experiment(spec_text(doc)).channels
+
+
+_H = dm.mat_to_json(dm.H)
+
+# One valid document per runner path; the fuzz below breaks them.
+SKELETONS = [
+    {
+        "kind": "teleport",
+        "seed": 3,
+        "tolerance": 1e-9,
+        "channels": {"noise": {"builtin": "phase_flip", "p": 0.2}},
+        "resource_noise": "noise",
+        "inputs": ["plus", {"matrix": dm.mat_to_json(0.5 * dm.I2)}],
+    },
+    {
+        "kind": "teleport",
+        "channels": {"noise": {"builtin": "mixed_unitary", "p": 0.3, "matrix": _H}},
+        "resource_noise": "noise",
+        "inputs": {"random": 2},
+    },
+    {
+        "kind": "block_chain",
+        "channels": {"noise": {"builtin": "bit_flip", "p": 0.1}},
+        "input": {"state": "minus"},
+        "chain": [
+            {"phi": 0.3, "k": "both", "alpha2": "noise"},
+            {"phi": {"magnitude": 0.2, "flip_on": [0]}, "k": 0, "alpha3": "noise"},
+        ],
+    },
+    {"kind": "block_chain", "seed": 1, "random_suite": {"cases": 1, "kraus": 2}},
+    {
+        "kind": "mpo",
+        "channels": {"noise": {"dim": 2, "ops": [_H]}},
+        "builder": {"name": "cluster", "n": 4},
+        "site_ops": [
+            {"site": 0, "pauli": [1, 0]},
+            {"site": 1, "channel": "noise"},
+            {"site": 2, "unitary": _H},
+        ],
+        "measurements": [
+            {"site": 0, "basis": "x", "outcome": "both"},
+            {"site": 1, "basis": "z", "outcome": 0},
+        ],
+    },
+    {"kind": "mpo", "builder": {"name": "one_clean", "n": 2}},
+]
+
+# nulls, wrong types and out-of-range values; 9 sites exceed the register cap
+# the fuzz runs under, so no document grows a large dense state
+_BAD_VALUES = [None, True, "x", 1.7, -1, 0, 9, [], {}, [0.5], math.nan, math.inf]
+
+
+def _paths(obj, prefix=()):
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def broken_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SKELETONS)))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = _parent(doc, path)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_BAD_VALUES)))
+    return doc
+
+
+@pytest.mark.parametrize("doc", SKELETONS, ids=lambda d: d["kind"])
+def test_fuzz_skeletons_pass(tmp_path, doc):
+    assert _run_doc(tmp_path, doc) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=broken_documents())
+def test_main_exit_codes_on_broken_documents(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        with open(spec_path, "w", encoding="utf-8") as fh:
+            fh.write(spec_text(doc))
+        out, err = io.StringIO(), io.StringIO()
+        cap = mock.patch.dict(os.environ, {"NOISY_MBQC_MAX_QUBITS": "8"})
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), cap:
+            code = main(["run", spec_path, "--out", os.path.join(tmp, "r.json")])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert math.isfinite(float(doc.get("tolerance", 1e-9)))
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
+def _set(doc, path, value):
+    doc = copy.deepcopy(doc)
+    _parent(doc, path)[path[-1]] = value
+    return doc
+
+
+_MPO = SKELETONS[4]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value",
+    [
+        (MINIMAL_BLOCK, ("seed",), None),
+        (SKELETONS[1], ("inputs", "random"), None),
+        (_MPO, ("builder", "n"), None),
+        (SKELETONS[3], ("random_suite", "cases"), None),
+        (SKELETONS[3], ("random_suite", "kraus"), None),
+        (_MPO, ("site_ops", 0, "site"), None),
+        (_MPO, ("measurements", 0, "site"), None),
+        (MINIMAL_BLOCK, ("seed",), 1.7),
+        (MINIMAL_BLOCK, ("seed",), True),
+        (MINIMAL_BLOCK, ("seed",), "7"),
+        (_MPO, ("builder", "n"), 3.5),
+        (_MPO, ("site_ops", 1, "site"), 0.5),
+        (_MPO, ("measurements", 1, "site"), 1.5),
+    ],
+)
+def test_main_non_integer_field_is_spec_error(tmp_path, capsys, doc, path, value):
+    assert _run_doc(tmp_path, _set(doc, path, value)) == 2
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+    expected = f"error: {field}: expected an integer, got {value!r}\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_parse_accepts_integral_float_seed():
+    assert parse_experiment(spec_text(dict(MINIMAL_BLOCK, seed=7.0))).seed == 7
+
+
+@pytest.mark.parametrize("save", [5.0, ["x"], "missing/mpo.json"])
+def test_main_bad_save_mpo_is_spec_error(tmp_path, capsys, monkeypatch, save):
+    monkeypatch.chdir(tmp_path)
+    assert _run_doc(tmp_path, dict(_MPO, save_mpo=save)) == 2
+    assert capsys.readouterr().err.startswith("error: save_mpo")

@@ -1,5 +1,6 @@
 """Smoke test: every demo script and example spec still runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,4 +34,8 @@ def test_demo_script_runs(script):
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.name)
 def test_demo_spec_passes(spec, tmp_path):
-    assert cli.main(["run", str(spec), "--out", str(tmp_path / "report.json")]) == 0
+    out = tmp_path / "report.json"
+    assert cli.main(["run", str(spec), "--out", str(out)]) == 0
+    text = out.read_text()
+    report = cli.report_from_dict(json.loads(text))
+    assert text == json.dumps(cli.report_to_dict(report), indent=2) + "\n"
