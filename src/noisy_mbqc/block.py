@@ -30,8 +30,9 @@ from .channels import (
     KrausChannel,
     apply,
     channel,
-    compose,
+    classify,
     identity_channel,
+    kraus_products,
     pauli_decompose,
 )
 from .errors import DimensionMismatch, ZBasisUnsupported
@@ -137,24 +138,26 @@ def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
     """Single channel for a noisy equatorial step with outcome ``cfg.meas.outcome``.
 
     Builds ``alpha4 o mapped(alpha2) o step o mapped(alpha3, k) o alpha1``;
-    absent channels default to the identity.
+    absent channels default to the identity.  The Kraus products are formed
+    in place, in the order and association :func:`channels.compose` would
+    use, and only the final set is classified.
     """
     meas = cfg.meas
     if meas.basis != EQUATORIAL:
         raise ZBasisUnsupported(
             "noise composition is defined for equatorial measurements only"
         )
-    composite = cfg.alpha1 if cfg.alpha1 is not None else identity_channel()
+    # the identity start stays a factor: dropping it can flip the sign of a zero
+    ops = (cfg.alpha1 if cfg.alpha1 is not None else identity_channel()).ops
     if cfg.alpha3 is not None:
-        composite = compose(
-            map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome), composite
-        )
-    composite = compose(ideal_block(meas), composite)
+        mapped = map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome)
+        ops = kraus_products(mapped.ops, ops)
+    ops = kraus_products(ideal_block(meas).ops, ops)
     if cfg.alpha2 is not None:
-        composite = compose(map_resource_noise(cfg.alpha2), composite)
+        ops = kraus_products(map_resource_noise(cfg.alpha2).ops, ops)
     if cfg.alpha4 is not None:
-        composite = compose(cfg.alpha4, composite)
-    return composite
+        ops = kraus_products(cfg.alpha4.ops, ops)
+    return KrausChannel(ops, classify(ops))
 
 
 def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:

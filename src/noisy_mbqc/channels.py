@@ -116,13 +116,18 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def kraus_products(after, before) -> tuple[np.ndarray, ...]:
+    """The Kraus set {A_i B_j} of ``after`` following ``before``, unclassified."""
+    if after[0].shape != before[0].shape:
+        raise DimensionMismatch(
+            f"cannot compose dimension {after[0].shape[0]} after {before[0].shape[0]}"
+        )
+    return tuple(a @ b for a in after for b in before)
+
+
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Composite map acting as ``after(before(rho))``; Kraus set {A_i B_j}."""
-    if after.dim != before.dim:
-        raise DimensionMismatch(
-            f"cannot compose dimension {after.dim} after {before.dim}"
-        )
-    ops = tuple(a @ b for a in after.ops for b in before.ops)
+    ops = kraus_products(after.ops, before.ops)
     return KrausChannel(ops, classify(ops))
 
 

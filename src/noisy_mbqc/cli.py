@@ -29,7 +29,8 @@ entry reads ``{"phi": 0.3, "k": 0|1|"both", "alpha1": "name", ...}`` or
 ``{"magnitude": x, "flip_on": [earlier step indices]}``, resolved to
 x * (-1)^(sum of those outcomes) per outcome string.  One case per outcome
 string; states are compared unnormalised so traces carry branch
-probabilities.
+probabilities.  A chain composes each distinct step (step index and resolved
+measurement) once and reuses its channel across outcome strings.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``; ``site_ops`` lists single-site events
@@ -40,8 +41,10 @@ compared against the dense simulation per outcome string.  An optional
 ``save_mpo`` path stores the prepared (pre-measurement) operator.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
-``builder.n``, sites) take an integer or an integral float; null, booleans,
-strings and fractions are bad input.
+``builder.n``, sites, a chain entry's ``k``) take an integer or an integral
+float; null, booleans, strings and fractions are bad input.  Number fields
+(``tolerance``, ``p``, ``phi``, ``magnitude``) reject booleans and strings, and
+matrix entries must be finite.
 
 Reports: ``--out`` writes CSV when the path ends in ``.csv`` and JSON
 otherwise.  The JSON text is what ``json.dump(report_to_dict(report), fh,
@@ -62,6 +65,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -175,6 +179,8 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
                 return mixed_unitary([(1.0 - p, dm.I2), (p, u)])
             raise ParseError(f"channels.{name}: unknown builtin {builtin!r}")
         if "ops" in obj:
+            for i, rows in enumerate(obj["ops"]):
+                _matrix(rows, f"channels.{name}.ops[{i}]")
             return channel_from_dict(obj)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"channels.{name}: malformed definition ({exc})") from exc
@@ -184,10 +190,13 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
 
 
 def _number(obj, where: str) -> float:
-    try:
-        return float(obj)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: expected a number, got {obj!r}") from None
+    """A document number: an int or a float; booleans and strings are bad input."""
+    if isinstance(obj, numbers.Real) and not isinstance(obj, bool):
+        try:
+            return float(obj)
+        except OverflowError:
+            pass
+    raise ParseError(f"{where}: expected a number, got {obj!r}")
 
 
 def _integer(obj, where: str) -> int:
@@ -201,9 +210,11 @@ def _integer(obj, where: str) -> int:
 
 def _matrix(obj, where: str) -> np.ndarray:
     try:
-        return dm.mat_from_json(obj)
+        m = dm.mat_from_json(obj)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
+    _require(np.isfinite(m).all(), f"{where}: matrix entries must be finite")
+    return m
 
 
 def _probability(obj, where: str) -> float:
@@ -305,7 +316,9 @@ def _validate_payload(spec: ExperimentSpec):
                 if not entry.get("z", False):
                     _parse_phi(entry.get("phi", 0.0), i, f"{self_ref}.phi")
                 k = entry.get("k", "both")
-                _require(k in (0, 1, "both"), f"{self_ref}.k must be 0, 1 or 'both'")
+                if k != "both":
+                    k = _integer(k, f"{self_ref}.k")
+                    _require(k in (0, 1), f"{self_ref}.k must be 0, 1 or 'both'")
                 for slot in ("alpha1", "alpha2", "alpha3", "alpha4"):
                     if slot in entry and entry[slot] is not None:
                         _resolve_ref(entry[slot], spec.channels, f"{self_ref}.{slot}")
@@ -357,18 +370,21 @@ def _validate_payload(spec: ExperimentSpec):
 
 
 def _parse_phi(obj, step_index: int, where: str) -> None:
-    if isinstance(obj, (int, float)):
-        return
     if isinstance(obj, dict) and "magnitude" in obj:
         _number(obj["magnitude"], f"{where}.magnitude")
         flips = obj.get("flip_on", [])
         _require(
             isinstance(flips, list)
-            and all(isinstance(j, int) and 0 <= j < step_index for j in flips),
+            and all(
+                isinstance(j, int) and not isinstance(j, bool) and 0 <= j < step_index
+                for j in flips
+            ),
             f"{where}: flip_on may only reference earlier steps",
         )
         return
-    raise ParseError(f"{where}: expected a number or {{magnitude, flip_on}}")
+    if isinstance(obj, dict):
+        raise ParseError(f"{where}: expected a number or {{magnitude, flip_on}}")
+    _number(obj, where)
 
 
 def _resolve_phi(obj, outcomes: list[int]) -> float:
@@ -471,24 +487,36 @@ def _run_block_chain(spec: ExperimentSpec, rng) -> list[CaseResult]:
 
     chain = doc["chain"]
     rho0 = _parse_state(doc.get("input", "plus"), "input")
-    k_axes = [(0, 1) if e.get("k", "both") == "both" else (e["k"],) for e in chain]
+    k_axes = [
+        (0, 1) if e.get("k", "both") == "both" else (_integer(e["k"], f"chain[{i}].k"),)
+        for i, e in enumerate(chain)
+    ]
+    step_alphas = [
+        {
+            slot: spec.channels[entry[slot]]
+            for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
+            if entry.get(slot) is not None
+        }
+        for entry in chain
+    ]
+    # a step's channel depends only on (step, MeasSpec): at most four per step
+    steps: dict[tuple[int, MeasSpec], KrausChannel] = {}
     cases = []
     for ks in product(*k_axes):
         outcomes = list(ks)
         closed = rho0.copy()
         circuit: list = [oracle.PrepState(0, rho0)]
-        for i, entry in enumerate(chain):
+        for i, (entry, alphas) in enumerate(zip(chain, step_alphas)):
             meas = _chain_entry_meas(entry, outcomes[i], outcomes)
-            alphas = {
-                slot: spec.channels[entry[slot]]
-                for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
-                if entry.get(slot) is not None
-            }
             cfg = BlockNoiseConfig(meas=meas, **alphas)
-            if meas.basis == "z" and not alphas:
-                closed = apply(ideal_block(meas), closed)
-            else:
-                closed = apply(compose_block_noise(cfg), closed)
+            step = steps.get((i, meas))
+            if step is None:
+                if meas.basis == "z" and not alphas:
+                    step = ideal_block(meas)
+                else:
+                    step = compose_block_noise(cfg)
+                steps[i, meas] = step
+            closed = apply(step, closed)
             circuit.extend(_block_circuit_ops(cfg, i))
         orac = oracle.simulate(len(chain) + 1, circuit).state
         label = "k=" + "".join(str(k) for k in outcomes)

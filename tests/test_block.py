@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_density
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.block import (
@@ -13,18 +15,20 @@ from noisy_mbqc.block import (
     run_block_sequence,
 )
 from noisy_mbqc.channels import (
+    KrausChannel,
     apply,
     bit_flip,
     channel,
     channels_equal,
     choi,
+    classify,
     compose,
     identity_channel,
     mixed_unitary,
     phase_flip,
     random_channel,
 )
-from noisy_mbqc.errors import ZBasisUnsupported
+from noisy_mbqc.errors import DimensionMismatch, ZBasisUnsupported
 from noisy_mbqc.oracle import block_oracle_channel
 
 
@@ -200,6 +204,14 @@ def test_compose_resource_and_measurement_example():
         assert channels_equal(compose_block_noise(cfg), want, tol=1e-12)
 
 
+@pytest.mark.parametrize("slot", ["alpha1", "alpha4"])
+def test_compose_rejects_mismatched_dimension(rng, slot):
+    two_qubit = random_channel(rng, 2, dim=4)
+    cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(0.5, 1), **{slot: two_qubit})
+    with pytest.raises(DimensionMismatch, match="cannot compose dimension"):
+        compose_block_noise(cfg)
+
+
 def test_compose_rejects_z_basis():
     with pytest.raises(ZBasisUnsupported):
         compose_block_noise(BlockNoiseConfig(meas=MeasSpec.z(0)))
@@ -276,3 +288,68 @@ def test_z_basis_block_with_noise_raises(rng):
 def test_empty_sequence_rejected(rng):
     with pytest.raises(ValueError):
         run_block_sequence(random_density(rng), [])
+
+
+# --- composite step against the chained-compose reference -------------------
+
+
+def _classified_compose(after, before):
+    """``channels.compose`` as a standalone reference: {A_i B_j}, classified."""
+    ops = tuple(a @ b for a in after.ops for b in before.ops)
+    return KrausChannel(ops, classify(ops))
+
+
+def reference_compose_block_noise(cfg: BlockNoiseConfig):
+    """The composite step as a chain of compositions, each one classified."""
+    meas = cfg.meas
+    composite = cfg.alpha1 if cfg.alpha1 is not None else identity_channel()
+    if cfg.alpha3 is not None:
+        composite = _classified_compose(
+            map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome), composite
+        )
+    composite = _classified_compose(ideal_block(meas), composite)
+    if cfg.alpha2 is not None:
+        composite = _classified_compose(map_resource_noise(cfg.alpha2), composite)
+    if cfg.alpha4 is not None:
+        composite = _classified_compose(cfg.alpha4, composite)
+    return composite
+
+
+_SLOTS = ("alpha1", "alpha2", "alpha3", "alpha4")
+_UNITARIES = (dm.I2, dm.X, dm.Y, dm.Z, dm.H)
+
+
+def _test_channel(rng, n_kraus: int, structured: bool):
+    """A random CPTP channel, or a mixture of Paulis and H with exact zeros."""
+    if not structured:
+        return random_channel(rng, n_kraus)
+    weights = rng.dirichlet(np.ones(n_kraus))
+    return mixed_unitary([(w, _UNITARIES[rng.integers(5)]) for w in weights])
+
+
+@settings(max_examples=300, deadline=None)
+# a mapped readout noise at phi = 0, k = 1 with no input noise: only the
+# identity factor at the start turns its -0.0 entries into the reference's 0.0
+@example(seed=1, kraus={"alpha3": (2, True)}, phi=0.0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kraus=st.fixed_dictionaries(
+        {}, optional={s: st.tuples(st.integers(1, 4), st.booleans()) for s in _SLOTS}
+    ),
+    phi=st.one_of(
+        st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi]), st.floats(-10.0, 10.0)
+    ),
+)
+def test_compose_matches_chained_compose_bit_for_bit(seed, kraus, phi):
+    rng = np.random.default_rng(seed)
+    alphas = {slot: _test_channel(rng, *spec) for slot, spec in kraus.items()}
+    for k in (0, 1):
+        cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(phi, k), **alphas)
+        got, want = compose_block_noise(cfg), reference_compose_block_noise(cfg)
+        assert got.kind == want.kind
+        assert [op.tobytes() for op in got.ops] == [op.tobytes() for op in want.ops]
+        if phi == 0.0:
+            # +0.0 and -0.0 share a MeasSpec key, so they must share the channel
+            flipped = BlockNoiseConfig(meas=MeasSpec.equatorial(-phi, k), **alphas)
+            other = compose_block_noise(flipped).ops
+            assert [op.tobytes() for op in other] == [op.tobytes() for op in got.ops]

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import tempfile
+import warnings
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisy_mbqc import cli
 from noisy_mbqc import densemath as dm
+from noisy_mbqc.block import BlockNoiseConfig, MeasSpec, compose_block_noise
+from noisy_mbqc.channels import apply
 from noisy_mbqc.cli import (
     CaseResult,
     Report,
@@ -438,7 +443,9 @@ SKELETONS = [
 
 # nulls, wrong types and out-of-range values; 9 sites exceed the register cap
 # the fuzz runs under, so no document grows a large dense state
-_BAD_VALUES = [None, True, "x", 1.7, -1, 0, 9, [], {}, [0.5], math.nan, math.inf]
+_BAD_VALUES = [
+    None, True, "x", "0.5", 1.0, 1.7, -1, 0, 9, [], {}, [0.5], math.nan, math.inf
+]
 
 
 def _paths(obj, prefix=()):
@@ -485,7 +492,10 @@ def test_main_exit_codes_on_broken_documents(doc):
         out, err = io.StringIO(), io.StringIO()
         cap = mock.patch.dict(os.environ, {"NOISY_MBQC_MAX_QUBITS": "8"})
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), cap:
-            code = main(["run", spec_path, "--out", os.path.join(tmp, "r.json")])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["run", spec_path, "--out", os.path.join(tmp, "r.json")])
+    assert [str(w.message) for w in caught] == []
     assert code in (0, 1, 2)
     if code == 1:
         assert math.isfinite(float(doc.get("tolerance", 1e-9)))
@@ -537,3 +547,140 @@ def test_main_bad_save_mpo_is_spec_error(tmp_path, capsys, monkeypatch, save):
     monkeypatch.chdir(tmp_path)
     assert _run_doc(tmp_path, dict(_MPO, save_mpo=save)) == 2
     assert capsys.readouterr().err.startswith("error: save_mpo")
+
+
+# --- satellite parse fixes: each of these documents misbehaved before --------
+
+_CHAIN = SKELETONS[2]
+_STEP3 = {"phi": {"magnitude": 0.1, "flip_on": [1]}}
+_CHAIN3 = _set(_CHAIN, ("chain",), _CHAIN["chain"] + [_STEP3])
+_INF_PAIR = [math.inf, 0.0]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value, message",
+    [
+        (_CHAIN, ("chain", 0, "k"), True, "chain[0].k: expected an integer, got True"),
+        (_CHAIN, ("chain", 1, "k"), 2, "chain[1].k must be 0, 1 or 'both'"),
+        (_CHAIN, ("channels", "noise", "p"), "0.5", "channels.noise.p: expected a"),
+        (_CHAIN, ("channels", "noise", "p"), True, "channels.noise.p: expected a"),
+        (_CHAIN, ("tolerance",), "1e-3", "tolerance: expected a number"),
+        (
+            _CHAIN,
+            ("chain", 1, "phi", "magnitude"),
+            "0.3",
+            "chain[1].phi.magnitude: expected a number",
+        ),
+        (_CHAIN, ("chain", 0, "phi"), True, "chain[0].phi: expected a number"),
+        (_CHAIN, ("chain", 0, "phi"), "0.3", "chain[0].phi: expected a number"),
+        (
+            _CHAIN3,
+            ("chain", 2, "phi", "flip_on"),
+            [True],
+            "chain[2].phi: flip_on may only reference earlier steps",
+        ),
+        (
+            _MPO,
+            ("channels", "noise", "ops", 0, 0, 0),
+            _INF_PAIR,
+            "channels.noise.ops[0]: matrix entries must be finite",
+        ),
+        (
+            SKELETONS[1],
+            ("channels", "noise", "matrix", 1, 1),
+            _INF_PAIR,
+            "channels.noise.matrix: matrix entries must be finite",
+        ),
+        (
+            SKELETONS[0],
+            ("inputs", 1, "matrix", 0, 0),
+            [math.nan, 0.0],
+            "inputs[1].matrix: matrix entries must be finite",
+        ),
+    ],
+)
+def test_main_bad_field_is_one_line_spec_error(
+    tmp_path, capsys, doc, path, value, message
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_doc(tmp_path, _set(doc, path, value)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_chain_integral_float_k_runs_as_int(tmp_path, capsys):
+    doc = _set(_CHAIN, ("chain", 1, "k"), 1.0)
+    assert _run_doc(tmp_path, doc) == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels[:2] == ["k=01", "k=11"]
+
+
+def test_chain_signed_zero_adaptive_angle_passes():
+    doc = {
+        "kind": "block_chain",
+        "channels": {"pf": {"builtin": "phase_flip", "p": 0.2}},
+        "chain": [
+            {"phi": 0.4, "k": "both", "alpha1": "pf"},
+            {"phi": {"magnitude": 0.0, "flip_on": [0]}, "k": "both", "alpha3": "pf"},
+            {"phi": -0.0, "k": "both", "alpha4": "pf"},
+        ],
+    }
+    report = run_experiment(parse_experiment(spec_text(doc)))
+    assert report.passed and len(report.cases) == 8
+
+
+def _chain_cfgs(spec, outcomes):
+    """Per-step configurations of one outcome string, resolved independently."""
+    cfgs = []
+    for entry in spec.payload["chain"]:
+        phi = entry["phi"]
+        if isinstance(phi, dict):
+            sign = (-1) ** sum(outcomes[j] for j in phi.get("flip_on", []))
+            phi = sign * phi["magnitude"]
+        alphas = {
+            slot: spec.channels[entry[slot]]
+            for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
+            if slot in entry
+        }
+        meas = MeasSpec.equatorial(float(phi), outcomes[len(cfgs)])
+        cfgs.append(BlockNoiseConfig(meas=meas, **alphas))
+    return cfgs
+
+
+def test_chain_composes_each_distinct_step_once(monkeypatch):
+    noise = {"builtin": "mixed_unitary", "p": 0.2, "matrix": _H}
+    doc = {
+        "kind": "block_chain",
+        "channels": {"h": noise, "bf": {"builtin": "bit_flip", "p": 0.1}},
+        "chain": [
+            {"phi": 0.3, "k": "both", "alpha2": "h"},
+            {"phi": {"magnitude": 0.5, "flip_on": [0]}, "k": "both", "alpha3": "h"},
+            {"phi": {"magnitude": 0.7, "flip_on": [0, 1]}, "k": 0, "alpha1": "bf"},
+            # the same MeasSpec as step 0 with other noise: the key needs the step
+            {"phi": 0.3, "k": "both", "alpha4": "h", "alpha3": "bf"},
+            {"phi": {"magnitude": 0.9, "flip_on": [3]}, "k": "both", "alpha2": "bf"},
+            {"phi": {"magnitude": 0.2, "flip_on": [1, 4]}, "k": 1, "alpha1": "h"},
+        ],
+    }
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return compose_block_noise(cfg)
+
+    monkeypatch.setattr(cli, "compose_block_noise", counting)
+    spec = parse_experiment(spec_text(doc))
+    report = run_experiment(spec)
+    assert report.passed
+
+    axes = [(0, 1), (0, 1), (0,), (0, 1), (0, 1), (1,)]
+    distinct = set()
+    for ks, case in zip(product(*axes), report.cases, strict=True):
+        assert case.case_id == "k=" + "".join(map(str, ks))
+        rho = dm.projector(dm.PLUS)
+        for i, cfg in enumerate(_chain_cfgs(spec, ks)):
+            distinct.add((i, cfg.meas))
+            rho = apply(compose_block_noise(cfg), rho)
+        np.testing.assert_array_equal(case.closed_form, rho)
+    assert len(calls) == len(distinct) < len(report.cases) * len(axes)
