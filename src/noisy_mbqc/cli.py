@@ -12,7 +12,7 @@ Document layout (all kinds)::
       "seed": 7,                    # optional, default 0
       "channels": {                 # named single-qubit channels
         "noise":  {"builtin": "phase_flip", "p": 0.5},   # p in [0, 1]
-        "custom": {"dim": 2, "ops": [[[[0.7,0],[0,0]], ...], ...]}
+        "custom": {"dim": 2, "ops": [[[[0.7,0],[0,0]], ...], ...]}  # 2x2 ops
       },
       ...kind-specific fields...
     }
@@ -38,13 +38,19 @@ Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 ``{"site": i, "channel": "name"}``); ``measurements`` lists
 ``{"site": i, "basis": "x"|"z", "outcome": 0|1|"both"}``.  Contractions are
 compared against the dense simulation per outcome string.  An optional
-``save_mpo`` path stores the prepared (pre-measurement) operator.
+``save_mpo`` path stores the prepared (pre-measurement) operator once every
+case has run.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
-``builder.n``, sites, a chain entry's ``k``) take an integer or an integral
-float; null, booleans, strings and fractions are bad input.  Number fields
-(``tolerance``, ``p``, ``phi``, ``magnitude``) reject booleans and strings, and
-matrix entries must be finite.
+``builder.n``, sites, a chain entry's ``k``, an ``outcome``) take an integer or
+an integral float; null, booleans, strings and fractions are bad input.  Number
+fields (``tolerance``, ``p``, ``phi``, ``magnitude``) reject booleans and
+strings; ``phi`` and ``magnitude`` must be finite, and so must matrix entries.
+A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
+
+``parse_experiment`` reads and checks every field once, before any MPO, oracle
+or file work, and returns the spec with its kind's ``run(rng)``; the runner
+reads no field of the document.
 
 Reports: ``--out`` writes CSV when the path ends in ``.csv`` and JSON
 otherwise.  The JSON text is what ``json.dump(report_to_dict(report), fh,
@@ -67,6 +73,7 @@ import json
 import math
 import numbers
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain, product
@@ -83,7 +90,6 @@ from .channels import (
     apply,
     basis_element,
     bit_flip,
-    channel_from_dict,
     choi,
     depolarizing,
     identity_channel,
@@ -91,6 +97,7 @@ from .channels import (
     phase_flip,
     random_channel,
     unitary_channel,
+    validate,
 )
 from .errors import NotAChannel, ParseError, UnknownChannelRef
 from .teleport import (
@@ -99,8 +106,6 @@ from .teleport import (
     pauli_corrected_target,
     teleport_branch,
 )
-
-EXPERIMENT_KINDS = ("teleport", "block_chain", "mpo")
 
 _STATES = {
     "zero": dm.projector(dm.KET0),
@@ -116,7 +121,8 @@ class ExperimentSpec:
 
     kind: str
     channels: dict[str, KrausChannel]
-    payload: dict
+    payload: dict  # the document as read
+    run: Runner  # the cases, from the parsed fields; reads no field again
     tolerance: float = 1e-9
     seed: int = 0
     spec_hash: str = ""
@@ -132,6 +138,9 @@ class CaseResult:
     max_entry_diff: float
     trace_distance: float
     branch_prob: float
+
+
+Runner = Callable[[np.random.Generator], list[CaseResult]]
 
 
 @dataclass
@@ -179,10 +188,16 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
                 return mixed_unitary([(1.0 - p, dm.I2), (p, u)])
             raise ParseError(f"channels.{name}: unknown builtin {builtin!r}")
         if "ops" in obj:
-            for i, rows in enumerate(obj["ops"]):
-                _matrix(rows, f"channels.{name}.ops[{i}]")
-            return channel_from_dict(obj)
-    except (KeyError, TypeError, OverflowError) as exc:
+            where = f"channels.{name}"
+            dim = _integer(obj.get("dim", 2), f"{where}.dim")
+            _require(dim == 2, f"{where}.dim must be 2 (single-qubit), got {dim}")
+            rows = obj["ops"]
+            shape = f"{where}.ops: expected a non-empty list of 2x2 matrices"
+            _require(isinstance(rows, list) and rows, shape)
+            ops = [_matrix(op, f"{where}.ops[{i}]") for i, op in enumerate(rows)]
+            _require(all(k.shape == (2, 2) for k in ops), shape)
+            return validate(ops)
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"channels.{name}: malformed definition ({exc})") from exc
     except NotAChannel as exc:
         raise NotAChannel(f"channels.{name}: {exc}") from exc
@@ -199,6 +214,12 @@ def _number(obj, where: str) -> float:
     raise ParseError(f"{where}: expected a number, got {obj!r}")
 
 
+def _finite(obj, where: str) -> float:
+    x = _number(obj, where)
+    _require(math.isfinite(x), f"{where} must be finite, got {x}")
+    return x
+
+
 def _integer(obj, where: str) -> int:
     """A document integer: an int, or a float with no fractional part."""
     if isinstance(obj, int) and not isinstance(obj, bool):
@@ -208,12 +229,30 @@ def _integer(obj, where: str) -> int:
     raise ParseError(f"{where}: expected an integer, got {obj!r}")
 
 
+def _positive(obj, where: str) -> int:
+    n = _integer(obj, where)
+    _require(n >= 1, f"{where} must be >= 1")
+    return n
+
+
+def _outcomes(obj, where: str, message: str) -> tuple[int, ...]:
+    """The outcomes a chain ``k`` or a measurement ``outcome`` runs: (k,) or (0, 1)."""
+    if obj == "both":
+        return (0, 1)
+    k = _integer(obj, where)
+    _require(k in (0, 1), message)
+    return (k,)
+
+
 def _matrix(obj, where: str) -> np.ndarray:
+    finite = f"{where}: matrix entries must be finite"
     try:
         m = dm.mat_from_json(obj)
+    except OverflowError:  # an integer entry too large for a float
+        raise ParseError(finite) from None
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
-    _require(np.isfinite(m).all(), f"{where}: matrix entries must be finite")
+    _require(np.isfinite(m).all(), finite)
     return m
 
 
@@ -260,7 +299,7 @@ def _resolve_ref(ref, channels: dict[str, KrausChannel], where: str) -> KrausCha
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
-    """Validate an experiment document; every channel must pass validation."""
+    """Read and check every field once; every channel must pass validation."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -275,103 +314,57 @@ def parse_experiment(text: str) -> ExperimentSpec:
     for name, obj in sorted(channel_defs.items()):
         channels[name] = _parse_channel_def(name, obj)
 
-    payload = dict(doc)
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         kind=kind,
         channels=channels,
-        payload=payload,
+        payload=dict(doc),
         tolerance=_tolerance(doc.get("tolerance", 1e-9), "tolerance"),
         seed=_integer(doc.get("seed", 0), "seed"),
         spec_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        run=_PARSERS[kind](doc, channels),
     )
-    _validate_payload(spec)
-    return spec
 
 
-def _validate_payload(spec: ExperimentSpec):
-    doc = spec.payload
-    if spec.kind == "teleport":
-        _resolve_ref(doc.get("resource_noise"), spec.channels, "resource_noise")
-        inputs = doc.get("inputs", {"random": 1})
-        if isinstance(inputs, dict):
-            _require("random" in inputs, "inputs: expected {'random': N} or a list")
-            n_states = _integer(inputs["random"], "inputs.random")
-            _require(n_states >= 1, "inputs.random must be >= 1")
-        else:
-            _require(isinstance(inputs, list) and inputs, "inputs: empty list")
-            for idx, st in enumerate(inputs):
-                _parse_state(st, f"inputs[{idx}]")
-    elif spec.kind == "block_chain":
-        chain = doc.get("chain")
-        suite = doc.get("random_suite")
-        _require(
-            (chain is None) != (suite is None),
-            "block_chain needs exactly one of 'chain' or 'random_suite'",
-        )
-        if chain is not None:
-            _require(isinstance(chain, list) and chain, "chain must be nonempty")
-            for i, entry in enumerate(chain):
-                self_ref = f"chain[{i}]"
-                _require(isinstance(entry, dict), f"{self_ref}: expected an object")
-                if not entry.get("z", False):
-                    _parse_phi(entry.get("phi", 0.0), i, f"{self_ref}.phi")
-                k = entry.get("k", "both")
-                if k != "both":
-                    k = _integer(k, f"{self_ref}.k")
-                    _require(k in (0, 1), f"{self_ref}.k must be 0, 1 or 'both'")
-                for slot in ("alpha1", "alpha2", "alpha3", "alpha4"):
-                    if slot in entry and entry[slot] is not None:
-                        _resolve_ref(entry[slot], spec.channels, f"{self_ref}.{slot}")
-            if "input" in doc:
-                _parse_state(doc["input"], "input")
-        else:
-            _require(isinstance(suite, dict), "random_suite: expected {'cases': N}")
-            for key, default in (("cases", 0), ("kraus", 2)):
-                where = f"random_suite.{key}"
-                count = _integer(suite.get(key, default), where)
-                _require(count >= 1, f"{where} must be >= 1")
-    elif spec.kind == "mpo":
-        builder = doc.get("builder")
-        _require(
-            isinstance(builder, dict)
-            and builder.get("name") in ("cluster", "maximally_mixed", "one_clean")
-            and _integer(builder.get("n", 0), "builder.n") >= 1,
-            "builder: expected {'name': cluster|maximally_mixed|one_clean, 'n': N}",
-        )
-        _require(
-            builder["name"] != "cluster" or builder["n"] >= 2,
-            "builder: a cluster needs at least 2 sites",
-        )
-        for key in ("site_ops", "measurements"):
-            _require(isinstance(doc.get(key, []), list), f"{key}: expected a list")
-        save = doc.get("save_mpo")
-        _require(save is None or isinstance(save, str), "save_mpo: expected a path")
-        for i, op in enumerate(doc.get("site_ops", [])):
-            where = f"site_ops[{i}]"
-            _require(isinstance(op, dict) and "site" in op, f"{where}: needs a site")
-            kinds = [k for k in ("pauli", "unitary", "channel") if k in op]
-            _require(len(kinds) == 1, f"{where}: exactly one of pauli/unitary/channel")
-            if "pauli" in op:
-                _require(
-                    isinstance(op["pauli"], list) and len(op["pauli"]) == 2,
-                    f"{where}.pauli: expected [a, b]",
-                )
-            if "channel" in op:
-                _resolve_ref(op["channel"], spec.channels, f"{where}.channel")
-        for i, m in enumerate(doc.get("measurements", [])):
-            where = f"measurements[{i}]"
-            _require(
-                isinstance(m, dict)
-                and m.get("basis", "x") in ("x", "z")
-                and m.get("outcome", "both") in (0, 1, "both")
-                and "site" in m,
-                f"{where}: expected site, basis x|z, outcome 0|1|'both'",
-            )
+# ---------------------------------------------------------------------------
+# Experiment kinds: each parser reads its fields and returns run(rng)
+# ---------------------------------------------------------------------------
 
 
-def _parse_phi(obj, step_index: int, where: str) -> None:
+def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+    eps = _resolve_ref(doc.get("resource_noise"), channels, "resource_noise")
+    inputs = doc.get("inputs", {"random": 1})
+    if isinstance(inputs, dict):
+        _require("random" in inputs, "inputs: expected {'random': N} or a list")
+        states, n_random = [], _positive(inputs["random"], "inputs.random")
+    else:
+        _require(isinstance(inputs, list) and inputs, "inputs: empty list")
+        states = [_parse_state(st, f"inputs[{i}]") for i, st in enumerate(inputs)]
+        n_random = 0
+
+    def run(rng) -> list[CaseResult]:
+        rhos = states + [_random_density(rng) for _ in range(n_random)]
+        pauli = is_pauli_channel(eps)
+        resource = diagonal_resource(eps)
+        cases = []
+        for (idx, rho), s, t in product(enumerate(rhos), range(2), range(2)):
+            if pauli:
+                closed = pauli_corrected_target(eps, rho, s, t)
+            else:
+                closed = teleport_branch(resource, rho, s, t).state
+            orac = oracle.teleport_oracle_state(eps, rho, s, t)
+            cases.append(_case(f"input{idx}:s{s}t{t}", closed, orac))
+        return cases
+
+    return run
+
+
+_SLOTS = ("alpha1", "alpha2", "alpha3", "alpha4")
+
+
+def _parse_phi(obj, step_index: int, where: str) -> tuple[float, tuple[int, ...]]:
+    """A chain angle as (magnitude, flip_on); a plain number flips on nothing."""
     if isinstance(obj, dict) and "magnitude" in obj:
-        _number(obj["magnitude"], f"{where}.magnitude")
+        magnitude = _finite(obj["magnitude"], f"{where}.magnitude")
         flips = obj.get("flip_on", [])
         _require(
             isinstance(flips, list)
@@ -381,20 +374,211 @@ def _parse_phi(obj, step_index: int, where: str) -> None:
             ),
             f"{where}: flip_on may only reference earlier steps",
         )
-        return
+        return magnitude, tuple(flips)
     if isinstance(obj, dict):
         raise ParseError(f"{where}: expected a number or {{magnitude, flip_on}}")
-    _number(obj, where)
+    return _finite(obj, where), ()
 
 
-def _resolve_phi(obj, outcomes: list[int]) -> float:
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    sign = 1.0
-    for j in obj.get("flip_on", []):
-        if outcomes[j]:
-            sign = -sign
-    return sign * float(obj["magnitude"])
+def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+    chain = doc.get("chain")
+    suite = doc.get("random_suite")
+    _require(
+        (chain is None) != (suite is None),
+        "block_chain needs exactly one of 'chain' or 'random_suite'",
+    )
+    if suite is not None:
+        return _parse_block_random_suite(suite)
+
+    _require(isinstance(chain, list) and chain, "chain must be nonempty")
+    # per step: (magnitude, flip_on) or None for a Z step, its k axis, its noise
+    steps = []
+    for i, entry in enumerate(chain):
+        where = f"chain[{i}]"
+        _require(isinstance(entry, dict), f"{where}: expected an object")
+        phi = None
+        if not entry.get("z", False):
+            phi = _parse_phi(entry.get("phi", 0.0), i, f"{where}.phi")
+        ks = _outcomes(
+            entry.get("k", "both"), f"{where}.k", f"{where}.k must be 0, 1 or 'both'"
+        )
+        alphas = {
+            slot: _resolve_ref(entry[slot], channels, f"{where}.{slot}")
+            for slot in _SLOTS
+            if entry.get(slot) is not None
+        }
+        steps.append((phi, ks, alphas))
+    rho0 = _parse_state(doc.get("input", "plus"), "input")
+
+    def run(rng) -> list[CaseResult]:
+        # a step's channel depends only on (step, MeasSpec): at most four per step
+        composed: dict[tuple[int, MeasSpec], KrausChannel] = {}
+        cases = []
+        for outcomes in product(*(ks for _, ks, _ in steps)):
+            closed = rho0.copy()
+            circuit: list = [oracle.PrepState(0, rho0)]
+            for i, (phi, _, alphas) in enumerate(steps):
+                if phi is None:
+                    meas = MeasSpec.z(outcomes[i])
+                else:
+                    magnitude, flip_on = phi
+                    sign = -1.0 if sum(outcomes[j] for j in flip_on) % 2 else 1.0
+                    meas = MeasSpec.equatorial(sign * magnitude, outcomes[i])
+                cfg = BlockNoiseConfig(meas=meas, **alphas)
+                step = composed.get((i, meas))
+                if step is None:
+                    if meas.basis == "z" and not alphas:
+                        step = ideal_block(meas)
+                    else:
+                        step = compose_block_noise(cfg)
+                    composed[i, meas] = step
+                closed = apply(step, closed)
+                circuit.extend(_block_circuit_ops(cfg, i))
+            orac = oracle.simulate(len(steps) + 1, circuit).state
+            label = "k=" + "".join(str(k) for k in outcomes)
+            cases.append(_case(label, closed, orac))
+        return cases
+
+    return run
+
+
+def _block_circuit_ops(cfg: BlockNoiseConfig, step: int) -> list:
+    """Circuit slice for one chain step on sites (step, step+1)."""
+    a, b = step, step + 1
+    ops: list = [oracle.PrepPlus(b)]
+    if cfg.alpha1 is not None:
+        ops.append(oracle.Channel1Q(a, cfg.alpha1))
+    if cfg.alpha2 is not None:
+        ops.append(oracle.Channel1Q(b, cfg.alpha2))
+    ops.append(oracle.CZ(a, b))
+    if cfg.alpha3 is not None:
+        ops.append(oracle.Channel1Q(a, cfg.alpha3))
+    if cfg.alpha4 is not None:
+        ops.append(oracle.Channel1Q(b, cfg.alpha4))
+    ops.append(oracle.Measure(a, cfg.meas, cfg.meas.outcome, remove=True))
+    return ops
+
+
+def _parse_block_random_suite(suite) -> Runner:
+    _require(isinstance(suite, dict), "random_suite: expected {'cases': N}")
+    n_cases = _positive(suite.get("cases", 0), "random_suite.cases")
+    n_kraus = _positive(suite.get("kraus", 2), "random_suite.kraus")
+
+    def run(rng) -> list[CaseResult]:
+        cases = []
+        for i in range(n_cases):
+            phi = float(rng.uniform(0.0, 2.0 * np.pi))
+            alphas = {slot: random_channel(rng, n_kraus) for slot in _SLOTS}
+            for k in (0, 1):
+                cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(phi, k), **alphas)
+                closed = choi(compose_block_noise(cfg))
+                orac = oracle.block_oracle_channel(cfg)
+                cases.append(_case(f"cfg{i}:k{k}", closed, orac))
+        return cases
+
+    return run
+
+
+def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+    builder = doc.get("builder")
+    shape = "builder: expected {'name': cluster|maximally_mixed|one_clean, 'n': N}"
+    _require(
+        isinstance(builder, dict)
+        and builder.get("name") in ("cluster", "maximally_mixed", "one_clean"),
+        shape,
+    )
+    name, n = builder["name"], _integer(builder.get("n", 0), "builder.n")
+    _require(n >= 1, shape)
+    _require(name != "cluster" or n >= 2, "builder: a cluster needs at least 2 sites")
+    site_ops = doc.get("site_ops", [])
+    _require(isinstance(site_ops, list), "site_ops: expected a list")
+    readouts = doc.get("measurements", [])
+    _require(isinstance(readouts, list), "measurements: expected a list")
+    save = doc.get("save_mpo")
+    _require(save is None or isinstance(save, str), "save_mpo: expected a path")
+
+    events = []  # (pauli|unitary|channel, site, [a, b] | matrix | channel)
+    for i, op in enumerate(site_ops):
+        where = f"site_ops[{i}]"
+        _require(isinstance(op, dict) and "site" in op, f"{where}: needs a site")
+        kinds = [k for k in ("pauli", "unitary", "channel") if k in op]
+        _require(len(kinds) == 1, f"{where}: exactly one of pauli/unitary/channel")
+        site = _integer(op["site"], f"{where}.site")
+        if "pauli" in op:
+            _require(
+                isinstance(op["pauli"], list) and len(op["pauli"]) == 2,
+                f"{where}.pauli: expected [a, b]",
+            )
+            value = tuple(_integer(x, f"{where}.pauli") for x in op["pauli"])
+        elif "unitary" in op:
+            value = _matrix(op["unitary"], f"{where}.unitary")
+        else:
+            value = _resolve_ref(op["channel"], channels, f"{where}.channel")
+        events.append((kinds[0], site, value))
+
+    measurements = []  # (site, basis kets, outcome axis)
+    for i, m in enumerate(readouts):
+        where = f"measurements[{i}]"
+        shape = f"{where}: expected site, basis x|z, outcome 0|1|'both'"
+        basis = m.get("basis", "x") if isinstance(m, dict) else None
+        _require(basis in ("x", "z") and "site" in m, shape)
+        site = _integer(m["site"], f"{where}.site")
+        ks = _outcomes(m.get("outcome", "both"), f"{where}.outcome", shape)
+        kets = (dm.PLUS, dm.MINUS) if basis == "x" else (dm.KET0, dm.KET1)
+        measurements.append((site, kets, ks))
+
+    def run(rng) -> list[CaseResult]:
+        if name == "cluster":
+            state = mpo_mod.mpo_cluster(n)
+            circuit: list = oracle.cluster_ops(n)
+        elif name == "maximally_mixed":
+            state = mpo_mod.mpo_maximally_mixed(n)
+            circuit = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
+        else:
+            state = mpo_mod.mpo_one_clean(n)
+            circuit = [oracle.PrepState(0, dm.projector(dm.KET0))]
+            circuit += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
+
+        for kind, site, value in events:
+            if kind == "pauli":
+                state = mpo_mod.mpo_apply_pauli(state, site, value)
+                circuit.append(oracle.Unitary1Q(site, basis_element(*value, XZ_STD)))
+            elif kind == "unitary":
+                state = mpo_mod.mpo_apply_unitary(state, site, value)
+                circuit.append(oracle.Unitary1Q(site, value))
+            else:
+                state = mpo_mod.mpo_apply_channel(state, site, value)
+                circuit.append(oracle.Channel1Q(site, value))
+
+        cases = []
+        for ks in product(*(axis for _, _, axis in measurements)):
+            branch_state = state
+            branch_circuit = list(circuit)
+            for (site, kets, _), k in zip(measurements, ks):
+                branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k], k)
+                branch_circuit.append(oracle.Measure(site, kets, k, remove=True))
+            closed = mpo_mod.mpo_contract(branch_state)
+            orac = oracle.simulate(state.n_sites, branch_circuit).state
+            cases.append(_case("m=" + "".join(str(k) for k in ks), closed, orac))
+
+        # written once every case has run, so a failed case leaves no file
+        if save:
+            try:
+                with open(save, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(mpo_mod.mpo_to_dict(state)))
+            except OSError as exc:
+                raise ParseError(f"save_mpo: cannot write: {exc}") from exc
+        return cases
+
+    return run
+
+
+_PARSERS = {
+    "teleport": _parse_teleport,
+    "block_chain": _parse_block_chain,
+    "mpo": _parse_mpo,
+}
+EXPERIMENT_KINDS = tuple(_PARSERS)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +596,9 @@ def run_experiment(
     tol = spec.tolerance if tolerance is None else _tolerance(tolerance, "tolerance")
     rng_seed = spec.seed if seed is None else seed
     rng = np.random.default_rng(rng_seed)
-
-    runner = {
-        "teleport": _run_teleport,
-        "block_chain": _run_block_chain,
-        "mpo": _run_mpo,
-    }[spec.kind]
     cases = [
         c
-        for c in runner(spec, rng)
+        for c in spec.run(rng)
         if case_filter is None or case_filter in c.case_id
     ]
     return Report(
@@ -447,185 +625,6 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def _run_teleport(spec: ExperimentSpec, rng) -> list[CaseResult]:
-    doc = spec.payload
-    eps = spec.channels[doc["resource_noise"]]
-    inputs_doc = doc.get("inputs", {"random": 1})
-    if isinstance(inputs_doc, dict):
-        n_states = _integer(inputs_doc["random"], "inputs.random")
-        states = [_random_density(rng) for _ in range(n_states)]
-    else:
-        states = [_parse_state(st, f"inputs[{i}]") for i, st in enumerate(inputs_doc)]
-
-    pauli = is_pauli_channel(eps)
-    resource = diagonal_resource(eps)
-    cases = []
-    for idx, rho in enumerate(states):
-        for s in range(2):
-            for t in range(2):
-                if pauli:
-                    closed = pauli_corrected_target(eps, rho, s, t)
-                else:
-                    closed = teleport_branch(resource, rho, s, t).state
-                orac = oracle.teleport_oracle_state(eps, rho, s, t)
-                cases.append(_case(f"input{idx}:s{s}t{t}", closed, orac))
-    return cases
-
-
-def _chain_entry_meas(entry: dict, k: int, outcomes: list[int]) -> MeasSpec:
-    if entry.get("z", False):
-        return MeasSpec.z(k)
-    return MeasSpec.equatorial(_resolve_phi(entry.get("phi", 0.0), outcomes), k)
-
-
-def _run_block_chain(spec: ExperimentSpec, rng) -> list[CaseResult]:
-    doc = spec.payload
-    if "random_suite" in doc and doc["random_suite"] is not None:
-        return _run_block_random_suite(spec, rng)
-
-    chain = doc["chain"]
-    rho0 = _parse_state(doc.get("input", "plus"), "input")
-    k_axes = [
-        (0, 1) if e.get("k", "both") == "both" else (_integer(e["k"], f"chain[{i}].k"),)
-        for i, e in enumerate(chain)
-    ]
-    step_alphas = [
-        {
-            slot: spec.channels[entry[slot]]
-            for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
-            if entry.get(slot) is not None
-        }
-        for entry in chain
-    ]
-    # a step's channel depends only on (step, MeasSpec): at most four per step
-    steps: dict[tuple[int, MeasSpec], KrausChannel] = {}
-    cases = []
-    for ks in product(*k_axes):
-        outcomes = list(ks)
-        closed = rho0.copy()
-        circuit: list = [oracle.PrepState(0, rho0)]
-        for i, (entry, alphas) in enumerate(zip(chain, step_alphas)):
-            meas = _chain_entry_meas(entry, outcomes[i], outcomes)
-            cfg = BlockNoiseConfig(meas=meas, **alphas)
-            step = steps.get((i, meas))
-            if step is None:
-                if meas.basis == "z" and not alphas:
-                    step = ideal_block(meas)
-                else:
-                    step = compose_block_noise(cfg)
-                steps[i, meas] = step
-            closed = apply(step, closed)
-            circuit.extend(_block_circuit_ops(cfg, i))
-        orac = oracle.simulate(len(chain) + 1, circuit).state
-        label = "k=" + "".join(str(k) for k in outcomes)
-        cases.append(_case(label, closed, orac))
-    return cases
-
-
-def _block_circuit_ops(cfg: BlockNoiseConfig, step: int) -> list:
-    """Circuit slice for one chain step on sites (step, step+1)."""
-    a, b = step, step + 1
-    ops: list = [oracle.PrepPlus(b)]
-    if cfg.alpha1 is not None:
-        ops.append(oracle.Channel1Q(a, cfg.alpha1))
-    if cfg.alpha2 is not None:
-        ops.append(oracle.Channel1Q(b, cfg.alpha2))
-    ops.append(oracle.CZ(a, b))
-    if cfg.alpha3 is not None:
-        ops.append(oracle.Channel1Q(a, cfg.alpha3))
-    if cfg.alpha4 is not None:
-        ops.append(oracle.Channel1Q(b, cfg.alpha4))
-    ops.append(oracle.Measure(a, cfg.meas, cfg.meas.outcome, remove=True))
-    return ops
-
-
-def _run_block_random_suite(spec: ExperimentSpec, rng) -> list[CaseResult]:
-    suite = spec.payload["random_suite"]
-    n_cases = _integer(suite["cases"], "random_suite.cases")
-    n_kraus = _integer(suite.get("kraus", 2), "random_suite.kraus")
-    cases = []
-    for i in range(n_cases):
-        phi = float(rng.uniform(0.0, 2.0 * np.pi))
-        alphas = {
-            slot: random_channel(rng, n_kraus)
-            for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
-        }
-        for k in (0, 1):
-            cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(phi, k), **alphas)
-            closed = choi(compose_block_noise(cfg))
-            orac = oracle.block_oracle_channel(cfg)
-            cases.append(_case(f"cfg{i}:k{k}", closed, orac))
-    return cases
-
-
-_X_KETS = (dm.PLUS, dm.MINUS)
-_Z_KETS = (dm.KET0, dm.KET1)
-
-
-def _run_mpo(spec: ExperimentSpec, rng) -> list[CaseResult]:
-    doc = spec.payload
-    builder = doc["builder"]
-    name, n = builder["name"], _integer(builder["n"], "builder.n")
-
-    if name == "cluster":
-        state = mpo_mod.mpo_cluster(n)
-        total = n
-        circuit: list = oracle.cluster_ops(n)
-    elif name == "maximally_mixed":
-        state = mpo_mod.mpo_maximally_mixed(n)
-        total = n
-        circuit = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
-    else:
-        state = mpo_mod.mpo_one_clean(n)
-        total = n + 1
-        circuit = [oracle.PrepState(0, dm.projector(dm.KET0))]
-        circuit += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
-
-    for i, op in enumerate(doc.get("site_ops", [])):
-        site = _integer(op["site"], f"site_ops[{i}].site")
-        if "pauli" in op:
-            a, b = (_integer(x, f"site_ops[{i}].pauli") for x in op["pauli"])
-            state = mpo_mod.mpo_apply_pauli(state, site, (a, b))
-            circuit.append(oracle.Unitary1Q(site, basis_element(a, b, XZ_STD)))
-        elif "unitary" in op:
-            u = _matrix(op["unitary"], f"site_ops[{i}].unitary")
-            state = mpo_mod.mpo_apply_unitary(state, site, u)
-            circuit.append(oracle.Unitary1Q(site, u))
-        else:
-            ch = spec.channels[op["channel"]]
-            state = mpo_mod.mpo_apply_channel(state, site, ch)
-            circuit.append(oracle.Channel1Q(site, ch))
-
-    if doc.get("save_mpo"):
-        try:
-            with open(doc["save_mpo"], "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(mpo_mod.mpo_to_dict(state)))
-        except OSError as exc:
-            raise ParseError(f"save_mpo: cannot write: {exc}") from exc
-
-    measurements = doc.get("measurements", [])
-    axes = [
-        (0, 1)
-        if m.get("outcome", "both") == "both"
-        else (_integer(m["outcome"], f"measurements[{i}].outcome"),)
-        for i, m in enumerate(measurements)
-    ]
-    cases = []
-    for ks in product(*axes) if measurements else [()]:
-        branch_state = state
-        branch_circuit = list(circuit)
-        for i, (m_entry, k) in enumerate(zip(measurements, ks)):
-            site = _integer(m_entry["site"], f"measurements[{i}].site")
-            kets = _X_KETS if m_entry.get("basis", "x") == "x" else _Z_KETS
-            branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k], k)
-            branch_circuit.append(oracle.Measure(site, kets, k, remove=True))
-        closed = mpo_mod.mpo_contract(branch_state)
-        orac = oracle.simulate(total, branch_circuit).state
-        label = "m=" + "".join(str(k) for k in ks) if ks else "m="
-        cases.append(_case(label, closed, orac))
-    return cases
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,8 @@ _CHAIN = SKELETONS[2]
 _STEP3 = {"phi": {"magnitude": 0.1, "flip_on": [1]}}
 _CHAIN3 = _set(_CHAIN, ("chain",), _CHAIN["chain"] + [_STEP3])
 _INF_PAIR = [math.inf, 0.0]
+_DIM = "channels.noise.dim: "
+_OPS = "channels.noise.ops: expected a non-empty list of 2x2 matrices"
 
 
 @pytest.mark.parametrize(
@@ -597,6 +599,27 @@ _INF_PAIR = [math.inf, 0.0]
             [math.nan, 0.0],
             "inputs[1].matrix: matrix entries must be finite",
         ),
+        (
+            SKELETONS[0],
+            ("inputs", 1, "matrix", 0, 0),
+            [10**400, 0],
+            "inputs[1].matrix: matrix entries must be finite",
+        ),
+        (_CHAIN, ("chain", 0, "phi"), math.nan, "chain[0].phi must be finite"),
+        (_CHAIN, ("chain", 0, "phi"), math.inf, "chain[0].phi must be finite"),
+        (
+            _CHAIN,
+            ("chain", 1, "phi", "magnitude"),
+            -math.inf,
+            "chain[1].phi.magnitude must be finite",
+        ),
+        (_MPO, ("channels", "noise", "dim"), "2", _DIM + "expected an integer"),
+        (_MPO, ("channels", "noise", "dim"), 2.5, _DIM + "expected an integer"),
+        (_MPO, ("channels", "noise", "dim"), True, _DIM + "expected an integer"),
+        (_MPO, ("channels", "noise", "dim"), 4, "channels.noise.dim must be 2"),
+        (_MPO, ("channels", "noise", "ops"), [], _OPS),
+        (_MPO, ("channels", "noise", "ops"), None, _OPS),
+        (_MPO, ("channels", "noise", "ops"), [dm.mat_to_json(np.eye(4))], _OPS),
     ],
 )
 def test_main_bad_field_is_one_line_spec_error(
@@ -607,6 +630,49 @@ def test_main_bad_field_is_one_line_spec_error(
         assert _run_doc(tmp_path, _set(doc, path, value)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("site_ops", 0, "site"), 0.5, "site_ops[0].site: expected an integer"),
+        (("site_ops", 0, "pauli"), [1, "x"], "site_ops[0].pauli: expected an int"),
+        (("site_ops", 2, "unitary"), [[1, 0], [0, 1]], "site_ops[2].unitary: "),
+        (("measurements", 0, "site"), 1.5, "measurements[0].site: expected an integer"),
+        (("measurements", 1, "outcome"), True, "measurements[1].outcome: expected an"),
+    ],
+)
+def test_parse_alone_rejects_bad_mpo_field(path, value, message):
+    with pytest.raises(ParseError) as info:
+        parse_experiment(spec_text(_set(_MPO, path, value)))
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("site", [1.5, 9])
+def test_main_bad_measurement_site_writes_no_save_mpo(tmp_path, capsys, site):
+    save = tmp_path / "saved.json"
+    doc = _set(dict(_MPO, save_mpo=str(save)), ("measurements", 0, "site"), site)
+    assert _run_doc(tmp_path, doc) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not save.exists()
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a runner read a document field")
+
+
+def test_run_reads_no_document_field_and_reruns_the_same(monkeypatch):
+    specs = [parse_experiment(spec_text(doc)) for doc in SKELETONS]
+    for name in ("_integer", "_number", "_matrix", "_parse_state", "_resolve_ref"):
+        monkeypatch.setattr(cli, name, _forbidden)
+    for spec in specs:
+        spec.payload.clear()
+        first, again = run_experiment(spec), run_experiment(spec)
+        assert first.passed and first.cases
+        for a, b in zip(first.cases, again.cases, strict=True):
+            assert a.case_id == b.case_id
+            np.testing.assert_array_equal(a.closed_form, b.closed_form)
+            np.testing.assert_array_equal(a.oracle, b.oracle)
 
 
 def test_chain_integral_float_k_runs_as_int(tmp_path, capsys):
