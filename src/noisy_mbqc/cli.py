@@ -140,7 +140,7 @@ class CaseResult:
     branch_prob: float
 
 
-Runner = Callable[[np.random.Generator], list[CaseResult]]
+Runner = Callable[["np.random.Generator"], list[CaseResult]]  # numpy.random stays lazy
 
 
 @dataclass
