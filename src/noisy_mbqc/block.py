@@ -24,13 +24,11 @@ import numpy as np
 
 from . import densemath as dm
 from .channels import (
-    TRACE_NON_INCREASING,
     XZ_ROTATED,
     ZX_MEAS,
     KrausChannel,
     apply,
     channel,
-    classify,
     identity_channel,
     kraus_products,
     pauli_decompose,
@@ -93,7 +91,7 @@ def ideal_block(meas: MeasSpec) -> KrausChannel:
     else:
         xk = np.linalg.matrix_power(dm.X, k)
         op = xk @ dm.H @ dm.rz(-meas.phi) / np.sqrt(2.0)
-    return KrausChannel((op,), TRACE_NON_INCREASING)
+    return KrausChannel((op,))
 
 
 def map_resource_noise(alpha2: KrausChannel) -> KrausChannel:
@@ -140,7 +138,7 @@ def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
     Builds ``alpha4 o mapped(alpha2) o step o mapped(alpha3, k) o alpha1``;
     absent channels default to the identity.  The Kraus products are formed
     in place, in the order and association :func:`channels.compose` would
-    use, and only the final set is classified.
+    use.
     """
     meas = cfg.meas
     if meas.basis != EQUATORIAL:
@@ -157,7 +155,7 @@ def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
         ops = kraus_products(map_resource_noise(cfg.alpha2).ops, ops)
     if cfg.alpha4 is not None:
         ops = kraus_products(cfg.alpha4.ops, ops)
-    return KrausChannel(ops, classify(ops))
+    return KrausChannel(ops)
 
 
 def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:

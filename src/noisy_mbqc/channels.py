@@ -1,8 +1,14 @@
 """Kraus-channel algebra and Pauli coefficient tables.
 
-A channel is a finite list of equal-shaped Kraus operators.  Channels are
-compared through their Choi matrices (Kraus sets are not unique), and three
-single-qubit Pauli coefficient conventions are supported:
+A channel is a finite list of equal-shaped Kraus operators.  No trace
+condition is stored with it: sum K^dag K is I for a trace-preserving map,
+below I for a post-selected branch, and may exceed I for a derived map such
+as mapped resource or readout noise.  :func:`validate` checks the bound
+where channels enter (stock channels and parsed documents); :func:`channel`
+and :func:`compose` build derived maps without it, and :func:`kraus_sum`
+gives the trace behaviour on demand.  Channels are compared through their
+Choi matrices (Kraus sets are not unique), and three single-qubit Pauli
+coefficient conventions are supported:
 
 * ``XZ_STD``:     sigma_gh = i^(g*h) X^g Z^h, so the (0,1) slot holds Z and
   the (1,0) slot holds X.
@@ -24,29 +30,16 @@ import numpy as np
 from . import densemath as dm
 from .errors import DimensionMismatch, NotAChannel
 
-TRACE_PRESERVING = "trace_preserving"
-TRACE_NON_INCREASING = "trace_non_increasing"
-GENERAL = "general"
-
 XZ_STD = "xz_std"
 ZX_MEAS = "zx_meas"
 XZ_ROTATED = "xz_rotated"
 
-CONVENTIONS = (XZ_STD, ZX_MEAS, XZ_ROTATED)
-
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by Kraus operators.
-
-    ``kind`` records how the operators resolve the trace condition:
-    trace-preserving (sum K^dag K = I), trace-non-increasing (sum K^dag K
-    below I, e.g. a post-selected measurement branch), or general (a derived
-    map with no trace bound, produced by the noise-location mappings).
-    """
+    """A completely positive map given by Kraus operators."""
 
     ops: tuple[np.ndarray, ...]
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -73,34 +66,26 @@ def _check_ops(ops) -> tuple[np.ndarray, ...]:
     return ops
 
 
-def classify(ops, tol: float = dm.ATOL) -> str:
-    """Classify a Kraus set by its trace behaviour (never raises)."""
+def validate(ops) -> KrausChannel:
+    """Build a channel, insisting on sum K^dag K bounded by the identity.
+
+    The set passes when the sum is entrywise within ``dm.ATOL`` of I, or when
+    the largest eigenvalue of its Hermitian part is at most 1 + ``dm.ATOL``.
+    """
     ops = _check_ops(ops)
     s = kraus_sum(ops)
-    eye = np.eye(s.shape[0])
-    if dm.max_abs_diff(s, eye) <= tol:
-        return TRACE_PRESERVING
-    if np.linalg.eigvalsh(0.5 * (s + dm.dag(s))).max() <= 1.0 + tol:
-        return TRACE_NON_INCREASING
-    return GENERAL
+    if dm.max_abs_diff(s, np.eye(s.shape[0])) > dm.ATOL:
+        top = np.linalg.eigvalsh(0.5 * (s + dm.dag(s))).max()
+        if top > 1.0 + dm.ATOL:
+            raise NotAChannel(
+                f"sum K^dag K exceeds the identity (largest eigenvalue 1 + {top - 1.0:.3e})"
+            )
+    return KrausChannel(ops)
 
 
-def validate(ops, tol: float = dm.ATOL) -> KrausChannel:
-    """Build a channel, insisting on sum K^dag K bounded by the identity."""
-    ops = _check_ops(ops)
-    kind = classify(ops, tol)
-    if kind == GENERAL:
-        excess = np.linalg.eigvalsh(kraus_sum(ops)).max() - 1.0
-        raise NotAChannel(
-            f"sum K^dag K exceeds the identity (largest eigenvalue 1 + {excess:.3e})"
-        )
-    return KrausChannel(ops, kind)
-
-
-def channel(ops, tol: float = dm.ATOL) -> KrausChannel:
-    """Build a channel without the trace bound; kind is classified."""
-    ops = _check_ops(ops)
-    return KrausChannel(ops, classify(ops, tol))
+def channel(ops) -> KrausChannel:
+    """Build a channel without the trace bound, e.g. a derived map."""
+    return KrausChannel(_check_ops(ops))
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -117,7 +102,7 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
 
 
 def kraus_products(after, before) -> tuple[np.ndarray, ...]:
-    """The Kraus set {A_i B_j} of ``after`` following ``before``, unclassified."""
+    """The Kraus set {A_i B_j} of ``after`` following ``before``."""
     if after[0].shape != before[0].shape:
         raise DimensionMismatch(
             f"cannot compose dimension {after[0].shape[0]} after {before[0].shape[0]}"
@@ -127,8 +112,7 @@ def kraus_products(after, before) -> tuple[np.ndarray, ...]:
 
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Composite map acting as ``after(before(rho))``; Kraus set {A_i B_j}."""
-    ops = kraus_products(after.ops, before.ops)
-    return KrausChannel(ops, classify(ops))
+    return KrausChannel(kraus_products(after.ops, before.ops))
 
 
 def choi(ch: KrausChannel) -> np.ndarray:
@@ -216,7 +200,7 @@ def pauli_reconstruct(coeffs: PauliCoeffs) -> np.ndarray:
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),), TRACE_PRESERVING)
+    return KrausChannel((np.eye(dim, dtype=complex),))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -252,26 +236,3 @@ def random_channel(rng: np.random.Generator, n_kraus: int = 2, dim: int = 2) -> 
     q, _ = np.linalg.qr(g)
     ops = [q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)]
     return validate(ops)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def channel_to_dict(ch: KrausChannel) -> dict:
-    """JSON-ready form: {dim, kind, ops} with [re, im] entry pairs."""
-    return {
-        "dim": ch.dim,
-        "kind": ch.kind,
-        "ops": [dm.mat_to_json(k) for k in ch.ops],
-    }
-
-
-def channel_from_dict(d: dict, tol: float = dm.ATOL) -> KrausChannel:
-    """Parse and re-validate a serialized channel."""
-    ops = [dm.mat_from_json(rows) for rows in d["ops"]]
-    dim = int(d.get("dim", ops[0].shape[0]))
-    if any(k.shape != (dim, dim) for k in ops):
-        raise DimensionMismatch("serialized operators disagree with declared dim")
-    return validate(ops, tol)

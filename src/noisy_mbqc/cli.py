@@ -25,15 +25,17 @@ Kind ``block_chain``: either ``chain`` (a list of step entries) or
 ``random_suite`` (``{"cases": N, "kraus": 2}``, comparing composed Choi
 matrices against the oracle for random noise at all four locations).  A chain
 entry reads ``{"phi": 0.3, "k": 0|1|"both", "alpha1": "name", ...}`` or
-``{"z": true, "k": ...}``; ``phi`` may also be an adaptive sign table
-``{"magnitude": x, "flip_on": [earlier step indices]}``, resolved to
-x * (-1)^(sum of those outcomes) per outcome string.  One case per outcome
-string; states are compared unnormalised so traces carry branch
-probabilities.  A chain composes each distinct step (step index and resolved
-measurement) once and reuses its channel across outcome strings.
+``{"z": true, "k": ...}``, where ``z`` is a JSON boolean (default false);
+``phi`` may also be an adaptive sign table ``{"magnitude": x, "flip_on":
+[earlier step indices]}``, resolved to x * (-1)^(sum of those outcomes) per
+outcome string.  One case per outcome string; states are compared
+unnormalised so traces carry branch probabilities.  A chain composes each
+distinct step (step index and resolved measurement) once and reuses its
+channel across outcome strings.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
-"one_clean", "n": N}``; ``site_ops`` lists single-site events
+"one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
+fit ``NOISY_MBQC_MAX_QUBITS``; ``site_ops`` lists single-site events
 (``{"site": i, "pauli": [a, b]}``, ``{"site": i, "unitary": [...]}`` or
 ``{"site": i, "channel": "name"}``); ``measurements`` lists
 ``{"site": i, "basis": "x"|"z", "outcome": 0|1|"both"}``.  Contractions are
@@ -396,9 +398,9 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     for i, entry in enumerate(chain):
         where = f"chain[{i}]"
         _require(isinstance(entry, dict), f"{where}: expected an object")
-        phi = None
-        if not entry.get("z", False):
-            phi = _parse_phi(entry.get("phi", 0.0), i, f"{where}.phi")
+        z = entry.get("z", False)
+        _require(isinstance(z, bool), f"{where}.z: expected a boolean, got {z!r}")
+        phi = None if z else _parse_phi(entry.get("phi", 0.0), i, f"{where}.phi")
         ks = _outcomes(
             entry.get("k", "both"), f"{where}.k", f"{where}.k must be 0, 1 or 'both'"
         )
@@ -433,30 +435,13 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                         step = compose_block_noise(cfg)
                     composed[i, meas] = step
                 closed = apply(step, closed)
-                circuit.extend(_block_circuit_ops(cfg, i))
+                circuit.extend(oracle.block_step_ops(cfg, i))
             orac = oracle.simulate(len(steps) + 1, circuit).state
             label = "k=" + "".join(str(k) for k in outcomes)
             cases.append(_case(label, closed, orac))
         return cases
 
     return run
-
-
-def _block_circuit_ops(cfg: BlockNoiseConfig, step: int) -> list:
-    """Circuit slice for one chain step on sites (step, step+1)."""
-    a, b = step, step + 1
-    ops: list = [oracle.PrepPlus(b)]
-    if cfg.alpha1 is not None:
-        ops.append(oracle.Channel1Q(a, cfg.alpha1))
-    if cfg.alpha2 is not None:
-        ops.append(oracle.Channel1Q(b, cfg.alpha2))
-    ops.append(oracle.CZ(a, b))
-    if cfg.alpha3 is not None:
-        ops.append(oracle.Channel1Q(a, cfg.alpha3))
-    if cfg.alpha4 is not None:
-        ops.append(oracle.Channel1Q(b, cfg.alpha4))
-    ops.append(oracle.Measure(a, cfg.meas, cfg.meas.outcome, remove=True))
-    return ops
 
 
 def _parse_block_random_suite(suite) -> Runner:
@@ -490,6 +475,8 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     name, n = builder["name"], _integer(builder.get("n", 0), "builder.n")
     _require(n >= 1, shape)
     _require(name != "cluster" or n >= 2, "builder: a cluster needs at least 2 sites")
+    limit = oracle.max_oracle_qubits() - (name == "one_clean")  # its clean qubit
+    _require(n <= limit, f"builder.n must be <= {limit} for {name} (register cap)")
     site_ops = doc.get("site_ops", [])
     _require(isinstance(site_ops, list), "site_ops: expected a list")
     readouts = doc.get("measurements", [])

@@ -201,15 +201,19 @@ class _Register:
         self.state = reduced.reshape(2**self.m, 2**self.m)
 
 
-def simulate(n: int, ops, max_qubits: int | None = None) -> SimResult:
+def _check_size(n: int, what: str):
+    cap = max_oracle_qubits()
+    if not 1 <= n <= cap:
+        raise SizeLimit(f"{what} size {n} outside [1, {cap}]")
+
+
+def simulate(n: int, ops) -> SimResult:
     """Run the operation list over an ``n``-site register.
 
     Measurements project onto the requested outcome (no sampling); the final
     trace is the probability of the recorded outcome string.
     """
-    cap = max_qubits if max_qubits is not None else max_oracle_qubits()
-    if not 1 <= n <= cap:
-        raise SizeLimit(f"register size {n} outside [1, {cap}]")
+    _check_size(n, "register")
     reg = _Register(n)
     outcomes: list[tuple[int, int]] = []
 
@@ -254,11 +258,9 @@ def cluster_ops(n: int) -> list:
     return ops
 
 
-def build_cluster_dm(n: int, max_qubits: int | None = None) -> np.ndarray:
+def build_cluster_dm(n: int) -> np.ndarray:
     """Pure linear-cluster density matrix: |+>^n entangled by nearest-neighbour CZ."""
-    cap = max_qubits if max_qubits is not None else max_oracle_qubits()
-    if not 1 <= n <= cap:
-        raise SizeLimit(f"cluster size {n} outside [1, {cap}]")
+    _check_size(n, "cluster")
     vec = np.full(2**n, 2 ** (-n / 2.0), dtype=complex)
     idx = np.arange(2**n)
     for i in range(n - 1):
@@ -291,33 +293,42 @@ def teleport_oracle_state(
     return simulate(3, ops).state
 
 
+def block_step_ops(cfg: BlockNoiseConfig, site: int) -> list:
+    """One noisy step on sites (site, site+1): prep the fresh plus qubit, noise
+    before CZ (alpha1, alpha2), CZ, noise after it (alpha3, alpha4), then the
+    removing readout of ``site``."""
+    a, b = site, site + 1
+    ops: list = [PrepPlus(b)]
+    if cfg.alpha1 is not None:
+        ops.append(Channel1Q(a, cfg.alpha1))
+    if cfg.alpha2 is not None:
+        ops.append(Channel1Q(b, cfg.alpha2))
+    ops.append(CZ(a, b))
+    if cfg.alpha3 is not None:
+        ops.append(Channel1Q(a, cfg.alpha3))
+    if cfg.alpha4 is not None:
+        ops.append(Channel1Q(b, cfg.alpha4))
+    ops.append(Measure(a, cfg.meas, cfg.meas.outcome, remove=True))
+    return ops
+
+
 def block_oracle_channel(cfg: BlockNoiseConfig) -> np.ndarray:
     """Choi matrix of one noisy measurement step, assembled by simulation.
 
-    Feeds each basis element |i><j| through the two-qubit circuit (noise at
-    its declared location, CZ, projective readout of the first qubit) and
-    stacks the outputs; linearity makes this the exact process matrix.
+    Feeds each basis element |i><j| through the two-qubit circuit of
+    :func:`block_step_ops` and stacks the outputs; linearity makes this the
+    exact process matrix.
     """
     if cfg.meas.basis != EQUATORIAL:
         raise ZBasisUnsupported(
             "noise composition is defined for equatorial measurements only"
         )
+    step = block_step_ops(cfg, 0)
     chois = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
-            ops: list = [PrepState(0, e), PrepPlus(1)]
-            if cfg.alpha1 is not None:
-                ops.append(Channel1Q(0, cfg.alpha1))
-            if cfg.alpha2 is not None:
-                ops.append(Channel1Q(1, cfg.alpha2))
-            ops.append(CZ(0, 1))
-            if cfg.alpha3 is not None:
-                ops.append(Channel1Q(0, cfg.alpha3))
-            if cfg.alpha4 is not None:
-                ops.append(Channel1Q(1, cfg.alpha4))
-            ops.append(Measure(0, cfg.meas, cfg.meas.outcome, remove=True))
-            out = simulate(2, ops).state
+            out = simulate(2, [PrepState(0, e), *step]).state
             chois += np.kron(e, out)
     return chois

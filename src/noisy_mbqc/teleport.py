@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .channels import XZ_STD, KrausChannel, apply, pauli_decompose
+from .channels import XZ_STD, KrausChannel, apply, choi, pauli_decompose
 from .errors import DimensionMismatch, NotPauliChannel
 
 
@@ -37,16 +37,10 @@ class TeleportOutcome:
 
 
 def diagonal_resource(eps: KrausChannel) -> np.ndarray:
-    """Two-qubit resource sum_ij (1/2)|i><j| (x) eps(|i><j|)."""
+    """Two-qubit resource sum_ij (1/2)|i><j| (x) eps(|i><j|): half the Choi matrix."""
     if eps.dim != 2:
         raise DimensionMismatch("resource noise must be a single-qubit channel")
-    lam = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            lam += 0.5 * dm.kron(e, apply(eps, e))
-    return lam
+    return 0.5 * choi(eps)
 
 
 def teleport_branch(

@@ -21,7 +21,6 @@ from noisy_mbqc.channels import (
     channel,
     channels_equal,
     choi,
-    classify,
     compose,
     identity_channel,
     mixed_unitary,
@@ -293,25 +292,24 @@ def test_empty_sequence_rejected(rng):
 # --- composite step against the chained-compose reference -------------------
 
 
-def _classified_compose(after, before):
-    """``channels.compose`` as a standalone reference: {A_i B_j}, classified."""
-    ops = tuple(a @ b for a in after.ops for b in before.ops)
-    return KrausChannel(ops, classify(ops))
+def _reference_compose(after, before):
+    """``channels.compose`` as a standalone reference: {A_i B_j}."""
+    return KrausChannel(tuple(a @ b for a in after.ops for b in before.ops))
 
 
 def reference_compose_block_noise(cfg: BlockNoiseConfig):
-    """The composite step as a chain of compositions, each one classified."""
+    """The composite step as a chain of compositions."""
     meas = cfg.meas
     composite = cfg.alpha1 if cfg.alpha1 is not None else identity_channel()
     if cfg.alpha3 is not None:
-        composite = _classified_compose(
+        composite = _reference_compose(
             map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome), composite
         )
-    composite = _classified_compose(ideal_block(meas), composite)
+    composite = _reference_compose(ideal_block(meas), composite)
     if cfg.alpha2 is not None:
-        composite = _classified_compose(map_resource_noise(cfg.alpha2), composite)
+        composite = _reference_compose(map_resource_noise(cfg.alpha2), composite)
     if cfg.alpha4 is not None:
-        composite = _classified_compose(cfg.alpha4, composite)
+        composite = _reference_compose(cfg.alpha4, composite)
     return composite
 
 
@@ -346,7 +344,6 @@ def test_compose_matches_chained_compose_bit_for_bit(seed, kraus, phi):
     for k in (0, 1):
         cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(phi, k), **alphas)
         got, want = compose_block_noise(cfg), reference_compose_block_noise(cfg)
-        assert got.kind == want.kind
         assert [op.tobytes() for op in got.ops] == [op.tobytes() for op in want.ops]
         if phi == 0.0:
             # +0.0 and -0.0 share a MeasSpec key, so they must share the channel

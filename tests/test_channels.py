@@ -4,9 +4,6 @@ from conftest import random_complex, random_density
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.channels import (
-    GENERAL,
-    TRACE_NON_INCREASING,
-    TRACE_PRESERVING,
     XZ_ROTATED,
     XZ_STD,
     ZX_MEAS,
@@ -15,14 +12,13 @@ from noisy_mbqc.channels import (
     basis_element,
     bit_flip,
     channel,
-    channel_from_dict,
-    channel_to_dict,
     channels_equal,
     choi,
     choi_distance,
     compose,
     depolarizing,
     identity_channel,
+    kraus_sum,
     mixed_unitary,
     pauli_decompose,
     pauli_reconstruct,
@@ -34,21 +30,25 @@ from noisy_mbqc.channels import (
 from noisy_mbqc.errors import DimensionMismatch, NotAChannel
 
 
+def assert_tp(ch):
+    np.testing.assert_allclose(kraus_sum(ch.ops), np.eye(ch.dim), atol=1e-12)
+
+
 def test_validate_identity_is_tp():
-    assert validate([dm.I2]).kind == TRACE_PRESERVING
+    assert_tp(validate([dm.I2]))
 
 
 def test_validate_phase_flip_half_is_tp():
-    ch = validate([dm.I2 / np.sqrt(2), dm.Z / np.sqrt(2)])
-    assert ch.kind == TRACE_PRESERVING
+    assert_tp(validate([dm.I2 / np.sqrt(2), dm.Z / np.sqrt(2)]))
 
 
 def test_validate_depolarizing_is_tp():
-    assert depolarizing().kind == TRACE_PRESERVING
+    assert_tp(depolarizing())
 
 
 def test_validate_branch_is_trace_non_increasing():
-    assert validate([dm.Z / np.sqrt(2)]).kind == TRACE_NON_INCREASING
+    ch = validate([dm.Z / np.sqrt(2)])
+    np.testing.assert_allclose(kraus_sum(ch.ops), dm.I2 / 2, atol=1e-12)
 
 
 def test_validate_rejects_expanding_set():
@@ -63,9 +63,35 @@ def test_validate_rejects_bad_shapes():
         validate([dm.I2, np.eye(4)])
 
 
-def test_channel_classifies_general():
-    ch = channel([np.sqrt(2.0) * dm.projector(dm.KET0)])
-    assert ch.kind == GENERAL
+# (K, accepted): sum K^dag K entrywise within ATOL of I, or its largest
+# eigenvalue within 1 + ATOL, passes; anything above that is rejected.  The
+# sqrt of (1 + 0.9 ATOL) I + 0.9 ATOL X passes only through the entrywise test.
+_ROOT = np.sqrt(1.0 + 1.8 * dm.ATOL)
+_BOUNDARY = [
+    (np.sqrt(1.0 + 0.5 * dm.ATOL) * dm.I2, True),
+    (0.5 * (_ROOT + 1.0) * dm.I2 + 0.5 * (_ROOT - 1.0) * dm.X, True),
+    (np.diag([1.0, np.sqrt(0.5)]), True),
+    (np.diag([np.sqrt(1.0 + 0.5 * dm.ATOL), np.sqrt(0.5)]), True),
+    (dm.Z / np.sqrt(2.0), True),
+    (np.diag([np.sqrt(1.0 + 5.0 * dm.ATOL), 1.0]), False),
+    (np.sqrt(2.0) * dm.I2, False),
+]
+
+
+@pytest.mark.parametrize("op, accepted", _BOUNDARY)
+def test_validate_trace_bound_boundary(op, accepted):
+    if accepted:
+        assert validate([op]).ops[0].tobytes() == op.astype(complex).tobytes()
+    else:
+        with pytest.raises(NotAChannel, match="exceeds the identity"):
+            validate([op])
+
+
+def test_channel_skips_the_trace_bound():
+    op = np.sqrt(2.0) * dm.projector(dm.KET0)
+    with pytest.raises(NotAChannel):
+        validate([op])
+    np.testing.assert_array_equal(channel([op]).ops[0], op)
 
 
 def test_apply_identity(rng):
@@ -174,8 +200,7 @@ def test_kraus_remix_gives_same_channel(rng):
         g = random_complex(rng, (n, n))
         w, _ = np.linalg.qr(g)
         remixed = KrausChannel(
-            tuple(sum(w[a, b] * ch.ops[b] for b in range(n)) for a in range(n)),
-            ch.kind,
+            tuple(sum(w[a, b] * ch.ops[b] for b in range(n)) for a in range(n))
         )
         assert choi_distance(ch, remixed) <= 1e-12
 
@@ -240,23 +265,14 @@ def test_basis_elements_share_corners():
 
 def test_bit_flip_and_mixed_unitary():
     ch = bit_flip(0.3)
-    assert ch.kind == TRACE_PRESERVING
+    assert_tp(ch)
     np.testing.assert_allclose(ch.ops[1], np.sqrt(0.3) * dm.X, atol=1e-12)
-    h = mixed_unitary([(0.6, dm.I2), (0.4, dm.H)])
-    assert h.kind == TRACE_PRESERVING
+    assert_tp(mixed_unitary([(0.6, dm.I2), (0.4, dm.H)]))
 
 
 def test_random_channel_is_cptp(rng):
     for n in (1, 2, 3, 4):
         ch = random_channel(rng, n)
-        assert ch.kind == TRACE_PRESERVING
+        assert_tp(ch)
         assert len(ch.ops) == n
 
-
-def test_serialization_roundtrip(rng):
-    ch = random_channel(rng, 3)
-    doc = channel_to_dict(ch)
-    back = channel_from_dict(doc)
-    assert back.kind == ch.kind
-    assert channels_equal(back, ch, tol=1e-12)
-    assert doc["dim"] == 2 and len(doc["ops"]) == 3

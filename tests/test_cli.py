@@ -557,6 +557,7 @@ _CHAIN3 = _set(_CHAIN, ("chain",), _CHAIN["chain"] + [_STEP3])
 _INF_PAIR = [math.inf, 0.0]
 _DIM = "channels.noise.dim: "
 _OPS = "channels.noise.ops: expected a non-empty list of 2x2 matrices"
+_Z = "chain[0].z: expected a boolean, got "
 
 
 @pytest.mark.parametrize(
@@ -620,6 +621,13 @@ _OPS = "channels.noise.ops: expected a non-empty list of 2x2 matrices"
         (_MPO, ("channels", "noise", "ops"), [], _OPS),
         (_MPO, ("channels", "noise", "ops"), None, _OPS),
         (_MPO, ("channels", "noise", "ops"), [dm.mat_to_json(np.eye(4))], _OPS),
+        (_CHAIN, ("chain", 0, "z"), "false", _Z + "'false'"),
+        (_CHAIN, ("chain", 0, "z"), 1, _Z + "1"),
+        (_CHAIN, ("chain", 0, "z"), [0], _Z + "[0]"),
+        (_CHAIN, ("chain", 1, "z"), None, "chain[1].z: expected a boolean, got None"),
+        pytest.param(
+            _MPO, ("builder", "n"), 10**400, "builder.n must be <= ", id="n-10e400"
+        ),
     ],
 )
 def test_main_bad_field_is_one_line_spec_error(
@@ -630,6 +638,27 @@ def test_main_bad_field_is_one_line_spec_error(
         assert _run_doc(tmp_path, _set(doc, path, value)) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_chain_z_false_is_the_equatorial_step():
+    explicit = _set(_CHAIN, ("chain", 0, "z"), False)
+    got, want = (run_experiment(parse_experiment(spec_text(d))) for d in (explicit, _CHAIN))
+    assert [c.case_id for c in got.cases] == [c.case_id for c in want.cases]
+    for a, b in zip(got.cases, want.cases):
+        np.testing.assert_array_equal(a.closed_form, b.closed_form)
+
+
+@pytest.mark.parametrize("name", ["cluster", "maximally_mixed", "one_clean"])
+def test_builder_n_over_register_cap_fails_at_parse(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "5")
+    limit = 4 if name == "one_clean" else 5  # one_clean adds a clean qubit
+    doc = {"kind": "mpo", "builder": {"name": name, "n": limit + 1}}
+    with pytest.raises(ParseError, match=rf"^builder\.n must be <= {limit} "):
+        parse_experiment(spec_text(doc))
+    assert _run_doc(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: builder.n must be <= ") and err.count("\n") == 1
+    assert _run_doc(tmp_path, _set(doc, ("builder", "n"), limit)) == 0
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from noisy_mbqc.oracle import (
     PrepState,
     Unitary1Q,
     block_oracle_channel,
+    block_step_ops,
     build_cluster_dm,
     cluster_ops,
     measurement_kets,
@@ -183,6 +184,26 @@ def test_block_oracle_full_hadamard_resource_noise():
             v = dm.equatorial_ket(0.0, 0)
             want += np.kron(e, (v.conj() @ e @ v) * dm.projector(dm.KET0))
     np.testing.assert_allclose(c, want, atol=1e-12)
+
+
+def test_block_step_ops_order():
+    a1, a2, a3, a4 = (phase_flip(p) for p in (0.1, 0.2, 0.3, 0.4))
+    meas = MeasSpec.equatorial(0.7, 1)
+    cfg = BlockNoiseConfig(meas=meas, alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4)
+    assert block_step_ops(cfg, 3) == [
+        PrepPlus(4),
+        Channel1Q(3, a1),
+        Channel1Q(4, a2),
+        CZ(3, 4),
+        Channel1Q(3, a3),
+        Channel1Q(4, a4),
+        Measure(3, meas, 1, remove=True),
+    ]
+    assert block_step_ops(BlockNoiseConfig(meas=meas), 0) == [
+        PrepPlus(1),
+        CZ(0, 1),
+        Measure(0, meas, 1, remove=True),
+    ]
 
 
 def test_block_oracle_rejects_z_basis():

@@ -142,4 +142,4 @@ def test_dimension_mismatches():
     with pytest.raises(DimensionMismatch):
         teleport_branch(np.eye(4) / 4, np.eye(4) / 4, 0, 0)
     with pytest.raises(DimensionMismatch):
-        diagonal_resource(KrausChannel((np.eye(4) / 2,), "trace_preserving"))
+        diagonal_resource(KrausChannel((np.eye(4) / 2,)))
