@@ -19,13 +19,11 @@ from .block import (
 )
 from .channels import (
     KrausChannel,
-    PauliCoeffs,
     apply,
     choi,
     channels_equal,
     compose,
     pauli_decompose,
-    pauli_reconstruct,
     validate,
 )
 from .mpo import (
@@ -67,13 +65,11 @@ __all__ = [
     "map_resource_noise",
     "run_block_sequence",
     "KrausChannel",
-    "PauliCoeffs",
     "apply",
     "choi",
     "channels_equal",
     "compose",
     "pauli_decompose",
-    "pauli_reconstruct",
     "validate",
     "MpoState",
     "SiteTensor",

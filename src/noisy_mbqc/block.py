@@ -12,8 +12,11 @@ Noise can strike at four places: on the input before CZ (``alpha1``), on the
 fresh plus qubit before CZ (``alpha2``), on the measured qubit just before
 readout (``alpha3``), or on the output after CZ (``alpha4``).  Input and
 output noise compose directly; the other two locations map to new channels
-whose Kraus operators are diagonal combinations I and Z, so the composite
-step is ``alpha4 o mapped(alpha2) o step_k o mapped(alpha3, k) o alpha1``.
+with diagonal Kraus operators, so the composite step is
+``alpha4 o mapped(alpha2) o step_k o mapped(alpha3, k) o alpha1``.  A Kraus
+operator K of the resource noise maps to the diagonal M with M|+> = K|+>, one
+of the readout noise to the diagonal M with <v|M = <v|K for the observed
+equatorial state v; both come straight from the entries of K.
 """
 
 from __future__ import annotations
@@ -23,16 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .channels import (
-    XZ_ROTATED,
-    ZX_MEAS,
-    KrausChannel,
-    apply,
-    channel,
-    identity_channel,
-    kraus_products,
-    pauli_decompose,
-)
+from .channels import KrausChannel, apply, channel, identity_channel, kraus_products
 from .errors import DimensionMismatch, ZBasisUnsupported
 
 Z_BASIS = "z"
@@ -97,39 +91,30 @@ def ideal_block(meas: MeasSpec) -> KrausChannel:
 def map_resource_noise(alpha2: KrausChannel) -> KrausChannel:
     """Channel equivalent to ``alpha2`` hitting the fresh plus qubit.
 
-    Because the noise acts on a known +1 eigenstate of X, each Kraus operator
-    collapses onto the diagonal: with coefficients a_gh in the Z^g X^h
-    ordering, the mapped operator is (a_00 + a_01) I + (a_10 - i a_11) Z.
-    Basis elements therefore map as I -> I, X -> I, Z -> Z, Y -> -iZ.
+    The noise acts on a known |+> before CZ, so each Kraus operator K can be
+    replaced by the diagonal M = sqrt(2) diag(K|+>), which has M|+> = K|+>.
+    Paulis map as I -> I, X -> I, Z -> Z, Y -> -iZ.
     """
     if alpha2.dim != 2:
         raise DimensionMismatch("resource noise must be a single-qubit channel")
-    mapped = []
-    for k in alpha2.ops:
-        a = pauli_decompose(k, ZX_MEAS).table
-        mapped.append((a[0, 0] + a[0, 1]) * dm.I2 + (a[1, 0] - 1j * a[1, 1]) * dm.Z)
-    return channel(mapped)
+    return channel([np.sqrt(2.0) * np.diag(k @ dm.PLUS) for k in alpha2.ops])
 
 
 def map_measurement_noise(alpha3: KrausChannel, phi: float, k: int) -> KrausChannel:
     """Outcome-dependent channel equivalent to noise just before readout.
 
-    Kraus operators are decomposed in the equatorial-rotated basis; each maps
-    to sum_u a~_uk Z^u with a~_uk = sum_v i^(u*v) (-1)^(k*v) a_uv, i.e. the
-    rotated basis elements go I -> I, Z -> Z, X -> (-1)^k I, Y -> i(-1)^k Z.
+    Only the projection <v|K onto the observed state v = exp(-i*phi*Z/2)
+    Z^k |+> survives the readout, and |v_i|^2 = 1/2, so each Kraus operator
+    K maps to the diagonal M = 2 diag(v * (v^dag K)), which has <v|M = <v|K.
+    In the basis rotated by exp(-i*phi*Z/2), Paulis map as I -> I, Z -> Z,
+    X -> (-1)^k I and iXZ -> i(-1)^k Z.
     """
     if alpha3.dim != 2:
         raise DimensionMismatch("measurement noise must be a single-qubit channel")
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
-    sign = -1.0 if k % 2 else 1.0
-    mapped = []
-    for op in alpha3.ops:
-        a = pauli_decompose(op, XZ_ROTATED, phi).table
-        a0 = a[0, 0] + sign * a[0, 1]
-        a1 = a[1, 0] + 1j * sign * a[1, 1]
-        mapped.append(a0 * dm.I2 + a1 * dm.Z)
-    return channel(mapped)
+    v = dm.equatorial_ket(phi, k)
+    return channel([2.0 * np.diag(v * (v.conj() @ op)) for op in alpha3.ops])
 
 
 def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:

@@ -1,4 +1,4 @@
-"""Kraus-channel algebra and Pauli coefficient tables.
+"""Kraus-channel algebra and the single-qubit Pauli labelling.
 
 A channel is a finite list of equal-shaped Kraus operators.  No trace
 condition is stored with it: sum K^dag K is I for a trace-preserving map,
@@ -7,18 +7,12 @@ as mapped resource or readout noise.  :func:`validate` checks the bound
 where channels enter (stock channels and parsed documents); :func:`channel`
 and :func:`compose` build derived maps without it, and :func:`kraus_sum`
 gives the trace behaviour on demand.  Channels are compared through their
-Choi matrices (Kraus sets are not unique), and three single-qubit Pauli
-coefficient conventions are supported:
+Choi matrices (Kraus sets are not unique).
 
-* ``XZ_STD``:     sigma_gh = i^(g*h) X^g Z^h, so the (0,1) slot holds Z and
-  the (1,0) slot holds X.
-* ``ZX_MEAS``:    sigma_gh = (-i)^(g*h) Z^g X^h, the ordering natural for
-  measurement-side bookkeeping; (0,1) holds X and (1,0) holds Z.
-* ``XZ_ROTATED``: the ``ZX_MEAS`` basis conjugated by exp(-i*phi*Z/2), used
-  when the noise can be referred to a tilted equatorial measurement.
-
-Both orderings share sigma_00 = I and sigma_11 = Y; mixing conventions is a
-caller error, so the convention travels with the coefficient table.
+Single-qubit Paulis carry one labelling, sigma_gh = i^(g*h) X^g Z^h: (0, 1)
+is Z, (1, 0) is X and (1, 1) is Y.  :func:`pauli_decompose` gives an
+operator's coefficients in it; the noise maps themselves work on matrix
+entries and need no table.
 """
 
 from __future__ import annotations
@@ -28,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .errors import DimensionMismatch, NotAChannel
-
-XZ_STD = "xz_std"
-ZX_MEAS = "zx_meas"
-XZ_ROTATED = "xz_rotated"
+from .errors import DimensionMismatch, NotAChannel, NotUnitary
 
 
 @dataclass(frozen=True)
@@ -138,60 +128,37 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pauli coefficient tables
+# Paulis and unitaries
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PauliCoeffs:
-    """2x2 coefficient table of a single-qubit operator in a declared basis."""
-
-    table: np.ndarray  # indexed [g, h]
-    convention: str
-    phi: float = 0.0
+def basis_element(g: int, h: int) -> np.ndarray:
+    """The Pauli sigma_gh = i^(g*h) X^g Z^h."""
+    return (1j) ** (g * h) * np.linalg.matrix_power(dm.X, g) @ np.linalg.matrix_power(
+        dm.Z, h
+    )
 
 
-def basis_element(g: int, h: int, convention: str, phi: float = 0.0) -> np.ndarray:
-    """The (g, h) basis operator of the given convention."""
-    if convention == XZ_STD:
-        m = (1j) ** (g * h) * np.linalg.matrix_power(dm.X, g) @ np.linalg.matrix_power(
-            dm.Z, h
-        )
-        return m
-    if convention == ZX_MEAS:
-        return (-1j) ** (g * h) * np.linalg.matrix_power(
-            dm.Z, g
-        ) @ np.linalg.matrix_power(dm.X, h)
-    if convention == XZ_ROTATED:
-        u = dm.rz(phi)
-        return u @ basis_element(g, h, ZX_MEAS) @ dm.dag(u)
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def pauli_decompose(
-    k: np.ndarray, convention: str = XZ_STD, phi: float = 0.0
-) -> PauliCoeffs:
-    """Coefficients a_gh with k = sum_gh a_gh * basis_element(g, h)."""
+def pauli_decompose(k: np.ndarray) -> np.ndarray:
+    """Coefficients a[g, h] with k = sum_gh a[g, h] * basis_element(g, h)."""
     k = np.asarray(k, dtype=complex)
     if k.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 matrix, got {k.shape}")
     table = np.zeros((2, 2), dtype=complex)
     for g in range(2):
         for h in range(2):
-            b = basis_element(g, h, convention, phi)
-            table[g, h] = np.trace(dm.dag(b) @ k) / 2.0
-    return PauliCoeffs(table=table, convention=convention, phi=phi)
+            table[g, h] = np.trace(dm.dag(basis_element(g, h)) @ k) / 2.0
+    return table
 
 
-def pauli_reconstruct(coeffs: PauliCoeffs) -> np.ndarray:
-    """Rebuild the operator from its coefficient table."""
-    out = np.zeros((2, 2), dtype=complex)
-    for g in range(2):
-        for h in range(2):
-            out += coeffs.table[g, h] * basis_element(
-                g, h, coeffs.convention, coeffs.phi
-            )
-    return out
+def check_unitary(u) -> np.ndarray:
+    """``u`` as a complex matrix, insisting on U^dag U within ``dm.ATOL`` of I."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatch(f"a unitary must be square, got {u.shape}")
+    if dm.max_abs_diff(dm.dag(u) @ u, np.eye(u.shape[0])) > dm.ATOL:
+        raise NotUnitary("matrix fails the unitarity check, U^dag U != I")
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +171,12 @@ def identity_channel(dim: int = 2) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    return validate([np.asarray(u, dtype=complex)])
+    return validate([check_unitary(u)])
 
 
 def mixed_unitary(pairs) -> KrausChannel:
     """Channel applying unitary u with probability p for each (p, u) pair."""
-    return validate([np.sqrt(p) * np.asarray(u, dtype=complex) for p, u in pairs])
+    return validate([np.sqrt(p) * check_unitary(u) for p, u in pairs])
 
 
 def bit_flip(p: float) -> KrausChannel:

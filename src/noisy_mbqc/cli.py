@@ -9,7 +9,7 @@ Document layout (all kinds)::
     {
       "kind": "teleport" | "block_chain" | "mpo",
       "tolerance": 1e-9,            # optional, default 1e-9; finite, >= 0
-      "seed": 7,                    # optional, default 0
+      "seed": 7,                    # optional, default 0; >= 0
       "channels": {                 # named single-qubit channels
         "noise":  {"builtin": "phase_flip", "p": 0.5},   # p in [0, 1]
         "custom": {"dim": 2, "ops": [[[[0.7,0],[0,0]], ...], ...]}  # 2x2 ops
@@ -35,10 +35,11 @@ channel across outcome strings.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
-fit ``NOISY_MBQC_MAX_QUBITS``; ``site_ops`` lists single-site events
-(``{"site": i, "pauli": [a, b]}``, ``{"site": i, "unitary": [...]}`` or
-``{"site": i, "channel": "name"}``); ``measurements`` lists
-``{"site": i, "basis": "x"|"z", "outcome": 0|1|"both"}``.  Contractions are
+fit ``NOISY_MBQC_MAX_QUBITS``; ``site_ops`` lists single-site events on
+sites before the last (the boundary): ``{"site": i, "pauli": [a, b]}`` with
+bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
+"name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
+0|1|"both"}``, each site of the register at most once.  Contractions are
 compared against the dense simulation per outcome string.  An optional
 ``save_mpo`` path stores the prepared (pre-measurement) operator once every
 case has run.
@@ -49,6 +50,8 @@ an integral float; null, booleans, strings and fractions are bad input.  Number
 fields (``tolerance``, ``p``, ``phi``, ``magnitude``) reject booleans and
 strings; ``phi`` and ``magnitude`` must be finite, and so must matrix entries.
 A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
+The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
+``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
 
 ``parse_experiment`` reads and checks every field once, before any MPO, oracle
 or file work, and returns the spec with its kind's ``run(rng)``; the runner
@@ -87,11 +90,11 @@ from . import mpo as mpo_mod
 from . import oracle
 from .block import BlockNoiseConfig, MeasSpec, compose_block_noise, ideal_block
 from .channels import (
-    XZ_STD,
     KrausChannel,
     apply,
     basis_element,
     bit_flip,
+    check_unitary,
     choi,
     depolarizing,
     identity_channel,
@@ -101,7 +104,7 @@ from .channels import (
     unitary_channel,
     validate,
 )
-from .errors import NotAChannel, ParseError, UnknownChannelRef
+from .errors import NotAChannel, NotUnitary, ParseError, UnknownChannelRef
 from .teleport import (
     diagonal_resource,
     is_pauli_channel,
@@ -182,11 +185,11 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
             if builtin == "depolarizing":
                 return depolarizing()
             if builtin == "unitary":
-                u = _matrix(obj["matrix"], f"channels.{name}.matrix")
+                u = _unitary(obj["matrix"], f"channels.{name}.matrix")
                 return unitary_channel(u)
             if builtin == "mixed_unitary":
                 p = _probability(obj["p"], f"channels.{name}.p")
-                u = _matrix(obj["matrix"], f"channels.{name}.matrix")
+                u = _unitary(obj["matrix"], f"channels.{name}.matrix")
                 return mixed_unitary([(1.0 - p, dm.I2), (p, u)])
             raise ParseError(f"channels.{name}: unknown builtin {builtin!r}")
         if "ops" in obj:
@@ -231,9 +234,9 @@ def _integer(obj, where: str) -> int:
     raise ParseError(f"{where}: expected an integer, got {obj!r}")
 
 
-def _positive(obj, where: str) -> int:
+def _at_least(obj, where: str, low: int) -> int:
     n = _integer(obj, where)
-    _require(n >= 1, f"{where} must be >= 1")
+    _require(n >= low, f"{where} must be >= {low}, got {n}")
     return n
 
 
@@ -256,6 +259,15 @@ def _matrix(obj, where: str) -> np.ndarray:
         raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
     _require(np.isfinite(m).all(), finite)
     return m
+
+
+def _unitary(obj, where: str) -> np.ndarray:
+    u = _matrix(obj, where)
+    _require(u.shape == (2, 2), f"{where}: expected a 2x2 matrix, got shape {u.shape}")
+    try:
+        return check_unitary(u)
+    except NotUnitary as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _probability(obj, where: str) -> float:
@@ -321,7 +333,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
         channels=channels,
         payload=dict(doc),
         tolerance=_tolerance(doc.get("tolerance", 1e-9), "tolerance"),
-        seed=_integer(doc.get("seed", 0), "seed"),
+        seed=_at_least(doc.get("seed", 0), "seed", 0),
         spec_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         run=_PARSERS[kind](doc, channels),
     )
@@ -337,7 +349,7 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     inputs = doc.get("inputs", {"random": 1})
     if isinstance(inputs, dict):
         _require("random" in inputs, "inputs: expected {'random': N} or a list")
-        states, n_random = [], _positive(inputs["random"], "inputs.random")
+        states, n_random = [], _at_least(inputs["random"], "inputs.random", 1)
     else:
         _require(isinstance(inputs, list) and inputs, "inputs: empty list")
         states = [_parse_state(st, f"inputs[{i}]") for i, st in enumerate(inputs)]
@@ -446,8 +458,8 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
 
 def _parse_block_random_suite(suite) -> Runner:
     _require(isinstance(suite, dict), "random_suite: expected {'cases': N}")
-    n_cases = _positive(suite.get("cases", 0), "random_suite.cases")
-    n_kraus = _positive(suite.get("kraus", 2), "random_suite.kraus")
+    n_cases = _at_least(suite.get("cases", 0), "random_suite.cases", 1)
+    n_kraus = _at_least(suite.get("kraus", 2), "random_suite.kraus", 1)
 
     def run(rng) -> list[CaseResult]:
         cases = []
@@ -477,6 +489,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     _require(name != "cluster" or n >= 2, "builder: a cluster needs at least 2 sites")
     limit = oracle.max_oracle_qubits() - (name == "one_clean")  # its clean qubit
     _require(n <= limit, f"builder.n must be <= {limit} for {name} (register cap)")
+    sites = n + (name == "one_clean")  # the register; its last site is the boundary
     site_ops = doc.get("site_ops", [])
     _require(isinstance(site_ops, list), "site_ops: expected a list")
     readouts = doc.get("measurements", [])
@@ -491,14 +504,22 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         kinds = [k for k in ("pauli", "unitary", "channel") if k in op]
         _require(len(kinds) == 1, f"{where}: exactly one of pauli/unitary/channel")
         site = _integer(op["site"], f"{where}.site")
+        _require(
+            0 <= site < sites - 1,
+            f"{where}.site must be in 0..{sites - 2} (site {sites - 1} is the "
+            f"boundary, which takes no events), got {site}",
+        )
         if "pauli" in op:
             _require(
                 isinstance(op["pauli"], list) and len(op["pauli"]) == 2,
                 f"{where}.pauli: expected [a, b]",
             )
             value = tuple(_integer(x, f"{where}.pauli") for x in op["pauli"])
+            _require(
+                set(value) <= {0, 1}, f"{where}.pauli: expected a pair of bits, got {value}"
+            )
         elif "unitary" in op:
-            value = _matrix(op["unitary"], f"{where}.unitary")
+            value = _unitary(op["unitary"], f"{where}.unitary")
         else:
             value = _resolve_ref(op["channel"], channels, f"{where}.channel")
         events.append((kinds[0], site, value))
@@ -510,6 +531,11 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         basis = m.get("basis", "x") if isinstance(m, dict) else None
         _require(basis in ("x", "z") and "site" in m, shape)
         site = _integer(m["site"], f"{where}.site")
+        _require(0 <= site < sites, f"{where}.site must be in 0..{sites - 1}, got {site}")
+        _require(
+            all(site != other for other, _, _ in measurements),
+            f"{where}.site: site {site} is measured twice",
+        )
         ks = _outcomes(m.get("outcome", "both"), f"{where}.outcome", shape)
         kets = (dm.PLUS, dm.MINUS) if basis == "x" else (dm.KET0, dm.KET1)
         measurements.append((site, kets, ks))
@@ -529,7 +555,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         for kind, site, value in events:
             if kind == "pauli":
                 state = mpo_mod.mpo_apply_pauli(state, site, value)
-                circuit.append(oracle.Unitary1Q(site, basis_element(*value, XZ_STD)))
+                circuit.append(oracle.Unitary1Q(site, basis_element(*value)))
             elif kind == "unitary":
                 state = mpo_mod.mpo_apply_unitary(state, site, value)
                 circuit.append(oracle.Unitary1Q(site, value))
@@ -581,7 +607,7 @@ def run_experiment(
 ) -> Report:
     """Execute closed-form and oracle paths for every case of the spec."""
     tol = spec.tolerance if tolerance is None else _tolerance(tolerance, "tolerance")
-    rng_seed = spec.seed if seed is None else seed
+    rng_seed = spec.seed if seed is None else _at_least(seed, "seed", 0)
     rng = np.random.default_rng(rng_seed)
     cases = [
         c

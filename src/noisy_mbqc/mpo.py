@@ -16,15 +16,19 @@ Physical single-site events update the stored families in place of the
 dense state:
 
 * measurement collapses the physical index, A[v, s] = sum_i <v|i> A[i, s];
-* a Pauli (a, b) conjugates, A -> Z^a A sigma_ab;
-* a unitary acts through its Pauli coefficients, A -> sum u_gh Z^g A sigma_gh;
+* an operator K on the physical qubit (a Pauli, a unitary, or each Kraus
+  operator of a channel) acts in correlation space as
+  A -> A diag(K) + Z A offdiag(K), with offdiag(K) = K - diag(K); for the
+  Pauli sigma_ab = i^(ab) X^a Z^b this is A -> Z^a A sigma_ab;
 * a channel extends the s family with one branch per Kraus operator.
 
-The conjugation rules track the dense state exactly for tensor families with
-the cluster symmetry (A[i^1, s] = Z A[i, s] X and A[i, s] Z = (-1)^i A[i, s]),
-which covers the builders here and any single update per site; stacking
-several non-Pauli updates on one site leaves that family and is on the
-caller.  Bond dimension is 2 for every builder, but nothing below assumes it.
+The correlation-space rule (Gross and Eisert, quant-ph/0609149) tracks the
+dense state exactly for tensor families with the cluster symmetry
+(A[i^1, s] = Z A[i, s] X and A[i, s] Z = (-1)^i A[i, s]), which covers the
+builders here and any single update per site; stacking several non-Pauli
+updates on one site leaves that family and is on the caller.  Bond
+dimension is 2 for every builder; the contraction does not assume it, the
+event rule (Z on the bond) does.
 """
 
 from __future__ import annotations
@@ -34,12 +38,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import densemath as dm
-from .channels import XZ_STD, KrausChannel, basis_element, pauli_decompose
+from .channels import KrausChannel, basis_element, check_unitary
 from .errors import (
     AlreadyMeasured,
     DimensionMismatch,
     NotNormalized,
-    NotUnitary,
     SizeLimit,
     UnmeasuredSites,
 )
@@ -201,7 +204,7 @@ def _unmeasured_interior(state: MpoState, index: int) -> SiteTensor:
         raise AlreadyMeasured(f"site {index} was already measured")
     if site.boundary:
         raise ValueError(
-            "boundary sites hold vectors; the conjugation updates need matrices"
+            "boundary sites hold vectors; the correlation-space updates need matrices"
         )
     return site
 
@@ -239,15 +242,15 @@ def mpo_measure(
     return _with_site(state, index, new_site)
 
 
-def _conjugation_update(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mat)
-    for g in range(2):
-        for h in range(2):
-            if coeffs[g, h] == 0:
-                continue
-            left = dm.Z if g else dm.I2  # sigma_{0g}
-            out += coeffs[g, h] * (left @ mat @ basis_element(g, h, XZ_STD))
-    return out
+def _apply_ops(state: MpoState, index: int, ops) -> MpoState:
+    """Each family member A becomes A diag(K) + Z A offdiag(K), one per K."""
+    site = _unmeasured_interior(state, index)
+    parts = [(np.diag(np.diag(k)), k - np.diag(np.diag(k))) for k in ops]
+    new_ops = tuple(
+        tuple(a @ d + dm.Z @ a @ off for a in fam for d, off in parts)
+        for fam in site.ops
+    )
+    return _with_site(state, index, replace(site, ops=new_ops))
 
 
 def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoState:
@@ -255,28 +258,15 @@ def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoS
     a, b = pauli
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("Pauli label must be a pair of bits")
-    site = _unmeasured_interior(state, index)
-    coeffs = np.zeros((2, 2), dtype=complex)
-    coeffs[a, b] = 1.0
-    new_ops = tuple(
-        tuple(_conjugation_update(m, coeffs) for m in fam) for fam in site.ops
-    )
-    return _with_site(state, index, replace(site, ops=new_ops))
+    return _apply_ops(state, index, [basis_element(a, b)])
 
 
 def mpo_apply_unitary(state: MpoState, index: int, u: np.ndarray) -> MpoState:
-    """Unitary on the physical qubit, routed through its Pauli coefficients."""
+    """Unitary on the physical qubit."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DimensionMismatch("site unitary must be 2x2")
-    if dm.max_abs_diff(dm.dag(u) @ u, np.eye(2)) > 1e-10:
-        raise NotUnitary("matrix fails the unitarity check")
-    site = _unmeasured_interior(state, index)
-    coeffs = pauli_decompose(u, XZ_STD).table
-    new_ops = tuple(
-        tuple(_conjugation_update(m, coeffs) for m in fam) for fam in site.ops
-    )
-    return _with_site(state, index, replace(site, ops=new_ops))
+    return _apply_ops(state, index, [check_unitary(u)])
 
 
 def mpo_apply_channel(state: MpoState, index: int, eta: KrausChannel) -> MpoState:
@@ -284,13 +274,7 @@ def mpo_apply_channel(state: MpoState, index: int, eta: KrausChannel) -> MpoStat
     per Kraus operator."""
     if eta.dim != 2:
         raise DimensionMismatch("site channels must be single-qubit")
-    site = _unmeasured_interior(state, index)
-    tables = [pauli_decompose(k, XZ_STD).table for k in eta.ops]
-    new_ops = tuple(
-        tuple(_conjugation_update(m, t) for m in fam for t in tables)
-        for fam in site.ops
-    )
-    return _with_site(state, index, replace(site, ops=new_ops))
+    return _apply_ops(state, index, eta.ops)
 
 
 def mpo_logical_output(state: MpoState) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .channels import XZ_STD, KrausChannel, apply, choi, pauli_decompose
+from .channels import KrausChannel, apply, choi, pauli_decompose
 from .errors import DimensionMismatch, NotPauliChannel
 
 
@@ -74,7 +74,7 @@ def is_pauli_channel(eps: KrausChannel, tol: float = dm.ATOL) -> bool:
     if eps.dim != 2:
         return False
     for k in eps.ops:
-        coeffs = np.abs(pauli_decompose(k, XZ_STD).table)
+        coeffs = np.abs(pauli_decompose(k))
         if np.count_nonzero(coeffs > tol) > 1:
             return False
     return True

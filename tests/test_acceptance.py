@@ -24,7 +24,6 @@ from noisy_mbqc.block import (
     run_block_sequence,
 )
 from noisy_mbqc.channels import (
-    XZ_STD,
     apply,
     basis_element,
     bit_flip,
@@ -100,7 +99,7 @@ def mpo_suite():
             if kind == 0:
                 a, b = int(rng.integers(0, 2)), int(rng.integers(0, 2))
                 state = mpo_apply_pauli(state, site, (a, b))
-                ops.append(oracle.Unitary1Q(site, basis_element(a, b, XZ_STD)))
+                ops.append(oracle.Unitary1Q(site, basis_element(a, b)))
             elif kind == 1:
                 u = random_channel(rng, 1).ops[0]
                 state = mpo_apply_unitary(state, site, u)

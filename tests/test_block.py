@@ -350,3 +350,65 @@ def test_compose_matches_chained_compose_bit_for_bit(seed, kraus, phi):
             flipped = BlockNoiseConfig(meas=MeasSpec.equatorial(-phi, k), **alphas)
             other = compose_block_noise(flipped).ops
             assert [op.tobytes() for op in other] == [op.tobytes() for op in got.ops]
+
+
+# --- the Pauli-table maps the matrix formulas replaced ------------------------
+
+
+def _zx_basis(u):
+    """{(g, h): u (-i)^(gh) Z^g X^h u^dag}, the readout-side Pauli ordering."""
+    z, x = (dm.I2, dm.Z), (dm.I2, dm.X)
+    return {
+        (g, h): u @ ((-1j) ** (g * h) * z[g] @ x[h]) @ dm.dag(u)
+        for g in (0, 1)
+        for h in (0, 1)
+    }
+
+
+def _table(op, basis):
+    return {gh: np.trace(dm.dag(b) @ op) / 2.0 for gh, b in basis.items()}
+
+
+def reference_resource_map(alpha2):
+    """I -> I, X -> I, Z -> Z, Y -> -iZ on the Z^g X^h coefficients."""
+    mapped = []
+    for op in alpha2.ops:
+        a = _table(op, _zx_basis(dm.I2))
+        mapped.append((a[0, 0] + a[0, 1]) * dm.I2 + (a[1, 0] - 1j * a[1, 1]) * dm.Z)
+    return mapped
+
+
+def reference_measurement_map(alpha3, phi, k):
+    """The same table in the basis rotated by exp(-i*phi*Z/2), with the
+    X slots signed by the outcome."""
+    sign = -1.0 if k % 2 else 1.0
+    mapped = []
+    for op in alpha3.ops:
+        a = _table(op, _zx_basis(dm.rz(phi)))
+        a0 = a[0, 0] + sign * a[0, 1]
+        a1 = a[1, 0] + 1j * sign * a[1, 1]
+        mapped.append(a0 * dm.I2 + a1 * dm.Z)
+    return mapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_kraus=st.integers(1, 4),
+    structured=st.booleans(),
+    phi=st.one_of(
+        st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi]), st.floats(-10.0, 10.0)
+    ),
+)
+def test_noise_maps_match_the_pauli_table_rules(seed, n_kraus, structured, phi):
+    rng = np.random.default_rng(seed)
+    noise = _test_channel(rng, n_kraus, structured)
+    got = map_resource_noise(noise).ops
+    want = reference_resource_map(noise)
+    assert len(got) == len(want)
+    assert all(dm.max_abs_diff(g, w) <= 1e-13 for g, w in zip(got, want))
+    for k in (0, 1):
+        got = map_measurement_noise(noise, phi, k).ops
+        want = reference_measurement_map(noise, phi, k)
+        assert len(got) == len(want)
+        assert all(dm.max_abs_diff(g, w) <= 1e-13 for g, w in zip(got, want))

@@ -4,14 +4,12 @@ from conftest import random_complex, random_density
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.channels import (
-    XZ_ROTATED,
-    XZ_STD,
-    ZX_MEAS,
     KrausChannel,
     apply,
     basis_element,
     bit_flip,
     channel,
+    check_unitary,
     channels_equal,
     choi,
     choi_distance,
@@ -21,13 +19,12 @@ from noisy_mbqc.channels import (
     kraus_sum,
     mixed_unitary,
     pauli_decompose,
-    pauli_reconstruct,
     phase_flip,
     random_channel,
     unitary_channel,
     validate,
 )
-from noisy_mbqc.errors import DimensionMismatch, NotAChannel
+from noisy_mbqc.errors import DimensionMismatch, NotAChannel, NotUnitary
 
 
 def assert_tp(ch):
@@ -206,61 +203,29 @@ def test_kraus_remix_gives_same_channel(rng):
 
 
 def test_pauli_decompose_basis_elements():
-    # in the X-then-Z ordering the (1, 0) slot holds X and (0, 1) holds Z
-    table = pauli_decompose(dm.X, XZ_STD).table
-    np.testing.assert_allclose(table, [[0, 0], [1, 0]], atol=1e-12)
-    table = pauli_decompose(dm.Z, XZ_STD).table
-    np.testing.assert_allclose(table, [[0, 1], [0, 0]], atol=1e-12)
-    # the measurement ordering swaps the off-diagonal slots
-    table = pauli_decompose(dm.X, ZX_MEAS).table
-    np.testing.assert_allclose(table, [[0, 1], [0, 0]], atol=1e-12)
+    # sigma_gh = i^(gh) X^g Z^h: the (1, 0) slot holds X and (0, 1) holds Z
+    np.testing.assert_allclose(pauli_decompose(dm.X), [[0, 0], [1, 0]], atol=1e-12)
+    np.testing.assert_allclose(pauli_decompose(dm.Z), [[0, 1], [0, 0]], atol=1e-12)
 
 
 def test_pauli_decompose_hadamard():
-    table = pauli_decompose(dm.H, XZ_STD).table
     np.testing.assert_allclose(
-        table, [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]], atol=1e-12
+        pauli_decompose(dm.H), [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]], atol=1e-12
     )
-
-
-def test_pauli_decompose_rotated_z_slot():
-    # Z commutes with the rotation, so it stays a lone basis element
-    for phi in (0.0, 0.9, 4.2):
-        u = dm.rz(phi)
-        table = pauli_decompose(u @ dm.Z @ dm.dag(u), XZ_ROTATED, phi).table
-        np.testing.assert_allclose(table, [[0, 0], [1, 0]], atol=1e-12)
-
-
-def test_pauli_reconstruct_trivial():
-    zero = pauli_reconstruct(
-        pauli_decompose(np.zeros((2, 2), dtype=complex), XZ_STD)
-    )
-    np.testing.assert_allclose(zero, np.zeros((2, 2)), atol=1e-15)
-    from noisy_mbqc.channels import PauliCoeffs
-
-    table = np.zeros((2, 2), dtype=complex)
-    table[0, 0] = 1.0
-    for conv in (XZ_STD, ZX_MEAS, XZ_ROTATED):
-        np.testing.assert_allclose(
-            pauli_reconstruct(PauliCoeffs(table, conv, phi=0.7)), dm.I2, atol=1e-12
-        )
 
 
 def test_pauli_roundtrip_random(rng):
-    # 1000 random operators across the three conventions
-    for i in range(1000):
+    for _ in range(1000):
         k = random_complex(rng, (2, 2))
-        conv = (XZ_STD, ZX_MEAS, XZ_ROTATED)[i % 3]
-        phi = float(rng.uniform(0, 2 * np.pi))
-        coeffs = pauli_decompose(k, conv, phi)
-        assert dm.max_abs_diff(pauli_reconstruct(coeffs), k) <= 1e-12
+        a = pauli_decompose(k)
+        back = sum(a[g, h] * basis_element(g, h) for g in range(2) for h in range(2))
+        assert dm.max_abs_diff(back, k) <= 1e-12
 
 
 def test_basis_elements_share_corners():
-    # both orderings agree on I and Y
-    np.testing.assert_allclose(basis_element(0, 0, XZ_STD), dm.I2)
-    np.testing.assert_allclose(basis_element(1, 1, XZ_STD), dm.Y, atol=1e-12)
-    np.testing.assert_allclose(basis_element(1, 1, ZX_MEAS), dm.Y, atol=1e-12)
+    # the labelling puts I and Y on the diagonal corners
+    np.testing.assert_allclose(basis_element(0, 0), dm.I2)
+    np.testing.assert_allclose(basis_element(1, 1), dm.Y, atol=1e-12)
 
 
 def test_bit_flip_and_mixed_unitary():
@@ -268,6 +233,19 @@ def test_bit_flip_and_mixed_unitary():
     assert_tp(ch)
     np.testing.assert_allclose(ch.ops[1], np.sqrt(0.3) * dm.X, atol=1e-12)
     assert_tp(mixed_unitary([(0.6, dm.I2), (0.4, dm.H)]))
+
+
+def test_unitary_stock_channels_reject_non_unitary():
+    projector = dm.projector(dm.KET0)
+    with pytest.raises(NotUnitary):
+        unitary_channel(projector)
+    with pytest.raises(NotUnitary):
+        mixed_unitary([(0.5, dm.I2), (0.5, projector)])
+    with pytest.raises(NotUnitary):
+        check_unitary(dm.H + 2e-10 * dm.X)
+    with pytest.raises(DimensionMismatch):
+        check_unitary(np.ones((2, 3)))
+    np.testing.assert_array_equal(check_unitary(dm.H + 1e-11 * dm.X), dm.H + 1e-11 * dm.X)
 
 
 def test_random_channel_is_cptp(rng):

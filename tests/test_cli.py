@@ -558,6 +558,8 @@ _INF_PAIR = [math.inf, 0.0]
 _DIM = "channels.noise.dim: "
 _OPS = "channels.noise.ops: expected a non-empty list of 2x2 matrices"
 _Z = "chain[0].z: expected a boolean, got "
+_PROJECTOR = dm.mat_to_json(dm.projector(dm.KET0))
+_NOT_UNITARY = "channels.noise.matrix: matrix fails the unitarity check"
 
 
 @pytest.mark.parametrize(
@@ -628,14 +630,31 @@ _Z = "chain[0].z: expected a boolean, got "
         pytest.param(
             _MPO, ("builder", "n"), 10**400, "builder.n must be <= ", id="n-10e400"
         ),
+        (MINIMAL_BLOCK, ("seed",), -3, "seed must be >= 0, got -3"),
+        # an empty path passes the value as a command-line flag instead
+        (MINIMAL_BLOCK, (), "--seed=-1", "seed must be >= 0, got -1"),
+        (
+            SKELETONS[0],
+            ("channels", "noise"),
+            {"builtin": "unitary", "matrix": _PROJECTOR},
+            _NOT_UNITARY,
+        ),
+        (SKELETONS[1], ("channels", "noise", "matrix"), _PROJECTOR, _NOT_UNITARY),
+        (
+            SKELETONS[1],
+            ("channels", "noise", "matrix"),
+            dm.mat_to_json(np.eye(4)),
+            "channels.noise.matrix: expected a 2x2 matrix",
+        ),
     ],
 )
 def test_main_bad_field_is_one_line_spec_error(
     tmp_path, capsys, doc, path, value, message
 ):
+    doc, flags = (_set(doc, path, value), ()) if path else (doc, (value,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _run_doc(tmp_path, _set(doc, path, value)) == 2
+        assert _run_doc(tmp_path, doc, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
@@ -669,6 +688,24 @@ def test_builder_n_over_register_cap_fails_at_parse(tmp_path, capsys, monkeypatc
         (("site_ops", 2, "unitary"), [[1, 0], [0, 1]], "site_ops[2].unitary: "),
         (("measurements", 0, "site"), 1.5, "measurements[0].site: expected an integer"),
         (("measurements", 1, "outcome"), True, "measurements[1].outcome: expected an"),
+        (("site_ops", 0, "site"), 7, "site_ops[0].site must be in 0..2"),
+        (("site_ops", 0, "site"), 3, "site_ops[0].site must be in 0..2"),
+        (("site_ops", 1, "site"), -1, "site_ops[1].site must be in 0..2"),
+        (("site_ops", 0, "pauli"), [2, 0], "site_ops[0].pauli: expected a pair of bits"),
+        (("site_ops", 0, "pauli"), [0, -1], "site_ops[0].pauli: expected a pair of bits"),
+        (
+            ("site_ops", 2, "unitary"),
+            dm.mat_to_json(np.eye(3)),
+            "site_ops[2].unitary: expected a 2x2 matrix",
+        ),
+        (
+            ("site_ops", 2, "unitary"),
+            _PROJECTOR,
+            "site_ops[2].unitary: matrix fails the unitarity check",
+        ),
+        (("measurements", 0, "site"), 7, "measurements[0].site must be in 0..3"),
+        (("measurements", 1, "site"), -1, "measurements[1].site must be in 0..3"),
+        (("measurements", 1, "site"), 0, "measurements[1].site: site 0 is measured twice"),
     ],
 )
 def test_parse_alone_rejects_bad_mpo_field(path, value, message):

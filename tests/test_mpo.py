@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_block import _test_channel
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
 from noisy_mbqc.channels import (
-    XZ_STD,
     basis_element,
     bit_flip,
     channel,
@@ -245,7 +247,7 @@ def test_pauli_updates_track_dense_state(rng):
         site = int(rng.integers(0, n - 1))
         state = mpo_apply_pauli(mpo_cluster(n), site, (a, b))
         ops = oracle.cluster_ops(n) + [
-            oracle.Unitary1Q(site, basis_element(a, b, XZ_STD))
+            oracle.Unitary1Q(site, basis_element(a, b))
         ]
         np.testing.assert_allclose(
             mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-12
@@ -339,6 +341,62 @@ def test_updates_rejected_on_measured_or_boundary_sites():
         mpo_apply_unitary(state, 2, dm.X)  # boundary site holds vectors
 
 
+# --- the Pauli-table rule the matrix rule replaced -----------------------------
+
+# sigma_gh = i^(gh) X^g Z^h, written out
+_SIGMA = {(0, 0): dm.I2, (0, 1): dm.Z, (1, 0): dm.X, (1, 1): 1j * dm.X @ dm.Z}
+
+
+def reference_conjugation_update(mat, k):
+    """A -> sum_gh a_gh Z^g A sigma_gh for k = sum_gh a_gh sigma_gh."""
+    out = np.zeros_like(mat)
+    for (g, h), sigma in _SIGMA.items():
+        coeff = np.trace(dm.dag(sigma) @ k) / 2.0
+        out += coeff * (np.linalg.matrix_power(dm.Z, g) @ mat @ sigma)
+    return out
+
+
+def _random_family_state(rng, s_count: int) -> MpoState:
+    """Interior site 0 holds a random family of s_count bond matrices per
+    physical value; the rule acts on bond dimension 2."""
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    family = tuple(tuple(rand(2, 2) for _ in range(s_count)) for _ in range(2))
+    bound = SiteTensor(ops=((rand(2),), (rand(2),)), boundary=True)
+    return MpoState(sites=(SiteTensor(ops=family), bound), seed=rand(2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s_count=st.integers(1, 3),
+    event=st.sampled_from(["pauli", "unitary", "channel"]),
+    pauli=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    n_kraus=st.integers(1, 4),
+    structured=st.booleans(),
+)
+def test_event_rule_matches_the_pauli_table_rule(
+    seed, s_count, event, pauli, n_kraus, structured
+):
+    rng = np.random.default_rng(seed)
+    state = _random_family_state(rng, s_count)
+    if event == "pauli":
+        ops, updated = [_SIGMA[pauli]], mpo_apply_pauli(state, 0, pauli)
+    elif event == "unitary":
+        u = _test_channel(rng, 1, structured).ops[0]
+        ops, updated = [u], mpo_apply_unitary(state, 0, u)
+    else:
+        eta = _test_channel(rng, n_kraus, structured)
+        ops, updated = eta.ops, mpo_apply_channel(state, 0, eta)
+    for before, after in zip(state.sites[0].ops, updated.sites[0].ops, strict=True):
+        want = [reference_conjugation_update(m, k) for m in before for k in ops]
+        assert len(after) == len(want)
+        assert all(dm.max_abs_diff(a, w) <= 1e-13 for a, w in zip(after, want))
+    assert updated.sites[1] is state.sites[1]
+
+
 # --- error propagation examples --------------------------------------------------
 
 
@@ -413,7 +471,7 @@ def test_random_programs_match_oracle(rng):
             if event == 0:
                 a, b = int(rng.integers(0, 2)), int(rng.integers(0, 2))
                 state = mpo_apply_pauli(state, site, (a, b))
-                ops.append(oracle.Unitary1Q(site, basis_element(a, b, XZ_STD)))
+                ops.append(oracle.Unitary1Q(site, basis_element(a, b)))
             elif event == 1:
                 u = random_channel(rng, 1).ops[0]
                 state = mpo_apply_unitary(state, site, u)
