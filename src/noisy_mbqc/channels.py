@@ -79,16 +79,18 @@ def channel(ops) -> KrausChannel:
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel: sum_m K_m rho K_m^dag."""
+    """Apply the channel: sum_m K_m rho K_m^dag.
+
+    The Kraus operators are stacked into one (r, d, d) array, so the r
+    products are one batched matmul summed over the stack axis.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
-    out = np.zeros_like(rho)
-    for k in ch.ops:
-        out += k @ rho @ dm.dag(k)
-    return out
+    ks = np.asarray(ch.ops)
+    return (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def kraus_products(after, before) -> tuple[np.ndarray, ...]:
@@ -106,15 +108,15 @@ def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
 
 
 def choi(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) ch(|i><j|), trace d for CPTP maps."""
-    d = ch.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            c += np.kron(e, apply(ch, e))
-    return c
+    """Choi matrix sum_ij |i><j| (x) ch(|i><j|), trace d for CPTP maps.
+
+    Its entry ((i, a), (j, b)) is sum_m K_m[a, i] conj(K_m[b, j]), so with
+    row m of V equal to vec(K_m^T) (row-major) the matrix is V^T conj(V):
+    one matmul over the stacked operators.
+    """
+    ks = np.asarray(ch.ops)
+    v = ks.transpose(0, 2, 1).reshape(len(ks), -1)
+    return v.T @ v.conj()
 
 
 def choi_distance(a: KrausChannel, b: KrausChannel) -> float:

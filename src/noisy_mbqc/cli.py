@@ -31,7 +31,13 @@ entry reads ``{"phi": 0.3, "k": 0|1|"both", "alpha1": "name", ...}`` or
 outcome string.  One case per outcome string; states are compared
 unnormalised so traces carry branch probabilities.  A chain composes each
 distinct step (step index and resolved measurement) once and reuses its
-channel across outcome strings.
+channel across outcome strings.  The outcome strings are walked depth first
+as a prefix tree, in product order: the closed-form state and the oracle's one
+live qubit after a prefix are computed once and shared by every string below
+it.  Step i's oracle starts from that live qubit on site i and runs the step's
+circuit on sites (i, i+1) of the chain's full register (len(chain) + 1
+sites), so the register cap applies as for one circuit over the whole chain.
+An L-step chain costs 2^(L+1) - 2 step evaluations on each path, not L * 2^L.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -428,16 +434,22 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         # a step's channel depends only on (step, MeasSpec): at most four per step
         composed: dict[tuple[int, MeasSpec], KrausChannel] = {}
         cases = []
-        for outcomes in product(*(ks for _, ks, _ in steps)):
-            closed = rho0.copy()
-            circuit: list = [oracle.PrepState(0, rho0)]
-            for i, (phi, _, alphas) in enumerate(steps):
+
+        def walk(outcomes: tuple[int, ...], closed: np.ndarray, live: np.ndarray):
+            """Cases below the prefix ``outcomes``, whose closed-form output is
+            ``closed`` and whose oracle leaves ``live`` on site len(outcomes)."""
+            i = len(outcomes)
+            if i == len(steps):
+                cases.append(_case("k=" + "".join(map(str, outcomes)), closed, live))
+                return
+            phi, ks, alphas = steps[i]
+            for k in ks:
                 if phi is None:
-                    meas = MeasSpec.z(outcomes[i])
+                    meas = MeasSpec.z(k)
                 else:
                     magnitude, flip_on = phi
                     sign = -1.0 if sum(outcomes[j] for j in flip_on) % 2 else 1.0
-                    meas = MeasSpec.equatorial(sign * magnitude, outcomes[i])
+                    meas = MeasSpec.equatorial(sign * magnitude, k)
                 cfg = BlockNoiseConfig(meas=meas, **alphas)
                 step = composed.get((i, meas))
                 if step is None:
@@ -446,11 +458,14 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                     else:
                         step = compose_block_noise(cfg)
                     composed[i, meas] = step
-                closed = apply(step, closed)
-                circuit.extend(oracle.block_step_ops(cfg, i))
-            orac = oracle.simulate(len(steps) + 1, circuit).state
-            label = "k=" + "".join(str(k) for k in outcomes)
-            cases.append(_case(label, closed, orac))
+                circuit = [oracle.PrepState(i, live), *oracle.block_step_ops(cfg, i)]
+                walk(
+                    (*outcomes, k),
+                    apply(step, closed),
+                    oracle.simulate(len(steps) + 1, circuit).state,
+                )
+
+        walk((), rho0, rho0)
         return cases
 
     return run

@@ -28,7 +28,8 @@ dense state exactly for tensor families with the cluster symmetry
 builders here and any single update per site; stacking several non-Pauli
 updates on one site leaves that family and is on the caller.  Bond
 dimension is 2 for every builder; the contraction does not assume it, the
-event rule (Z on the bond) does.
+event rule (Z on the bond) does, and an event on a site of any other bond
+dimension raises ``DimensionMismatch`` naming the site.
 """
 
 from __future__ import annotations
@@ -243,8 +244,17 @@ def mpo_measure(
 
 
 def _apply_ops(state: MpoState, index: int, ops) -> MpoState:
-    """Each family member A becomes A diag(K) + Z A offdiag(K), one per K."""
+    """Each family member A becomes A diag(K) + Z A offdiag(K), one per K.
+
+    The Z acts on the bond, so every member must be a 2x2 bond matrix.
+    """
     site = _unmeasured_interior(state, index)
+    bad = next((a.shape for fam in site.ops for a in fam if a.shape != (2, 2)), None)
+    if bad is not None:
+        raise DimensionMismatch(
+            f"site {index} has bond dimension {site.bond_dim} (matrix shape {bad}); "
+            "events need bond dimension 2"
+        )
     parts = [(np.diag(np.diag(k)), k - np.diag(np.diag(k))) for k in ops]
     new_ops = tuple(
         tuple(a @ d + dm.Z @ a @ off for a in fam for d, off in parts)

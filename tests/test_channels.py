@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import random_complex, random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.channels import (
@@ -200,6 +202,63 @@ def test_kraus_remix_gives_same_channel(rng):
             tuple(sum(w[a, b] * ch.ops[b] for b in range(n)) for a in range(n))
         )
         assert choi_distance(ch, remixed) <= 1e-12
+
+
+# --- stacked kernels against the per-operator loops --------------------------
+
+
+def reference_apply(ch, rho):
+    """sum_m K_m rho K_m^dag, one operator at a time."""
+    out = np.zeros_like(rho)
+    for k in ch.ops:
+        out += k @ rho @ dm.dag(k)
+    return out
+
+
+def reference_choi(ch):
+    """sum_ij |i><j| (x) ch(|i><j|), one basis element and kron at a time."""
+    d = ch.dim
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            c += np.kron(e, reference_apply(ch, e))
+    return c
+
+
+_UNITARIES = (dm.I2, dm.X, dm.Y, dm.Z, dm.H)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_kraus=st.one_of(st.integers(1, 8), st.integers(9, 256)),
+    dim=st.sampled_from([2, 4]),
+    structured=st.booleans(),
+    trace_preserving=st.booleans(),
+)
+def test_stacked_kernels_match_the_loops(seed, n_kraus, dim, structured, trace_preserving):
+    rng = np.random.default_rng(seed)
+    if structured:
+        # Paulis and H (tensor pairs of them at dim 4): many exact zeros
+        picks = rng.integers(len(_UNITARIES), size=(n_kraus, dim // 2))
+        us = [
+            _UNITARIES[p[0]] if dim == 2 else np.kron(*(_UNITARIES[q] for q in p))
+            for p in picks
+        ]
+        ch = mixed_unitary(zip(rng.dirichlet(np.ones(n_kraus)), us))
+    else:
+        ch = random_channel(rng, n_kraus, dim)
+    if not trace_preserving:
+        ch = channel([w * k for w, k in zip(rng.uniform(0.0, 1.5, n_kraus), ch.ops)])
+    c = choi(ch)
+    assert c.shape == (dim * dim, dim * dim)
+    assert dm.max_abs_diff(c, reference_choi(ch)) <= 1e-13
+    if trace_preserving:
+        assert np.trace(c).real == pytest.approx(dim, abs=1e-12)
+    for rho in (random_density(rng, dim), random_complex(rng, (dim, dim))):
+        assert dm.max_abs_diff(apply(ch, rho), reference_apply(ch, rho)) <= 1e-13
 
 
 def test_pauli_decompose_basis_elements():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from noisy_mbqc import cli
 from noisy_mbqc import densemath as dm
-from noisy_mbqc.block import BlockNoiseConfig, MeasSpec, compose_block_noise
+from noisy_mbqc import oracle
+from noisy_mbqc.block import BlockNoiseConfig, MeasSpec, compose_block_noise, ideal_block
 from noisy_mbqc.channels import apply
 from noisy_mbqc.cli import (
     CaseResult,
@@ -816,3 +817,161 @@ def test_chain_composes_each_distinct_step_once(monkeypatch):
             rho = apply(compose_block_noise(cfg), rho)
         np.testing.assert_array_equal(case.closed_form, rho)
     assert len(calls) == len(distinct) < len(report.cases) * len(axes)
+
+
+def reference_chain_cases(spec) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The chain runner as a flat loop over ``product(...)``: every outcome
+    string starts again from the input, and its oracle is one circuit over the
+    whole chain.  Returns (label, closed form, oracle) per case."""
+    doc = spec.payload
+    steps = []
+    for entry in doc["chain"]:
+        phi = None if entry.get("z", False) else entry.get("phi", 0.0)
+        if phi is not None and not isinstance(phi, dict):
+            phi = {"magnitude": phi}
+        k = entry.get("k", "both")
+        alphas = {
+            slot: spec.channels[entry[slot]]
+            for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
+            if entry.get(slot) is not None
+        }
+        steps.append((phi, (0, 1) if k == "both" else (int(k),), alphas))
+    rho0 = cli._parse_state(doc.get("input", "plus"), "input")
+    composed = {}
+    cases = []
+    for outcomes in product(*(ks for _, ks, _ in steps)):
+        closed = rho0.copy()
+        circuit: list = [oracle.PrepState(0, rho0)]
+        for i, (phi, _, alphas) in enumerate(steps):
+            if phi is None:
+                meas = MeasSpec.z(outcomes[i])
+            else:
+                flips = sum(outcomes[j] for j in phi.get("flip_on", []))
+                sign = -1.0 if flips % 2 else 1.0
+                meas = MeasSpec.equatorial(sign * float(phi["magnitude"]), outcomes[i])
+            cfg = BlockNoiseConfig(meas=meas, **alphas)
+            step = composed.get((i, meas))
+            if step is None:
+                if meas.basis == "z" and not alphas:
+                    step = ideal_block(meas)
+                else:
+                    step = compose_block_noise(cfg)
+                composed[i, meas] = step
+            closed = apply(step, closed)
+            circuit.extend(oracle.block_step_ops(cfg, i))
+        orac = oracle.simulate(len(steps) + 1, circuit).state
+        cases.append(("k=" + "".join(map(str, outcomes)), closed, orac))
+    return cases
+
+
+_NOISE = {
+    "h": {"builtin": "mixed_unitary", "p": 0.2, "matrix": _H},
+    "bf": {"builtin": "bit_flip", "p": 0.1},
+    "dep": {"builtin": "depolarizing"},
+}
+
+
+def _both_chain(n_steps: int) -> dict:
+    """An n-step chain, "k": "both" on every step, adaptive from step 1 on."""
+    slots = ("alpha1", "alpha2", "alpha3", "alpha4")
+    chain = [{"phi": 0.3, "k": "both", "alpha2": "h"}]
+    for i in range(1, n_steps):
+        phi = {"magnitude": 0.1 * i + 0.2, "flip_on": list(range(i % 2, i, 2))}
+        chain.append({"phi": phi, "k": "both", slots[i % 4]: ("bf", "h")[i % 2]})
+    return {"kind": "block_chain", "channels": _NOISE, "chain": chain}
+
+
+_WALK_CHAINS = {
+    "adaptive": {
+        "kind": "block_chain",
+        "channels": _NOISE,
+        "input": {"matrix": dm.mat_to_json(dm.projector(np.array([0.6, 0.8j])))},
+        "chain": [
+            {"phi": 0.3, "k": "both", "alpha2": "h", "alpha3": "bf"},
+            {"phi": {"magnitude": 0.5, "flip_on": [0]}, "k": "both", "alpha3": "h"},
+            {"phi": {"magnitude": -0.7, "flip_on": [0, 1]}, "k": "both", "alpha1": "dep"},
+            {"phi": {"magnitude": 0.0, "flip_on": [2]}, "k": "both", "alpha4": "bf"},
+        ],
+    },
+    "z_first": {
+        "kind": "block_chain",
+        "channels": _NOISE,
+        "chain": [
+            {"z": True, "k": "both"},
+            {"phi": {"magnitude": 0.4, "flip_on": [0]}, "k": "both", "alpha2": "bf"},
+            {"phi": {"magnitude": 1.2, "flip_on": [0, 1]}, "k": 1, "alpha3": "dep"},
+            {"phi": -0.0, "k": "both", "alpha4": "h"},
+        ],
+    },
+    # the known Z-mid defect: the closed form keeps the state a Z readout discards
+    "z_mid": {
+        "kind": "block_chain",
+        "channels": _NOISE,
+        "chain": [
+            {"phi": 0.4, "k": "both", "alpha2": "bf"},
+            {"z": True, "k": "both"},
+            {"phi": {"magnitude": 0.9, "flip_on": [0, 1]}, "k": "both", "alpha1": "h"},
+        ],
+    },
+    "fixed_k": {
+        "kind": "block_chain",
+        "channels": _NOISE,
+        "input": "one",
+        "chain": [
+            {"phi": 0.3, "k": 1, "alpha1": "h"},
+            {"phi": {"magnitude": 0.6, "flip_on": [0]}, "k": "both", "alpha2": "bf"},
+            {"phi": {"magnitude": 0.8, "flip_on": [0, 1]}, "k": 0, "alpha3": "h"},
+            {"phi": 1.1, "k": "both", "alpha4": "dep"},
+        ],
+    },
+    "six_both": _both_chain(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_CHAINS))
+def test_chain_walk_matches_the_product_loop_bit_for_bit(name):
+    spec = parse_experiment(spec_text(_WALK_CHAINS[name]))
+    report = run_experiment(spec)
+    reference = reference_chain_cases(spec)
+    assert [c.case_id for c in report.cases] == [label for label, _, _ in reference]
+    for case, (_, closed, orac) in zip(report.cases, reference, strict=True):
+        assert case.closed_form.tobytes() == closed.tobytes()
+        assert case.oracle.tobytes() == orac.tobytes()
+    assert report.passed == (name != "z_mid")
+
+
+def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
+    spec = parse_experiment(spec_text(_both_chain(6)))
+    distinct = set()
+    for ks in product((0, 1), repeat=6):
+        distinct.update((i, cfg.meas) for i, cfg in enumerate(_chain_cfgs(spec, ks)))
+    counts = {"apply": 0, "simulate": 0, "compose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "apply", counted("apply", apply))
+    monkeypatch.setattr(oracle, "simulate", counted("simulate", oracle.simulate))
+    monkeypatch.setattr(
+        cli, "compose_block_noise", counted("compose", compose_block_noise)
+    )
+    report = run_experiment(spec)
+    assert len(report.cases) == 64 and report.passed
+    # one evaluation per prefix, 2 + 4 + ... + 64, where a loop over the
+    # strings applies 6 * 64 steps and simulates 64 whole chains
+    assert counts["apply"] == counts["simulate"] == 2**7 - 2 == 126
+    assert counts["compose"] == len(distinct) == 20
+
+
+def test_chain_register_over_the_cap_is_spec_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "4")
+    assert _run_doc(tmp_path, _both_chain(3)) == 0
+    capsys.readouterr()
+    # a chain of cap steps needs cap + 1 sites, though each step's oracle
+    # holds at most two of them live
+    assert _run_doc(tmp_path, _both_chain(4)) == 2
+    assert "register size 5 outside [1, 4]" in capsys.readouterr().err

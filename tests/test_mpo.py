@@ -547,3 +547,36 @@ def test_from_dict_rejects_malformed_sites(corrupt):
     corrupt(doc["sites"])
     with pytest.raises(DimensionMismatch):
         mpo_from_dict(doc)
+
+
+def _bond_state(bond: int) -> MpoState:
+    """Two sites, one interior and the boundary, with the given bond dimension."""
+    interior = SiteTensor(ops=((np.eye(bond),), (2.0 * np.eye(bond),)))
+    bound = SiteTensor(ops=((np.ones(bond),), (np.ones(bond),)), boundary=True)
+    return MpoState(sites=(interior, bound), seed=np.eye(bond) / bond)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _bond_state(1),
+        lambda: _bond_state(3),
+        lambda: mpo_from_dict(mpo_to_dict(_bond_state(1))),
+    ],
+    ids=["bond1", "bond3", "bond1_from_dict"],
+)
+@pytest.mark.parametrize(
+    "event",
+    [
+        lambda s: mpo_apply_pauli(s, 0, (1, 0)),
+        lambda s: mpo_apply_unitary(s, 0, dm.H),
+        lambda s: mpo_apply_channel(s, 0, phase_flip(0.2)),
+    ],
+    ids=["pauli", "unitary", "channel"],
+)
+def test_events_name_the_site_and_its_bond_dimension(make, event):
+    state = make()
+    assert mpo_contract(state).shape == (4, 4)  # the contraction takes any bond
+    bond = state.sites[0].bond_dim
+    with pytest.raises(DimensionMismatch, match=f"site 0 has bond dimension {bond} "):
+        event(state)
