@@ -9,7 +9,7 @@ import numpy as np
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
-from noisy_mbqc.channels import apply, bit_flip, channel, mixed_unitary, validate
+from noisy_mbqc.channels import KrausChannel, apply, bit_flip, mixed_unitary, validate
 from noisy_mbqc.mpo import (
     mpo_apply_channel,
     mpo_cluster,
@@ -56,5 +56,5 @@ state = mpo_measure(state, 1, X_KETS[0], 0)
 for s, branch in enumerate(state.sites[1].ops[0]):
     print(f"branch {s}:\n{np.round(branch, 4)}")
 print("the noisy branch is a rank-one projector: the step stopped rotating")
-step = channel(state.sites[1].ops[0])
+step = KrausChannel(state.sites[1].ops[0])
 print("logical step trace on I/2:", np.trace(apply(step, dm.I2 / 2)).real)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .channels import KrausChannel, apply, channel, identity_channel, kraus_products
+from .channels import KrausChannel, apply, compose, identity_channel
 from .errors import DimensionMismatch, ZBasisUnsupported
 
 Z_BASIS = "z"
@@ -85,7 +85,7 @@ def ideal_block(meas: MeasSpec) -> KrausChannel:
     else:
         xk = np.linalg.matrix_power(dm.X, k)
         op = xk @ dm.H @ dm.rz(-meas.phi) / np.sqrt(2.0)
-    return KrausChannel((op,))
+    return KrausChannel([op])
 
 
 def map_resource_noise(alpha2: KrausChannel) -> KrausChannel:
@@ -97,7 +97,7 @@ def map_resource_noise(alpha2: KrausChannel) -> KrausChannel:
     """
     if alpha2.dim != 2:
         raise DimensionMismatch("resource noise must be a single-qubit channel")
-    return channel([np.sqrt(2.0) * np.diag(k @ dm.PLUS) for k in alpha2.ops])
+    return KrausChannel([np.sqrt(2.0) * np.diag(k @ dm.PLUS) for k in alpha2.ops])
 
 
 def map_measurement_noise(alpha3: KrausChannel, phi: float, k: int) -> KrausChannel:
@@ -114,16 +114,14 @@ def map_measurement_noise(alpha3: KrausChannel, phi: float, k: int) -> KrausChan
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
     v = dm.equatorial_ket(phi, k)
-    return channel([2.0 * np.diag(v * (v.conj() @ op)) for op in alpha3.ops])
+    return KrausChannel([2.0 * np.diag(v * (v.conj() @ op)) for op in alpha3.ops])
 
 
 def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
     """Single channel for a noisy equatorial step with outcome ``cfg.meas.outcome``.
 
     Builds ``alpha4 o mapped(alpha2) o step o mapped(alpha3, k) o alpha1``;
-    absent channels default to the identity.  The Kraus products are formed
-    in place, in the order and association :func:`channels.compose` would
-    use.
+    absent channels default to the identity.
     """
     meas = cfg.meas
     if meas.basis != EQUATORIAL:
@@ -131,16 +129,15 @@ def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
             "noise composition is defined for equatorial measurements only"
         )
     # the identity start stays a factor: dropping it can flip the sign of a zero
-    ops = (cfg.alpha1 if cfg.alpha1 is not None else identity_channel()).ops
+    ch = cfg.alpha1 if cfg.alpha1 is not None else identity_channel()
     if cfg.alpha3 is not None:
-        mapped = map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome)
-        ops = kraus_products(mapped.ops, ops)
-    ops = kraus_products(ideal_block(meas).ops, ops)
+        ch = compose(map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome), ch)
+    ch = compose(ideal_block(meas), ch)
     if cfg.alpha2 is not None:
-        ops = kraus_products(map_resource_noise(cfg.alpha2).ops, ops)
+        ch = compose(map_resource_noise(cfg.alpha2), ch)
     if cfg.alpha4 is not None:
-        ops = kraus_products(cfg.alpha4.ops, ops)
-    return KrausChannel(ops)
+        ch = compose(cfg.alpha4, ch)
+    return ch
 
 
 def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:

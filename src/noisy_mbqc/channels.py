@@ -1,10 +1,11 @@
 """Kraus-channel algebra and the single-qubit Pauli labelling.
 
-A channel is a finite list of equal-shaped Kraus operators.  No trace
+A channel is one complex (r, d, d) array of Kraus operators, stacked once
+when built, so each kernel is one broadcast over the stack axis.  No trace
 condition is stored with it: sum K^dag K is I for a trace-preserving map,
 below I for a post-selected branch, and may exceed I for a derived map such
 as mapped resource or readout noise.  :func:`validate` checks the bound
-where channels enter (stock channels and parsed documents); :func:`channel`
+where channels enter (stock channels and parsed documents); the constructor
 and :func:`compose` build derived maps without it, and :func:`kraus_sum`
 gives the trace behaviour on demand.  Channels are compared through their
 Choi matrices (Kraus sets are not unique).
@@ -27,13 +28,20 @@ from .errors import DimensionMismatch, NotAChannel, NotUnitary
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by Kraus operators."""
+    """A completely positive map given by Kraus operators: ``ops``, any sequence
+    of r >= 1 equal-shaped square matrices, is stored as one (r, d, d) array."""
 
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
+
+    def __post_init__(self):
+        ops = dm.stacked(self.ops, 3, "Kraus operators")
+        if ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatch(f"Kraus operators are {ops.shape[1:]}, not square")
+        object.__setattr__(self, "ops", ops)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -44,67 +52,45 @@ def kraus_sum(ops) -> np.ndarray:
     return sum(dm.dag(k) @ k for k in ops)
 
 
-def _check_ops(ops) -> tuple[np.ndarray, ...]:
-    ops = tuple(np.asarray(k, dtype=complex) for k in ops)
-    if not ops:
-        raise DimensionMismatch("a channel needs at least one Kraus operator")
-    d = ops[0].shape
-    if len(d) != 2 or d[0] != d[1]:
-        raise DimensionMismatch(f"Kraus operators must be square, got {d}")
-    if any(k.shape != d for k in ops):
-        raise DimensionMismatch("Kraus operators must share one shape")
-    return ops
-
-
 def validate(ops) -> KrausChannel:
     """Build a channel, insisting on sum K^dag K bounded by the identity.
 
     The set passes when the sum is entrywise within ``dm.ATOL`` of I, or when
     the largest eigenvalue of its Hermitian part is at most 1 + ``dm.ATOL``.
     """
-    ops = _check_ops(ops)
-    s = kraus_sum(ops)
+    ch = KrausChannel(ops)
+    s = kraus_sum(ch.ops)
     if dm.max_abs_diff(s, np.eye(s.shape[0])) > dm.ATOL:
         top = np.linalg.eigvalsh(0.5 * (s + dm.dag(s))).max()
         if top > 1.0 + dm.ATOL:
             raise NotAChannel(
                 f"sum K^dag K exceeds the identity (largest eigenvalue 1 + {top - 1.0:.3e})"
             )
-    return KrausChannel(ops)
-
-
-def channel(ops) -> KrausChannel:
-    """Build a channel without the trace bound, e.g. a derived map."""
-    return KrausChannel(_check_ops(ops))
+    return ch
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel: sum_m K_m rho K_m^dag.
 
-    The Kraus operators are stacked into one (r, d, d) array, so the r
-    products are one batched matmul summed over the stack axis.
+    The r products are one batched matmul over the stacked Kraus operators,
+    summed over the stack axis.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
-    ks = np.asarray(ch.ops)
+    ks = ch.ops
     return (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
-def kraus_products(after, before) -> tuple[np.ndarray, ...]:
-    """The Kraus set {A_i B_j} of ``after`` following ``before``."""
-    if after[0].shape != before[0].shape:
-        raise DimensionMismatch(
-            f"cannot compose dimension {after[0].shape[0]} after {before[0].shape[0]}"
-        )
-    return tuple(a @ b for a in after for b in before)
-
-
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
-    """Composite map acting as ``after(before(rho))``; Kraus set {A_i B_j}."""
-    return KrausChannel(kraus_products(after.ops, before.ops))
+    """Composite map acting as ``after(before(rho))``; Kraus set {A_i B_j},
+    with i the outer index of the stack."""
+    a, b, d = after.ops, before.ops, after.dim
+    if before.dim != d:
+        raise DimensionMismatch(f"cannot compose dimension {d} after {before.dim}")
+    return KrausChannel((a[:, None] @ b[None]).reshape(-1, d, d))
 
 
 def choi(ch: KrausChannel) -> np.ndarray:
@@ -114,8 +100,7 @@ def choi(ch: KrausChannel) -> np.ndarray:
     row m of V equal to vec(K_m^T) (row-major) the matrix is V^T conj(V):
     one matmul over the stacked operators.
     """
-    ks = np.asarray(ch.ops)
-    v = ks.transpose(0, 2, 1).reshape(len(ks), -1)
+    v = ch.ops.transpose(0, 2, 1).reshape(len(ch), -1)
     return v.T @ v.conj()
 
 
@@ -169,7 +154,7 @@ def check_unitary(u) -> np.ndarray:
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
+    return KrausChannel([np.eye(dim)])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -203,5 +188,4 @@ def random_channel(rng: np.random.Generator, n_kraus: int = 2, dim: int = 2) -> 
     """
     g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
     q, _ = np.linalg.qr(g)
-    ops = [q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)]
-    return validate(ops)
+    return validate(q.reshape(n_kraus, dim, dim))

@@ -51,10 +51,11 @@ compared against the dense simulation per outcome string.  An optional
 case has run.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
-``builder.n``, sites, a chain entry's ``k``, an ``outcome``) take an integer or
-an integral float; null, booleans, strings and fractions are bad input.  Number
-fields (``tolerance``, ``p``, ``phi``, ``magnitude``) reject booleans and
-strings; ``phi`` and ``magnitude`` must be finite, and so must matrix entries.
+``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
+take an integer or an integral float; null, booleans, strings and fractions are
+bad input.  Number fields (``tolerance``, ``p``, ``phi``, ``magnitude``) reject
+booleans and strings; ``phi`` and ``magnitude`` must be finite, and so must
+matrix entries.
 A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
 The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 ``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
@@ -71,8 +72,8 @@ document give byte-identical reports apart from ``meta.timestamp``.  The
 writer streams that text row by row and formats each distinct float once.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
-document or a module precondition was at fault.  ``NOISY_MBQC_MAX_QUBITS``
-caps the dense register (default 12).
+document or a module precondition was at fault, or ``--cases`` selected no
+case.  ``NOISY_MBQC_MAX_QUBITS`` caps the dense register (default 12).
 """
 
 from __future__ import annotations
@@ -324,6 +325,8 @@ def parse_experiment(text: str) -> ExperimentSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("document nested too deeply to read") from None
     _require(isinstance(doc, dict), "top level must be an object")
     kind = doc.get("kind")
     _require(kind in EXPERIMENT_KINDS, f"kind must be one of {EXPERIMENT_KINDS}")
@@ -386,15 +389,14 @@ def _parse_phi(obj, step_index: int, where: str) -> tuple[float, tuple[int, ...]
     if isinstance(obj, dict) and "magnitude" in obj:
         magnitude = _finite(obj["magnitude"], f"{where}.magnitude")
         flips = obj.get("flip_on", [])
-        _require(
-            isinstance(flips, list)
-            and all(
-                isinstance(j, int) and not isinstance(j, bool) and 0 <= j < step_index
-                for j in flips
-            ),
-            f"{where}: flip_on may only reference earlier steps",
-        )
-        return magnitude, tuple(flips)
+        _require(isinstance(flips, list), f"{where}.flip_on: expected a list")
+        flip_on = tuple(_integer(j, f"{where}.flip_on[{n}]") for n, j in enumerate(flips))
+        for n, j in enumerate(flip_on):
+            _require(
+                0 <= j < step_index,
+                f"{where}.flip_on[{n}] must name an earlier step, got {j}",
+            )
+        return magnitude, flip_on
     if isinstance(obj, dict):
         raise ParseError(f"{where}: expected a number or {{magnitude, flip_on}}")
     return _finite(obj, where), ()
@@ -624,13 +626,14 @@ def run_experiment(
     tol = spec.tolerance if tolerance is None else _tolerance(tolerance, "tolerance")
     rng_seed = spec.seed if seed is None else _at_least(seed, "seed", 0)
     rng = np.random.default_rng(rng_seed)
-    cases = [
-        c
-        for c in spec.run(rng)
-        if case_filter is None or case_filter in c.case_id
-    ]
+    cases = spec.run(rng)
+    selected = [c for c in cases if case_filter is None or case_filter in c.case_id]
+    _require(
+        bool(selected) or not cases,
+        f"--cases {case_filter!r} matches none of the {len(cases)} cases",
+    )
     return Report(
-        cases=cases,
+        cases=selected,
         tolerance=tol,
         seed=rng_seed,
         spec_hash=spec.spec_hash,

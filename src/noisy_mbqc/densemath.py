@@ -35,6 +35,20 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
+def stacked(ops, ndim: int, what: str) -> np.ndarray:
+    """``ops``, an array or nested sequences, as one non-empty complex array
+    with ``ndim`` axes: the storage of a Kraus set or an MPO site family."""
+    try:
+        out = np.asarray(ops, dtype=complex)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DimensionMismatch(f"{what} must share one shape") from None
+    if out.ndim != ndim or not out.size:
+        raise DimensionMismatch(
+            f"{what} must fill a non-empty {ndim}-axis array, got {out.shape}"
+        )
+    return out
+
+
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, left to right."""
     if not mats:

@@ -1,8 +1,9 @@
 """Matrix product operators contracted by one left-to-right sweep.
 
 An ``MpoState`` stores, per site, a family of bond-space objects indexed by
-the physical value i and a Kraus-like index s.  Interior sites hold matrices
-A[i, s]; the final site is the boundary and holds vectors v[i, s].  The
+the physical value i and a Kraus-like index s, stacked into one array.
+Interior sites hold matrices A[i, s] (P, S, D, D); the final site is the
+boundary and holds vectors v[i, s] (P, S, D).  The
 contraction starts from the correlation-space seed and carries a tensor
 T[r, c] of bond operators over the open sites seen so far.  An interior site
 is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c] A[j, s]^dag; a
@@ -13,7 +14,7 @@ A measured interior site's logical step is the channel with Kraus operators
 A[0, s]; stopping the sweep before the boundary composes those steps.
 
 Physical single-site events update the stored families in place of the
-dense state:
+dense state, each as one broadcast expression over the stacked family:
 
 * measurement collapses the physical index, A[v, s] = sum_i <v|i> A[i, s];
 * an operator K on the physical qubit (a Pauli, a unitary, or each Kraus
@@ -55,24 +56,28 @@ CONTRACTION_MAX_QUBITS = 12
 class SiteTensor:
     """One site's family of bond-space objects.
 
-    ``ops[i][s]`` is a matrix (interior site) or vector (boundary site) for
-    physical value i.  A measured site keeps a single collapsed physical slot
-    ``ops[0]`` together with the recorded outcome.
+    ``ops[i, s]`` is a matrix (interior site) or vector (boundary site) for
+    physical value i, stored as one (P, S, D, D) or (P, S, D) array.  A
+    measured site keeps a single collapsed physical slot ``ops[0]`` together
+    with the recorded outcome.
     """
 
-    ops: tuple[tuple[np.ndarray, ...], ...]
+    ops: np.ndarray
     boundary: bool = False
     measured: bool = False
     outcome: object = None
 
+    def __post_init__(self):
+        ops = dm.stacked(self.ops, 3 if self.boundary else 4, "site family members")
+        object.__setattr__(self, "ops", ops)
+
     @property
     def s_count(self) -> int:
-        return len(self.ops[0])
+        return self.ops.shape[1]
 
     @property
     def bond_dim(self) -> int:
-        first = self.ops[0][0]
-        return first.shape[-1] if self.boundary else first.shape[0]
+        return self.ops.shape[2]
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,6 @@ class MpoState:
         return sum(1 for s in self.sites if not s.measured)
 
 
-def _tensors(mats) -> tuple[tuple[np.ndarray, ...], ...]:
-    return tuple(tuple(np.asarray(m, dtype=complex) for m in fam) for fam in mats)
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -105,8 +106,8 @@ def mpo_cluster(n: int) -> MpoState:
     if n < 2:
         raise ValueError("cluster representation needs at least 2 sites")
     a = [dm.H @ dm.projector(dm.KET0), dm.H @ dm.projector(dm.KET1)]
-    interior = SiteTensor(ops=_tensors([[a[0]], [a[1]]]))
-    bound = SiteTensor(ops=_tensors([[dm.KET0], [dm.KET1]]), boundary=True)
+    interior = SiteTensor(ops=[[a[0]], [a[1]]])
+    bound = SiteTensor(ops=[[dm.KET0], [dm.KET1]], boundary=True)
     return MpoState(
         sites=tuple([interior] * (n - 1) + [bound]), seed=dm.projector(dm.PLUS)
     )
@@ -119,16 +120,12 @@ def mpo_maximally_mixed(n: int) -> MpoState:
     a = [dm.KET0[:, None] @ dm.KET0[None, :], dm.KET0[:, None] @ dm.KET1[None, :]]
     # each site carries the scrambling pair {A[i], A[i] X} / sqrt(2)
     r = 1.0 / np.sqrt(2.0)
-    interior = SiteTensor(
-        ops=_tensors([[r * a[0], r * a[0] @ dm.X], [r * a[1], r * a[1] @ dm.X]])
-    )
+    interior = SiteTensor(ops=[[r * a[0], r * a[0] @ dm.X], [r * a[1], r * a[1] @ dm.X]])
     bound = SiteTensor(
-        ops=_tensors(
-            [
-                [r * dm.KET0, r * (dm.X @ dm.KET0)],
-                [r * dm.KET1, r * (dm.X @ dm.KET1)],
-            ]
-        ),
+        ops=[
+            [r * dm.KET0, r * (dm.X @ dm.KET0)],
+            [r * dm.KET1, r * (dm.X @ dm.KET1)],
+        ],
         boundary=True,
     )
     return MpoState(
@@ -146,7 +143,7 @@ def mpo_one_clean(n: int) -> MpoState:
         raise ValueError("need at least one mixed site")
     mixed = mpo_maximally_mixed(n)
     a = [dm.KET0[:, None] @ dm.KET0[None, :], dm.KET0[:, None] @ dm.KET1[None, :]]
-    clean = SiteTensor(ops=_tensors([[a[0]], [a[1]]]))
+    clean = SiteTensor(ops=[[a[0]], [a[1]]])
     return MpoState(sites=(clean,) + mixed.sites, seed=dm.projector(dm.KET0))
 
 
@@ -169,7 +166,7 @@ def _sweep(state: MpoState) -> np.ndarray:
     the k open ones; the first site is the most significant bit."""
     t = np.asarray(state.seed, dtype=complex)[None, None]
     for site in state.sites[:-1]:
-        t = _absorb(t, np.asarray(site.ops))
+        t = _absorb(t, site.ops)
     return t
 
 
@@ -184,7 +181,7 @@ def mpo_contract(state: MpoState) -> np.ndarray:
         raise SizeLimit(
             f"contraction over {open_count} open sites exceeds 2^{CONTRACTION_MAX_QUBITS}"
         )
-    rows = np.asarray(state.sites[-1].ops).conj()[:, :, None, :]
+    rows = state.sites[-1].ops.conj()[:, :, None, :]
     return _absorb(_sweep(state), rows)[:, :, 0, 0]
 
 
@@ -234,33 +231,27 @@ def mpo_measure(
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise NotNormalized("measurement vector must have unit norm")
     weights = v if site.boundary else v.conj()
-    collapsed = tuple(
-        weights[0] * a0 + weights[1] * a1 for a0, a1 in zip(site.ops[0], site.ops[1])
-    )
-    new_site = SiteTensor(
-        ops=(collapsed,), boundary=site.boundary, measured=True, outcome=outcome
-    )
+    collapsed = weights[0] * site.ops[0] + weights[1] * site.ops[1]
+    new_site = replace(site, ops=collapsed[None], measured=True, outcome=outcome)
     return _with_site(state, index, new_site)
 
 
-def _apply_ops(state: MpoState, index: int, ops) -> MpoState:
-    """Each family member A becomes A diag(K) + Z A offdiag(K), one per K.
+def _apply_ops(state: MpoState, index: int, ks: np.ndarray) -> MpoState:
+    """Each family member A becomes A diag(K) + Z A offdiag(K), one per K of
+    the stacked (K, 2, 2) operators ``ks``; member s, K k lands at s * K + k.
 
     The Z acts on the bond, so every member must be a 2x2 bond matrix.
     """
     site = _unmeasured_interior(state, index)
-    bad = next((a.shape for fam in site.ops for a in fam if a.shape != (2, 2)), None)
-    if bad is not None:
+    if site.ops.shape[2:] != (2, 2):
         raise DimensionMismatch(
-            f"site {index} has bond dimension {site.bond_dim} (matrix shape {bad}); "
-            "events need bond dimension 2"
+            f"site {index} has bond dimension {site.bond_dim} (matrix shape "
+            f"{site.ops.shape[2:]}); events need bond dimension 2"
         )
-    parts = [(np.diag(np.diag(k)), k - np.diag(np.diag(k))) for k in ops]
-    new_ops = tuple(
-        tuple(a @ d + dm.Z @ a @ off for a in fam for d, off in parts)
-        for fam in site.ops
-    )
-    return _with_site(state, index, replace(site, ops=new_ops))
+    diag = np.where(np.eye(2, dtype=bool), ks, 0)
+    a = site.ops[:, :, None]
+    new = a @ diag + dm.Z @ a @ (ks - diag)
+    return _with_site(state, index, replace(site, ops=new.reshape(len(a), -1, 2, 2)))
 
 
 def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoState:
@@ -268,7 +259,7 @@ def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoS
     a, b = pauli
     if a not in (0, 1) or b not in (0, 1):
         raise ValueError("Pauli label must be a pair of bits")
-    return _apply_ops(state, index, [basis_element(a, b)])
+    return _apply_ops(state, index, basis_element(a, b)[None])
 
 
 def mpo_apply_unitary(state: MpoState, index: int, u: np.ndarray) -> MpoState:
@@ -276,7 +267,7 @@ def mpo_apply_unitary(state: MpoState, index: int, u: np.ndarray) -> MpoState:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise DimensionMismatch("site unitary must be 2x2")
-    return _apply_ops(state, index, [check_unitary(u)])
+    return _apply_ops(state, index, check_unitary(u)[None])
 
 
 def mpo_apply_channel(state: MpoState, index: int, eta: KrausChannel) -> MpoState:
@@ -332,7 +323,10 @@ def mpo_to_dict(state: MpoState) -> dict:
 def mpo_from_dict(doc: dict) -> MpoState:
     """Inverse of :func:`mpo_to_dict`; a malformed document raises
     DimensionMismatch."""
-    seed = dm.mat_from_json(doc["seed"])
+    try:
+        seed = dm.mat_from_json(doc["seed"])
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DimensionMismatch("seed rows differ in length") from None
     if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
         raise DimensionMismatch(f"seed must be a square matrix, got {seed.shape}")
     entries = doc["sites"]
@@ -342,20 +336,24 @@ def mpo_from_dict(doc: dict) -> MpoState:
     for idx, entry in enumerate(entries):
         boundary, measured = bool(entry["boundary"]), bool(entry["measured"])
         shape = seed.shape[:1] if boundary else seed.shape
-        fams = tuple(
-            tuple(dm.mat_from_json(rows) for rows in fam) for fam in entry["matrices"]
-        )
-        if boundary:
-            fams = tuple(tuple(v.reshape(-1) for v in fam) for fam in fams)
-        if len(fams) != (1 if measured else 2):
-            raise DimensionMismatch(f"site {idx} has {len(fams)} physical slots")
-        if not fams[0] or any(len(fam) != len(fams[0]) for fam in fams):
-            raise DimensionMismatch(f"site {idx} slots differ in s_count")
-        if any(m.shape != shape for fam in fams for m in fam):
-            raise DimensionMismatch(f"site {idx} operators must have shape {shape}")
+        try:
+            ops = np.array(
+                [[dm.mat_from_json(rows) for rows in fam] for fam in entry["matrices"]]
+            )
+            if boundary:
+                ops = ops.reshape(ops.shape[:2] + (-1,))
+        except ValueError:  # numpy's "inhomogeneous shape": ragged rows, slots or s
+            raise DimensionMismatch(f"site {idx} matrices do not stack") from None
+        want = (1 if measured else 2, entry["s_count"], *shape)
+        recorded = (entry["physical_dim"], entry["bond_dim"])
+        if ops.shape != want or recorded != (want[0], shape[0]):
+            raise DimensionMismatch(
+                f"site {idx} has matrices of shape {ops.shape} and (physical_dim, "
+                f"bond_dim) {recorded}; its record and the seed ask for {want}"
+            )
         sites.append(
             SiteTensor(
-                ops=fams,
+                ops=ops,
                 boundary=boundary,
                 measured=measured,
                 outcome=entry.get("outcome"),

@@ -157,15 +157,14 @@ class _Register:
         self.sites.insert(pos, site)
         self.state = grown.reshape(2**self.m, 2**self.m)
 
-    def apply(self, ops, pos: int):
-        """rho -> sum_r K_r rho K_r^dag on the site at ``pos``.
+    def apply(self, ks: np.ndarray, pos: int):
+        """rho -> sum_r K_r rho K_r^dag on the site at ``pos``, K_r = ks[r].
 
         The superoperator sum_r K_r (x) conj(K_r) acts on the site's (ket,
         bra) axis pair in one matmul, whatever the Kraus count.  The state
         and one spare array of its size trade places, so repeated maps on
         a register of one size allocate nothing.
         """
-        ks = np.asarray(ops)
         sup = np.einsum("rij,rkl->ikjl", ks, ks.conj()).reshape(4, 4)
         if self.spare.shape != self.state.shape:
             self.spare = np.empty(self.state.shape, dtype=complex)
@@ -231,7 +230,7 @@ def simulate(n: int, ops) -> SimResult:
             u = np.asarray(op.u, dtype=complex)
             if u.shape != (2, 2):
                 raise DimensionMismatch("single-site unitary must be 2x2")
-            reg.apply([u], reg.pos(op.site))
+            reg.apply(u[None], reg.pos(op.site))
         elif isinstance(op, Channel1Q):
             if op.channel.dim != 2:
                 raise DimensionMismatch("site channels must be single-qubit")
@@ -244,7 +243,7 @@ def simulate(n: int, ops) -> SimResult:
             if op.remove:
                 reg.project_out(ket, pos)
             else:
-                reg.apply([dm.projector(ket)], pos)
+                reg.apply(dm.projector(ket)[None], pos)
             outcomes.append((op.site, op.outcome))
         else:
             raise TypeError(f"unknown circuit op {op!r}")

@@ -24,10 +24,10 @@ from noisy_mbqc.block import (
     run_block_sequence,
 )
 from noisy_mbqc.channels import (
+    KrausChannel,
     apply,
     basis_element,
     bit_flip,
-    channel,
     channels_equal,
     choi,
     compose,
@@ -169,7 +169,7 @@ def test_criterion_2_golden_tables():
         (-1j * dm.Z @ dm.X, -1j * dm.Z),
     ]
     for initial, final in rows:
-        got = map_resource_noise(channel([initial])).ops[0]
+        got = map_resource_noise(KrausChannel([initial])).ops[0]
         ok &= dm.max_abs_diff(got, final) <= 1e-12
 
     # measurement-noise map, general angle and its phi=0 reduction
@@ -184,7 +184,7 @@ def test_criterion_2_golden_tables():
                 (u @ (1j * dm.X @ dm.Z) @ dm.dag(u), 1j * sign * dm.Z),
             ]
             for initial, final in rows:
-                got = map_measurement_noise(channel([initial]), phi, k).ops[0]
+                got = map_measurement_noise(KrausChannel([initial]), phi, k).ops[0]
                 ok &= dm.max_abs_diff(got, final) <= 1e-12
 
     # logical Pauli map on cluster tensors: X, Z, iXZ rows
@@ -280,7 +280,7 @@ def test_criterion_4_worked_examples():
         # Hadamard mixture before the readout projects onto the outcome
         mapped = map_measurement_noise(had, 0.0, k)
         ket = dm.KET0 if k == 0 else dm.KET1
-        want = channel([np.sqrt(1 - p) * dm.I2, np.sqrt(2 * p) * dm.projector(ket)])
+        want = KrausChannel([np.sqrt(1 - p) * dm.I2, np.sqrt(2 * p) * dm.projector(ket)])
         ok &= channels_equal(mapped, want, 1e-10)
         ok &= dm.max_abs_diff(mapped.ops[0], np.sqrt(1 - p) * dm.I2) <= 1e-10
         cfg = BlockNoiseConfig(meas=meas, alpha3=had)
@@ -339,7 +339,7 @@ def test_criterion_7_correlation_space_propagation():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, bit_flip(0.5))
         state = mpo_measure(state, 1, X_KETS[m], m)
-        got = choi(channel(state.sites[1].ops[0]))
+        got = choi(KrausChannel(state.sites[1].ops[0]))
         hz = dm.H @ np.linalg.matrix_power(dm.Z, m)
         ok &= dm.max_abs_diff(got, 0.5 * choi(unitary_channel(hz))) <= 1e-10
 
@@ -361,7 +361,7 @@ def test_criterion_7_correlation_space_propagation():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, ixy)
         state = mpo_measure(state, 1, X_KETS[m], m)
-        got = choi(channel(state.sites[1].ops[0]))
+        got = choi(KrausChannel(state.sites[1].ops[0]))
         model = compose(
             ideal_block(MeasSpec.equatorial(0.0, m)),
             validate([np.sqrt(p0 + p1) * dm.I2, np.sqrt(p2) * dm.Z]),

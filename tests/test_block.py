@@ -3,6 +3,7 @@ import pytest
 from conftest import random_density
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_channels import reference_compose
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.block import (
@@ -18,7 +19,6 @@ from noisy_mbqc.channels import (
     KrausChannel,
     apply,
     bit_flip,
-    channel,
     channels_equal,
     choi,
     compose,
@@ -33,7 +33,7 @@ from noisy_mbqc.oracle import block_oracle_channel
 
 def single(op):
     """Single-operator map, phases kept as given."""
-    return channel([op])
+    return KrausChannel([op])
 
 
 def test_ideal_block_kraus_forms():
@@ -154,7 +154,7 @@ def test_measurement_hadamard_projects_onto_outcome():
     for k in (0, 1):
         mapped = map_measurement_noise(had, 0.0, k)
         ket = dm.KET0 if k == 0 else dm.KET1
-        want = channel(
+        want = KrausChannel(
             [np.sqrt(1 - p) * dm.I2, np.sqrt(2 * p) * dm.projector(ket)]
         )
         # the k = 1 operator picks up a harmless global sign, so compare maps
@@ -292,24 +292,19 @@ def test_empty_sequence_rejected(rng):
 # --- composite step against the chained-compose reference -------------------
 
 
-def _reference_compose(after, before):
-    """``channels.compose`` as a standalone reference: {A_i B_j}."""
-    return KrausChannel(tuple(a @ b for a in after.ops for b in before.ops))
-
-
 def reference_compose_block_noise(cfg: BlockNoiseConfig):
     """The composite step as a chain of compositions."""
     meas = cfg.meas
     composite = cfg.alpha1 if cfg.alpha1 is not None else identity_channel()
     if cfg.alpha3 is not None:
-        composite = _reference_compose(
+        composite = reference_compose(
             map_measurement_noise(cfg.alpha3, meas.phi, meas.outcome), composite
         )
-    composite = _reference_compose(ideal_block(meas), composite)
+    composite = reference_compose(ideal_block(meas), composite)
     if cfg.alpha2 is not None:
-        composite = _reference_compose(map_resource_noise(cfg.alpha2), composite)
+        composite = reference_compose(map_resource_noise(cfg.alpha2), composite)
     if cfg.alpha4 is not None:
-        composite = _reference_compose(cfg.alpha4, composite)
+        composite = reference_compose(cfg.alpha4, composite)
     return composite
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_complex, random_density
+from conftest import random_complex, random_density, signed_zero_complex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,6 @@ from noisy_mbqc.channels import (
     apply,
     basis_element,
     bit_flip,
-    channel,
     check_unitary,
     channels_equal,
     choi,
@@ -62,6 +61,15 @@ def test_validate_rejects_bad_shapes():
         validate([dm.I2, np.eye(4)])
 
 
+def test_kraus_channel_stacks_its_operators_once():
+    ch = KrausChannel([[[1, 0], [0, 1]], dm.X])
+    assert ch.ops.dtype == complex and ch.ops.shape == (2, 2, 2)
+    assert KrausChannel(ch.ops).ops is ch.ops
+    for bad in ([], [dm.I2, np.eye(4)], [np.ones((2, 3))], dm.I2):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(bad)
+
+
 # (K, accepted): sum K^dag K entrywise within ATOL of I, or its largest
 # eigenvalue within 1 + ATOL, passes; anything above that is rejected.  The
 # sqrt of (1 + 0.9 ATOL) I + 0.9 ATOL X passes only through the entrywise test.
@@ -90,7 +98,7 @@ def test_channel_skips_the_trace_bound():
     op = np.sqrt(2.0) * dm.projector(dm.KET0)
     with pytest.raises(NotAChannel):
         validate([op])
-    np.testing.assert_array_equal(channel([op]).ops[0], op)
+    np.testing.assert_array_equal(KrausChannel([op]).ops[0], op)
 
 
 def test_apply_identity(rng):
@@ -251,7 +259,7 @@ def test_stacked_kernels_match_the_loops(seed, n_kraus, dim, structured, trace_p
     else:
         ch = random_channel(rng, n_kraus, dim)
     if not trace_preserving:
-        ch = channel([w * k for w, k in zip(rng.uniform(0.0, 1.5, n_kraus), ch.ops)])
+        ch = KrausChannel([w * k for w, k in zip(rng.uniform(0.0, 1.5, n_kraus), ch.ops)])
     c = choi(ch)
     assert c.shape == (dim * dim, dim * dim)
     assert dm.max_abs_diff(c, reference_choi(ch)) <= 1e-13
@@ -259,6 +267,29 @@ def test_stacked_kernels_match_the_loops(seed, n_kraus, dim, structured, trace_p
         assert np.trace(c).real == pytest.approx(dim, abs=1e-12)
     for rho in (random_density(rng, dim), random_complex(rng, (dim, dim))):
         assert dm.max_abs_diff(apply(ch, rho), reference_apply(ch, rho)) <= 1e-13
+
+
+
+def reference_compose(after, before):
+    """The Kraus set {A_i B_j}, one product at a time, i outer."""
+    return KrausChannel(tuple(a @ b for a in after.ops for b in before.ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_after=st.integers(1, 16),
+    n_before=st.integers(1, 16),
+    dim=st.sampled_from([2, 4]),
+)
+def test_compose_matches_the_product_loop_bit_for_bit(seed, n_after, n_before, dim):
+    rng = np.random.default_rng(seed)
+    after, before = (
+        KrausChannel(signed_zero_complex(rng, (n, dim, dim))) for n in (n_after, n_before)
+    )
+    got, want = compose(after, before), reference_compose(after, before)
+    assert got.ops.shape == (n_after * n_before, dim, dim)
+    assert got.ops.tobytes() == want.ops.tobytes()
 
 
 def test_pauli_decompose_basis_elements():

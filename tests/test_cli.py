@@ -210,6 +210,14 @@ def test_case_filter():
     assert [c.case_id for c in report.cases] == ["k=0"]
 
 
+def test_case_filter_matching_nothing_is_spec_error(tmp_path, capsys):
+    # an empty selection certifies nothing, so it must not read as a pass
+    assert _run_doc(tmp_path, MINIMAL_BLOCK, "--cases", "nomatch") == 2
+    out, err = capsys.readouterr()
+    assert err == "error: --cases 'nomatch' matches none of the 2 cases\n"
+    assert "summary" not in out
+
+
 def test_report_json_roundtrip(tmp_path):
     report = run_experiment(parse_experiment(spec_text(MINIMAL_BLOCK)))
     path = tmp_path / "report.json"
@@ -297,9 +305,7 @@ def test_emit_csv(tmp_path):
 
 
 def test_emit_csv_empty_report(tmp_path):
-    report = run_experiment(
-        parse_experiment(spec_text(MINIMAL_BLOCK)), case_filter="nomatch"
-    )
+    report = Report()  # run_experiment refuses a filter that selects no case
     path = tmp_path / "empty.csv"
     emit_report(report, "csv", str(path))
     assert path.read_text().strip() == "case,branch_prob,max_entry_diff,trace_distance,pass"
@@ -555,6 +561,7 @@ def test_main_bad_save_mpo_is_spec_error(tmp_path, capsys, monkeypatch, save):
 _CHAIN = SKELETONS[2]
 _STEP3 = {"phi": {"magnitude": 0.1, "flip_on": [1]}}
 _CHAIN3 = _set(_CHAIN, ("chain",), _CHAIN["chain"] + [_STEP3])
+_FLIPS = ("chain", 2, "phi", "flip_on")
 _INF_PAIR = [math.inf, 0.0]
 _DIM = "channels.noise.dim: "
 _OPS = "channels.noise.ops: expected a non-empty list of 2x2 matrices"
@@ -583,7 +590,7 @@ _NOT_UNITARY = "channels.noise.matrix: matrix fails the unitarity check"
             _CHAIN3,
             ("chain", 2, "phi", "flip_on"),
             [True],
-            "chain[2].phi: flip_on may only reference earlier steps",
+            "chain[2].phi.flip_on[0]: expected an integer, got True",
         ),
         (
             _MPO,
@@ -647,6 +654,11 @@ _NOT_UNITARY = "channels.noise.matrix: matrix fails the unitarity check"
             dm.mat_to_json(np.eye(4)),
             "channels.noise.matrix: expected a 2x2 matrix",
         ),
+        (_CHAIN3, _FLIPS, 1, "chain[2].phi.flip_on: expected a list"),
+        (_CHAIN3, _FLIPS, [0, 0.5], "chain[2].phi.flip_on[1]: expected an integer"),
+        (_CHAIN3, _FLIPS, [0, "1"], "chain[2].phi.flip_on[1]: expected an integer"),
+        (_CHAIN3, _FLIPS, [2], "chain[2].phi.flip_on[0] must name an earlier step, got 2"),
+        (_CHAIN3, _FLIPS, [-1.0], "chain[2].phi.flip_on[0] must name an earlier step"),
     ],
 )
 def test_main_bad_field_is_one_line_spec_error(
@@ -658,6 +670,24 @@ def test_main_bad_field_is_one_line_spec_error(
         assert _run_doc(tmp_path, doc, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_flip_on_takes_integral_floats():
+    # flip_on entries are integer fields: an integral float names the same step
+    as_floats, as_ints = (_set(_CHAIN3, _FLIPS, flips) for flips in ([0.0, 1.0], [0, 1]))
+    got, want = (run_experiment(parse_experiment(spec_text(d))) for d in (as_floats, as_ints))
+    assert [c.case_id for c in got.cases] == [c.case_id for c in want.cases]
+    for a, b in zip(got.cases, want.cases):
+        assert a.closed_form.tobytes() == b.closed_form.tobytes()
+
+
+def test_main_deeply_nested_document_is_spec_error(tmp_path, capsys):
+    # json.loads raises RecursionError long before this depth
+    depth = 100_000
+    spec_path = tmp_path / "deep.json"
+    spec_path.write_text('{"kind": "mpo", "x": ' + "[" * depth + "]" * depth + "}")
+    assert main(["run", str(spec_path)]) == 2
+    assert capsys.readouterr().err == "error: document nested too deeply to read\n"
 
 
 def test_chain_z_false_is_the_equatorial_step():

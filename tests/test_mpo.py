@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import random_complex, signed_zero_complex
 from test_block import _test_channel
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
 from noisy_mbqc.channels import (
+    KrausChannel,
     basis_element,
     bit_flip,
-    channel,
     choi,
     compose,
     mixed_unitary,
@@ -397,6 +398,74 @@ def test_event_rule_matches_the_pauli_table_rule(
     assert updated.sites[1] is state.sites[1]
 
 
+# --- stacked event and measurement kernels against the per-member loops --------
+
+
+def reference_event_update(family, ks):
+    """Each member A becomes A diag(K) + Z A offdiag(K), one member and one K at
+    a time; member s under K k lands at s * len(ks) + k."""
+    parts = [(np.diag(np.diag(k)), k - np.diag(np.diag(k))) for k in ks]
+    return np.array(
+        [[a @ d + dm.Z @ a @ off for a in fam for d, off in parts] for fam in family]
+    )
+
+
+def reference_collapse(family, weights):
+    """The one slot sum_i weights[i] A[i, s], one member at a time."""
+    return np.array(
+        [[weights[0] * a0 + weights[1] * a1 for a0, a1 in zip(family[0], family[1])]]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s_count=st.integers(1, 16),
+    n_kraus=st.integers(1, 16),
+    ket=st.sampled_from(["zero", "one", "plus", "minus", "random"]),
+)
+def test_stacked_event_and_measure_match_the_loops_bit_for_bit(
+    seed, s_count, n_kraus, ket
+):
+    rng = np.random.default_rng(seed)
+    interior = SiteTensor(ops=signed_zero_complex(rng, (2, s_count, 2, 2)))
+    bound = SiteTensor(ops=signed_zero_complex(rng, (2, s_count, 2)), boundary=True)
+    state = MpoState(sites=(interior, bound), seed=dm.I2)
+    # any (K, 2, 2) stack: the event kernel takes no trace bound
+    ks = signed_zero_complex(rng, (n_kraus, 2, 2))
+    updated = mpo_apply_channel(state, 0, KrausChannel(ks))
+    want = reference_event_update(interior.ops, ks)
+    assert updated.sites[0].ops.tobytes() == want.tobytes()
+
+    if ket == "random":
+        v = random_complex(rng, 2)
+        v /= np.linalg.norm(v)
+    else:
+        v = {"zero": dm.KET0, "one": dm.KET1, "plus": dm.PLUS, "minus": dm.MINUS}[ket]
+    # interior amplitudes enter conjugated, boundary ones as they are
+    for site, weights in ((0, v.conj()), (1, v)):
+        got = mpo_measure(updated, site, v, 0).sites[site]
+        want = reference_collapse(updated.sites[site].ops, weights)
+        assert got.measured and got.ops.tobytes() == want.tobytes()
+
+
+def test_site_tensor_stacks_its_family_once():
+    site = SiteTensor(ops=[[dm.H, [[1, 0], [0, 1]]], [dm.Z, dm.X]])
+    assert site.ops.dtype == complex and site.ops.shape == (2, 2, 2, 2)
+    assert (site.s_count, site.bond_dim) == (2, 2)
+    assert SiteTensor(ops=site.ops).ops is site.ops
+    bound = SiteTensor(ops=[[dm.KET0], [dm.KET1]], boundary=True)
+    assert (bound.ops.shape, bound.bond_dim) == ((2, 1, 2), 2)
+    for bad, boundary in (
+        ([[dm.H], [np.eye(3)]], False),
+        ([[dm.KET0], [dm.KET1]], False),
+        ([[dm.H], [dm.X]], True),
+        ([[], []], False),
+    ):
+        with pytest.raises(DimensionMismatch):
+            SiteTensor(ops=bad, boundary=boundary)
+
+
 # --- error propagation examples --------------------------------------------------
 
 
@@ -404,7 +473,7 @@ def test_bit_flip_then_x_measure_is_invisible():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, bit_flip(0.5))
         state = x_measure(state, 1, m)
-        step = channel(state.sites[1].ops[0])
+        step = KrausChannel(state.sites[1].ops[0])
         ideal = unitary_channel(dm.H @ np.linalg.matrix_power(dm.Z, m))
         np.testing.assert_allclose(choi(step), 0.5 * choi(ideal), atol=1e-12)
 
@@ -415,7 +484,7 @@ def test_ixy_channel_then_x_measure_is_z_with_p2():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, ch)
         state = x_measure(state, 1, m)
-        got = choi(channel(state.sites[1].ops[0]))
+        got = choi(KrausChannel(state.sites[1].ops[0]))
         from noisy_mbqc.block import MeasSpec, ideal_block
 
         model = compose(
@@ -538,14 +607,40 @@ def _wrong_bond_dim(sites):
     sites[0]["matrices"][0][0] = [[[1.0, 0.0]] * 3] * 3
 
 
+def _ragged_row(sites):
+    sites[1]["matrices"][0][0][1].append([0.0, 0.0])
+
+
+def _recorded_s_count(sites):
+    sites[1]["s_count"] = 7
+
+
+def _recorded_bond_dim(sites):
+    sites[2]["bond_dim"] = 9
+
+
+def _recorded_physical_dim(sites):
+    sites[0]["physical_dim"] = 3
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_ragged_s_count, _third_slot, _no_boundary, _boundary_first, _wrong_bond_dim],
+    [
+        _ragged_s_count,
+        _third_slot,
+        _no_boundary,
+        _boundary_first,
+        _wrong_bond_dim,
+        _ragged_row,
+        _recorded_s_count,
+        _recorded_bond_dim,
+        _recorded_physical_dim,
+    ],
 )
 def test_from_dict_rejects_malformed_sites(corrupt):
     doc = mpo_to_dict(mpo_cluster(3))
     corrupt(doc["sites"])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match=r"^site \d |the last site"):
         mpo_from_dict(doc)
 
 
