@@ -14,7 +14,6 @@ from noisy_mbqc.mpo import (
     mpo_contract,
     mpo_maximally_mixed,
     mpo_one_clean,
-    mpo_to_dict,
 )
 from noisy_mbqc.oracle import build_cluster_dm
 
@@ -26,7 +25,7 @@ for n in (2, 4, 6):
 state = mpo_cluster(3)
 print("interior site family A[0], A[1] (bond space, one branch each):")
 for k in (0, 1):
-    print(np.round(state.sites[0].ops[k][0], 4))
+    print(np.round(state.sites[0][k][0], 4))
 
 print("\n-- maximally mixed --")
 for n in (1, 3, 5):
@@ -38,6 +37,6 @@ print("\n-- one clean qubit --")
 got = mpo_contract(mpo_one_clean(2))
 print("diagonal of the contraction (clean qubit first):", np.diag(got).real)
 
-doc = mpo_to_dict(mpo_cluster(4))
-sizes = [(s["physical_dim"], s["bond_dim"], s["s_count"]) for s in doc["sites"]]
-print("\nserialized site table (physical, bond, branches):", sizes)
+# each site is one (P, S, D, D) array, (P, S, D) on the boundary
+sizes = [(len(a), a.shape[-1], a.shape[1]) for a in mpo_cluster(4).sites]
+print("\nsite table (physical, bond, branches):", sizes)

@@ -28,7 +28,6 @@ from .channels import (
 )
 from .mpo import (
     MpoState,
-    SiteTensor,
     mpo_apply_channel,
     mpo_apply_pauli,
     mpo_apply_unitary,
@@ -72,7 +71,6 @@ __all__ = [
     "pauli_decompose",
     "validate",
     "MpoState",
-    "SiteTensor",
     "mpo_apply_channel",
     "mpo_apply_pauli",
     "mpo_apply_unitary",

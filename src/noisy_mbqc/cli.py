@@ -25,19 +25,20 @@ Kind ``block_chain``: either ``chain`` (a list of step entries) or
 ``random_suite`` (``{"cases": N, "kraus": 2}``, comparing composed Choi
 matrices against the oracle for random noise at all four locations).  A chain
 entry reads ``{"phi": 0.3, "k": 0|1|"both", "alpha1": "name", ...}`` or
-``{"z": true, "k": ...}``, where ``z`` is a JSON boolean (default false);
-``phi`` may also be an adaptive sign table ``{"magnitude": x, "flip_on":
-[earlier step indices]}``, resolved to x * (-1)^(sum of those outcomes) per
-outcome string.  One case per outcome string; states are compared
-unnormalised so traces carry branch probabilities.  A chain composes each
-distinct step (step index and resolved measurement) once and reuses its
-channel across outcome strings.  The outcome strings are walked depth first
-as a prefix tree, in product order: the closed-form state and the oracle's one
-live qubit after a prefix are computed once and shared by every string below
-it.  Step i's oracle starts from that live qubit on site i and runs the step's
-circuit on sites (i, i+1) of the chain's full register (len(chain) + 1
-sites), so the register cap applies as for one circuit over the whole chain.
-An L-step chain costs 2^(L+1) - 2 step evaluations on each path, not L * 2^L.
+``{"z": true, "k": ...}``, where ``z`` is a JSON boolean (default false) and a
+Z step names no alpha slot; ``phi`` may also be an adaptive sign table
+``{"magnitude": x, "flip_on": [earlier step indices]}``, resolved to x *
+(-1)^(sum of those outcomes) per outcome string.  One case per outcome string;
+states are compared unnormalised so traces carry branch probabilities.  A chain
+composes each distinct step (step index and resolved measurement) once and
+reuses its channel across outcome strings.  The outcome strings are walked
+depth first as a prefix tree, in product order: the closed-form state and the
+oracle's one live qubit after a prefix are computed once and shared by every
+string below it.  Step i's oracle starts from that live qubit on site i and
+runs the step's circuit on sites (i, i+1) of the chain's full register
+(len(chain) + 1 sites), so the register cap applies as for one circuit over
+the whole chain.  An L-step chain costs 2^(L+1) - 2 step evaluations on each
+path, not L * 2^L.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -47,8 +48,11 @@ bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
 "name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
 0|1|"both"}``, each site of the register at most once.  Contractions are
 compared against the dense simulation per outcome string.  An optional
-``save_mpo`` path stores the prepared (pre-measurement) operator once every
-case has run.
+``save_mpo`` path stores the prepared (pre-measurement) operator as
+``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
+[{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
+boundary, as 1 x D rows), once every case has run and ``--cases`` has
+selected at least one.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
 ``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
@@ -134,7 +138,7 @@ class ExperimentSpec:
     kind: str
     channels: dict[str, KrausChannel]
     payload: dict  # the document as read
-    run: Runner  # the cases, from the parsed fields; reads no field again
+    run: Runner  # the selected cases, from the parsed fields; reads no field again
     tolerance: float = 1e-9
     seed: int = 0
     spec_hash: str = ""
@@ -152,7 +156,10 @@ class CaseResult:
     branch_prob: float
 
 
-Runner = Callable[["np.random.Generator"], list[CaseResult]]  # numpy.random stays lazy
+# run(rng, select) returns select(cases); select applies --cases and raises on an
+# empty selection, so a runner writes its files only after select returns.
+# numpy.random stays lazy.
+Runner = Callable[["np.random.Generator", Callable], list[CaseResult]]
 
 
 @dataclass
@@ -364,7 +371,7 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         states = [_parse_state(st, f"inputs[{i}]") for i, st in enumerate(inputs)]
         n_random = 0
 
-    def run(rng) -> list[CaseResult]:
+    def run(rng, select) -> list[CaseResult]:
         rhos = states + [_random_density(rng) for _ in range(n_random)]
         pauli = is_pauli_channel(eps)
         resource = diagonal_resource(eps)
@@ -376,7 +383,7 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 closed = teleport_branch(resource, rho, s, t).state
             orac = oracle.teleport_oracle_state(eps, rho, s, t)
             cases.append(_case(f"input{idx}:s{s}t{t}", closed, orac))
-        return cases
+        return select(cases)
 
     return run
 
@@ -429,10 +436,14 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             for slot in _SLOTS
             if entry.get(slot) is not None
         }
+        _require(
+            not (z and alphas),
+            f"{where}: a Z step takes no noise, got {', '.join(alphas)}",
+        )
         steps.append((phi, ks, alphas))
     rho0 = _parse_state(doc.get("input", "plus"), "input")
 
-    def run(rng) -> list[CaseResult]:
+    def run(rng, select) -> list[CaseResult]:
         # a step's channel depends only on (step, MeasSpec): at most four per step
         composed: dict[tuple[int, MeasSpec], KrausChannel] = {}
         cases = []
@@ -455,10 +466,7 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 cfg = BlockNoiseConfig(meas=meas, **alphas)
                 step = composed.get((i, meas))
                 if step is None:
-                    if meas.basis == "z" and not alphas:
-                        step = ideal_block(meas)
-                    else:
-                        step = compose_block_noise(cfg)
+                    step = ideal_block(meas) if phi is None else compose_block_noise(cfg)
                     composed[i, meas] = step
                 circuit = [oracle.PrepState(i, live), *oracle.block_step_ops(cfg, i)]
                 walk(
@@ -468,7 +476,7 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 )
 
         walk((), rho0, rho0)
-        return cases
+        return select(cases)
 
     return run
 
@@ -478,7 +486,7 @@ def _parse_block_random_suite(suite) -> Runner:
     n_cases = _at_least(suite.get("cases", 0), "random_suite.cases", 1)
     n_kraus = _at_least(suite.get("kraus", 2), "random_suite.kraus", 1)
 
-    def run(rng) -> list[CaseResult]:
+    def run(rng, select) -> list[CaseResult]:
         cases = []
         for i in range(n_cases):
             phi = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -488,7 +496,7 @@ def _parse_block_random_suite(suite) -> Runner:
                 closed = choi(compose_block_noise(cfg))
                 orac = oracle.block_oracle_channel(cfg)
                 cases.append(_case(f"cfg{i}:k{k}", closed, orac))
-        return cases
+        return select(cases)
 
     return run
 
@@ -557,7 +565,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         kets = (dm.PLUS, dm.MINUS) if basis == "x" else (dm.KET0, dm.KET1)
         measurements.append((site, kets, ks))
 
-    def run(rng) -> list[CaseResult]:
+    def run(rng, select) -> list[CaseResult]:
         if name == "cluster":
             state = mpo_mod.mpo_cluster(n)
             circuit: list = oracle.cluster_ops(n)
@@ -585,13 +593,15 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             branch_state = state
             branch_circuit = list(circuit)
             for (site, kets, _), k in zip(measurements, ks):
-                branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k], k)
+                branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k])
                 branch_circuit.append(oracle.Measure(site, kets, k, remove=True))
             closed = mpo_mod.mpo_contract(branch_state)
             orac = oracle.simulate(state.n_sites, branch_circuit).state
             cases.append(_case("m=" + "".join(str(k) for k in ks), closed, orac))
 
-        # written once every case has run, so a failed case leaves no file
+        # written once every case has run and --cases selected some, so a
+        # failed case or an empty selection leaves no file
+        cases = select(cases)
         if save:
             try:
                 with open(save, "w", encoding="utf-8") as fh:
@@ -626,14 +636,17 @@ def run_experiment(
     tol = spec.tolerance if tolerance is None else _tolerance(tolerance, "tolerance")
     rng_seed = spec.seed if seed is None else _at_least(seed, "seed", 0)
     rng = np.random.default_rng(rng_seed)
-    cases = spec.run(rng)
-    selected = [c for c in cases if case_filter is None or case_filter in c.case_id]
-    _require(
-        bool(selected) or not cases,
-        f"--cases {case_filter!r} matches none of the {len(cases)} cases",
-    )
+
+    def select(cases: list[CaseResult]) -> list[CaseResult]:
+        kept = [c for c in cases if case_filter is None or case_filter in c.case_id]
+        _require(
+            bool(kept) or not cases,
+            f"--cases {case_filter!r} matches none of the {len(cases)} cases",
+        )
+        return kept
+
     return Report(
-        cases=selected,
+        cases=spec.run(rng, select),
         tolerance=tol,
         seed=rng_seed,
         spec_hash=spec.spec_hash,

@@ -1,13 +1,13 @@
 """Matrix product operators contracted by one left-to-right sweep.
 
-An ``MpoState`` stores, per site, a family of bond-space objects indexed by
-the physical value i and a Kraus-like index s, stacked into one array.
-Interior sites hold matrices A[i, s] (P, S, D, D); the final site is the
-boundary and holds vectors v[i, s] (P, S, D).  The
-contraction starts from the correlation-space seed and carries a tensor
-T[r, c] of bond operators over the open sites seen so far.  An interior site
-is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c] A[j, s]^dag; a
-measured site has one physical slot, so T keeps its size.  The boundary
+An ``MpoState`` holds one bare array per site: the family of bond-space
+objects indexed by the physical value i and a Kraus-like index s.  Interior
+sites hold matrices A[i, s] (P, S, D, D); the last site is the boundary and
+holds vectors v[i, s] (P, S, D).  A measured site is one with a single
+physical slot, P == 1.  The contraction starts from the correlation-space
+seed and carries a tensor T[r, c] of bond operators over the open sites seen
+so far.  An interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s]
+T[r, c] A[j, s]^dag, so a measured site leaves T's size alone.  The boundary
 closes the sweep with out[(r,i),(c,j)] = sum_s v[i, s]^dag T[r, c] v[j, s],
 which is the dense operator with the first site as most significant bit.
 A measured interior site's logical step is the channel with Kraus operators
@@ -53,46 +53,30 @@ CONTRACTION_MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
-class SiteTensor:
-    """One site's family of bond-space objects.
+class MpoState:
+    """Ordered site families plus the correlation-space seed operator.
 
-    ``ops[i, s]`` is a matrix (interior site) or vector (boundary site) for
-    physical value i, stored as one (P, S, D, D) or (P, S, D) array.  A
-    measured site keeps a single collapsed physical slot ``ops[0]`` together
-    with the recorded outcome.
+    ``sites[j]`` is an array or nested sequences, stacked once into a complex
+    (P, S, D, D) array, or (P, S, D) for the last site, the boundary.
     """
 
-    ops: np.ndarray
-    boundary: bool = False
-    measured: bool = False
-    outcome: object = None
+    sites: tuple[np.ndarray, ...]
+    seed: np.ndarray
 
     def __post_init__(self):
-        ops = dm.stacked(self.ops, 3 if self.boundary else 4, "site family members")
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def s_count(self) -> int:
-        return self.ops.shape[1]
-
-    @property
-    def bond_dim(self) -> int:
-        return self.ops.shape[2]
-
-
-@dataclass(frozen=True)
-class MpoState:
-    """Ordered site tensors plus the correlation-space seed operator."""
-
-    sites: tuple[SiteTensor, ...]
-    seed: np.ndarray
+        last = len(self.sites) - 1
+        sites = tuple(
+            dm.stacked(a, 3 if j == last else 4, "site family members")
+            for j, a in enumerate(self.sites)
+        )
+        object.__setattr__(self, "sites", sites)
 
     @property
     def n_sites(self) -> int:
         return len(self.sites)
 
     def unmeasured_count(self) -> int:
-        return sum(1 for s in self.sites if not s.measured)
+        return sum(len(a) != 1 for a in self.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +90,8 @@ def mpo_cluster(n: int) -> MpoState:
     if n < 2:
         raise ValueError("cluster representation needs at least 2 sites")
     a = [dm.H @ dm.projector(dm.KET0), dm.H @ dm.projector(dm.KET1)]
-    interior = SiteTensor(ops=[[a[0]], [a[1]]])
-    bound = SiteTensor(ops=[[dm.KET0], [dm.KET1]], boundary=True)
+    interior = np.asarray([[a[0]], [a[1]]], dtype=complex)
+    bound = [[dm.KET0], [dm.KET1]]
     return MpoState(
         sites=tuple([interior] * (n - 1) + [bound]), seed=dm.projector(dm.PLUS)
     )
@@ -120,14 +104,10 @@ def mpo_maximally_mixed(n: int) -> MpoState:
     a = [dm.KET0[:, None] @ dm.KET0[None, :], dm.KET0[:, None] @ dm.KET1[None, :]]
     # each site carries the scrambling pair {A[i], A[i] X} / sqrt(2)
     r = 1.0 / np.sqrt(2.0)
-    interior = SiteTensor(ops=[[r * a[0], r * a[0] @ dm.X], [r * a[1], r * a[1] @ dm.X]])
-    bound = SiteTensor(
-        ops=[
-            [r * dm.KET0, r * (dm.X @ dm.KET0)],
-            [r * dm.KET1, r * (dm.X @ dm.KET1)],
-        ],
-        boundary=True,
+    interior = np.asarray(
+        [[r * a[0], r * a[0] @ dm.X], [r * a[1], r * a[1] @ dm.X]], dtype=complex
     )
+    bound = [[r * dm.KET0, r * (dm.X @ dm.KET0)], [r * dm.KET1, r * (dm.X @ dm.KET1)]]
     return MpoState(
         sites=tuple([interior] * (n - 1) + [bound]), seed=dm.projector(dm.KET0)
     )
@@ -143,7 +123,7 @@ def mpo_one_clean(n: int) -> MpoState:
         raise ValueError("need at least one mixed site")
     mixed = mpo_maximally_mixed(n)
     a = [dm.KET0[:, None] @ dm.KET0[None, :], dm.KET0[:, None] @ dm.KET1[None, :]]
-    clean = SiteTensor(ops=[[a[0]], [a[1]]])
+    clean = [[a[0]], [a[1]]]
     return MpoState(sites=(clean,) + mixed.sites, seed=dm.projector(dm.KET0))
 
 
@@ -166,7 +146,7 @@ def _sweep(state: MpoState) -> np.ndarray:
     the k open ones; the first site is the most significant bit."""
     t = np.asarray(state.seed, dtype=complex)[None, None]
     for site in state.sites[:-1]:
-        t = _absorb(t, site.ops)
+        t = _absorb(t, site)
     return t
 
 
@@ -181,7 +161,7 @@ def mpo_contract(state: MpoState) -> np.ndarray:
         raise SizeLimit(
             f"contraction over {open_count} open sites exceeds 2^{CONTRACTION_MAX_QUBITS}"
         )
-    rows = state.sites[-1].ops.conj()[:, :, None, :]
+    rows = state.sites[-1].conj()[:, :, None, :]
     return _absorb(_sweep(state), rows)[:, :, 0, 0]
 
 
@@ -190,32 +170,21 @@ def mpo_contract(state: MpoState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _site(state: MpoState, index: int) -> SiteTensor:
+def _site(state: MpoState, index: int) -> np.ndarray:
+    """The family of site ``index``, which must still be open."""
     if not 0 <= index < state.n_sites:
         raise IndexError(f"site {index} outside MPO of length {state.n_sites}")
-    return state.sites[index]
-
-
-def _unmeasured_interior(state: MpoState, index: int) -> SiteTensor:
-    site = _site(state, index)
-    if site.measured:
+    site = state.sites[index]
+    if len(site) == 1:
         raise AlreadyMeasured(f"site {index} was already measured")
-    if site.boundary:
-        raise ValueError(
-            "boundary sites hold vectors; the correlation-space updates need matrices"
-        )
     return site
 
 
-def _with_site(state: MpoState, index: int, site: SiteTensor) -> MpoState:
-    sites = list(state.sites)
-    sites[index] = site
-    return replace(state, sites=tuple(sites))
+def _with_site(state: MpoState, index: int, site: np.ndarray) -> MpoState:
+    return replace(state, sites=(*state.sites[:index], site, *state.sites[index + 1 :]))
 
 
-def mpo_measure(
-    state: MpoState, index: int, basis_vec: np.ndarray, outcome
-) -> MpoState:
+def mpo_measure(state: MpoState, index: int, basis_vec: np.ndarray) -> MpoState:
     """Collapse a site onto the unit vector of an observed outcome.
 
     Interior matrices combine with conjugated amplitudes <v|i>; boundary
@@ -223,17 +192,14 @@ def mpo_measure(
     already daggers its bra-side vector.
     """
     site = _site(state, index)
-    if site.measured:
-        raise AlreadyMeasured(f"site {index} was already measured")
     v = np.asarray(basis_vec, dtype=complex).reshape(-1)
     if v.shape != (2,):
         raise DimensionMismatch("basis vector must live on one qubit")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise NotNormalized("measurement vector must have unit norm")
-    weights = v if site.boundary else v.conj()
-    collapsed = weights[0] * site.ops[0] + weights[1] * site.ops[1]
-    new_site = replace(site, ops=collapsed[None], measured=True, outcome=outcome)
-    return _with_site(state, index, new_site)
+    weights = v if index == state.n_sites - 1 else v.conj()
+    collapsed = weights[0] * site[0] + weights[1] * site[1]
+    return _with_site(state, index, collapsed[None])
 
 
 def _apply_ops(state: MpoState, index: int, ks: np.ndarray) -> MpoState:
@@ -242,16 +208,20 @@ def _apply_ops(state: MpoState, index: int, ks: np.ndarray) -> MpoState:
 
     The Z acts on the bond, so every member must be a 2x2 bond matrix.
     """
-    site = _unmeasured_interior(state, index)
-    if site.ops.shape[2:] != (2, 2):
+    site = _site(state, index)
+    if index == state.n_sites - 1:
+        raise ValueError(
+            "boundary sites hold vectors; the correlation-space updates need matrices"
+        )
+    if site.shape[2:] != (2, 2):
         raise DimensionMismatch(
-            f"site {index} has bond dimension {site.bond_dim} (matrix shape "
-            f"{site.ops.shape[2:]}); events need bond dimension 2"
+            f"site {index} has bond dimension {site.shape[2]} (matrix shape "
+            f"{site.shape[2:]}); events need bond dimension 2"
         )
     diag = np.where(np.eye(2, dtype=bool), ks, 0)
-    a = site.ops[:, :, None]
+    a = site[:, :, None]
     new = a @ diag + dm.Z @ a @ (ks - diag)
-    return _with_site(state, index, replace(site, ops=new.reshape(len(a), -1, 2, 2)))
+    return _with_site(state, index, new.reshape(len(a), -1, 2, 2))
 
 
 def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoState:
@@ -282,13 +252,9 @@ def mpo_logical_output(state: MpoState) -> np.ndarray:
     """The sweep stopped before the boundary, with every interior site measured.
 
     The result is the correlation-space operator carried to the boundary;
-    its trace is the probability of the recorded outcome string.
+    its trace is the probability of the measured outcome string.
     """
-    pending = [
-        i
-        for i, s in enumerate(state.sites)
-        if not s.boundary and not s.measured
-    ]
+    pending = [i for i, a in enumerate(state.sites[:-1]) if len(a) != 1]
     if pending:
         raise UnmeasuredSites(f"sites {pending} are still open")
     return _sweep(state)[0, 0]
@@ -300,63 +266,47 @@ def mpo_logical_output(state: MpoState) -> np.ndarray:
 
 
 def mpo_to_dict(state: MpoState) -> dict:
-    """JSON-ready description: per-site dims, s count and matrices."""
-    sites = []
-    for site in state.sites:
-        mats = [
-            [dm.mat_to_json(np.atleast_2d(m)) for m in fam] for fam in site.ops
-        ]
-        sites.append(
-            {
-                "physical_dim": len(site.ops),
-                "bond_dim": site.bond_dim,
-                "s_count": site.s_count,
-                "boundary": site.boundary,
-                "measured": site.measured,
-                "outcome": site.outcome,
-                "matrices": mats,
-            }
-        )
+    """JSON-ready description: the seed and each site's (P, S, rows, cols)
+    matrices as [re, im] pairs; a boundary vector is written as a 1 x D row."""
+    sites = [
+        {"matrices": [[dm.mat_to_json(np.atleast_2d(m)) for m in fam] for fam in site]}
+        for site in state.sites
+    ]
     return {"seed": dm.mat_to_json(state.seed), "sites": sites}
 
 
 def mpo_from_dict(doc: dict) -> MpoState:
-    """Inverse of :func:`mpo_to_dict`; a malformed document raises
-    DimensionMismatch."""
+    """Inverse of :func:`mpo_to_dict`.
+
+    Reads only ``seed`` and each site's ``matrices`` and ignores any other
+    key, so files that also record per-site dimensions and flags load the
+    same.  A malformed document raises DimensionMismatch, naming the site
+    where there is one.
+    """
     try:
-        seed = dm.mat_from_json(doc["seed"])
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise DimensionMismatch("seed rows differ in length") from None
+        seed = dm.mat_from_json(doc.get("seed"))
+    except (TypeError, ValueError):  # missing, not [re, im] pairs, or ragged rows
+        raise DimensionMismatch("seed: expected a matrix of [re, im] pairs") from None
     if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
         raise DimensionMismatch(f"seed must be a square matrix, got {seed.shape}")
-    entries = doc["sites"]
-    if [bool(e["boundary"]) for e in entries] != [False] * (len(entries) - 1) + [True]:
-        raise DimensionMismatch("the last site, and only the last site, is the boundary")
+    entries = doc.get("sites")
+    if not isinstance(entries, list) or not entries:
+        raise DimensionMismatch("sites: expected a non-empty list")
     sites = []
     for idx, entry in enumerate(entries):
-        boundary, measured = bool(entry["boundary"]), bool(entry["measured"])
-        shape = seed.shape[:1] if boundary else seed.shape
         try:
             ops = np.array(
                 [[dm.mat_from_json(rows) for rows in fam] for fam in entry["matrices"]]
             )
-            if boundary:
-                ops = ops.reshape(ops.shape[:2] + (-1,))
-        except ValueError:  # numpy's "inhomogeneous shape": ragged rows, slots or s
-            raise DimensionMismatch(f"site {idx} matrices do not stack") from None
-        want = (1 if measured else 2, entry["s_count"], *shape)
-        recorded = (entry["physical_dim"], entry["bond_dim"])
-        if ops.shape != want or recorded != (want[0], shape[0]):
+        except (KeyError, TypeError, ValueError):  # missing, not pairs, or ragged
             raise DimensionMismatch(
-                f"site {idx} has matrices of shape {ops.shape} and (physical_dim, "
-                f"bond_dim) {recorded}; its record and the seed ask for {want}"
+                f"site {idx} matrices are missing or do not stack as [re, im] pairs"
+            ) from None
+        want = seed.shape if idx < len(entries) - 1 else (1, len(seed))
+        if ops.ndim != 4 or len(ops) not in (1, 2) or ops.shape[2:] != want:
+            raise DimensionMismatch(
+                f"site {idx} has matrices of shape {ops.shape}, not "
+                f"(1 or 2, S, {want[0]}, {want[1]})"
             )
-        sites.append(
-            SiteTensor(
-                ops=ops,
-                boundary=boundary,
-                measured=measured,
-                outcome=entry.get("outcome"),
-            )
-        )
-    return MpoState(sites=tuple(sites), seed=seed)
+        sites.append(ops)
+    return MpoState(sites=(*sites[:-1], sites[-1][:, :, 0]), seed=seed)

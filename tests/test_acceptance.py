@@ -116,7 +116,7 @@ def mpo_suite():
             branch_state = state
             branch_ops = list(ops)
             for site, m in zip(measured, outcomes):
-                branch_state = mpo_measure(branch_state, site, X_KETS[m], m)
+                branch_state = mpo_measure(branch_state, site, X_KETS[m])
                 branch_ops.append(oracle.Measure(site, X_KETS, m, remove=True))
             closed = mpo_contract(branch_state)
             dense = oracle.simulate(n, branch_ops).state
@@ -198,7 +198,7 @@ def test_criterion_2_golden_tables():
     for label, want in finals.items():
         updated = mpo_apply_pauli(state, 1, label)
         for k in range(2):
-            ok &= dm.max_abs_diff(updated.sites[1].ops[k][0], want[k]) <= 1e-12
+            ok &= dm.max_abs_diff(updated.sites[1][k][0], want[k]) <= 1e-12
     assert _verdict("criterion 2: golden operator tables", ok)
 
 
@@ -338,8 +338,8 @@ def test_criterion_7_correlation_space_propagation():
     # a bit flip before an X readout leaves the logical step untouched
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, bit_flip(0.5))
-        state = mpo_measure(state, 1, X_KETS[m], m)
-        got = choi(KrausChannel(state.sites[1].ops[0]))
+        state = mpo_measure(state, 1, X_KETS[m])
+        got = choi(KrausChannel(state.sites[1][0]))
         hz = dm.H @ np.linalg.matrix_power(dm.Z, m)
         ok &= dm.max_abs_diff(got, 0.5 * choi(unitary_channel(hz))) <= 1e-10
 
@@ -349,8 +349,8 @@ def test_criterion_7_correlation_space_propagation():
     had = mixed_unitary([(1 - p, dm.I2), (p, dm.H)])
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, had)
-        state = mpo_measure(state, 1, X_KETS[m], m)
-        branch = state.sites[1].ops[0][1]
+        state = mpo_measure(state, 1, X_KETS[m])
+        branch = state.sites[1][0][1]
         reported = np.sqrt(2.0) * dm.H @ dm.projector(dm.KET0 if m == 0 else dm.KET1)
         ok &= dm.max_abs_diff(branch, np.sqrt(p / 2.0) * reported) <= 1e-10
 
@@ -360,8 +360,8 @@ def test_criterion_7_correlation_space_propagation():
     ixy = validate([np.sqrt(p0) * dm.I2, np.sqrt(p1) * dm.X, np.sqrt(p2) * dm.Y])
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, ixy)
-        state = mpo_measure(state, 1, X_KETS[m], m)
-        got = choi(KrausChannel(state.sites[1].ops[0]))
+        state = mpo_measure(state, 1, X_KETS[m])
+        got = choi(KrausChannel(state.sites[1][0]))
         model = compose(
             ideal_block(MeasSpec.equatorial(0.0, m)),
             validate([np.sqrt(p0 + p1) * dm.I2, np.sqrt(p2) * dm.Z]),

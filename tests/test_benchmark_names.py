@@ -1,16 +1,22 @@
 """The library names the benchmark's span recorder relies on.
 
-``perfbench/spans.py`` wraps the attributes listed in its ``WRAPPED`` table
-and type-checks oracle ops by class.  It is read here as source text, never
-imported, so a rename in the library fails this suite rather than only the
-traced benchmark run.
+``perfbench/spans.py`` wraps the attributes listed in its ``WRAPPED`` table,
+type-checks oracle ops by class, and its ``Recorder.count_*`` functions read
+attributes off the arguments they see.  The file is read here as source text,
+or run from its path, never imported as a package, so a rename in the library
+fails this suite rather than only the traced benchmark run.
 """
 
 import ast
+import runpy
 from pathlib import Path
 
 import noisy_mbqc
+from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
+from noisy_mbqc.block import BlockNoiseConfig, MeasSpec
+from noisy_mbqc.channels import bit_flip
+from noisy_mbqc.mpo import mpo_cluster
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SIMULATE_OPS = {"PrepPlus", "PrepState", "Unitary1Q", "Channel1Q", "Measure"}
@@ -45,3 +51,40 @@ def test_oracle_op_classes_exist():
         assert hasattr(oracle, name), name
     for name in SIMULATE_OPS:
         assert isinstance(getattr(oracle, name), type), name
+
+
+def test_span_counters_read_existing_attributes():
+    # each counter runs on real arguments, every isinstance branch included, so
+    # a renamed attribute it reads (MpoState.unmeasured_count, Measure.remove,
+    # Channel1Q.channel, KrausChannel.ops, BlockNoiseConfig.alpha1..4/meas, ...)
+    # raises here
+    recorder = runpy.run_path(str(SPANS))["Recorder"]
+    ch = bit_flip(0.3)
+    kets = (dm.PLUS, dm.MINUS)
+    ops = [
+        oracle.PrepPlus(0),
+        oracle.PrepState(1, dm.I2 / 2),
+        oracle.Unitary1Q(0, dm.H),
+        oracle.Channel1Q(1, ch),
+        oracle.Measure(0, kets, 1, remove=True),
+        oracle.Measure(1, kets, 0, remove=False),
+    ]
+    slots = dict.fromkeys(("alpha1", "alpha2", "alpha3", "alpha4"), ch)
+    cfg = BlockNoiseConfig(MeasSpec.equatorial(0.2, 1), **slots)
+    calls = {
+        "count_simulate": (2, ops),
+        "count_contract": (mpo_cluster(3),),
+        "count_kraus": (ch,),
+        "count_mpo_channel": (mpo_cluster(3), 0, ch),
+        "count_compose": (cfg,),
+    }
+    assert set(calls) == {name for name in vars(recorder) if name.startswith("count_")}
+    rec = recorder()
+    for name, args in calls.items():
+        getattr(rec, name)(*args)
+    rec.count_compose(cfg)
+    assert rec.peak_qubits == 2
+    assert rec.state_bytes == 16 * (4**2 + 2 * 4**2 + 4**2 + 4)
+    assert rec.output_entries == 4**3
+    assert rec.kraus_max == 2
+    assert (len(rec.compose_keys), rec.compose_repeats) == (1, 1)

@@ -218,6 +218,19 @@ def test_case_filter_matching_nothing_is_spec_error(tmp_path, capsys):
     assert "summary" not in out
 
 
+def test_case_filter_matching_nothing_writes_no_save_mpo(tmp_path, capsys):
+    # an exit-2 run writes nothing, the saved MPO included
+    save = tmp_path / "mpo.json"
+    doc = {"kind": "mpo", "builder": {"name": "cluster", "n": 3}, "save_mpo": str(save)}
+    assert _run_doc(tmp_path, doc, "--cases", "nomatch") == 2
+    assert capsys.readouterr().err == (
+        "error: --cases 'nomatch' matches none of the 1 cases\n"
+    )
+    assert not save.exists()
+    assert _run_doc(tmp_path, doc, "--cases", "m=") == 0
+    assert mpo_from_dict(json.loads(save.read_text())).n_sites == 3
+
+
 def test_report_json_roundtrip(tmp_path):
     report = run_experiment(parse_experiment(spec_text(MINIMAL_BLOCK)))
     path = tmp_path / "report.json"
@@ -350,6 +363,17 @@ def test_main_z_basis_noise_is_spec_error(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec_text(doc))
     assert main(["run", str(spec_path)]) == 2
+
+
+@pytest.mark.parametrize("slot", ["alpha1", "alpha2", "alpha3", "alpha4"])
+def test_noisy_z_step_is_rejected_at_parse(slot):
+    doc = {
+        "kind": "block_chain",
+        "channels": {"pf": {"builtin": "phase_flip", "p": 0.2}},
+        "chain": [{"phi": 0.3, "k": 0}, {"z": True, "k": "both", slot: "pf"}],
+    }
+    with pytest.raises(ParseError, match=rf"^chain\[1\]: a Z step takes no noise, got {slot}$"):
+        parse_experiment(spec_text(doc))
 
 
 def test_main_respects_register_cap(tmp_path, monkeypatch):

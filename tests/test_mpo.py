@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from noisy_mbqc.errors import (
 )
 from noisy_mbqc.mpo import (
     MpoState,
-    SiteTensor,
     mpo_apply_channel,
     mpo_apply_pauli,
     mpo_apply_unitary,
@@ -47,7 +48,7 @@ X_KETS = (dm.PLUS, dm.MINUS)
 
 
 def x_measure(state, site, outcome):
-    return mpo_measure(state, site, X_KETS[outcome], outcome)
+    return mpo_measure(state, site, X_KETS[outcome])
 
 
 # --- builders -----------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_cluster_branches_are_rank_one():
     state = mpo_cluster(3)
     for i in range(2):
         for j in range(2):
-            a_i, a_j = state.sites[0].ops[i][0], state.sites[0].ops[j][0]
+            a_i, a_j = state.sites[0][i][0], state.sites[0][j][0]
             out = a_i @ state.seed @ dm.dag(a_j)
             assert np.linalg.matrix_rank(out, tol=1e-12) <= 1
 
@@ -112,15 +113,15 @@ def test_contract_size_limit():
 def test_x_measurement_collapses_to_hadamard_byproduct():
     for m in (0, 1):
         state = x_measure(mpo_cluster(3), 0, m)
-        collapsed = state.sites[0].ops[0][0]
+        collapsed = state.sites[0][0][0]
         zm = np.linalg.matrix_power(dm.Z, m)
         np.testing.assert_allclose(collapsed, dm.H @ zm / np.sqrt(2), atol=1e-12)
 
 
 def test_computational_measurement_selects_branch():
-    state = mpo_measure(mpo_cluster(3), 0, dm.KET1, 1)
+    state = mpo_measure(mpo_cluster(3), 0, dm.KET1)
     np.testing.assert_allclose(
-        state.sites[0].ops[0][0], dm.H @ dm.projector(dm.KET1), atol=1e-12
+        state.sites[0][0][0], dm.H @ dm.projector(dm.KET1), atol=1e-12
     )
 
 
@@ -137,8 +138,8 @@ def test_boundary_measurement_with_complex_basis():
     # exercises the conjugation asymmetry between interior and boundary sites
     yplus = np.array([1, 1j], dtype=complex) / np.sqrt(2)
     yminus = np.array([1, -1j], dtype=complex) / np.sqrt(2)
-    state = mpo_measure(mpo_cluster(3), 2, yplus, 0)
-    state = mpo_measure(state, 0, yminus, 1)
+    state = mpo_measure(mpo_cluster(3), 2, yplus)
+    state = mpo_measure(state, 0, yminus)
     ops = oracle.cluster_ops(3) + [
         oracle.Measure(2, (yplus, yminus), 0, remove=True),
         oracle.Measure(0, (yplus, yminus), 1, remove=True),
@@ -193,7 +194,7 @@ def test_all_zero_sweep_trace():
 def test_measure_errors():
     state = mpo_cluster(3)
     with pytest.raises(NotNormalized):
-        mpo_measure(state, 0, np.array([1.0, 1.0]), 0)
+        mpo_measure(state, 0, np.array([1.0, 1.0]))
     state = x_measure(state, 0, 0)
     with pytest.raises(AlreadyMeasured):
         x_measure(state, 0, 1)
@@ -212,13 +213,13 @@ def test_pauli_update_golden_table():
     y_updated = mpo_apply_pauli(state, 1, (1, 1))
     for k in (0, 1):
         np.testing.assert_allclose(
-            x_updated.sites[1].ops[k][0], dm.Z @ a[k] @ dm.X, atol=1e-12
+            x_updated.sites[1][k][0], dm.Z @ a[k] @ dm.X, atol=1e-12
         )
         np.testing.assert_allclose(
-            z_updated.sites[1].ops[k][0], a[k] @ dm.Z, atol=1e-12
+            z_updated.sites[1][k][0], a[k] @ dm.Z, atol=1e-12
         )
         np.testing.assert_allclose(
-            y_updated.sites[1].ops[k][0],
+            y_updated.sites[1][k][0],
             1j * dm.Z @ a[k] @ dm.X @ dm.Z,
             atol=1e-12,
         )
@@ -229,7 +230,7 @@ def test_pauli_identity_leaves_state_alone():
     updated = mpo_apply_pauli(state, 0, (0, 0))
     for k in (0, 1):
         np.testing.assert_allclose(
-            updated.sites[0].ops[k][0], state.sites[0].ops[k][0], atol=1e-15
+            updated.sites[0][k][0], state.sites[0][k][0], atol=1e-15
         )
 
 
@@ -238,7 +239,7 @@ def test_pauli_z_is_an_involution():
     twice = mpo_apply_pauli(mpo_apply_pauli(state, 1, (0, 1)), 1, (0, 1))
     for k in (0, 1):
         np.testing.assert_allclose(
-            twice.sites[1].ops[k][0], state.sites[1].ops[k][0], atol=1e-12
+            twice.sites[1][k][0], state.sites[1][k][0], atol=1e-12
         )
 
 
@@ -261,15 +262,8 @@ def test_dual_forms_of_the_z_update():
     via_rule = mpo_apply_pauli(state, 2, (0, 1))
     manual = MpoState(
         sites=tuple(
-            SiteTensor(
-                ops=tuple(tuple(dm.X @ m for m in fam) for fam in s.ops),
-                boundary=s.boundary,
-                measured=s.measured,
-                outcome=s.outcome,
-            )
-            if idx == 2
-            else s
-            for idx, s in enumerate(state.sites)
+            [[dm.X @ m for m in fam] for fam in a] if idx == 2 else a
+            for idx, a in enumerate(state.sites)
         ),
         seed=state.seed,
     )
@@ -281,13 +275,13 @@ def test_dual_forms_of_the_z_update():
 def test_unitary_identity_and_x_match_pauli_rule():
     state = mpo_cluster(3)
     np.testing.assert_allclose(
-        mpo_apply_unitary(state, 0, dm.I2).sites[0].ops[1][0],
-        state.sites[0].ops[1][0],
+        mpo_apply_unitary(state, 0, dm.I2).sites[0][1][0],
+        state.sites[0][1][0],
         atol=1e-12,
     )
     np.testing.assert_allclose(
-        mpo_apply_unitary(state, 0, dm.X).sites[0].ops[1][0],
-        mpo_apply_pauli(state, 0, (1, 0)).sites[0].ops[1][0],
+        mpo_apply_unitary(state, 0, dm.X).sites[0][1][0],
+        mpo_apply_pauli(state, 0, (1, 0)).sites[0][1][0],
         atol=1e-12,
     )
 
@@ -311,7 +305,7 @@ def test_channel_update_phase_flip_form():
     state = mpo_apply_channel(mpo_cluster(3), 1, phase_flip(0.5))
     a = [dm.H @ dm.projector(dm.KET0), dm.H @ dm.projector(dm.KET1)]
     for k in (0, 1):
-        fam = state.sites[1].ops[k]
+        fam = state.sites[1][k]
         assert len(fam) == 2
         np.testing.assert_allclose(fam[0], a[k] / np.sqrt(2), atol=1e-12)
         np.testing.assert_allclose(fam[1], a[k] @ dm.Z / np.sqrt(2), atol=1e-12)
@@ -365,8 +359,7 @@ def _random_family_state(rng, s_count: int) -> MpoState:
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     family = tuple(tuple(rand(2, 2) for _ in range(s_count)) for _ in range(2))
-    bound = SiteTensor(ops=((rand(2),), (rand(2),)), boundary=True)
-    return MpoState(sites=(SiteTensor(ops=family), bound), seed=rand(2, 2))
+    return MpoState(sites=(family, ((rand(2),), (rand(2),))), seed=rand(2, 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -391,7 +384,7 @@ def test_event_rule_matches_the_pauli_table_rule(
     else:
         eta = _test_channel(rng, n_kraus, structured)
         ops, updated = eta.ops, mpo_apply_channel(state, 0, eta)
-    for before, after in zip(state.sites[0].ops, updated.sites[0].ops, strict=True):
+    for before, after in zip(state.sites[0], updated.sites[0], strict=True):
         want = [reference_conjugation_update(m, k) for m in before for k in ops]
         assert len(after) == len(want)
         assert all(dm.max_abs_diff(a, w) <= 1e-13 for a, w in zip(after, want))
@@ -428,14 +421,14 @@ def test_stacked_event_and_measure_match_the_loops_bit_for_bit(
     seed, s_count, n_kraus, ket
 ):
     rng = np.random.default_rng(seed)
-    interior = SiteTensor(ops=signed_zero_complex(rng, (2, s_count, 2, 2)))
-    bound = SiteTensor(ops=signed_zero_complex(rng, (2, s_count, 2)), boundary=True)
+    interior = signed_zero_complex(rng, (2, s_count, 2, 2))
+    bound = signed_zero_complex(rng, (2, s_count, 2))
     state = MpoState(sites=(interior, bound), seed=dm.I2)
     # any (K, 2, 2) stack: the event kernel takes no trace bound
     ks = signed_zero_complex(rng, (n_kraus, 2, 2))
     updated = mpo_apply_channel(state, 0, KrausChannel(ks))
-    want = reference_event_update(interior.ops, ks)
-    assert updated.sites[0].ops.tobytes() == want.tobytes()
+    want = reference_event_update(interior, ks)
+    assert updated.sites[0].tobytes() == want.tobytes()
 
     if ket == "random":
         v = random_complex(rng, 2)
@@ -444,26 +437,26 @@ def test_stacked_event_and_measure_match_the_loops_bit_for_bit(
         v = {"zero": dm.KET0, "one": dm.KET1, "plus": dm.PLUS, "minus": dm.MINUS}[ket]
     # interior amplitudes enter conjugated, boundary ones as they are
     for site, weights in ((0, v.conj()), (1, v)):
-        got = mpo_measure(updated, site, v, 0).sites[site]
-        want = reference_collapse(updated.sites[site].ops, weights)
-        assert got.measured and got.ops.tobytes() == want.tobytes()
+        got = mpo_measure(updated, site, v).sites[site]
+        want = reference_collapse(updated.sites[site], weights)
+        assert len(got) == 1 and got.tobytes() == want.tobytes()
 
 
 def test_site_tensor_stacks_its_family_once():
-    site = SiteTensor(ops=[[dm.H, [[1, 0], [0, 1]]], [dm.Z, dm.X]])
-    assert site.ops.dtype == complex and site.ops.shape == (2, 2, 2, 2)
-    assert (site.s_count, site.bond_dim) == (2, 2)
-    assert SiteTensor(ops=site.ops).ops is site.ops
-    bound = SiteTensor(ops=[[dm.KET0], [dm.KET1]], boundary=True)
-    assert (bound.ops.shape, bound.bond_dim) == ((2, 1, 2), 2)
-    for bad, boundary in (
-        ([[dm.H], [np.eye(3)]], False),
-        ([[dm.KET0], [dm.KET1]], False),
-        ([[dm.H], [dm.X]], True),
-        ([[], []], False),
+    bound = [[dm.KET0], [dm.KET1]]
+    state = MpoState(sites=([[dm.H, [[1, 0], [0, 1]]], [dm.Z, dm.X]], bound), seed=dm.I2)
+    site = state.sites[0]
+    assert site.dtype == complex and site.shape == (2, 2, 2, 2)
+    assert state.sites[1].shape == (2, 1, 2)  # the last site is the boundary
+    assert MpoState(sites=state.sites, seed=dm.I2).sites[0] is site
+    for bad in (
+        ([[dm.H], [np.eye(3)]], bound),  # ragged family
+        (bound, bound),  # vectors on an interior site
+        ([[dm.H], [dm.X]], [[dm.H], [dm.X]]),  # matrices on the boundary
+        ([[], []], bound),  # no members
     ):
         with pytest.raises(DimensionMismatch):
-            SiteTensor(ops=bad, boundary=boundary)
+            MpoState(sites=bad, seed=dm.I2)
 
 
 # --- error propagation examples --------------------------------------------------
@@ -473,7 +466,7 @@ def test_bit_flip_then_x_measure_is_invisible():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, bit_flip(0.5))
         state = x_measure(state, 1, m)
-        step = KrausChannel(state.sites[1].ops[0])
+        step = KrausChannel(state.sites[1][0])
         ideal = unitary_channel(dm.H @ np.linalg.matrix_power(dm.Z, m))
         np.testing.assert_allclose(choi(step), 0.5 * choi(ideal), atol=1e-12)
 
@@ -484,7 +477,7 @@ def test_ixy_channel_then_x_measure_is_z_with_p2():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, ch)
         state = x_measure(state, 1, m)
-        got = choi(KrausChannel(state.sites[1].ops[0]))
+        got = choi(KrausChannel(state.sites[1][0]))
         from noisy_mbqc.block import MeasSpec, ideal_block
 
         model = compose(
@@ -500,7 +493,7 @@ def test_hadamard_noise_then_x_measure_projects():
     for m in (0, 1):
         state = mpo_apply_channel(mpo_cluster(3), 1, had)
         state = x_measure(state, 1, m)
-        fam = state.sites[1].ops[0]
+        fam = state.sites[1][0]
         ket = dm.KET0 if m == 0 else dm.KET1
         # noisy branch reduces to a projector onto the outcome, proportional
         # to sqrt(2) H |m><m| (branch weight sqrt(p/2))
@@ -562,7 +555,7 @@ def test_random_programs_match_oracle(rng):
             ]
             kets = (u[:, 0], u[:, 1])
             m = int(rng.integers(0, 2))
-            state = mpo_measure(state, int(site), kets[m], m)
+            state = mpo_measure(state, int(site), kets[m])
             ops.append(oracle.Measure(int(site), kets, m, remove=True))
         dense = oracle.simulate(n, ops).state
         np.testing.assert_allclose(mpo_contract(state), dense, atol=1e-9)
@@ -582,45 +575,130 @@ def test_serialization_roundtrip(rng):
     doc = mpo_to_dict(state)
     back = mpo_from_dict(doc)
     np.testing.assert_allclose(mpo_contract(back), mpo_contract(state), atol=1e-12)
-    assert doc["sites"][0]["measured"] is True
-    assert doc["sites"][1]["s_count"] == 2
-    assert doc["sites"][2]["boundary"] is True
+    # the matrices are the whole record: no version key, no per-site dims or flags
+    assert set(doc) == {"seed", "sites"}
+    assert all(set(site) == {"matrices"} for site in doc["sites"])
+    shapes = [np.shape(site["matrices"]) for site in doc["sites"]]
+    assert shapes == [(1, 1, 2, 2, 2), (2, 2, 2, 2, 2), (2, 1, 1, 2, 2)]
 
 
-def _ragged_s_count(sites):
-    sites[1]["matrices"][0].append(sites[1]["matrices"][0][0])
+_BUILDERS = (mpo_cluster, mpo_maximally_mixed, mpo_one_clean)
 
 
-def _third_slot(sites):
-    sites[1]["matrices"].append(sites[1]["matrices"][0])
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    builder=st.sampled_from(_BUILDERS),
+    n=st.integers(2, 5),
+    n_events=st.integers(0, 4),
+    measure_share=st.floats(0.0, 1.0),
+)
+def test_serialization_roundtrip_is_bit_exact(seed, builder, n, n_events, measure_share):
+    rng = np.random.default_rng(seed)
+    state = builder(n)
+    for _ in range(n_events):
+        site, event = int(rng.integers(0, state.n_sites - 1)), int(rng.integers(0, 3))
+        if event == 0:
+            state = mpo_apply_pauli(state, site, tuple(int(b) for b in rng.integers(0, 2, 2)))
+        elif event == 1:
+            state = mpo_apply_unitary(state, site, random_channel(rng, 1).ops[0])
+        else:
+            state = mpo_apply_channel(state, site, random_channel(rng, int(rng.integers(1, 4))))
+    # any sites, the boundary included, each onto a random unit vector
+    for site in range(state.n_sites):
+        if rng.random() < measure_share:
+            v = random_complex(rng, 2)
+            state = mpo_measure(state, site, v / np.linalg.norm(v))
+    back = mpo_from_dict(json.loads(json.dumps(mpo_to_dict(state))))
+    assert back.seed.tobytes() == state.seed.tobytes()
+    assert [(a.shape, a.tobytes()) for a in back.sites] == [
+        (a.shape, a.tobytes()) for a in state.sites
+    ]
 
 
-def _no_boundary(sites):
-    sites.pop()
+# mpo_to_dict output of the earlier format, which also recorded each site's
+# dims, flags and outcome; reading ignores those keys
+_RECORDED = {
+    "boundary measured": (
+        lambda: mpo_measure(mpo_maximally_mixed(2), 1, dm.KET1),
+        '{"seed": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "sites": '
+        '[{"physical_dim": 2, "bond_dim": 2, "s_count": 2, "boundary": false, '
+        '"measured": false, "outcome": null, "matrices": [[[[[0.7071067811865475, '
+        "0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], "
+        "[0.7071067811865475, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]], [[[[0.0, 0.0], "
+        "[0.7071067811865475, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "
+        "[[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]]}, "
+        '{"physical_dim": 1, "bond_dim": 2, "s_count": 2, "boundary": true, '
+        '"measured": true, "outcome": 1, "matrices": [[[[[0.0, 0.0], '
+        "[0.7071067811865475, 0.0]]], [[[0.7071067811865475, 0.0], [0.0, 0.0]]]]]}]}",
+    ),
+    "interior measured": (
+        lambda: mpo_measure(mpo_apply_pauli(mpo_cluster(2), 0, (1, 1)), 0, dm.MINUS),
+        '{"seed": [[[0.4999999999999999, 0.0], [0.4999999999999999, 0.0]], '
+        "[[0.4999999999999999, 0.0], [0.4999999999999999, 0.0]]], "
+        '"sites": [{"physical_dim": 1, "bond_dim": 2, "s_count": 1, "boundary": '
+        'false, "measured": true, "outcome": 1, "matrices": [[[[[0.0, '
+        "-0.4999999999999999], [0.0, -0.4999999999999999]], [[0.0, "
+        '-0.4999999999999999], [0.0, 0.4999999999999999]]]]]}, {"physical_dim": 2, '
+        '"bond_dim": 2, "s_count": 1, "boundary": true, "measured": false, '
+        '"outcome": null, "matrices": [[[[[1.0, 0.0], [0.0, 0.0]]]], [[[[0.0, 0.0], '
+        "[1.0, 0.0]]]]]}]}",
+    ),
+}
 
 
-def _boundary_first(sites):
-    sites.insert(0, sites.pop())
+@pytest.mark.parametrize("case", sorted(_RECORDED))
+def test_from_dict_reads_the_recorded_format(case):
+    make, text = _RECORDED[case]
+    want, got = make(), mpo_from_dict(json.loads(text))
+    assert got.seed.tobytes() == want.seed.tobytes()
+    assert [(a.shape, a.tobytes()) for a in got.sites] == [
+        (a.shape, a.tobytes()) for a in want.sites
+    ]
 
 
-def _wrong_bond_dim(sites):
-    sites[0]["matrices"][0][0] = [[[1.0, 0.0]] * 3] * 3
+def _ragged_s_count(doc):
+    doc["sites"][1]["matrices"][0].append(doc["sites"][1]["matrices"][0][0])
 
 
-def _ragged_row(sites):
-    sites[1]["matrices"][0][0][1].append([0.0, 0.0])
+def _third_slot(doc):
+    doc["sites"][1]["matrices"].append(doc["sites"][1]["matrices"][0])
 
 
-def _recorded_s_count(sites):
-    sites[1]["s_count"] = 7
+def _no_boundary(doc):
+    doc["sites"].pop()
 
 
-def _recorded_bond_dim(sites):
-    sites[2]["bond_dim"] = 9
+def _boundary_first(doc):
+    doc["sites"].insert(0, doc["sites"].pop())
 
 
-def _recorded_physical_dim(sites):
-    sites[0]["physical_dim"] = 3
+def _wrong_bond_dim(doc):
+    doc["sites"][0]["matrices"][0][0] = [[[1.0, 0.0]] * 3] * 3
+
+
+def _ragged_row(doc):
+    doc["sites"][1]["matrices"][0][0][1].append([0.0, 0.0])
+
+
+def _no_seed(doc):
+    del doc["seed"]
+
+
+def _no_sites(doc):
+    del doc["sites"]
+
+
+def _no_matrices(doc):
+    del doc["sites"][1]["matrices"]
+
+
+def _sites_not_a_list(doc):
+    doc["sites"] = 3
+
+
+def _bare_number_entry(doc):
+    doc["sites"][2]["matrices"][0][0][0][1] = 0.5
 
 
 @pytest.mark.parametrize(
@@ -632,22 +710,24 @@ def _recorded_physical_dim(sites):
         _boundary_first,
         _wrong_bond_dim,
         _ragged_row,
-        _recorded_s_count,
-        _recorded_bond_dim,
-        _recorded_physical_dim,
+        _no_seed,
+        _no_sites,
+        _no_matrices,
+        _sites_not_a_list,
+        _bare_number_entry,
     ],
 )
 def test_from_dict_rejects_malformed_sites(corrupt):
     doc = mpo_to_dict(mpo_cluster(3))
-    corrupt(doc["sites"])
-    with pytest.raises(DimensionMismatch, match=r"^site \d |the last site"):
+    corrupt(doc)
+    with pytest.raises(DimensionMismatch, match=r"^(site \d |seed|sites)"):
         mpo_from_dict(doc)
 
 
 def _bond_state(bond: int) -> MpoState:
     """Two sites, one interior and the boundary, with the given bond dimension."""
-    interior = SiteTensor(ops=((np.eye(bond),), (2.0 * np.eye(bond),)))
-    bound = SiteTensor(ops=((np.ones(bond),), (np.ones(bond),)), boundary=True)
+    interior = ((np.eye(bond),), (2.0 * np.eye(bond),))
+    bound = ((np.ones(bond),), (np.ones(bond),))
     return MpoState(sites=(interior, bound), seed=np.eye(bond) / bond)
 
 
@@ -672,6 +752,6 @@ def _bond_state(bond: int) -> MpoState:
 def test_events_name_the_site_and_its_bond_dimension(make, event):
     state = make()
     assert mpo_contract(state).shape == (4, 4)  # the contraction takes any bond
-    bond = state.sites[0].bond_dim
+    bond = state.sites[0].shape[2]
     with pytest.raises(DimensionMismatch, match=f"site 0 has bond dimension {bond} "):
         event(state)

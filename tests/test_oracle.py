@@ -332,6 +332,6 @@ def test_eleven_site_noisy_cluster_matches_mpo(rng):
         ops.append(Channel1Q(site, ch))
     for site in range(n - 1):
         k = int(rng.integers(0, 2))
-        state = mpo_measure(state, site, (dm.PLUS, dm.MINUS)[k], k)
+        state = mpo_measure(state, site, (dm.PLUS, dm.MINUS)[k])
         ops.append(Measure(site, (dm.PLUS, dm.MINUS), k, remove=True))
     np.testing.assert_allclose(simulate(n, ops).state, mpo_contract(state), atol=1e-9)
