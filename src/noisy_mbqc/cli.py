@@ -73,7 +73,9 @@ otherwise.  The JSON text is what ``json.dump(report_to_dict(report), fh,
 indent=2)`` writes, plus a final newline: floats read as their ``repr``
 (``NaN``, ``Infinity``, ``-Infinity`` when not finite), and two runs of one
 document give byte-identical reports apart from ``meta.timestamp``.  The
-writer streams that text row by row and formats each distinct float once.
+writer takes the layout from ``json.dumps`` itself, with null at each matrix
+leaf, and streams the matrices into it row by row, each distinct float
+formatted once.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault, or ``--cases`` selected no
@@ -88,6 +90,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -709,48 +712,34 @@ def report_to_dict(report: Report) -> dict:
     return _report_skeleton(report, dm.mat_to_json)
 
 
+# a matrix leaf in the layout text; a quote inside string data is always
+# escaped, so a key's closing quote then ": null" appears only at the leaves
+_LEAF = re.compile(r'(?<="closed_form": )null|(?<="oracle": )null')
+
+
 def _report_chunks(report: Report):
     """The text of ``json.dumps(report_to_dict(report), indent=2)``, in pieces.
 
-    Matrix leaves become int64 views of their complex entries (re, im
-    interleaved along each row).  Each distinct bit pattern is formatted once,
-    by one ``json.dumps`` of a list (the C encoder), so ``-0.0``, NaN and the
-    infinities read exactly as the pure-Python encoder writes them.
+    ``json`` writes the layout with null at each matrix leaf; the text is split
+    there and the matrices are streamed in between, row by row.  Their entries
+    become int64 views (re, im interleaved along each row).  Each distinct bit
+    pattern is formatted once, by one ``json.dumps`` of a list (the C
+    encoder), so ``-0.0``, NaN and the infinities read exactly as the
+    pure-Python encoder writes them.
     """
-    mats: list[np.ndarray] = []
-
-    def leaf(m):
-        mats.append(np.ascontiguousarray(m, dtype=complex).view(np.int64))
-        return mats[-1]
-
-    skeleton = _report_skeleton(report, leaf)
+    mats = [
+        np.ascontiguousarray(m, dtype=complex).view(np.int64)
+        for c in report.cases
+        for m in (c.closed_form, c.oracle)
+    ]
     bits = dict.fromkeys(chain.from_iterable(m.ravel().tolist() for m in mats))
     floats = np.array(list(bits), dtype=np.int64).view(np.float64).tolist()
     text = dict(zip(bits, json.dumps(floats)[1:-1].split(", ")))
-    return _json_chunks(skeleton, text)
-
-
-def _json_chunks(obj, text: dict, pad: str = "\n"):
-    """Yield ``obj`` as ``json.dumps(..., indent=2)`` writes it at ``pad``."""
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        lead = "{" + inner
-        for key, value in obj.items():
-            yield lead + json.dumps(key) + ": "
-            yield from _json_chunks(value, text, inner)
-            lead = "," + inner
-        yield pad + "}"
-    elif isinstance(obj, list) and obj:
-        lead = "[" + inner
-        for value in obj:
-            yield lead
-            yield from _json_chunks(value, text, inner)
-            lead = "," + inner
-        yield pad + "]"
-    elif isinstance(obj, np.ndarray):
-        yield from _matrix_chunks(obj.tolist(), text, pad)
-    else:
-        yield json.dumps(obj)
+    pieces = _LEAF.split(json.dumps(_report_skeleton(report, lambda m: None), indent=2))
+    yield pieces[0]
+    for m, piece in zip(mats, pieces[1:], strict=True):
+        yield from _matrix_chunks(m.tolist(), text, "\n      ")  # a case's keys' pad
+        yield piece
 
 
 def _matrix_chunks(rows: list, text: dict, pad: str):

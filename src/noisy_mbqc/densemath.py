@@ -161,9 +161,9 @@ def is_density_operator(
 
 
 def mat_to_json(m: np.ndarray) -> list:
-    """Encode a complex matrix as nested [re, im] pairs."""
+    """Encode a complex array of any rank as nested [re, im] pairs, bit for bit."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def mat_from_json(rows: list) -> np.ndarray:

@@ -4,13 +4,16 @@ An ``MpoState`` holds one bare array per site: the family of bond-space
 objects indexed by the physical value i and a Kraus-like index s.  Interior
 sites hold matrices A[i, s] (P, S, D, D); the last site is the boundary and
 holds vectors v[i, s] (P, S, D).  A measured site is one with a single
-physical slot, P == 1.  The contraction starts from the correlation-space
-seed and carries a tensor T[r, c] of bond operators over the open sites seen
-so far.  An interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s]
-T[r, c] A[j, s]^dag, so a measured site leaves T's size alone.  The boundary
-closes the sweep with out[(r,i),(c,j)] = sum_s v[i, s]^dag T[r, c] v[j, s],
-which is the dense operator with the first site as most significant bit.
-A measured interior site's logical step is the channel with Kraus operators
+physical slot, P == 1.  ``MpoState.__post_init__`` is the one place that
+checks this site contract, for built, hand-made and decoded states alike;
+``mpo_from_dict`` decodes JSON and checks only that the boundary is written
+as rows.  The contraction starts from the correlation-space seed and carries
+a tensor T[r, c] of bond operators over the open sites seen so far.  An
+interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c]
+A[j, s]^dag, so a measured site leaves T's size alone.  The boundary closes
+the sweep with out[(r,i),(c,j)] = sum_s v[i, s]^dag T[r, c] v[j, s], which
+is the dense operator with the first site as most significant bit.  A
+measured interior site's logical step is the channel with Kraus operators
 A[0, s]; stopping the sweep before the boundary composes those steps.
 
 Physical single-site events update the stored families in place of the
@@ -57,18 +60,31 @@ class MpoState:
     """Ordered site families plus the correlation-space seed operator.
 
     ``sites[j]`` is an array or nested sequences, stacked once into a complex
-    (P, S, D, D) array, or (P, S, D) for the last site, the boundary.
+    (P, S, D, D) array, or (P, S, D) for the last site, the boundary, with
+    P in (1, 2) and D the dimension of the square seed.
     """
 
     sites: tuple[np.ndarray, ...]
     seed: np.ndarray
 
     def __post_init__(self):
+        seed = dm.stacked(self.seed, 2, "seed")
+        if seed.shape[0] != seed.shape[1]:
+            raise DimensionMismatch(f"seed must be a square matrix, got {seed.shape}")
+        if not self.sites:
+            raise DimensionMismatch("sites: an MPO needs at least one site")
         last = len(self.sites) - 1
         sites = tuple(
-            dm.stacked(a, 3 if j == last else 4, "site family members")
+            dm.stacked(a, 3 if j == last else 4, f"site {j} family members")
             for j, a in enumerate(self.sites)
         )
+        for j, a in enumerate(sites):
+            if len(a) > 2 or set(a.shape[2:]) != {len(seed)}:
+                raise DimensionMismatch(
+                    f"site {j} has shape {a.shape}; it needs 1 or 2 physical slots "
+                    f"and bond dimension {len(seed)}, the seed's"
+                )
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sites", sites)
 
     @property
@@ -144,7 +160,7 @@ def _absorb(t: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _sweep(state: MpoState) -> np.ndarray:
     """Seed carried through every interior site, shape (2^k, 2^k, D, D) over
     the k open ones; the first site is the most significant bit."""
-    t = np.asarray(state.seed, dtype=complex)[None, None]
+    t = state.seed[None, None]
     for site in state.sites[:-1]:
         t = _absorb(t, site)
     return t
@@ -268,10 +284,8 @@ def mpo_logical_output(state: MpoState) -> np.ndarray:
 def mpo_to_dict(state: MpoState) -> dict:
     """JSON-ready description: the seed and each site's (P, S, rows, cols)
     matrices as [re, im] pairs; a boundary vector is written as a 1 x D row."""
-    sites = [
-        {"matrices": [[dm.mat_to_json(np.atleast_2d(m)) for m in fam] for fam in site]}
-        for site in state.sites
-    ]
+    rows = state.sites[-1][:, :, None]
+    sites = [{"matrices": dm.mat_to_json(a)} for a in (*state.sites[:-1], rows)]
     return {"seed": dm.mat_to_json(state.seed), "sites": sites}
 
 
@@ -281,14 +295,12 @@ def mpo_from_dict(doc: dict) -> MpoState:
     Reads only ``seed`` and each site's ``matrices`` and ignores any other
     key, so files that also record per-site dimensions and flags load the
     same.  A malformed document raises DimensionMismatch, naming the site
-    where there is one.
+    where there is one; only the boundary rows are checked here.
     """
     try:
         seed = dm.mat_from_json(doc.get("seed"))
     except (TypeError, ValueError):  # missing, not [re, im] pairs, or ragged rows
         raise DimensionMismatch("seed: expected a matrix of [re, im] pairs") from None
-    if seed.ndim != 2 or seed.shape[0] != seed.shape[1]:
-        raise DimensionMismatch(f"seed must be a square matrix, got {seed.shape}")
     entries = doc.get("sites")
     if not isinstance(entries, list) or not entries:
         raise DimensionMismatch("sites: expected a non-empty list")
@@ -302,11 +314,8 @@ def mpo_from_dict(doc: dict) -> MpoState:
             raise DimensionMismatch(
                 f"site {idx} matrices are missing or do not stack as [re, im] pairs"
             ) from None
-        want = seed.shape if idx < len(entries) - 1 else (1, len(seed))
-        if ops.ndim != 4 or len(ops) not in (1, 2) or ops.shape[2:] != want:
-            raise DimensionMismatch(
-                f"site {idx} has matrices of shape {ops.shape}, not "
-                f"(1 or 2, S, {want[0]}, {want[1]})"
-            )
         sites.append(ops)
-    return MpoState(sites=(*sites[:-1], sites[-1][:, :, 0]), seed=seed)
+    rows = sites.pop()  # the boundary
+    if rows.ndim != 4 or rows.shape[2] != 1:
+        raise DimensionMismatch(f"site {idx} (the boundary) is not written as 1 x D rows")
+    return MpoState(sites=(*sites, rows[:, :, 0]), seed=seed)

@@ -3,17 +3,19 @@
 ``perfbench/spans.py`` wraps the attributes listed in its ``WRAPPED`` table,
 type-checks oracle ops by class, and its ``Recorder.count_*`` functions read
 attributes off the arguments they see.  The file is read here as source text,
-or run from its path, never imported as a package, so a rename in the library
-fails this suite rather than only the traced benchmark run.
+or run from its path, never imported as a package, so a rename in the library,
+or a runner that stops calling a wrapped function, fails this suite rather
+than only the traced benchmark run.
 """
 
 import ast
+import json
 import runpy
 from pathlib import Path
 
 import noisy_mbqc
 from noisy_mbqc import densemath as dm
-from noisy_mbqc import oracle
+from noisy_mbqc import cli, mpo, oracle
 from noisy_mbqc.block import BlockNoiseConfig, MeasSpec
 from noisy_mbqc.channels import bit_flip
 from noisy_mbqc.mpo import mpo_cluster
@@ -88,3 +90,56 @@ def test_span_counters_read_existing_attributes():
     assert rec.output_entries == 4**3
     assert rec.kraus_max == 2
     assert (len(rec.compose_keys), rec.compose_repeats) == (1, 1)
+
+
+_H = dm.mat_to_json(dm.H)
+_SPAN_DOCS = {
+    "teleport_pauli": {
+        "kind": "teleport",
+        "channels": {"noise": {"builtin": "phase_flip", "p": 0.2}},
+        "resource_noise": "noise",
+        "inputs": ["plus"],
+    },
+    "teleport_non_pauli": {
+        "kind": "teleport",
+        "channels": {"noise": {"builtin": "mixed_unitary", "p": 0.3, "matrix": _H}},
+        "resource_noise": "noise",
+        "inputs": ["zero"],
+    },
+    "chain": {
+        "kind": "block_chain",
+        "channels": {"noise": {"builtin": "bit_flip", "p": 0.1}},
+        "chain": [{"phi": 0.3, "k": 0, "alpha2": "noise"}, {"phi": 0.7, "k": "both"}],
+    },
+    "random_suite": {"kind": "block_chain", "random_suite": {"cases": 1}},
+    "mpo": {
+        "kind": "mpo",
+        "channels": {"noise": {"builtin": "phase_flip", "p": 0.2}},
+        "builder": {"name": "cluster", "n": 3},
+        "site_ops": [
+            {"site": 0, "pauli": [1, 0]},
+            {"site": 1, "unitary": _H},
+            {"site": 0, "channel": "noise"},
+        ],
+        "measurements": [{"site": 0, "basis": "x", "outcome": 1}],
+    },
+}
+
+
+def test_every_benchmark_span_records_calls(tmp_path, capsys):
+    # the traced benchmark only warns when a wrapper records nothing; running
+    # documents of every kind through the recorder turns that into a failure
+    spans = runpy.run_path(str(SPANS))
+    modules = {"cli": cli, "oracle": oracle, "mpo": mpo, "densemath": dm}
+    rec = spans["Recorder"]()
+    spans["install"](rec, modules)
+    try:
+        for name, doc in _SPAN_DOCS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"{name}.report.json"
+            assert cli.main(["run", str(path), "--out", str(out)]) == 0, name
+    finally:
+        spans["uninstall"](rec, modules)
+    recorded = {span.name for span in rec.spans}
+    assert set(spans["WRAPPED"]) - recorded == set()

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisy_mbqc import cli
@@ -295,8 +295,20 @@ def reports(draw):
     )
 
 
+def _report_with_text(text: str) -> Report:
+    """A two-case report whose case ids, spec hash and timestamp are ``text``."""
+    case = CaseResult(text, dm.H, np.zeros((0, 2)), 0.0, -0.0, float("nan"))
+    return Report(cases=[case, case], spec_hash=text, timestamp=text)
+
+
+# the writer splits json's layout at each matrix leaf, written there as null;
+# string data that spells out a leaf, or a NUL, must not move that split
 @settings(max_examples=200, deadline=None)
 @given(report=reports())
+@example(report=_report_with_text('"closed_form": null'))
+@example(report=_report_with_text('"oracle": null'))
+@example(report=_report_with_text("\x00matrix"))
+@example(report=_report_with_text('",\n      "oracle": null,\n      "x": "'))
 def test_emit_json_is_json_dumps_of_report_to_dict(report):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from conftest import random_complex, random_density
+from conftest import random_complex, random_density, signed_zero_complex
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.errors import DimensionMismatch
@@ -123,3 +125,32 @@ def test_equatorial_kets_orthonormal():
 def test_mat_json_roundtrip(rng):
     m = random_complex(rng, (3, 3))
     np.testing.assert_allclose(dm.mat_from_json(dm.mat_to_json(m)), m)
+
+
+def _pairs(m):
+    """The per-entry loop: [float(re), float(im)] for each entry of a vector."""
+    return [[float(x.real), float(x.imag)] for x in m]
+
+
+# the per-entry loops that encoded a vector (a boundary row), a matrix and an
+# MPO site family before mat_to_json took any rank
+_LOOPS = {
+    1: _pairs,
+    2: lambda m: [_pairs(row) for row in m],
+    4: lambda a: [[[_pairs(row) for row in m] for m in fam] for fam in a],
+}
+
+
+@pytest.mark.parametrize(
+    "shape", [(0,), (1,), (5,), (0, 3), (3, 0), (3, 4), (2, 3, 2, 2), (1, 2, 1, 3)]
+)
+def test_mat_to_json_matches_the_per_entry_loop_bit_for_bit(rng, shape):
+    m = signed_zero_complex(rng, shape)
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e-310])
+    flat, n = m.reshape(-1), min(m.size, len(special))  # flat is a view of m
+    flat.real[:n], flat.imag[m.size - n :] = special[:n], special[::-1][:n]
+    got, want = dm.mat_to_json(m), _LOOPS[len(shape)](m)
+    assert json.dumps(got) == json.dumps(want)
+    got_bits = np.array(got, dtype=float).view(np.int64)
+    assert np.array_equal(got_bits, np.array(want, dtype=float).view(np.int64))
+    assert all(type(x) is float for x in np.ravel(np.array(got, dtype=object)))

@@ -449,13 +449,18 @@ def test_site_tensor_stacks_its_family_once():
     assert site.dtype == complex and site.shape == (2, 2, 2, 2)
     assert state.sites[1].shape == (2, 1, 2)  # the last site is the boundary
     assert MpoState(sites=state.sites, seed=dm.I2).sites[0] is site
-    for bad in (
-        ([[dm.H], [np.eye(3)]], bound),  # ragged family
-        (bound, bound),  # vectors on an interior site
-        ([[dm.H], [dm.X]], [[dm.H], [dm.X]]),  # matrices on the boundary
-        ([[], []], bound),  # no members
+    # every error names the site at fault, or "sites" when there is none
+    for bad, where in (
+        (([[dm.H], [np.eye(3)]], bound), "site 0 "),  # ragged family
+        ((bound, bound), "site 0 "),  # vectors on an interior site
+        (([[dm.H], [dm.X]], [[dm.H], [dm.X]]), "site 1 "),  # matrices on the boundary
+        (([[], []], bound), "site 0 "),  # no members
+        ((), "sites"),  # no site at all
+        ((np.zeros((3, 1, 2, 2)), bound), "site 0 "),  # a third physical slot
+        (([[np.eye(3)], [np.eye(3)]], bound), "site 0 "),  # bond 3 on a 2x2 seed
+        (([[dm.H], [dm.X]], [[np.ones(3)], [np.ones(3)]]), "site 1 "),  # boundary too
     ):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=f"^{where}"):
             MpoState(sites=bad, seed=dm.I2)
 
 
