@@ -6,15 +6,13 @@
 # corrections. This script walks the two classic extremes and a biased
 # Pauli channel in between.
 
+from itertools import product
+
 import numpy as np
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.channels import apply, bit_flip, depolarizing, phase_flip
-from noisy_mbqc.teleport import (
-    check_pauli_teleportation,
-    diagonal_resource,
-    teleport_branches,
-)
+from noisy_mbqc.teleport import check_pauli_teleportation, diagonal_resource, teleport_branch
 
 rho = dm.projector(dm.PLUS)
 print("input state |+><+|:\n", np.round(rho.real, 3))
@@ -22,10 +20,12 @@ print("input state |+><+|:\n", np.round(rho.real, 3))
 # Fully depolarised resource: nothing gets through.
 resource = diagonal_resource(depolarizing())
 print("\n-- completely depolarising resource --")
-for out in teleport_branches(resource, rho):
+for s, t in product(range(2), repeat=2):
+    out = teleport_branch(resource, rho, s, t)
+    prob = np.trace(out).real  # the branch state is unnormalised
     print(
-        f"outcome (s={out.s}, t={out.t})  prob={out.prob:.3f}  "
-        f"state={np.round((out.state / out.prob).real, 3).tolist()}"
+        f"outcome (s={s}, t={t})  prob={prob:.3f}  "
+        f"state={np.round((out / prob).real, 3).tolist()}"
     )
 print("every branch is the maximally mixed state: nothing was teleported")
 
@@ -33,12 +33,11 @@ print("every branch is the maximally mixed state: nothing was teleported")
 # transmits the dephased input.
 print("\n-- dephasing resource (p = 1/2) --")
 resource = diagonal_resource(phase_flip(0.5))
-for out in teleport_branches(resource, rho):
-    corrected = np.linalg.matrix_power(dm.Z, out.t) @ np.linalg.matrix_power(
-        dm.X, out.s
-    )
-    state = corrected @ (out.state / out.prob) @ dm.dag(corrected)
-    print(f"outcome (s={out.s}, t={out.t})  corrected state diag={np.diag(state).real}")
+for s, t in product(range(2), repeat=2):
+    out = teleport_branch(resource, rho, s, t)
+    corrected = np.linalg.matrix_power(dm.Z, t) @ np.linalg.matrix_power(dm.X, s)
+    state = corrected @ (out / np.trace(out).real) @ dm.dag(corrected)
+    print(f"outcome (s={s}, t={t})  corrected state diag={np.diag(state).real}")
 print("the dephased input I/2 came through on every branch")
 
 # A biased bit-flip: the closed form holds for any Pauli channel.

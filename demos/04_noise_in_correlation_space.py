@@ -45,8 +45,8 @@ state = mpo_apply_channel(mpo_cluster(n), 1, ixy)
 ops = oracle.cluster_ops(n) + [oracle.Channel1Q(1, ixy)]
 for site, m in enumerate(outcomes):
     state = mpo_measure(state, site, X_KETS[m])
-    ops.append(oracle.Measure(site, X_KETS, m, remove=True))
-diff = np.max(np.abs(mpo_contract(state) - oracle.simulate(n, ops).state))
+    ops.append(oracle.Measure(site, X_KETS[m]))
+diff = np.max(np.abs(mpo_contract(state) - oracle.simulate(n, ops)))
 print("contraction vs dense branch, max diff:", diff)
 
 print("\n-- Hadamard mixture then X readout: the logical step degrades --")

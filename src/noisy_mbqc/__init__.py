@@ -38,13 +38,8 @@ from .mpo import (
     mpo_measure,
     mpo_one_clean,
 )
-from .oracle import SimResult, block_oracle_channel, build_cluster_dm, simulate
-from .teleport import (
-    TeleportOutcome,
-    check_pauli_teleportation,
-    diagonal_resource,
-    teleport_branch,
-)
+from .oracle import block_oracle_channel, build_cluster_dm, simulate
+from .teleport import check_pauli_teleportation, diagonal_resource, teleport_branch
 
 __version__ = "0.1.0"
 
@@ -80,11 +75,9 @@ __all__ = [
     "mpo_maximally_mixed",
     "mpo_measure",
     "mpo_one_clean",
-    "SimResult",
     "block_oracle_channel",
     "build_cluster_dm",
     "simulate",
-    "TeleportOutcome",
     "check_pauli_teleportation",
     "diagonal_resource",
     "teleport_branch",

@@ -49,6 +49,13 @@ class MeasSpec:
         if self.outcome not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
 
+    @property
+    def ket(self) -> np.ndarray:
+        """The unit vector this readout projects onto."""
+        if self.basis == Z_BASIS:
+            return (dm.KET0, dm.KET1)[self.outcome]
+        return dm.equatorial_ket(self.phi, self.outcome)
+
     @classmethod
     def z(cls, outcome: int = 0) -> "MeasSpec":
         return cls(basis=Z_BASIS, outcome=outcome)

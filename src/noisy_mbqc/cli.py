@@ -383,7 +383,7 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             if pauli:
                 closed = pauli_corrected_target(eps, rho, s, t)
             else:
-                closed = teleport_branch(resource, rho, s, t).state
+                closed = teleport_branch(resource, rho, s, t)
             orac = oracle.teleport_oracle_state(eps, rho, s, t)
             cases.append(_case(f"input{idx}:s{s}t{t}", closed, orac))
         return select(cases)
@@ -475,7 +475,7 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 walk(
                     (*outcomes, k),
                     apply(step, closed),
-                    oracle.simulate(len(steps) + 1, circuit).state,
+                    oracle.simulate(len(steps) + 1, circuit),
                 )
 
         walk((), rho0, rho0)
@@ -597,9 +597,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             branch_circuit = list(circuit)
             for (site, kets, _), k in zip(measurements, ks):
                 branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k])
-                branch_circuit.append(oracle.Measure(site, kets, k, remove=True))
+                branch_circuit.append(oracle.Measure(site, kets[k]))
             closed = mpo_mod.mpo_contract(branch_state)
-            orac = oracle.simulate(state.n_sites, branch_circuit).state
+            orac = oracle.simulate(state.n_sites, branch_circuit)
             cases.append(_case("m=" + "".join(str(k) for k in ks), closed, orac))
 
         # written once every case has run and --cases selected some, so a

@@ -21,10 +21,6 @@ class SiteOutOfRange(IndexError):
     """Circuit operation addresses a site outside the register."""
 
 
-class NonOrthonormalBasis(ValueError):
-    """Measurement basis vectors are not orthonormal."""
-
-
 class SizeLimit(ValueError):
     """Requested system exceeds the dense-simulation cap."""
 

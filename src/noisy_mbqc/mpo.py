@@ -297,6 +297,9 @@ def mpo_from_dict(doc: dict) -> MpoState:
     same.  A malformed document raises DimensionMismatch, naming the site
     where there is one; only the boundary rows are checked here.
     """
+    if not isinstance(doc, dict):
+        kind = type(doc).__name__
+        raise DimensionMismatch(f"seed and sites: expected an object, got {kind}")
     try:
         seed = dm.mat_from_json(doc.get("seed"))
     except (TypeError, ValueError):  # missing, not [re, im] pairs, or ragged rows

@@ -7,6 +7,11 @@ simulated with a small live register.  Everything is linear in the state,
 which lets callers feed computational basis elements |i><j| to assemble
 process matrices; no positivity is enforced on prepared operators.
 
+:func:`simulate` returns the bare state over the surviving sites.  A
+measurement names the unit ket of its outcome, the same readout form
+:func:`noisy_mbqc.mpo.mpo_measure` takes, and projects onto it without
+sampling, so the final trace is the probability of the chosen outcomes.
+
 Every op costs O(4^m) on m live sites and touches only its sites' ket and
 bra axes: a single-site unitary, channel or kept projection is one matmul
 with the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ negates two
@@ -21,16 +26,16 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import densemath as dm
-from .block import EQUATORIAL, Z_BASIS, BlockNoiseConfig, MeasSpec
+from .block import EQUATORIAL, BlockNoiseConfig, MeasSpec
 from .channels import KrausChannel
 from .errors import (
     DimensionMismatch,
-    NonOrthonormalBasis,
+    NotNormalized,
     SiteOutOfRange,
     SizeLimit,
     ZBasisUnsupported,
@@ -82,37 +87,14 @@ class Unitary1Q:
 
 @dataclass(frozen=True)
 class Measure:
-    """Project ``site`` onto the ``outcome`` vector of ``basis``.
+    """Project ``site`` onto the unit outcome vector ``ket``.
 
-    ``basis`` is a :class:`MeasSpec` or an orthonormal pair of kets.  With
-    ``remove`` the site is traced out afterwards, shrinking the register.
+    With ``remove`` the site is traced out afterwards, shrinking the register.
     """
 
     site: int
-    basis: object
-    outcome: int
+    ket: np.ndarray
     remove: bool = True
-
-
-@dataclass
-class SimResult:
-    state: np.ndarray  # over the surviving sites in ascending site order
-    outcomes: list[tuple[int, int]] = field(default_factory=list)
-
-
-def measurement_kets(basis) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve a measurement basis to its two outcome kets."""
-    if isinstance(basis, MeasSpec):
-        if basis.basis == Z_BASIS:
-            return dm.KET0.copy(), dm.KET1.copy()
-        return dm.equatorial_ket(basis.phi, 0), dm.equatorial_ket(basis.phi, 1)
-    v0, v1 = (np.asarray(v, dtype=complex).reshape(-1) for v in basis)
-    gram = np.array(
-        [[np.vdot(v0, v0), np.vdot(v0, v1)], [np.vdot(v1, v0), np.vdot(v1, v1)]]
-    )
-    if dm.max_abs_diff(gram, np.eye(2)) > 1e-12:
-        raise NonOrthonormalBasis("measurement kets must be orthonormal")
-    return v0, v1
 
 
 class _Register:
@@ -206,15 +188,15 @@ def _check_size(n: int, what: str):
         raise SizeLimit(f"{what} size {n} outside [1, {cap}]")
 
 
-def simulate(n: int, ops) -> SimResult:
+def simulate(n: int, ops) -> np.ndarray:
     """Run the operation list over an ``n``-site register.
 
-    Measurements project onto the requested outcome (no sampling); the final
-    trace is the probability of the recorded outcome string.
+    Returns the state over the surviving sites in ascending site order.
+    Measurements project onto their ket (no sampling); the final trace is the
+    probability of the chosen outcome string.
     """
     _check_size(n, "register")
     reg = _Register(n)
-    outcomes: list[tuple[int, int]] = []
 
     for op in ops:
         if isinstance(op, PrepPlus):
@@ -236,18 +218,20 @@ def simulate(n: int, ops) -> SimResult:
                 raise DimensionMismatch("site channels must be single-qubit")
             reg.apply(op.channel.ops, reg.pos(op.site))
         elif isinstance(op, Measure):
-            if op.outcome not in (0, 1):
-                raise ValueError("measurement outcome must be 0 or 1")
-            ket = measurement_kets(op.basis)[op.outcome]
+            ket = np.asarray(op.ket, dtype=complex)
+            if ket.size != 2:
+                raise DimensionMismatch("measurement ket must have 2 entries")
+            ket = ket.reshape(2)
+            if not abs(np.vdot(ket, ket) - 1.0) <= 1e-12:  # NaN fails too
+                raise NotNormalized("measurement ket must be a unit vector")
             pos = reg.pos(op.site)
             if op.remove:
                 reg.project_out(ket, pos)
             else:
                 reg.apply(dm.projector(ket)[None], pos)
-            outcomes.append((op.site, op.outcome))
         else:
             raise TypeError(f"unknown circuit op {op!r}")
-    return SimResult(state=reg.state, outcomes=outcomes)
+    return reg.state
 
 
 def cluster_ops(n: int) -> list:
@@ -286,10 +270,10 @@ def teleport_oracle_state(
         CZ(0, 1),
         Unitary1Q(1, dm.H),
         Unitary1Q(0, dm.H),
-        Measure(0, MeasSpec.z(), t, remove=True),
-        Measure(1, MeasSpec.z(), s, remove=True),
+        Measure(0, MeasSpec.z(t).ket),
+        Measure(1, MeasSpec.z(s).ket),
     ]
-    return simulate(3, ops).state
+    return simulate(3, ops)
 
 
 def block_step_ops(cfg: BlockNoiseConfig, site: int) -> list:
@@ -307,7 +291,7 @@ def block_step_ops(cfg: BlockNoiseConfig, site: int) -> list:
         ops.append(Channel1Q(a, cfg.alpha3))
     if cfg.alpha4 is not None:
         ops.append(Channel1Q(b, cfg.alpha4))
-    ops.append(Measure(a, cfg.meas, cfg.meas.outcome, remove=True))
+    ops.append(Measure(a, cfg.meas.ket))
     return ops
 
 
@@ -328,6 +312,6 @@ def block_oracle_channel(cfg: BlockNoiseConfig) -> np.ndarray:
         for j in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
-            out = simulate(2, [PrepState(0, e), *step]).state
+            out = simulate(2, [PrepState(0, e), *step])
             chois += np.kron(e, out)
     return chois

@@ -5,11 +5,11 @@ the noise channel acting on qubit 2 (the receiving half).  A Bell projection
 on qubits (0, 1) with outcome (s, t) leaves qubit 2 holding, for any
 Pauli-noise resource, the unnormalised state (1/4) X^s Z^t e(rho) Z^t X^s:
 the resource noise commutes through the protocol and lands on the input.
+A branch is returned as that bare state, and its trace is the branch
+probability.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +26,6 @@ def bell_ket(i: int, j: int) -> np.ndarray:
     return base @ v
 
 
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """One Bell-measurement branch: outcome bits, probability, Bob's state."""
-
-    s: int
-    t: int
-    prob: float
-    state: np.ndarray  # unnormalised, trace equals prob
-
-
 def diagonal_resource(eps: KrausChannel) -> np.ndarray:
     """Two-qubit resource sum_ij (1/2)|i><j| (x) eps(|i><j|): half the Choi matrix."""
     if eps.dim != 2:
@@ -43,9 +33,7 @@ def diagonal_resource(eps: KrausChannel) -> np.ndarray:
     return 0.5 * choi(eps)
 
 
-def teleport_branch(
-    resource: np.ndarray, rho: np.ndarray, s: int, t: int
-) -> TeleportOutcome:
+def teleport_branch(resource: np.ndarray, rho: np.ndarray, s: int, t: int) -> np.ndarray:
     """Project qubits (0, 1) of rho (x) resource onto the Bell state (s, t).
 
     Returns Bob's unnormalised single-qubit state; its trace is the branch
@@ -60,12 +48,11 @@ def teleport_branch(
     joint = dm.kron(rho, resource)
     proj = dm.kron(dm.projector(bell_ket(s, t)), dm.I2)
     projected = proj @ joint @ proj
-    state = dm.partial_trace(projected, keep=[2], dims=(2, 2, 2))
-    return TeleportOutcome(s=s, t=t, prob=float(np.trace(state).real), state=state)
+    return dm.partial_trace(projected, keep=[2], dims=(2, 2, 2))
 
 
-def teleport_branches(resource: np.ndarray, rho: np.ndarray) -> list[TeleportOutcome]:
-    """All four Bell branches in (s, t) order."""
+def teleport_branches(resource: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+    """Bob's states on all four Bell branches in (s, t) order."""
     return [teleport_branch(resource, rho, s, t) for s in range(2) for t in range(2)]
 
 
@@ -104,7 +91,7 @@ def check_pauli_teleportation(
     resource = diagonal_resource(eps)
     for s in range(2):
         for t in range(2):
-            got = teleport_branch(resource, rho, s, t).state
+            got = teleport_branch(resource, rho, s, t)
             want = pauli_corrected_target(eps, rho, s, t)
             if dm.trace_distance(got, want) > tol:
                 return False

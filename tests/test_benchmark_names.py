@@ -62,14 +62,13 @@ def test_span_counters_read_existing_attributes():
     # raises here
     recorder = runpy.run_path(str(SPANS))["Recorder"]
     ch = bit_flip(0.3)
-    kets = (dm.PLUS, dm.MINUS)
     ops = [
         oracle.PrepPlus(0),
         oracle.PrepState(1, dm.I2 / 2),
         oracle.Unitary1Q(0, dm.H),
         oracle.Channel1Q(1, ch),
-        oracle.Measure(0, kets, 1, remove=True),
-        oracle.Measure(1, kets, 0, remove=False),
+        oracle.Measure(0, dm.MINUS),
+        oracle.Measure(1, dm.PLUS, remove=False),
     ]
     slots = dict.fromkeys(("alpha1", "alpha2", "alpha3", "alpha4"), ch)
     cfg = BlockNoiseConfig(MeasSpec.equatorial(0.2, 1), **slots)

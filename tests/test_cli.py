@@ -925,7 +925,7 @@ def reference_chain_cases(spec) -> list[tuple[str, np.ndarray, np.ndarray]]:
                 composed[i, meas] = step
             closed = apply(step, closed)
             circuit.extend(oracle.block_step_ops(cfg, i))
-        orac = oracle.simulate(len(steps) + 1, circuit).state
+        orac = oracle.simulate(len(steps) + 1, circuit)
         cases.append(("k=" + "".join(map(str, outcomes)), closed, orac))
     return cases
 

@@ -1,7 +1,8 @@
-"""Smoke test: every demo script and example spec still runs."""
+"""Smoke test: every demo script, example spec and README example still runs."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,9 @@ from noisy_mbqc import cli
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 SPECS = sorted((ROOT / "demos" / "specs").glob("*.json"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -39,3 +43,9 @@ def test_demo_spec_passes(spec, tmp_path):
     text = out.read_text()
     report = cli.report_from_dict(json.loads(text))
     assert text == json.dumps(cli.report_to_dict(report), indent=2) + "\n"
+
+
+def test_readme_python_blocks_run():
+    assert README_BLOCKS, "README.md has no python block"
+    for i, code in enumerate(README_BLOCKS):
+        exec(compile(code, f"README.md python block {i}", "exec"), {})

@@ -128,9 +128,9 @@ def test_computational_measurement_selects_branch():
 def test_measured_branch_matches_oracle():
     n = 4
     state = x_measure(mpo_cluster(n), 1, 1)
-    ops = oracle.cluster_ops(n) + [oracle.Measure(1, X_KETS, 1, remove=True)]
+    ops = oracle.cluster_ops(n) + [oracle.Measure(1, X_KETS[1])]
     np.testing.assert_allclose(
-        mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-12
+        mpo_contract(state), oracle.simulate(n, ops), atol=1e-12
     )
 
 
@@ -141,11 +141,11 @@ def test_boundary_measurement_with_complex_basis():
     state = mpo_measure(mpo_cluster(3), 2, yplus)
     state = mpo_measure(state, 0, yminus)
     ops = oracle.cluster_ops(3) + [
-        oracle.Measure(2, (yplus, yminus), 0, remove=True),
-        oracle.Measure(0, (yplus, yminus), 1, remove=True),
+        oracle.Measure(2, yplus),
+        oracle.Measure(0, yminus),
     ]
     np.testing.assert_allclose(
-        mpo_contract(state), oracle.simulate(3, ops).state, atol=1e-12
+        mpo_contract(state), oracle.simulate(3, ops), atol=1e-12
     )
 
 
@@ -174,11 +174,11 @@ def test_full_x_sweep_reaches_correlation_space(rng):
     # the surviving physical qubit holds the same operator
     np.testing.assert_allclose(mpo_contract(state), want, atol=1e-12)
     ops = oracle.cluster_ops(n) + [
-        oracle.Measure(site, X_KETS, m, remove=True)
+        oracle.Measure(site, X_KETS[m])
         for site, m in enumerate(outcomes)
     ]
     np.testing.assert_allclose(
-        mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-12
+        mpo_contract(state), oracle.simulate(n, ops), atol=1e-12
     )
 
 
@@ -252,7 +252,7 @@ def test_pauli_updates_track_dense_state(rng):
             oracle.Unitary1Q(site, basis_element(a, b))
         ]
         np.testing.assert_allclose(
-            mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-12
+            mpo_contract(state), oracle.simulate(n, ops), atol=1e-12
         )
 
 
@@ -291,7 +291,7 @@ def test_unitary_update_tracks_dense_state():
     state = mpo_apply_unitary(mpo_cluster(n), 2, dm.H)
     ops = oracle.cluster_ops(n) + [oracle.Unitary1Q(2, dm.H)]
     np.testing.assert_allclose(
-        mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-12
+        mpo_contract(state), oracle.simulate(n, ops), atol=1e-12
     )
 
 
@@ -317,7 +317,7 @@ def test_channel_update_tracks_dense_state(rng):
     state = mpo_apply_channel(mpo_cluster(n), 1, ch)
     ops = oracle.cluster_ops(n) + [oracle.Channel1Q(1, ch)]
     np.testing.assert_allclose(
-        mpo_contract(state), oracle.simulate(n, ops).state, atol=1e-12
+        mpo_contract(state), oracle.simulate(n, ops), atol=1e-12
     )
 
 
@@ -558,11 +558,10 @@ def test_random_programs_match_oracle(rng):
             u = (dm.H, dm.H @ np.diag([1, 1j]), random_channel(rng, 1).ops[0])[
                 int(rng.integers(0, 3))
             ]
-            kets = (u[:, 0], u[:, 1])
-            m = int(rng.integers(0, 2))
-            state = mpo_measure(state, int(site), kets[m])
-            ops.append(oracle.Measure(int(site), kets, m, remove=True))
-        dense = oracle.simulate(n, ops).state
+            ket = u[:, int(rng.integers(0, 2))]
+            state = mpo_measure(state, int(site), ket)
+            ops.append(oracle.Measure(int(site), ket))
+        dense = oracle.simulate(n, ops)
         np.testing.assert_allclose(mpo_contract(state), dense, atol=1e-9)
         if measured == list(range(n - 1)):
             got = np.trace(mpo_logical_output(state))
@@ -726,6 +725,12 @@ def test_from_dict_rejects_malformed_sites(corrupt):
     doc = mpo_to_dict(mpo_cluster(3))
     corrupt(doc)
     with pytest.raises(DimensionMismatch, match=r"^(site \d |seed|sites)"):
+        mpo_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[], None, "x", 3])
+def test_from_dict_rejects_a_top_level_that_is_not_an_object(doc):
+    with pytest.raises(DimensionMismatch, match=r"^seed and sites: expected an object"):
         mpo_from_dict(doc)
 
 

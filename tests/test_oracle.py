@@ -11,7 +11,8 @@ from noisy_mbqc import oracle
 from noisy_mbqc.block import BlockNoiseConfig, MeasSpec, ideal_block
 from noisy_mbqc.channels import apply, bit_flip, choi, phase_flip, random_channel
 from noisy_mbqc.errors import (
-    NonOrthonormalBasis,
+    DimensionMismatch,
+    NotNormalized,
     SiteOutOfRange,
     SizeLimit,
     ZBasisUnsupported,
@@ -28,7 +29,6 @@ from noisy_mbqc.oracle import (
     block_step_ops,
     build_cluster_dm,
     cluster_ops,
-    measurement_kets,
     simulate,
     teleport_oracle_state,
 )
@@ -40,8 +40,8 @@ def test_single_block_circuit_matches_step_channel(rng):
     for phi in (0.0, 1.3):
         for k in (0, 1):
             meas = MeasSpec.equatorial(phi, k)
-            ops = [PrepState(0, rho), PrepPlus(1), CZ(0, 1), Measure(0, meas, k)]
-            got = simulate(2, ops).state
+            ops = [PrepState(0, rho), PrepPlus(1), CZ(0, 1), Measure(0, meas.ket)]
+            got = simulate(2, ops)
             want = apply(ideal_block(meas), rho)
             np.testing.assert_allclose(got, want, atol=1e-12)
             assert np.trace(got).real == pytest.approx(
@@ -50,9 +50,8 @@ def test_single_block_circuit_matches_step_channel(rng):
 
 
 def test_prep_plus_z_measure_keep():
-    res = simulate(1, [PrepPlus(0), Measure(0, MeasSpec.z(), 0, remove=False)])
-    np.testing.assert_allclose(res.state, 0.5 * dm.projector(dm.KET0), atol=1e-12)
-    assert res.outcomes == [(0, 0)]
+    got = simulate(1, [PrepPlus(0), Measure(0, dm.KET0, remove=False)])
+    np.testing.assert_allclose(got, 0.5 * dm.projector(dm.KET0), atol=1e-12)
 
 
 def test_cluster_small_cases():
@@ -62,7 +61,7 @@ def test_cluster_small_cases():
 
 
 def test_cluster_matches_op_by_op_simulation():
-    got = simulate(5, cluster_ops(5)).state
+    got = simulate(5, cluster_ops(5))
     np.testing.assert_allclose(got, build_cluster_dm(5), atol=1e-12)
     assert np.linalg.matrix_rank(build_cluster_dm(5), tol=1e-10) == 1
 
@@ -74,7 +73,7 @@ def test_teleport_circuit_reproduces_projector_math(rng):
         for s in range(2):
             for t in range(2):
                 circuit = teleport_oracle_state(eps, rho, s, t)
-                direct = teleport_branch(resource, rho, s, t).state
+                direct = teleport_branch(resource, rho, s, t)
                 np.testing.assert_allclose(circuit, direct, atol=1e-10)
 
 
@@ -86,7 +85,7 @@ def test_trace_preserving_ops_keep_trace_and_psd(rng):
         Unitary1Q(0, dm.H),
         Channel1Q(1, random_channel(rng, 2)),
     ]
-    state = simulate(2, ops).state
+    state = simulate(2, ops)
     assert np.trace(state).real == pytest.approx(1.0, abs=1e-10)
     assert dm.is_psd(state, tol=1e-10)
 
@@ -95,16 +94,16 @@ def test_measurement_branch_completeness(rng):
     # removed-site branches sum to the partial trace of the pre-measurement
     # state, and their traces split its total probability
     rho = random_density(rng)
-    pre = simulate(2, [PrepState(0, rho), PrepPlus(1), CZ(0, 1)]).state
+    pre = simulate(2, [PrepState(0, rho), PrepPlus(1), CZ(0, 1)])
     branches = []
     for k in (0, 1):
         ops = [
             PrepState(0, rho),
             PrepPlus(1),
             CZ(0, 1),
-            Measure(0, MeasSpec.equatorial(0.8, k), k, remove=True),
+            Measure(0, MeasSpec.equatorial(0.8, k).ket),
         ]
-        branches.append(simulate(2, ops).state)
+        branches.append(simulate(2, ops))
     np.testing.assert_allclose(
         branches[0] + branches[1],
         dm.partial_trace(pre, keep=[1], dims=(2, 2)),
@@ -118,17 +117,17 @@ def test_disjoint_ops_commute(rng):
     ch = random_channel(rng, 2)
     a = simulate(
         2, [PrepPlus(0), PrepState(1, rho), Unitary1Q(0, dm.H), Channel1Q(1, ch)]
-    ).state
+    )
     b = simulate(
         2, [PrepPlus(0), PrepState(1, rho), Channel1Q(1, ch), Unitary1Q(0, dm.H)]
-    ).state
+    )
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_out_of_order_prep_keeps_site_ordering(rng):
     rho = random_density(rng)
-    a = simulate(2, [PrepState(1, rho), PrepPlus(0)]).state
-    b = simulate(2, [PrepPlus(0), PrepState(1, rho)]).state
+    a = simulate(2, [PrepState(1, rho), PrepPlus(0)])
+    b = simulate(2, [PrepPlus(0), PrepState(1, rho)])
     np.testing.assert_allclose(a, b, atol=1e-12)
     np.testing.assert_allclose(a, dm.kron(dm.projector(dm.PLUS), rho), atol=1e-12)
 
@@ -142,9 +141,30 @@ def test_site_errors():
         simulate(1, [PrepPlus(0), PrepPlus(0)])
 
 
-def test_non_orthonormal_basis_rejected():
-    with pytest.raises(NonOrthonormalBasis):
-        measurement_kets((dm.KET0, dm.PLUS))
+@pytest.mark.parametrize(
+    "ket, error",
+    [
+        (np.zeros(2), NotNormalized),
+        (np.array([1.0, 1.0]), NotNormalized),
+        (np.array([np.nan, 0.0]), NotNormalized),
+        (np.full(4, 0.5), DimensionMismatch),
+        (np.eye(4)[0], DimensionMismatch),
+    ],
+    ids=["zero", "ones", "nan", "four_entries", "eye4_row"],
+)
+def test_measure_rejects_a_ket_that_is_not_a_unit_2_vector(ket, error):
+    for remove in (True, False):
+        with pytest.raises(error):
+            simulate(1, [PrepPlus(0), Measure(0, ket, remove=remove)])
+
+
+def test_measure_accepts_a_column_ket():
+    for remove in (True, False):
+        flat, column = (
+            simulate(1, [PrepPlus(0), Measure(0, ket, remove=remove)])
+            for ket in (dm.MINUS, dm.MINUS.reshape(2, 1))
+        )
+        np.testing.assert_array_equal(column, flat)
 
 
 def test_size_limit_and_env_cap(monkeypatch):
@@ -190,20 +210,22 @@ def test_block_step_ops_order():
     a1, a2, a3, a4 = (phase_flip(p) for p in (0.1, 0.2, 0.3, 0.4))
     meas = MeasSpec.equatorial(0.7, 1)
     cfg = BlockNoiseConfig(meas=meas, alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4)
-    assert block_step_ops(cfg, 3) == [
+    ops = block_step_ops(cfg, 3)
+    assert ops[:-1] == [
         PrepPlus(4),
         Channel1Q(3, a1),
         Channel1Q(4, a2),
         CZ(3, 4),
         Channel1Q(3, a3),
         Channel1Q(4, a4),
-        Measure(3, meas, 1, remove=True),
     ]
-    assert block_step_ops(BlockNoiseConfig(meas=meas), 0) == [
-        PrepPlus(1),
-        CZ(0, 1),
-        Measure(0, meas, 1, remove=True),
-    ]
+    bare = block_step_ops(BlockNoiseConfig(meas=meas), 0)
+    assert bare[:-1] == [PrepPlus(1), CZ(0, 1)]
+    # a readout holds an array, so it is compared field by field
+    for readout, site in ((ops[-1], 3), (bare[-1], 0)):
+        assert isinstance(readout, Measure)
+        assert (readout.site, readout.remove) == (site, True)
+        assert readout.ket.tobytes() == dm.equatorial_ket(0.7, 1).tobytes()
 
 
 def test_block_oracle_rejects_z_basis():
@@ -243,7 +265,7 @@ def reference_simulate(ops):
             elif isinstance(op, Channel1Q):
                 kraus = op.channel.ops
             else:
-                kraus = [dm.projector(measurement_kets(op.basis)[op.outcome])]
+                kraus = [dm.projector(op.ket)]
             state = sum(_embed(k, pos, m) @ state @ dm.dag(_embed(k, pos, m)) for k in kraus)
             if isinstance(op, Measure) and op.remove:
                 keep = [i for i in range(m) if i != pos]
@@ -297,17 +319,17 @@ def circuits(draw):
                 ops.append(Channel1Q(site, random_channel(rng, draw(st.integers(1, 4)))))
             else:
                 u = draw(st.sampled_from(["x", "z", "equatorial", "random"]))
-                if u == "random":
-                    v = _random_unitary(rng)
-                    basis = (v[:, 0], v[:, 1])
-                else:
-                    basis = {
-                        "x": MeasSpec.equatorial(0.0),
-                        "z": MeasSpec.z(),
-                        "equatorial": MeasSpec.equatorial(float(rng.uniform(0, 6.3))),
-                    }[u]
                 remove = draw(st.booleans())
-                ops.append(Measure(site, basis, draw(st.integers(0, 1)), remove=remove))
+                k = draw(st.integers(0, 1))
+                if u == "random":
+                    ket = _random_unitary(rng)[:, k]
+                else:
+                    ket = {
+                        "x": MeasSpec.equatorial(0.0, k),
+                        "z": MeasSpec.z(k),
+                        "equatorial": MeasSpec.equatorial(float(rng.uniform(0, 6.3)), k),
+                    }[u].ket
+                ops.append(Measure(site, ket, remove=remove))
                 if remove:
                     live.remove(site)
     return n, ops
@@ -318,7 +340,7 @@ def circuits(draw):
 def test_simulate_matches_embed_reference(circuit):
     n, ops = circuit
     np.testing.assert_allclose(
-        simulate(n, ops).state, reference_simulate(ops), rtol=0, atol=1e-12
+        simulate(n, ops), reference_simulate(ops), rtol=0, atol=1e-12
     )
 
 
@@ -333,5 +355,5 @@ def test_eleven_site_noisy_cluster_matches_mpo(rng):
     for site in range(n - 1):
         k = int(rng.integers(0, 2))
         state = mpo_measure(state, site, (dm.PLUS, dm.MINUS)[k])
-        ops.append(Measure(site, (dm.PLUS, dm.MINUS), k, remove=True))
-    np.testing.assert_allclose(simulate(n, ops).state, mpo_contract(state), atol=1e-9)
+        ops.append(Measure(site, (dm.PLUS, dm.MINUS)[k]))
+    np.testing.assert_allclose(simulate(n, ops), mpo_contract(state), atol=1e-9)
