@@ -17,6 +17,9 @@ with diagonal Kraus operators, so the composite step is
 operator K of the resource noise maps to the diagonal M with M|+> = K|+>, one
 of the readout noise to the diagonal M with <v|M = <v|K for the observed
 equatorial state v; both come straight from the entries of K.
+
+:func:`compose_block_noise` maps every step to its one channel; a Z step is
+its ideal channel and takes no noise.
 """
 
 from __future__ import annotations
@@ -75,14 +78,6 @@ class BlockNoiseConfig:
     alpha3: KrausChannel | None = None
     alpha4: KrausChannel | None = None
 
-    def channels(self) -> dict[str, KrausChannel | None]:
-        return {
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "alpha4": self.alpha4,
-        }
-
 
 def ideal_block(meas: MeasSpec) -> KrausChannel:
     """Noiseless step channel for the given basis and outcome."""
@@ -125,16 +120,17 @@ def map_measurement_noise(alpha3: KrausChannel, phi: float, k: int) -> KrausChan
 
 
 def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
-    """Single channel for a noisy equatorial step with outcome ``cfg.meas.outcome``.
+    """The one channel of a step with outcome ``cfg.meas.outcome``.
 
-    Builds ``alpha4 o mapped(alpha2) o step o mapped(alpha3, k) o alpha1``;
-    absent channels default to the identity.
+    An equatorial step builds ``alpha4 o mapped(alpha2) o step o mapped(alpha3,
+    k) o alpha1``; absent channels default to the identity.  A Z step is its
+    ideal channel and takes no noise (``ZBasisUnsupported`` if any is set).
     """
     meas = cfg.meas
-    if meas.basis != EQUATORIAL:
-        raise ZBasisUnsupported(
-            "noise composition is defined for equatorial measurements only"
-        )
+    if meas.basis == Z_BASIS:
+        if any(a is not None for a in (cfg.alpha1, cfg.alpha2, cfg.alpha3, cfg.alpha4)):
+            raise ZBasisUnsupported("a Z step takes no noise")
+        return ideal_block(meas)
     # the identity start stays a factor: dropping it can flip the sign of a zero
     ch = cfg.alpha1 if cfg.alpha1 is not None else identity_channel()
     if cfg.alpha3 is not None:
@@ -155,12 +151,5 @@ def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:
         raise ValueError("block sequence must be nonempty")
     out = np.asarray(rho, dtype=complex)
     for cfg in blocks:
-        if cfg.meas.basis == Z_BASIS:
-            if any(ch is not None for ch in cfg.channels().values()):
-                raise ZBasisUnsupported(
-                    "noisy blocks require an equatorial measurement"
-                )
-            out = apply(ideal_block(cfg.meas), out)
-        else:
-            out = apply(compose_block_noise(cfg), out)
+        out = apply(compose_block_noise(cfg), out)
     return out

@@ -53,12 +53,14 @@ def kraus_sum(ops) -> np.ndarray:
 
 
 def validate(ops) -> KrausChannel:
-    """Build a channel, insisting on sum K^dag K bounded by the identity.
+    """Build a channel, insisting on finite entries and sum K^dag K bounded by I.
 
     The set passes when the sum is entrywise within ``dm.ATOL`` of I, or when
     the largest eigenvalue of its Hermitian part is at most 1 + ``dm.ATOL``.
     """
     ch = KrausChannel(ops)
+    if not np.isfinite(ch.ops).all():
+        raise NotAChannel("Kraus operators must have finite entries")
     s = kraus_sum(ch.ops)
     if dm.max_abs_diff(s, np.eye(s.shape[0])) > dm.ATOL:
         top = np.linalg.eigvalsh(0.5 * (s + dm.dag(s))).max()
@@ -139,10 +141,12 @@ def pauli_decompose(k: np.ndarray) -> np.ndarray:
 
 
 def check_unitary(u) -> np.ndarray:
-    """``u`` as a complex matrix, insisting on U^dag U within ``dm.ATOL`` of I."""
+    """``u`` as a complex matrix: finite, with U^dag U within ``dm.ATOL`` of I."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"a unitary must be square, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise NotUnitary("a unitary must have finite entries")
     if dm.max_abs_diff(dm.dag(u) @ u, np.eye(u.shape[0])) > dm.ATOL:
         raise NotUnitary("matrix fails the unitarity check, U^dag U != I")
     return u

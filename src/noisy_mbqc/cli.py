@@ -30,15 +30,15 @@ Z step names no alpha slot; ``phi`` may also be an adaptive sign table
 ``{"magnitude": x, "flip_on": [earlier step indices]}``, resolved to x *
 (-1)^(sum of those outcomes) per outcome string.  One case per outcome string;
 states are compared unnormalised so traces carry branch probabilities.  A chain
-composes each distinct step (step index and resolved measurement) once and
-reuses its channel across outcome strings.  The outcome strings are walked
-depth first as a prefix tree, in product order: the closed-form state and the
-oracle's one live qubit after a prefix are computed once and shared by every
-string below it.  Step i's oracle starts from that live qubit on site i and
-runs the step's circuit on sites (i, i+1) of the chain's full register
-(len(chain) + 1 sites), so the register cap applies as for one circuit over
-the whole chain.  An L-step chain costs 2^(L+1) - 2 step evaluations on each
-path, not L * 2^L.
+composes each distinct step (step index and resolved measurement, Z or not)
+once with ``block.compose_block_noise`` and reuses it across outcome strings.
+The outcome strings are walked depth first as a prefix tree, in product
+order: the closed-form state and the oracle's one live qubit after a prefix
+are computed once and shared by every string below it.  Step i's oracle
+starts from that live qubit on site i and runs the step's circuit on sites
+(i, i+1) of the chain's full register (len(chain) + 1 sites), so the register
+cap applies as for one circuit over the whole chain.  An L-step chain costs
+2^(L+1) - 2 step evaluations on each path, not L * 2^L.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -102,7 +102,7 @@ import numpy as np
 from . import densemath as dm
 from . import mpo as mpo_mod
 from . import oracle
-from .block import BlockNoiseConfig, MeasSpec, compose_block_noise, ideal_block
+from .block import BlockNoiseConfig, MeasSpec, compose_block_noise
 from .channels import (
     KrausChannel,
     apply,
@@ -469,7 +469,7 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 cfg = BlockNoiseConfig(meas=meas, **alphas)
                 step = composed.get((i, meas))
                 if step is None:
-                    step = ideal_block(meas) if phi is None else compose_block_noise(cfg)
+                    step = compose_block_noise(cfg)
                     composed[i, meas] = step
                 circuit = [oracle.PrepState(i, live), *oracle.block_step_ops(cfg, i)]
                 walk(

@@ -12,7 +12,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotNormalized
 
 #: default tolerance for Hermiticity / positivity / trace checks
 ATOL = 1e-10
@@ -28,6 +28,9 @@ KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
+# shared by every caller: a write into one would corrupt it process-wide
+for _const in (I2, X, Y, Z, H, CZ, KET0, KET1, PLUS, MINUS):
+    _const.setflags(write=False)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -54,6 +57,18 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     if not mats:
         raise DimensionMismatch("kron needs at least one operand")
     return reduce(np.kron, (np.asarray(m, dtype=complex) for m in mats))
+
+
+def unit_ket(ket) -> np.ndarray:
+    """The readout check of the oracle and the MPO: ``ket`` (a (2, 1) column
+    too) as a complex 2-vector with |<v|v> - 1| <= 1e-12; NaN fails."""
+    v = np.asarray(ket, dtype=complex)
+    if v.size != 2:
+        raise DimensionMismatch(f"a measurement ket must have 2 entries, got {v.shape}")
+    v = v.reshape(2)
+    if not abs(np.vdot(v, v) - 1.0) <= 1e-12:  # NaN fails too
+        raise NotNormalized("a measurement ket must be a unit vector")
+    return v
 
 
 def projector(vec: np.ndarray) -> np.ndarray:

@@ -47,7 +47,6 @@ from .channels import KrausChannel, basis_element, check_unitary
 from .errors import (
     AlreadyMeasured,
     DimensionMismatch,
-    NotNormalized,
     SizeLimit,
     UnmeasuredSites,
 )
@@ -208,11 +207,7 @@ def mpo_measure(state: MpoState, index: int, basis_vec: np.ndarray) -> MpoState:
     already daggers its bra-side vector.
     """
     site = _site(state, index)
-    v = np.asarray(basis_vec, dtype=complex).reshape(-1)
-    if v.shape != (2,):
-        raise DimensionMismatch("basis vector must live on one qubit")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-        raise NotNormalized("measurement vector must have unit norm")
+    v = dm.unit_ket(basis_vec)
     weights = v if index == state.n_sites - 1 else v.conj()
     collapsed = weights[0] * site[0] + weights[1] * site[1]
     return _with_site(state, index, collapsed[None])

@@ -35,7 +35,6 @@ from .block import EQUATORIAL, BlockNoiseConfig, MeasSpec
 from .channels import KrausChannel
 from .errors import (
     DimensionMismatch,
-    NotNormalized,
     SiteOutOfRange,
     SizeLimit,
     ZBasisUnsupported,
@@ -218,12 +217,7 @@ def simulate(n: int, ops) -> np.ndarray:
                 raise DimensionMismatch("site channels must be single-qubit")
             reg.apply(op.channel.ops, reg.pos(op.site))
         elif isinstance(op, Measure):
-            ket = np.asarray(op.ket, dtype=complex)
-            if ket.size != 2:
-                raise DimensionMismatch("measurement ket must have 2 entries")
-            ket = ket.reshape(2)
-            if not abs(np.vdot(ket, ket) - 1.0) <= 1e-12:  # NaN fails too
-                raise NotNormalized("measurement ket must be a unit vector")
+            ket = dm.unit_ket(op.ket)
             pos = reg.pos(op.site)
             if op.remove:
                 reg.project_out(ket, pos)

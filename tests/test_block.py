@@ -211,9 +211,15 @@ def test_compose_rejects_mismatched_dimension(rng, slot):
         compose_block_noise(cfg)
 
 
-def test_compose_rejects_z_basis():
-    with pytest.raises(ZBasisUnsupported):
-        compose_block_noise(BlockNoiseConfig(meas=MeasSpec.z(0)))
+def test_compose_z_step_is_ideal_and_takes_no_noise():
+    for k in (0, 1):
+        meas = MeasSpec.z(k)
+        got = compose_block_noise(BlockNoiseConfig(meas=meas))
+        assert got.ops.tobytes() == ideal_block(meas).ops.tobytes()
+        for slot in ("alpha1", "alpha2", "alpha3", "alpha4"):
+            cfg = BlockNoiseConfig(meas=meas, **{slot: identity_channel()})
+            with pytest.raises(ZBasisUnsupported):
+                compose_block_noise(cfg)
 
 
 def test_oracle_equivalence_random_configs(rng):

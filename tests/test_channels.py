@@ -26,6 +26,7 @@ from noisy_mbqc.channels import (
     validate,
 )
 from noisy_mbqc.errors import DimensionMismatch, NotAChannel, NotUnitary
+from noisy_mbqc.mpo import mpo_apply_unitary, mpo_cluster
 
 
 def assert_tp(ch):
@@ -336,6 +337,22 @@ def test_unitary_stock_channels_reject_non_unitary():
     with pytest.raises(DimensionMismatch):
         check_unitary(np.ones((2, 3)))
     np.testing.assert_array_equal(check_unitary(dm.H + 1e-11 * dm.X), dm.H + 1e-11 * dm.X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_entries_are_not_a_channel_or_unitary(bad):
+    m = np.array(dm.I2)
+    m[1, 1] = bad
+    with pytest.raises(NotAChannel):
+        validate([m])
+    with pytest.raises(NotAChannel):
+        validate([np.full((2, 2), bad)])
+    with pytest.raises(NotUnitary):
+        check_unitary(m)
+    with pytest.raises(NotUnitary):
+        mixed_unitary([(0.5, dm.I2), (0.5, m)])
+    with pytest.raises(NotUnitary):
+        mpo_apply_unitary(mpo_cluster(3), 0, m)
 
 
 def test_random_channel_is_cptp(rng):

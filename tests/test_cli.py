@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from noisy_mbqc import cli
 from noisy_mbqc import densemath as dm
 from noisy_mbqc import oracle
-from noisy_mbqc.block import BlockNoiseConfig, MeasSpec, compose_block_noise, ideal_block
+from noisy_mbqc.block import (
+    BlockNoiseConfig,
+    MeasSpec,
+    compose_block_noise,
+    ideal_block,
+    run_block_sequence,
+)
 from noisy_mbqc.channels import apply
 from noisy_mbqc.cli import (
     CaseResult,
@@ -833,6 +839,10 @@ def _chain_cfgs(spec, outcomes):
     """Per-step configurations of one outcome string, resolved independently."""
     cfgs = []
     for entry in spec.payload["chain"]:
+        k = outcomes[len(cfgs)]
+        if entry.get("z", False):
+            cfgs.append(BlockNoiseConfig(meas=MeasSpec.z(k)))
+            continue
         phi = entry["phi"]
         if isinstance(phi, dict):
             sign = (-1) ** sum(outcomes[j] for j in phi.get("flip_on", []))
@@ -842,8 +852,7 @@ def _chain_cfgs(spec, outcomes):
             for slot in ("alpha1", "alpha2", "alpha3", "alpha4")
             if slot in entry
         }
-        meas = MeasSpec.equatorial(float(phi), outcomes[len(cfgs)])
-        cfgs.append(BlockNoiseConfig(meas=meas, **alphas))
+        cfgs.append(BlockNoiseConfig(meas=MeasSpec.equatorial(float(phi), k), **alphas))
     return cfgs
 
 
@@ -883,6 +892,28 @@ def test_chain_composes_each_distinct_step_once(monkeypatch):
             rho = apply(compose_block_noise(cfg), rho)
         np.testing.assert_array_equal(case.closed_form, rho)
     assert len(calls) == len(distinct) < len(report.cases) * len(axes)
+
+
+def test_chain_z_steps_fold_like_run_block_sequence():
+    doc = {
+        "kind": "block_chain",
+        "channels": {"h": {"builtin": "mixed_unitary", "p": 0.2, "matrix": _H}},
+        "chain": [
+            {"z": True, "k": "both"},
+            {"phi": 0.4, "k": "both", "alpha2": "h"},
+            {"z": True, "k": "both"},
+            {"phi": {"magnitude": 0.9, "flip_on": [0, 2]}, "k": "both", "alpha3": "h"},
+        ],
+    }
+    spec = parse_experiment(spec_text(doc))
+    # only the closed form: the oracle's Z-step circuit reads out the input
+    # qubit, a known defect that fails mid-chain Z steps against the oracle
+    report = run_experiment(spec)
+    assert len(report.cases) == 16
+    for ks, case in zip(product((0, 1), repeat=4), report.cases, strict=True):
+        assert case.case_id == "k=" + "".join(map(str, ks))
+        want = run_block_sequence(dm.projector(dm.PLUS), _chain_cfgs(spec, ks))
+        assert case.closed_form.tobytes() == want.tobytes()
 
 
 def reference_chain_cases(spec) -> list[tuple[str, np.ndarray, np.ndarray]]:

@@ -5,6 +5,7 @@ import pytest
 from conftest import random_complex, random_density, signed_zero_complex
 
 from noisy_mbqc import densemath as dm
+from noisy_mbqc.block import MeasSpec
 from noisy_mbqc.errors import DimensionMismatch
 
 
@@ -120,6 +121,14 @@ def test_equatorial_kets_orthonormal():
         assert abs(np.vdot(v0, v0) - 1) < 1e-12
         assert abs(np.vdot(v0, v1)) < 1e-12
     np.testing.assert_allclose(dm.equatorial_ket(0.0, 0), dm.PLUS)
+
+
+def test_shared_constants_are_read_only():
+    for name in ("I2", "X", "Y", "Z", "H", "CZ", "KET0", "KET1", "PLUS", "MINUS"):
+        assert not getattr(dm, name).flags.writeable, name
+    with pytest.raises(ValueError):
+        MeasSpec.z(0).ket[0] = 0
+    np.testing.assert_array_equal(dm.KET0, [1, 0])
 
 
 def test_mat_json_roundtrip(rng):

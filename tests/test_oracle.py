@@ -167,6 +167,46 @@ def test_measure_accepts_a_column_ket():
         np.testing.assert_array_equal(column, flat)
 
 
+@st.composite
+def readout_kets(draw):
+    """A unit ket off by a relative ``d`` in its length, a non-finite entry, the
+    zero vector, a (2, 1) column or a 4-entry vector."""
+    theta = draw(st.floats(0.0, np.pi))
+    phase = draw(st.floats(-np.pi, np.pi))
+    ket = np.array([np.cos(theta / 2), np.exp(1j * phase) * np.sin(theta / 2)])
+    kind = draw(st.sampled_from(["scaled", "non_finite", "zero", "column", "four"]))
+    if kind == "scaled":
+        d = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9, -1e-9]))
+        return ket * (1.0 + d)
+    if kind == "non_finite":
+        ket[draw(st.integers(0, 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+        )
+        return ket
+    if kind == "zero":
+        return np.zeros(2)
+    if kind == "column":
+        return ket.reshape(2, 1)
+    return np.append(ket, [0.0, 0.0])
+
+
+def _raised(run):
+    """The class of the ``ValueError`` ``run()`` raises, or None."""
+    try:
+        run()
+    except ValueError as e:
+        return type(e)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(readout_kets())
+def test_oracle_and_mpo_share_one_readout_check(ket):
+    oracle_error = _raised(lambda: simulate(1, [PrepPlus(0), Measure(0, ket)]))
+    mpo_error = _raised(lambda: mpo_measure(mpo_cluster(2), 0, ket))
+    assert oracle_error is mpo_error
+
+
 def test_size_limit_and_env_cap(monkeypatch):
     with pytest.raises(SizeLimit):
         simulate(13, [])
