@@ -8,7 +8,6 @@
 
 import numpy as np
 
-from noisy_mbqc import densemath as dm
 from noisy_mbqc.mpo import (
     mpo_cluster,
     mpo_contract,

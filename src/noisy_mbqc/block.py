@@ -30,7 +30,7 @@ import numpy as np
 
 from . import densemath as dm
 from .channels import KrausChannel, apply, compose, identity_channel
-from .errors import DimensionMismatch, ZBasisUnsupported
+from .errors import ZBasisUnsupported
 
 Z_BASIS = "z"
 EQUATORIAL = "equatorial"
@@ -97,8 +97,6 @@ def map_resource_noise(alpha2: KrausChannel) -> KrausChannel:
     replaced by the diagonal M = sqrt(2) diag(K|+>), which has M|+> = K|+>.
     Paulis map as I -> I, X -> I, Z -> Z, Y -> -iZ.
     """
-    if alpha2.dim != 2:
-        raise DimensionMismatch("resource noise must be a single-qubit channel")
     return KrausChannel([np.sqrt(2.0) * np.diag(k @ dm.PLUS) for k in alpha2.ops])
 
 
@@ -111,8 +109,6 @@ def map_measurement_noise(alpha3: KrausChannel, phi: float, k: int) -> KrausChan
     In the basis rotated by exp(-i*phi*Z/2), Paulis map as I -> I, Z -> Z,
     X -> (-1)^k I and iXZ -> i(-1)^k Z.
     """
-    if alpha3.dim != 2:
-        raise DimensionMismatch("measurement noise must be a single-qubit channel")
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
     v = dm.equatorial_ket(phi, k)

@@ -1,7 +1,8 @@
 """Kraus-channel algebra and the single-qubit Pauli labelling.
 
-A channel is one complex (r, d, d) array of Kraus operators, stacked once
-when built, so each kernel is one broadcast over the stack axis.  No trace
+A channel is one complex (r, 2, 2) array of single-qubit Kraus operators,
+stacked once when built, so each kernel is one broadcast over the stack
+axis; the constructor is the one place that checks the 2x2 shape.  No trace
 condition is stored with it: sum K^dag K is I for a trace-preserving map,
 below I for a post-selected branch, and may exceed I for a derived map such
 as mapped resource or readout noise.  :func:`validate` checks the bound
@@ -28,20 +29,16 @@ from .errors import DimensionMismatch, NotAChannel, NotUnitary
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by Kraus operators: ``ops``, any sequence
-    of r >= 1 equal-shaped square matrices, is stored as one (r, d, d) array."""
+    """A single-qubit completely positive map: ``ops``, any sequence of r >= 1
+    2x2 Kraus operators, is stored as one (r, 2, 2) array."""
 
     ops: np.ndarray
 
     def __post_init__(self):
         ops = dm.stacked(self.ops, 3, "Kraus operators")
-        if ops.shape[1] != ops.shape[2]:
-            raise DimensionMismatch(f"Kraus operators are {ops.shape[1:]}, not square")
+        if ops.shape[1:] != (2, 2):
+            raise DimensionMismatch(f"Kraus operators are {ops.shape[1:]}, not 2x2")
         object.__setattr__(self, "ops", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.ops.shape[1]
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -57,12 +54,17 @@ def validate(ops) -> KrausChannel:
 
     The set passes when the sum is entrywise within ``dm.ATOL`` of I, or when
     the largest eigenvalue of its Hermitian part is at most 1 + ``dm.ATOL``.
+    A bounded sum bounds every entry, |K_ij|^2 <= 1 + ``dm.ATOL``, so a larger
+    entry is refused before the sum is formed (where it could overflow).
     """
     ch = KrausChannel(ops)
     if not np.isfinite(ch.ops).all():
         raise NotAChannel("Kraus operators must have finite entries")
+    big = np.abs(ch.ops).max()
+    if big > 1.0 + dm.ATOL:
+        raise NotAChannel(f"sum K^dag K exceeds the identity (entry modulus {big:.3e})")
     s = kraus_sum(ch.ops)
-    if dm.max_abs_diff(s, np.eye(s.shape[0])) > dm.ATOL:
+    if dm.max_abs_diff(s, dm.I2) > dm.ATOL:
         top = np.linalg.eigvalsh(0.5 * (s + dm.dag(s))).max()
         if top > 1.0 + dm.ATOL:
             raise NotAChannel(
@@ -78,10 +80,8 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     summed over the stack axis.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match channel dimension {ch.dim}"
-        )
+    if rho.shape != (2, 2):
+        raise DimensionMismatch(f"state shape {rho.shape} is not 2x2")
     ks = ch.ops
     return (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
@@ -89,14 +89,11 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:
     """Composite map acting as ``after(before(rho))``; Kraus set {A_i B_j},
     with i the outer index of the stack."""
-    a, b, d = after.ops, before.ops, after.dim
-    if before.dim != d:
-        raise DimensionMismatch(f"cannot compose dimension {d} after {before.dim}")
-    return KrausChannel((a[:, None] @ b[None]).reshape(-1, d, d))
+    return KrausChannel((after.ops[:, None] @ before.ops[None]).reshape(-1, 2, 2))
 
 
 def choi(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) ch(|i><j|), trace d for CPTP maps.
+    """Choi matrix sum_ij |i><j| (x) ch(|i><j|), trace 2 for CPTP maps.
 
     Its entry ((i, a), (j, b)) is sum_m K_m[a, i] conj(K_m[b, j]), so with
     row m of V equal to vec(K_m^T) (row-major) the matrix is V^T conj(V):
@@ -141,13 +138,13 @@ def pauli_decompose(k: np.ndarray) -> np.ndarray:
 
 
 def check_unitary(u) -> np.ndarray:
-    """``u`` as a complex matrix: finite, with U^dag U within ``dm.ATOL`` of I."""
+    """``u`` as a complex 2x2 matrix: finite, with U^dag U within ``dm.ATOL`` of I."""
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"a unitary must be square, got {u.shape}")
+    if u.shape != (2, 2):
+        raise DimensionMismatch(f"expected a 2x2 matrix, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise NotUnitary("a unitary must have finite entries")
-    if dm.max_abs_diff(dm.dag(u) @ u, np.eye(u.shape[0])) > dm.ATOL:
+    if dm.max_abs_diff(dm.dag(u) @ u, dm.I2) > dm.ATOL:
         raise NotUnitary("matrix fails the unitarity check, U^dag U != I")
     return u
 
@@ -157,8 +154,8 @@ def check_unitary(u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel([np.eye(dim)])
+def identity_channel() -> KrausChannel:
+    return KrausChannel([dm.I2])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -183,13 +180,13 @@ def depolarizing() -> KrausChannel:
     return validate([0.5 * s for s in (dm.I2, dm.X, dm.Y, dm.Z)])
 
 
-def random_channel(rng: np.random.Generator, n_kraus: int = 2, dim: int = 2) -> KrausChannel:
-    """A Haar-flavoured CPTP channel from a random isometry.
+def random_channel(rng: np.random.Generator, n_kraus: int = 2) -> KrausChannel:
+    """A Haar-flavoured single-qubit CPTP channel from a random isometry.
 
-    A Gaussian (n_kraus*dim) x dim matrix is orthonormalised by QR; slicing
-    the isometry into dim x dim blocks yields Kraus operators that satisfy
-    the trace-preservation sum exactly.
+    A Gaussian (2 n_kraus) x 2 matrix is orthonormalised by QR; slicing the
+    isometry into 2x2 blocks yields Kraus operators that satisfy the
+    trace-preservation sum exactly.
     """
-    g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
-    q, _ = np.linalg.qr(g)
-    return validate(q.reshape(n_kraus, dim, dim))
+    size = (2 * n_kraus, 2)
+    q, _ = np.linalg.qr(rng.normal(size=size) + 1j * rng.normal(size=size))
+    return validate(q.reshape(n_kraus, 2, 2))

@@ -19,7 +19,7 @@ Document layout (all kinds)::
 
 Kind ``teleport``: ``resource_noise`` names a channel; ``inputs`` is either
 ``{"random": N}`` or a list of state specs (``"plus"``, ``"zero"``, ``"one"``,
-``"minus"`` or ``{"matrix": [...]}``).  One case per input and Bell outcome.
+``"minus"`` or a 2x2 ``{"matrix": [...]}``).  One case per input and Bell outcome.
 
 Kind ``block_chain``: either ``chain`` (a list of step entries) or
 ``random_suite`` (``{"cases": N, "kraus": 2}``, comparing composed Choi
@@ -118,7 +118,8 @@ from .channels import (
     unitary_channel,
     validate,
 )
-from .errors import NotAChannel, NotUnitary, ParseError, UnknownChannelRef
+from .errors import DimensionMismatch, NotAChannel, NotUnitary, ParseError
+from .errors import UnknownChannelRef
 from .teleport import (
     diagonal_resource,
     is_pauli_channel,
@@ -279,11 +280,9 @@ def _matrix(obj, where: str) -> np.ndarray:
 
 
 def _unitary(obj, where: str) -> np.ndarray:
-    u = _matrix(obj, where)
-    _require(u.shape == (2, 2), f"{where}: expected a 2x2 matrix, got shape {u.shape}")
     try:
-        return check_unitary(u)
-    except NotUnitary as exc:
+        return check_unitary(_matrix(obj, where))
+    except (DimensionMismatch, NotUnitary) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -312,6 +311,7 @@ def _parse_state(obj, where: str) -> np.ndarray:
             return _parse_state(obj["state"], where)
         if "matrix" in obj:
             rho = _matrix(obj["matrix"], f"{where}.matrix")
+            _require(rho.shape == (2, 2), f"{where}.matrix: expected a 2x2 matrix")
             if not dm.is_density_operator(rho, normalized=True):
                 raise ParseError(f"{where}: matrix is not a normalised state")
             return rho

@@ -6,7 +6,8 @@ class DimensionMismatch(ValueError):
 
 
 class NotAChannel(ValueError):
-    """Kraus operators exceed the trace-non-increasing bound."""
+    """Kraus operators have a non-finite entry, an entry of modulus above
+    1 + ATOL, or a sum K^dag K above the identity."""
 
 
 class NotPauliChannel(ValueError):
@@ -14,7 +15,8 @@ class NotPauliChannel(ValueError):
 
 
 class ZBasisUnsupported(ValueError):
-    """Noise composition is only defined for equatorial measurements."""
+    """A Z-basis step was given noise (its channel is the ideal one), or was
+    passed to the equatorial-only oracle step channel."""
 
 
 class SiteOutOfRange(IndexError):

@@ -30,10 +30,10 @@ The correlation-space rule (Gross and Eisert, quant-ph/0609149) tracks the
 dense state exactly for tensor families with the cluster symmetry
 (A[i^1, s] = Z A[i, s] X and A[i, s] Z = (-1)^i A[i, s]), which covers the
 builders here and any single update per site; stacking several non-Pauli
-updates on one site leaves that family and is on the caller.  Bond
-dimension is 2 for every builder; the contraction does not assume it, the
-event rule (Z on the bond) does, and an event on a site of any other bond
-dimension raises ``DimensionMismatch`` naming the site.
+updates on one site leaves that family and is on the caller.  The bond
+dimension D is 2, the correlation space of the cluster state: the event
+rule's Z acts on the bond and needs it, and ``MpoState`` checks it on the
+seed and on every site.
 """
 
 from __future__ import annotations
@@ -44,12 +44,7 @@ import numpy as np
 
 from . import densemath as dm
 from .channels import KrausChannel, basis_element, check_unitary
-from .errors import (
-    AlreadyMeasured,
-    DimensionMismatch,
-    SizeLimit,
-    UnmeasuredSites,
-)
+from .errors import AlreadyMeasured, DimensionMismatch, SizeLimit, UnmeasuredSites
 
 CONTRACTION_MAX_QUBITS = 12
 
@@ -59,8 +54,8 @@ class MpoState:
     """Ordered site families plus the correlation-space seed operator.
 
     ``sites[j]`` is an array or nested sequences, stacked once into a complex
-    (P, S, D, D) array, or (P, S, D) for the last site, the boundary, with
-    P in (1, 2) and D the dimension of the square seed.
+    (P, S, 2, 2) array, or (P, S, 2) for the last site, the boundary, with
+    P in (1, 2); the seed is a 2x2 matrix.
     """
 
     sites: tuple[np.ndarray, ...]
@@ -68,8 +63,8 @@ class MpoState:
 
     def __post_init__(self):
         seed = dm.stacked(self.seed, 2, "seed")
-        if seed.shape[0] != seed.shape[1]:
-            raise DimensionMismatch(f"seed must be a square matrix, got {seed.shape}")
+        if seed.shape != (2, 2):
+            raise DimensionMismatch(f"seed must be a 2x2 matrix, got shape {seed.shape}")
         if not self.sites:
             raise DimensionMismatch("sites: an MPO needs at least one site")
         last = len(self.sites) - 1
@@ -78,10 +73,10 @@ class MpoState:
             for j, a in enumerate(self.sites)
         )
         for j, a in enumerate(sites):
-            if len(a) > 2 or set(a.shape[2:]) != {len(seed)}:
+            if len(a) > 2 or set(a.shape[2:]) != {2}:
                 raise DimensionMismatch(
                     f"site {j} has shape {a.shape}; it needs 1 or 2 physical slots "
-                    f"and bond dimension {len(seed)}, the seed's"
+                    "and bond dimension 2"
                 )
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sites", sites)
@@ -215,19 +210,11 @@ def mpo_measure(state: MpoState, index: int, basis_vec: np.ndarray) -> MpoState:
 
 def _apply_ops(state: MpoState, index: int, ks: np.ndarray) -> MpoState:
     """Each family member A becomes A diag(K) + Z A offdiag(K), one per K of
-    the stacked (K, 2, 2) operators ``ks``; member s, K k lands at s * K + k.
-
-    The Z acts on the bond, so every member must be a 2x2 bond matrix.
-    """
+    the stacked (K, 2, 2) operators ``ks``; member s, K k lands at s * K + k."""
     site = _site(state, index)
     if index == state.n_sites - 1:
         raise ValueError(
             "boundary sites hold vectors; the correlation-space updates need matrices"
-        )
-    if site.shape[2:] != (2, 2):
-        raise DimensionMismatch(
-            f"site {index} has bond dimension {site.shape[2]} (matrix shape "
-            f"{site.shape[2:]}); events need bond dimension 2"
         )
     diag = np.where(np.eye(2, dtype=bool), ks, 0)
     a = site[:, :, None]
@@ -245,17 +232,12 @@ def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoS
 
 def mpo_apply_unitary(state: MpoState, index: int, u: np.ndarray) -> MpoState:
     """Unitary on the physical qubit."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DimensionMismatch("site unitary must be 2x2")
     return _apply_ops(state, index, check_unitary(u)[None])
 
 
 def mpo_apply_channel(state: MpoState, index: int, eta: KrausChannel) -> MpoState:
     """Channel on the physical qubit; the site's s family gains one branch
     per Kraus operator."""
-    if eta.dim != 2:
-        raise DimensionMismatch("site channels must be single-qubit")
     return _apply_ops(state, index, eta.ops)
 
 

@@ -213,8 +213,6 @@ def simulate(n: int, ops) -> np.ndarray:
                 raise DimensionMismatch("single-site unitary must be 2x2")
             reg.apply(u[None], reg.pos(op.site))
         elif isinstance(op, Channel1Q):
-            if op.channel.dim != 2:
-                raise DimensionMismatch("site channels must be single-qubit")
             reg.apply(op.channel.ops, reg.pos(op.site))
         elif isinstance(op, Measure):
             ket = dm.unit_ket(op.ket)

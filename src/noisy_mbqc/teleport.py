@@ -28,8 +28,6 @@ def bell_ket(i: int, j: int) -> np.ndarray:
 
 def diagonal_resource(eps: KrausChannel) -> np.ndarray:
     """Two-qubit resource sum_ij (1/2)|i><j| (x) eps(|i><j|): half the Choi matrix."""
-    if eps.dim != 2:
-        raise DimensionMismatch("resource noise must be a single-qubit channel")
     return 0.5 * choi(eps)
 
 
@@ -58,8 +56,6 @@ def teleport_branches(resource: np.ndarray, rho: np.ndarray) -> list[np.ndarray]
 
 def is_pauli_channel(eps: KrausChannel, tol: float = dm.ATOL) -> bool:
     """True when every Kraus operator is proportional to one Pauli."""
-    if eps.dim != 2:
-        return False
     for k in eps.ops:
         coeffs = np.abs(pauli_decompose(k))
         if np.count_nonzero(coeffs > tol) > 1:

@@ -25,7 +25,6 @@ from noisy_mbqc.block import (
 )
 from noisy_mbqc.channels import (
     KrausChannel,
-    apply,
     basis_element,
     bit_flip,
     channels_equal,

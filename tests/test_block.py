@@ -27,7 +27,7 @@ from noisy_mbqc.channels import (
     phase_flip,
     random_channel,
 )
-from noisy_mbqc.errors import DimensionMismatch, ZBasisUnsupported
+from noisy_mbqc.errors import ZBasisUnsupported
 from noisy_mbqc.oracle import block_oracle_channel
 
 
@@ -201,14 +201,6 @@ def test_compose_resource_and_measurement_example():
         cfg = BlockNoiseConfig(meas=meas, alpha2=phase_flip(0.5), alpha3=bit_flip(0.5))
         want = compose(phase_flip(0.5), ideal_block(meas))
         assert channels_equal(compose_block_noise(cfg), want, tol=1e-12)
-
-
-@pytest.mark.parametrize("slot", ["alpha1", "alpha4"])
-def test_compose_rejects_mismatched_dimension(rng, slot):
-    two_qubit = random_channel(rng, 2, dim=4)
-    cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(0.5, 1), **{slot: two_qubit})
-    with pytest.raises(DimensionMismatch, match="cannot compose dimension"):
-        compose_block_noise(cfg)
 
 
 def test_compose_z_step_is_ideal_and_takes_no_noise():

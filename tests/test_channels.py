@@ -1,3 +1,6 @@
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import random_complex, random_density, signed_zero_complex
@@ -26,11 +29,17 @@ from noisy_mbqc.channels import (
     validate,
 )
 from noisy_mbqc.errors import DimensionMismatch, NotAChannel, NotUnitary
-from noisy_mbqc.mpo import mpo_apply_unitary, mpo_cluster
+from noisy_mbqc.mpo import (
+    MpoState,
+    mpo_apply_unitary,
+    mpo_cluster,
+    mpo_from_dict,
+    mpo_to_dict,
+)
 
 
 def assert_tp(ch):
-    np.testing.assert_allclose(kraus_sum(ch.ops), np.eye(ch.dim), atol=1e-12)
+    np.testing.assert_allclose(kraus_sum(ch.ops), dm.I2, atol=1e-12)
 
 
 def test_validate_identity_is_tp():
@@ -93,6 +102,13 @@ def test_validate_trace_bound_boundary(op, accepted):
     else:
         with pytest.raises(NotAChannel, match="exceeds the identity"):
             validate([op])
+
+
+def test_validate_refuses_a_huge_entry_before_the_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAChannel, match="exceeds the identity"):
+            validate([[[1e200, 0], [0, 0]]])
 
 
 def test_channel_skips_the_trace_bound():
@@ -226,11 +242,10 @@ def reference_apply(ch, rho):
 
 def reference_choi(ch):
     """sum_ij |i><j| (x) ch(|i><j|), one basis element and kron at a time."""
-    d = ch.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
+    c = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             c += np.kron(e, reference_apply(ch, e))
     return c
@@ -243,30 +258,25 @@ _UNITARIES = (dm.I2, dm.X, dm.Y, dm.Z, dm.H)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_kraus=st.one_of(st.integers(1, 8), st.integers(9, 256)),
-    dim=st.sampled_from([2, 4]),
     structured=st.booleans(),
     trace_preserving=st.booleans(),
 )
-def test_stacked_kernels_match_the_loops(seed, n_kraus, dim, structured, trace_preserving):
+def test_stacked_kernels_match_the_loops(seed, n_kraus, structured, trace_preserving):
     rng = np.random.default_rng(seed)
     if structured:
-        # Paulis and H (tensor pairs of them at dim 4): many exact zeros
-        picks = rng.integers(len(_UNITARIES), size=(n_kraus, dim // 2))
-        us = [
-            _UNITARIES[p[0]] if dim == 2 else np.kron(*(_UNITARIES[q] for q in p))
-            for p in picks
-        ]
+        # Paulis and H: many exact zeros
+        us = [_UNITARIES[p] for p in rng.integers(len(_UNITARIES), size=n_kraus)]
         ch = mixed_unitary(zip(rng.dirichlet(np.ones(n_kraus)), us))
     else:
-        ch = random_channel(rng, n_kraus, dim)
+        ch = random_channel(rng, n_kraus)
     if not trace_preserving:
         ch = KrausChannel([w * k for w, k in zip(rng.uniform(0.0, 1.5, n_kraus), ch.ops)])
     c = choi(ch)
-    assert c.shape == (dim * dim, dim * dim)
+    assert c.shape == (4, 4)
     assert dm.max_abs_diff(c, reference_choi(ch)) <= 1e-13
     if trace_preserving:
-        assert np.trace(c).real == pytest.approx(dim, abs=1e-12)
-    for rho in (random_density(rng, dim), random_complex(rng, (dim, dim))):
+        assert np.trace(c).real == pytest.approx(2, abs=1e-12)
+    for rho in (random_density(rng), random_complex(rng, (2, 2))):
         assert dm.max_abs_diff(apply(ch, rho), reference_apply(ch, rho)) <= 1e-13
 
 
@@ -281,15 +291,14 @@ def reference_compose(after, before):
     seed=st.integers(0, 2**32 - 1),
     n_after=st.integers(1, 16),
     n_before=st.integers(1, 16),
-    dim=st.sampled_from([2, 4]),
 )
-def test_compose_matches_the_product_loop_bit_for_bit(seed, n_after, n_before, dim):
+def test_compose_matches_the_product_loop_bit_for_bit(seed, n_after, n_before):
     rng = np.random.default_rng(seed)
     after, before = (
-        KrausChannel(signed_zero_complex(rng, (n, dim, dim))) for n in (n_after, n_before)
+        KrausChannel(signed_zero_complex(rng, (n, 2, 2))) for n in (n_after, n_before)
     )
     got, want = compose(after, before), reference_compose(after, before)
-    assert got.ops.shape == (n_after * n_before, dim, dim)
+    assert got.ops.shape == (n_after * n_before, 2, 2)
     assert got.ops.tobytes() == want.ops.tobytes()
 
 
@@ -361,3 +370,38 @@ def test_random_channel_is_cptp(rng):
         assert_tp(ch)
         assert len(ch.ops) == n
 
+
+def _sites(bond):
+    """One interior site and the boundary, stacked, with bond dimension ``bond``."""
+    return (np.ones((2, 1, bond, bond)), np.ones((2, 1, bond)))
+
+
+def _round_trip(bond):
+    written = mpo_to_dict(SimpleNamespace(sites=_sites(bond), seed=dm.I2))
+    return mpo_from_dict(written)
+
+
+# each constructor that owns the single-qubit rule, fed a 3x3 or 4x4 operand
+_UNITARY_SHAPE = r"^expected a 2x2 matrix, got shape \(\d, \d\)$"
+_OWNERS = {
+    "KrausChannel": (lambda: KrausChannel([np.eye(4)]), "not 2x2"),
+    "validate": (lambda: validate([np.eye(3)]), "not 2x2"),
+    "check_unitary": (lambda: check_unitary(np.eye(4)), _UNITARY_SHAPE),
+    "unitary_channel": (lambda: unitary_channel(np.eye(4)), _UNITARY_SHAPE),
+    "mixed_unitary": (
+        lambda: mixed_unitary([(0.5, dm.I2), (0.5, np.eye(3))]),
+        _UNITARY_SHAPE,
+    ),
+    "apply": (lambda: apply(identity_channel(), np.eye(4) / 4), "not 2x2"),
+    "MpoState-seed3x3": (lambda: MpoState(sites=_sites(2), seed=np.eye(3)), "^seed "),
+    "MpoState-bond1": (lambda: MpoState(sites=_sites(1), seed=dm.I2), "^site 0 "),
+    "MpoState-bond3": (lambda: MpoState(sites=_sites(3), seed=dm.I2), "^site 0 "),
+    "MpoState-bond1_from_dict": (lambda: _round_trip(1), "^site 0 "),
+    "MpoState-bond3_from_dict": (lambda: _round_trip(3), "^site 0 "),
+}
+
+
+@pytest.mark.parametrize("build, match", _OWNERS.values(), ids=_OWNERS)
+def test_single_qubit_owners_reject_other_dimensions(build, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        build()

@@ -714,6 +714,30 @@ def test_main_bad_field_is_one_line_spec_error(
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc, path, where",
+    [(_CHAIN, ("input",), "input"), (SKELETONS[0], ("inputs", 0), r"inputs\[0\]")],
+    ids=["input", "inputs[0]"],
+)
+def test_parse_rejects_a_two_qubit_input_state(doc, path, where):
+    # a normalised 4x4 state is refused by the parser, before any run
+    doc = _set(doc, path, {"matrix": dm.mat_to_json(np.eye(4) / 4)})
+    with pytest.raises(ParseError, match=rf"^{where}\.matrix: expected a 2x2 matrix$"):
+        parse_experiment(spec_text(doc))
+
+
+def test_main_huge_kraus_entry_is_one_line_spec_error(tmp_path, capsys):
+    # an entry this large would overflow sum K^dag K inside validate
+    huge = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    doc = _set(_MPO, ("channels", "noise", "ops"), [huge])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_doc(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: channels.noise: sum K^dag K exceeds the identity")
+    assert err.count("\n") == 1
+
+
 def test_flip_on_takes_integral_floats():
     # flip_on entries are integer fields: an integral float names the same step
     as_floats, as_ints = (_set(_CHAIN3, _FLIPS, flips) for flips in ([0.0, 1.0], [0, 1]))

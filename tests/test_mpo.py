@@ -732,36 +732,3 @@ def test_from_dict_rejects_malformed_sites(corrupt):
 def test_from_dict_rejects_a_top_level_that_is_not_an_object(doc):
     with pytest.raises(DimensionMismatch, match=r"^seed and sites: expected an object"):
         mpo_from_dict(doc)
-
-
-def _bond_state(bond: int) -> MpoState:
-    """Two sites, one interior and the boundary, with the given bond dimension."""
-    interior = ((np.eye(bond),), (2.0 * np.eye(bond),))
-    bound = ((np.ones(bond),), (np.ones(bond),))
-    return MpoState(sites=(interior, bound), seed=np.eye(bond) / bond)
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: _bond_state(1),
-        lambda: _bond_state(3),
-        lambda: mpo_from_dict(mpo_to_dict(_bond_state(1))),
-    ],
-    ids=["bond1", "bond3", "bond1_from_dict"],
-)
-@pytest.mark.parametrize(
-    "event",
-    [
-        lambda s: mpo_apply_pauli(s, 0, (1, 0)),
-        lambda s: mpo_apply_unitary(s, 0, dm.H),
-        lambda s: mpo_apply_channel(s, 0, phase_flip(0.2)),
-    ],
-    ids=["pauli", "unitary", "channel"],
-)
-def test_events_name_the_site_and_its_bond_dimension(make, event):
-    state = make()
-    assert mpo_contract(state).shape == (4, 4)  # the contraction takes any bond
-    bond = state.sites[0].shape[2]
-    with pytest.raises(DimensionMismatch, match=f"site 0 has bond dimension {bond} "):
-        event(state)

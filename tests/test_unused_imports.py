@@ -1,12 +1,14 @@
-"""Every name a library module imports is read somewhere in that module."""
+"""Every name a library module, test or demo imports is read somewhere in it."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "noisy_mbqc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "noisy_mbqc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -51,7 +53,12 @@ def read_names(tree: ast.Module) -> set[str]:
     }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _label(path: Path) -> str:
+    """A library module by its file name, a test or demo by its folder too."""
+    return path.relative_to(PACKAGE if path.parent == PACKAGE else ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=_label)
 def test_module_reads_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = read_names(tree)
