@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import random_complex, random_density
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_channels import reference_compose
@@ -27,7 +27,7 @@ from noisy_mbqc.channels import (
     phase_flip,
     random_channel,
 )
-from noisy_mbqc.errors import ZBasisUnsupported
+from noisy_mbqc.errors import DimensionMismatch, ZBasisUnsupported
 from noisy_mbqc.oracle import block_oracle_channel
 
 
@@ -201,6 +201,16 @@ def test_compose_resource_and_measurement_example():
         cfg = BlockNoiseConfig(meas=meas, alpha2=phase_flip(0.5), alpha3=bit_flip(0.5))
         want = compose(phase_flip(0.5), ideal_block(meas))
         assert channels_equal(compose_block_noise(cfg), want, tol=1e-12)
+
+
+@pytest.mark.parametrize("slot", ["alpha1", "alpha4"])
+def test_compose_rejects_mismatched_dimension(rng, slot):
+    # KrausChannel refuses a two-qubit set, so compose never meets one
+    meas = MeasSpec.equatorial(0.5, 1)
+    cfg = BlockNoiseConfig(meas=meas, **{slot: random_channel(rng, 2)})
+    assert compose_block_noise(cfg).ops.shape == (2, 2, 2)
+    with pytest.raises(DimensionMismatch, match=r"^Kraus operators are \(4, 4\), not 2x2$"):
+        BlockNoiseConfig(meas=meas, **{slot: KrausChannel(random_complex(rng, (2, 4, 4)))})
 
 
 def test_compose_z_step_is_ideal_and_takes_no_noise():

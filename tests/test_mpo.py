@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -732,3 +733,38 @@ def test_from_dict_rejects_malformed_sites(corrupt):
 def test_from_dict_rejects_a_top_level_that_is_not_an_object(doc):
     with pytest.raises(DimensionMismatch, match=r"^seed and sites: expected an object"):
         mpo_from_dict(doc)
+
+
+def _bond_sites(bond: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two sites, one interior and the boundary, with the given bond dimension."""
+    interior = np.array(((np.eye(bond),), (2.0 * np.eye(bond),)))
+    bound = np.ones((2, 1, bond))
+    return (interior, bound)
+
+
+@pytest.mark.parametrize(
+    "bond, from_dict",
+    [(1, False), (3, False), (1, True)],
+    ids=["bond1", "bond3", "bond1_from_dict"],
+)
+@pytest.mark.parametrize(
+    "event",
+    [
+        lambda s: mpo_apply_pauli(s, 0, (1, 0)),
+        lambda s: mpo_apply_unitary(s, 0, dm.H),
+        lambda s: mpo_apply_channel(s, 0, phase_flip(0.2)),
+    ],
+    ids=["pauli", "unitary", "channel"],
+)
+def test_events_name_the_site_and_its_bond_dimension(bond, from_dict, event):
+    # an event needs bond dimension 2, and MpoState refuses any other bond,
+    # built or decoded, naming the site, so no event can meet one
+    seed = dm.I2 / 2
+    assert mpo_contract(event(MpoState(sites=_bond_sites(2), seed=seed))).shape == (4, 4)
+    match = rf"^site 0 has shape \(2, 1, {bond}, {bond}\); .*bond dimension 2$"
+    with pytest.raises(DimensionMismatch, match=match):
+        if from_dict:
+            doc = mpo_to_dict(SimpleNamespace(sites=_bond_sites(bond), seed=seed))
+            event(mpo_from_dict(doc))
+        else:
+            event(MpoState(sites=_bond_sites(bond), seed=seed))
