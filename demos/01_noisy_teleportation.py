@@ -12,7 +12,7 @@ import numpy as np
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.channels import apply, bit_flip, depolarizing, phase_flip
-from noisy_mbqc.teleport import check_pauli_teleportation, diagonal_resource, teleport_branch
+from noisy_mbqc.teleport import diagonal_resource, pauli_corrected_target, teleport_branch
 
 rho = dm.projector(dm.PLUS)
 print("input state |+><+|:\n", np.round(rho.real, 3))
@@ -44,5 +44,10 @@ print("the dephased input I/2 came through on every branch")
 eps = bit_flip(0.3)
 rho = dm.projector(dm.KET0)
 print("\n-- bit-flip resource (p = 0.3), teleporting |0><0| --")
-print("closed form verified:", check_pauli_teleportation(eps, rho, tol=1e-10))
+resource = diagonal_resource(eps)
+gaps = [
+    dm.trace_distance(teleport_branch(resource, rho, s, t), pauli_corrected_target(eps, rho, s, t))
+    for s, t in product(range(2), repeat=2)
+]
+print("closed form verified:", max(gaps) <= 1e-10)
 print("teleported output:\n", np.round(apply(eps, rho).real, 3))

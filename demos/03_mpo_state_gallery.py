@@ -8,17 +8,18 @@
 
 import numpy as np
 
+from noisy_mbqc import oracle
 from noisy_mbqc.mpo import (
     mpo_cluster,
     mpo_contract,
     mpo_maximally_mixed,
     mpo_one_clean,
 )
-from noisy_mbqc.oracle import build_cluster_dm
 
 print("-- linear cluster --")
 for n in (2, 4, 6):
-    diff = np.max(np.abs(mpo_contract(mpo_cluster(n)) - build_cluster_dm(n)))
+    dense = oracle.simulate(n, oracle.cluster_ops(n))
+    diff = np.max(np.abs(mpo_contract(mpo_cluster(n)) - dense))
     print(f"n={n}: contraction vs dense circuit, max diff {diff:.2e}")
 
 state = mpo_cluster(3)

@@ -15,13 +15,11 @@ from .block import (
     ideal_block,
     map_measurement_noise,
     map_resource_noise,
-    run_block_sequence,
 )
 from .channels import (
     KrausChannel,
     apply,
     choi,
-    channels_equal,
     compose,
     pauli_decompose,
     validate,
@@ -38,8 +36,8 @@ from .mpo import (
     mpo_measure,
     mpo_one_clean,
 )
-from .oracle import block_oracle_channel, build_cluster_dm, simulate
-from .teleport import check_pauli_teleportation, diagonal_resource, teleport_branch
+from .oracle import block_oracle_channel, simulate
+from .teleport import diagonal_resource, teleport_branch
 
 __version__ = "0.1.0"
 
@@ -57,11 +55,9 @@ __all__ = [
     "ideal_block",
     "map_measurement_noise",
     "map_resource_noise",
-    "run_block_sequence",
     "KrausChannel",
     "apply",
     "choi",
-    "channels_equal",
     "compose",
     "pauli_decompose",
     "validate",
@@ -76,9 +72,7 @@ __all__ = [
     "mpo_measure",
     "mpo_one_clean",
     "block_oracle_channel",
-    "build_cluster_dm",
     "simulate",
-    "check_pauli_teleportation",
     "diagonal_resource",
     "teleport_branch",
 ]

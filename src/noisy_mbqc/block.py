@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .channels import KrausChannel, apply, compose, identity_channel
+from .channels import KrausChannel, compose, identity_channel
 from .errors import ZBasisUnsupported
 
 Z_BASIS = "z"
@@ -137,15 +137,3 @@ def compose_block_noise(cfg: BlockNoiseConfig) -> KrausChannel:
     if cfg.alpha4 is not None:
         ch = compose(cfg.alpha4, ch)
     return ch
-
-
-def run_block_sequence(rho: np.ndarray, blocks) -> np.ndarray:
-    """Apply a chain of measurement steps; output trace is the joint branch
-    probability of the chosen outcome string."""
-    blocks = list(blocks)
-    if not blocks:
-        raise ValueError("block sequence must be nonempty")
-    out = np.asarray(rho, dtype=complex)
-    for cfg in blocks:
-        out = apply(compose_block_noise(cfg), out)
-    return out

@@ -103,16 +103,6 @@ def choi(ch: KrausChannel) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def choi_distance(a: KrausChannel, b: KrausChannel) -> float:
-    """Largest entrywise difference between the two Choi matrices."""
-    return dm.max_abs_diff(choi(a), choi(b))
-
-
-def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = 1e-9) -> bool:
-    """Channel equality as Choi max-entry distance within ``tol``."""
-    return choi_distance(a, b) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Paulis and unitaries
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ Kind ``block_chain``: either ``chain`` (a list of step entries) or
 matrices against the oracle for random noise at all four locations).  A chain
 entry reads ``{"phi": 0.3, "k": 0|1|"both", "alpha1": "name", ...}`` or
 ``{"z": true, "k": ...}``, where ``z`` is a JSON boolean (default false) and a
-Z step names no alpha slot; ``phi`` may also be an adaptive sign table
+Z step names no phi or alpha slot; ``phi`` may also be an adaptive sign table
 ``{"magnitude": x, "flip_on": [earlier step indices]}``, resolved to x *
 (-1)^(sum of those outcomes) per outcome string.  One case per outcome string;
 states are compared unnormalised so traces carry branch probabilities.  A chain
@@ -57,9 +57,9 @@ selected at least one.
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
 ``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
 take an integer or an integral float; null, booleans, strings and fractions are
-bad input.  Number fields (``tolerance``, ``p``, ``phi``, ``magnitude``) reject
-booleans and strings; ``phi`` and ``magnitude`` must be finite, and so must
-matrix entries.
+bad input.  Number fields (``tolerance``, ``p``, ``phi``, ``magnitude``, matrix
+entries) reject booleans and strings; ``phi``, ``magnitude`` and matrix entries
+must be finite.
 A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
 The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 ``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
@@ -275,6 +275,8 @@ def _matrix(obj, where: str) -> np.ndarray:
         raise ParseError(finite) from None
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
+    bools = any(isinstance(x, bool) for row in obj for pair in row for x in pair)
+    _require(not bools, f"{where}: matrix entries must be numbers, got a boolean")
     _require(np.isfinite(m).all(), finite)
     return m
 
@@ -430,6 +432,7 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         _require(isinstance(entry, dict), f"{where}: expected an object")
         z = entry.get("z", False)
         _require(isinstance(z, bool), f"{where}.z: expected a boolean, got {z!r}")
+        _require(not (z and "phi" in entry), f"{where}.phi: a Z step takes no angle")
         phi = None if z else _parse_phi(entry.get("phi", 0.0), i, f"{where}.phi")
         ks = _outcomes(
             entry.get("k", "both"), f"{where}.k", f"{where}.k must be 0, 1 or 'both'"
@@ -755,27 +758,6 @@ def _matrix_chunks(rows: list, text: dict, pad: str):
         yield lead + row % tuple(map(text.__getitem__, bits))
         lead = "," + a
     yield pad + "]"
-
-
-def report_from_dict(doc: dict) -> Report:
-    report = Report(
-        tolerance=float(doc["tolerance"]),
-        seed=int(doc["meta"]["seed"]),
-        spec_hash=doc["meta"]["spec_sha256"],
-        timestamp=doc["meta"]["timestamp"],
-    )
-    for c in doc["cases"]:
-        report.cases.append(
-            CaseResult(
-                case_id=c["case"],
-                closed_form=dm.mat_from_json(c["closed_form"]),
-                oracle=dm.mat_from_json(c["oracle"]),
-                max_entry_diff=float(c["max_entry_diff"]),
-                trace_distance=float(c["trace_distance"]),
-                branch_prob=float(c["branch_prob"]),
-            )
-        )
-    return report
 
 
 CSV_COLUMNS = ("case", "branch_prob", "max_entry_diff", "trace_distance", "pass")

@@ -10,10 +10,6 @@ class NotAChannel(ValueError):
     1 + ATOL, or a sum K^dag K above the identity."""
 
 
-class NotPauliChannel(ValueError):
-    """A Kraus operator is not proportional to a single Pauli."""
-
-
 class ZBasisUnsupported(ValueError):
     """A Z-basis step was given noise (its channel is the ideal one), or was
     passed to the equatorial-only oracle step channel."""

@@ -181,12 +181,6 @@ class _Register:
         self.state = reduced.reshape(2**self.m, 2**self.m)
 
 
-def _check_size(n: int, what: str):
-    cap = max_oracle_qubits()
-    if not 1 <= n <= cap:
-        raise SizeLimit(f"{what} size {n} outside [1, {cap}]")
-
-
 def simulate(n: int, ops) -> np.ndarray:
     """Run the operation list over an ``n``-site register.
 
@@ -194,7 +188,9 @@ def simulate(n: int, ops) -> np.ndarray:
     Measurements project onto their ket (no sampling); the final trace is the
     probability of the chosen outcome string.
     """
-    _check_size(n, "register")
+    cap = max_oracle_qubits()
+    if not 1 <= n <= cap:
+        raise SizeLimit(f"register size {n} outside [1, {cap}]")
     reg = _Register(n)
 
     for op in ops:
@@ -231,18 +227,6 @@ def cluster_ops(n: int) -> list:
     ops: list = [PrepPlus(i) for i in range(n)]
     ops.extend(CZ(i, i + 1) for i in range(n - 1))
     return ops
-
-
-def build_cluster_dm(n: int) -> np.ndarray:
-    """Pure linear-cluster density matrix: |+>^n entangled by nearest-neighbour CZ."""
-    _check_size(n, "cluster")
-    vec = np.full(2**n, 2 ** (-n / 2.0), dtype=complex)
-    idx = np.arange(2**n)
-    for i in range(n - 1):
-        ba = (idx >> (n - 1 - i)) & 1
-        bb = (idx >> (n - 2 - i)) & 1
-        vec = vec * (1.0 - 2.0 * (ba & bb))
-    return np.outer(vec, vec.conj())
 
 
 def teleport_oracle_state(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import densemath as dm
 from .channels import KrausChannel, apply, choi, pauli_decompose
-from .errors import DimensionMismatch, NotPauliChannel
+from .errors import DimensionMismatch
 
 
 def bell_ket(i: int, j: int) -> np.ndarray:
@@ -49,11 +49,6 @@ def teleport_branch(resource: np.ndarray, rho: np.ndarray, s: int, t: int) -> np
     return dm.partial_trace(projected, keep=[2], dims=(2, 2, 2))
 
 
-def teleport_branches(resource: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
-    """Bob's states on all four Bell branches in (s, t) order."""
-    return [teleport_branch(resource, rho, s, t) for s in range(2) for t in range(2)]
-
-
 def is_pauli_channel(eps: KrausChannel, tol: float = dm.ATOL) -> bool:
     """True when every Kraus operator is proportional to one Pauli."""
     for k in eps.ops:
@@ -70,25 +65,3 @@ def pauli_corrected_target(
     xs = np.linalg.matrix_power(dm.X, s)
     zt = np.linalg.matrix_power(dm.Z, t)
     return 0.25 * xs @ zt @ apply(eps, rho) @ zt @ xs
-
-
-def check_pauli_teleportation(
-    eps: KrausChannel, rho: np.ndarray, tol: float = dm.ATOL
-) -> bool:
-    """Verify that a Pauli-noise resource teleports eps(rho) on every branch.
-
-    Raises :class:`NotPauliChannel` when a Kraus operator of ``eps`` is not
-    proportional to a Pauli; the closed form only covers Pauli channels.
-    """
-    if not is_pauli_channel(eps):
-        raise NotPauliChannel(
-            "teleportation closed form requires Kraus operators proportional to Paulis"
-        )
-    resource = diagonal_resource(eps)
-    for s in range(2):
-        for t in range(2):
-            got = teleport_branch(resource, rho, s, t)
-            want = pauli_corrected_target(eps, rho, s, t)
-            if dm.trace_distance(got, want) > tol:
-                return False
-    return True

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import report_from_dict, run_block_sequence
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from noisy_mbqc.block import (
     MeasSpec,
     compose_block_noise,
     ideal_block,
-    run_block_sequence,
 )
 from noisy_mbqc.channels import apply
 from noisy_mbqc.cli import (
@@ -31,7 +31,6 @@ from noisy_mbqc.cli import (
     emit_report,
     main,
     parse_experiment,
-    report_from_dict,
     report_to_dict,
     run_experiment,
 )
@@ -610,6 +609,12 @@ _OPS = "channels.noise.ops: expected a non-empty list of 2x2 matrices"
 _Z = "chain[0].z: expected a boolean, got "
 _PROJECTOR = dm.mat_to_json(dm.projector(dm.KET0))
 _NOT_UNITARY = "channels.noise.matrix: matrix fails the unitarity check"
+# JSON booleans spelling valid numbers: the identity, and I/2 as a state
+_BOOL_ID = [[[True, 0], [0, 0]], [[0, 0], [True, 0]]]
+_BOOL_HALF = [[[0.5, False], [0, 0]], [[0, 0], [0.5, 0]]]
+_BOOL_UNITARY = {"builtin": "unitary", "matrix": _BOOL_ID}
+_BOOL = ": matrix entries must be numbers, got a boolean"
+_Z_PHI = "chain[{}].phi: a Z step takes no angle"
 
 
 @pytest.mark.parametrize(
@@ -701,6 +706,14 @@ _NOT_UNITARY = "channels.noise.matrix: matrix fails the unitarity check"
         (_CHAIN3, _FLIPS, [0, "1"], "chain[2].phi.flip_on[1]: expected an integer"),
         (_CHAIN3, _FLIPS, [2], "chain[2].phi.flip_on[0] must name an earlier step, got 2"),
         (_CHAIN3, _FLIPS, [-1.0], "chain[2].phi.flip_on[0] must name an earlier step"),
+        (_MPO, ("site_ops", 2, "unitary"), _BOOL_ID, "site_ops[2].unitary" + _BOOL),
+        (SKELETONS[0], ("channels", "noise"), _BOOL_UNITARY, "channels.noise.matrix" + _BOOL),
+        (SKELETONS[1], ("channels", "noise", "matrix"), _BOOL_ID, "channels.noise.matrix" + _BOOL),
+        (_MPO, ("channels", "noise", "ops"), [_H, _BOOL_ID], "channels.noise.ops[1]" + _BOOL),
+        (_CHAIN, ("input",), {"matrix": _BOOL_HALF}, "input.matrix" + _BOOL),
+        (SKELETONS[0], ("inputs", 1, "matrix"), _BOOL_HALF, "inputs[1].matrix" + _BOOL),
+        (_CHAIN, ("chain", 0), {"z": True, "phi": "oops"}, _Z_PHI.format(0)),
+        (_CHAIN, ("chain", 1, "z"), True, _Z_PHI.format(1)),
     ],
 )
 def test_main_bad_field_is_one_line_spec_error(

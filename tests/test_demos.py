@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import report_from_dict
 
 from noisy_mbqc import cli
 
@@ -41,7 +42,7 @@ def test_demo_spec_passes(spec, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["run", str(spec), "--out", str(out)]) == 0
     text = out.read_text()
-    report = cli.report_from_dict(json.loads(text))
+    report = report_from_dict(json.loads(text))
     assert text == json.dumps(cli.report_to_dict(report), indent=2) + "\n"
 
 

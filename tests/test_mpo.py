@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import random_complex, signed_zero_complex
+from conftest import build_cluster_dm, random_complex, signed_zero_complex
 from test_block import _test_channel
 
 from noisy_mbqc import densemath as dm
@@ -58,7 +58,7 @@ def x_measure(state, site, outcome):
 def test_cluster_contraction_matches_dense():
     for n in (2, 3, 5):
         got = mpo_contract(mpo_cluster(n))
-        np.testing.assert_allclose(got, oracle.build_cluster_dm(n), atol=1e-12)
+        np.testing.assert_allclose(got, build_cluster_dm(n), atol=1e-12)
 
 
 def test_cluster_branches_are_rank_one():

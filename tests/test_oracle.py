@@ -2,7 +2,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import build_cluster_dm, random_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from noisy_mbqc.oracle import (
     Unitary1Q,
     block_oracle_channel,
     block_step_ops,
-    build_cluster_dm,
     cluster_ops,
     simulate,
     teleport_oracle_state,
@@ -210,8 +209,6 @@ def test_oracle_and_mpo_share_one_readout_check(ket):
 def test_size_limit_and_env_cap(monkeypatch):
     with pytest.raises(SizeLimit):
         simulate(13, [])
-    with pytest.raises(SizeLimit):
-        build_cluster_dm(13)
     monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "2")
     with pytest.raises(SizeLimit):
         simulate(3, [])
