@@ -47,7 +47,13 @@ sites before the last (the boundary): ``{"site": i, "pauli": [a, b]}`` with
 bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
 "name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
 0|1|"both"}``, each site of the register at most once.  Contractions are
-compared against the dense simulation per outcome string.  An optional
+compared against the dense simulation per outcome string.  Its circuit
+prepares every site, then runs site by site in ascending order the CZ to the
+next site (cluster), the site's events in document order and the site's
+readout, so a read-out site leaves the register before any later site's
+events run; the peak register is the full one, as the preps make it.  The
+prep and per-site op lists are built once per document; a branch only places
+its readouts among them.  An optional
 ``save_mpo`` path stores the prepared (pre-measurement) operator as
 ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
 [{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
@@ -61,6 +67,8 @@ bad input.  Number fields (``tolerance``, ``p``, ``phi``, ``magnitude``, matrix
 entries) reject booleans and strings; ``phi``, ``magnitude`` and matrix entries
 must be finite.
 A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
+A channel definition names only the keys its kind reads (``builtin`` and its
+``p`` and ``matrix``, or ``dim`` and ``ops``); any other key is bad input.
 The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 ``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
 
@@ -188,30 +196,34 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+# builtin name -> (the fields it reads, in order, and its constructor)
+_BUILTINS = {
+    "identity": ((), identity_channel),
+    "bit_flip": (("p",), bit_flip),
+    "phase_flip": (("p",), phase_flip),
+    "depolarizing": ((), depolarizing),
+    "unitary": (("matrix",), unitary_channel),
+    "mixed_unitary": (
+        ("p", "matrix"),
+        lambda p, u: mixed_unitary([(1.0 - p, dm.I2), (p, u)]),
+    ),
+}
+
+
 def _parse_channel_def(name: str, obj) -> KrausChannel:
+    where = f"channels.{name}"
     if not isinstance(obj, dict):
-        raise ParseError(f"channels.{name}: expected an object")
+        raise ParseError(f"{where}: expected an object")
     try:
         if "builtin" in obj:
             builtin = obj["builtin"]
-            if builtin == "identity":
-                return identity_channel()
-            if builtin == "bit_flip":
-                return bit_flip(_probability(obj["p"], f"channels.{name}.p"))
-            if builtin == "phase_flip":
-                return phase_flip(_probability(obj["p"], f"channels.{name}.p"))
-            if builtin == "depolarizing":
-                return depolarizing()
-            if builtin == "unitary":
-                u = _unitary(obj["matrix"], f"channels.{name}.matrix")
-                return unitary_channel(u)
-            if builtin == "mixed_unitary":
-                p = _probability(obj["p"], f"channels.{name}.p")
-                u = _unitary(obj["matrix"], f"channels.{name}.matrix")
-                return mixed_unitary([(1.0 - p, dm.I2), (p, u)])
-            raise ParseError(f"channels.{name}: unknown builtin {builtin!r}")
-        if "ops" in obj:
-            where = f"channels.{name}"
+            if not isinstance(builtin, str) or builtin not in _BUILTINS:
+                raise ParseError(f"{where}: unknown builtin {builtin!r}")
+            fields, make = _BUILTINS[builtin]
+            read = {"p": _probability, "matrix": _unitary}
+            channel = make(*(read[key](obj[key], f"{where}.{key}") for key in fields))
+            what, reads = f"builtin {builtin!r}", ("builtin", *fields)
+        elif "ops" in obj:
             dim = _integer(obj.get("dim", 2), f"{where}.dim")
             _require(dim == 2, f"{where}.dim must be 2 (single-qubit), got {dim}")
             rows = obj["ops"]
@@ -219,12 +231,18 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
             _require(isinstance(rows, list) and rows, shape)
             ops = [_matrix(op, f"{where}.ops[{i}]") for i, op in enumerate(rows)]
             _require(all(k.shape == (2, 2) for k in ops), shape)
-            return validate(ops)
+            channel = validate(ops)
+            what, reads = "an ops channel", ("dim", "ops")
+        else:
+            raise ParseError(f"{where}: needs either 'builtin' or 'ops'")
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"channels.{name}: malformed definition ({exc})") from exc
+        raise ParseError(f"{where}: malformed definition ({exc})") from exc
     except NotAChannel as exc:
-        raise NotAChannel(f"channels.{name}: {exc}") from exc
-    raise ParseError(f"channels.{name}: needs either 'builtin' or 'ops'")
+        raise NotAChannel(f"{where}: {exc}") from exc
+    # a key the channel does not read is refused, not dropped
+    for key in obj:
+        _require(key in reads, f"{where}.{key}: not a field of {what}")
+    return channel
 
 
 def _number(obj, where: str) -> float:
@@ -275,8 +293,8 @@ def _matrix(obj, where: str) -> np.ndarray:
         raise ParseError(finite) from None
     except (TypeError, ValueError):
         raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
-    bools = any(isinstance(x, bool) for row in obj for pair in row for x in pair)
-    _require(not bools, f"{where}: matrix entries must be numbers, got a boolean")
+    boolean = f"{where}: matrix entries must be numbers, got a boolean"
+    _require(not dm.holds_bool(obj), boolean)
     _require(np.isfinite(m).all(), finite)
     return m
 
@@ -574,35 +592,46 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     def run(rng, select) -> list[CaseResult]:
         if name == "cluster":
             state = mpo_mod.mpo_cluster(n)
-            circuit: list = oracle.cluster_ops(n)
+            preps: list = [oracle.PrepPlus(i) for i in range(n)]
         elif name == "maximally_mixed":
             state = mpo_mod.mpo_maximally_mixed(n)
-            circuit = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
+            preps = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
         else:
             state = mpo_mod.mpo_one_clean(n)
-            circuit = [oracle.PrepState(0, dm.projector(dm.KET0))]
-            circuit += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
+            preps = [oracle.PrepState(0, dm.projector(dm.KET0))]
+            preps += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
 
+        # every prep first, so the peak register is the full one; then per
+        # site its CZ to the right, its events and (per branch) its readout
+        steps = [
+            [oracle.CZ(j, j + 1)] if name == "cluster" and j < n - 1 else []
+            for j in range(sites)
+        ]
         for kind, site, value in events:
             if kind == "pauli":
                 state = mpo_mod.mpo_apply_pauli(state, site, value)
-                circuit.append(oracle.Unitary1Q(site, basis_element(*value)))
+                steps[site].append(oracle.Unitary1Q(site, basis_element(*value)))
             elif kind == "unitary":
                 state = mpo_mod.mpo_apply_unitary(state, site, value)
-                circuit.append(oracle.Unitary1Q(site, value))
+                steps[site].append(oracle.Unitary1Q(site, value))
             else:
                 state = mpo_mod.mpo_apply_channel(state, site, value)
-                circuit.append(oracle.Channel1Q(site, value))
+                steps[site].append(oracle.Channel1Q(site, value))
 
         cases = []
         for ks in product(*(axis for _, _, axis in measurements)):
             branch_state = state
-            branch_circuit = list(circuit)
+            readouts = {}
             for (site, kets, _), k in zip(measurements, ks):
                 branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k])
-                branch_circuit.append(oracle.Measure(site, kets[k]))
+                readouts[site] = oracle.Measure(site, kets[k])
+            circuit = list(preps)
+            for j, step in enumerate(steps):
+                circuit += step
+                if j in readouts:
+                    circuit.append(readouts[j])
             closed = mpo_mod.mpo_contract(branch_state)
-            orac = oracle.simulate(state.n_sites, branch_circuit)
+            orac = oracle.simulate(state.n_sites, circuit)
             cases.append(_case("m=" + "".join(str(k) for k in ks), closed, orac))
 
         # written once every case has run and --cases selected some, so a

@@ -186,3 +186,10 @@ def mat_from_json(rows: list) -> np.ndarray:
     return np.array(
         [[complex(re, im) for re, im in row] for row in rows], dtype=complex
     )
+
+
+def holds_bool(obj) -> bool:
+    """True when nested lists hold a JSON boolean, which decodes as 0 or 1."""
+    if isinstance(obj, list):
+        return any(holds_bool(x) for x in obj)
+    return isinstance(obj, bool)

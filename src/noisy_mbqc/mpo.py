@@ -6,8 +6,8 @@ sites hold matrices A[i, s] (P, S, D, D); the last site is the boundary and
 holds vectors v[i, s] (P, S, D).  A measured site is one with a single
 physical slot, P == 1.  ``MpoState.__post_init__`` is the one place that
 checks this site contract, for built, hand-made and decoded states alike;
-``mpo_from_dict`` decodes JSON and checks only that the boundary is written
-as rows.  The contraction starts from the correlation-space seed and carries
+``mpo_from_dict`` decodes JSON, refuses booleans, and checks only the
+boundary rows.  The contraction starts from the correlation-space seed and carries
 a tensor T[r, c] of bond operators over the open sites seen so far.  An
 interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c]
 A[j, s]^dag, so a measured site leaves T's size alone.  The boundary closes
@@ -271,8 +271,9 @@ def mpo_from_dict(doc: dict) -> MpoState:
 
     Reads only ``seed`` and each site's ``matrices`` and ignores any other
     key, so files that also record per-site dimensions and flags load the
-    same.  A malformed document raises DimensionMismatch, naming the site
-    where there is one; only the boundary rows are checked here.
+    same.  A malformed document, a JSON boolean entry included, raises
+    DimensionMismatch, naming the seed or the site; of the shapes, only the
+    boundary rows are checked here.
     """
     if not isinstance(doc, dict):
         kind = type(doc).__name__
@@ -281,6 +282,8 @@ def mpo_from_dict(doc: dict) -> MpoState:
         seed = dm.mat_from_json(doc.get("seed"))
     except (TypeError, ValueError):  # missing, not [re, im] pairs, or ragged rows
         raise DimensionMismatch("seed: expected a matrix of [re, im] pairs") from None
+    if dm.holds_bool(doc["seed"]):
+        raise DimensionMismatch("seed: matrix entries must be numbers, got a boolean")
     entries = doc.get("sites")
     if not isinstance(entries, list) or not entries:
         raise DimensionMismatch("sites: expected a non-empty list")
@@ -294,6 +297,10 @@ def mpo_from_dict(doc: dict) -> MpoState:
             raise DimensionMismatch(
                 f"site {idx} matrices are missing or do not stack as [re, im] pairs"
             ) from None
+        if dm.holds_bool(entry["matrices"]):
+            raise DimensionMismatch(
+                f"site {idx}: matrix entries must be numbers, got a boolean"
+            )
         sites.append(ops)
     rows = sites.pop()  # the boundary
     if rows.ndim != 4 or rows.shape[2] != 1:

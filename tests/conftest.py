@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from noisy_mbqc import densemath as dm
+from noisy_mbqc import oracle
 from noisy_mbqc.block import compose_block_noise
 from noisy_mbqc.channels import apply, choi
 from noisy_mbqc.cli import CaseResult, Report
@@ -57,6 +58,20 @@ def build_cluster_dm(n: int) -> np.ndarray:
     pairs = np.array([bin(b).count("1") for b in idx & (idx >> 1)])
     vec = (-1.0) ** pairs * 2 ** (-n / 2.0)
     return np.outer(vec, vec).astype(complex)
+
+
+def whole_register_ops(builder: str, n: int, events: list, readouts: list) -> list:
+    """The ``mpo`` runner's oracle circuit in whole-register order: every prep,
+    then every CZ, the events (oracle ops) in document order, then the
+    readouts (``oracle.Measure`` ops) in document order."""
+    if builder == "cluster":
+        ops = oracle.cluster_ops(n)
+    elif builder == "maximally_mixed":
+        ops = [oracle.PrepState(i, dm.I2 / 2) for i in range(n)]
+    else:  # one_clean: the clean qubit, then n maximally mixed ones
+        ops = [oracle.PrepState(0, dm.projector(dm.KET0))]
+        ops += [oracle.PrepState(i + 1, dm.I2 / 2) for i in range(n)]
+    return [*ops, *events, *readouts]
 
 
 def report_from_dict(doc: dict) -> Report:

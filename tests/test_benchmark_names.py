@@ -5,7 +5,9 @@ type-checks oracle ops by class, and its ``Recorder.count_*`` functions read
 attributes off the arguments they see.  The file is read here as source text,
 or run from its path, never imported as a package, so a rename in the library,
 or a runner that stops calling a wrapped function, fails this suite rather
-than only the traced benchmark run.
+than only the traced benchmark run.  The ``BENCH_*.json`` trajectory files
+at the repository root may name only the workloads and end-to-end metrics
+of ``BENCHMARK.json``.
 """
 
 import ast
@@ -142,3 +144,24 @@ def test_every_benchmark_span_records_calls(tmp_path, capsys):
         spans["uninstall"](rec, modules)
     recorded = {span.name for span in rec.spans}
     assert set(spans["WRAPPED"]) - recorded == set()
+
+
+ROOT = SPANS.parent.parent
+
+
+def test_bench_files_name_only_benchmark_workloads_and_metrics():
+    # each BENCH_*.json is one point of the benchmark trajectory: medians of
+    # the parent and of the change, per workload and end-to-end metric
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        assert bench["workloads"] and set(bench["workloads"]) <= workloads, path.name
+        for name, medians in bench["workloads"].items():
+            assert medians and set(medians) <= metrics, (path.name, name)
+            for metric, sides in medians.items():
+                assert set(sides) == {"parent", "change"}, (path.name, name, metric)
+                assert all(isinstance(v, (int, float)) for v in sides.values())

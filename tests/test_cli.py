@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import report_from_dict, run_block_sequence
+from conftest import report_from_dict, run_block_sequence, whole_register_ops
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,7 @@ from noisy_mbqc.block import (
     compose_block_noise,
     ideal_block,
 )
-from noisy_mbqc.channels import apply
+from noisy_mbqc.channels import apply, basis_element, random_channel
 from noisy_mbqc.cli import (
     CaseResult,
     Report,
@@ -206,6 +206,102 @@ def test_mpo_builders_run():
         }
         report = run_experiment(parse_experiment(spec_text(doc)))
         assert report.passed and len(report.cases) == cases
+
+
+_EVENT_OPS = (oracle.Unitary1Q, oracle.Channel1Q)
+
+
+def test_mpo_oracle_circuit_reads_out_each_site_after_its_ops():
+    # a fully measured 6-site cluster with a channel on every site but the
+    # boundary, a Pauli and a unitary stacked after the channel on site 2, and
+    # readouts listed out of site order
+    doc = {
+        "kind": "mpo",
+        "channels": {"bf": {"builtin": "bit_flip", "p": 0.2}},
+        "builder": {"name": "cluster", "n": 6},
+        "site_ops": [{"site": s, "channel": "bf"} for s in range(5)]
+        + [{"site": 2, "pauli": [1, 1]}, {"site": 2, "unitary": _H}],
+        "measurements": [
+            {"site": s, "basis": "x", "outcome": "both" if s == 3 else s % 2}
+            for s in (5, 3, 1, 0, 2, 4)
+        ],
+    }
+    with mock.patch.object(oracle, "simulate", wraps=oracle.simulate) as simulate:
+        run_experiment(parse_experiment(spec_text(doc)))
+    assert simulate.call_count == 2  # one call per branch
+    for (n_sites, ops), _ in simulate.call_args_list:
+        assert n_sites == 6
+        # every prep comes first, so the live register peaks at 6 qubits, as
+        # in the whole-register order
+        assert ops[:6] == [oracle.PrepPlus(s) for s in range(6)]
+        assert not any(isinstance(op, oracle.PrepPlus) for op in ops[6:])
+        at = {op.site: i for i, op in enumerate(ops) if isinstance(op, oracle.Measure)}
+        assert sorted(at) == list(range(6))
+        events = [(i, op) for i, op in enumerate(ops) if isinstance(op, _EVENT_OPS)]
+        assert len(events) == 7
+        for i, op in events:
+            # site j's readout comes before any event on a site above j
+            assert all(at[j] < i for j in range(op.site)), (i, op)
+            assert i < at[op.site]
+        for i, op in enumerate(ops):
+            if isinstance(op, oracle.CZ):
+                assert i < min(at[op.a], at[op.b])
+                assert all(i < k for k, ev in events if ev.site in (op.a, op.b))
+        stacked = [op for _, op in events if op.site == 2]
+        assert isinstance(stacked[0], oracle.Channel1Q)
+        np.testing.assert_array_equal(stacked[1].u, basis_element(1, 1))
+        np.testing.assert_array_equal(stacked[2].u, dm.H)
+
+
+_X_KETS, _Z_KETS = (dm.PLUS, dm.MINUS), (dm.KET0, dm.KET1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    builder=st.sampled_from(("cluster", "maximally_mixed", "one_clean")),
+    n=st.integers(3, 6),
+    n_events=st.integers(0, 7),
+)
+def test_mpo_oracle_matches_the_whole_register_order(seed, builder, n, n_events):
+    # random documents with stacked Pauli, unitary and channel events and fixed
+    # readouts in a random document order: the runner's site-by-site circuit
+    # gives the oracle output of the whole-register order
+    rng = np.random.default_rng(seed)
+    sites = n + (builder == "one_clean")
+    channels, site_ops, events = {}, [], []
+    for i in range(n_events):
+        site = int(rng.integers(0, sites - 1))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            bits = [int(b) for b in rng.integers(0, 2, size=2)]
+            site_ops.append({"site": site, "pauli": bits})
+            events.append(oracle.Unitary1Q(site, basis_element(*bits)))
+        elif kind == 1:
+            u = random_channel(rng, 1).ops[0]
+            site_ops.append({"site": site, "unitary": dm.mat_to_json(u)})
+            events.append(oracle.Unitary1Q(site, u))
+        else:
+            ch = random_channel(rng, int(rng.integers(2, 4)))
+            channels[f"c{i}"] = {"ops": [dm.mat_to_json(k) for k in ch.ops]}
+            site_ops.append({"site": site, "channel": f"c{i}"})
+            events.append(oracle.Channel1Q(site, ch))
+    measurements, readouts = [], []
+    for site in (int(s) for s in rng.permutation(sites)):
+        if rng.random() < 0.5:
+            basis, k = ("x", "z")[int(rng.integers(0, 2))], int(rng.integers(0, 2))
+            measurements.append({"site": site, "basis": basis, "outcome": k})
+            readouts.append(oracle.Measure(site, (_X_KETS if basis == "x" else _Z_KETS)[k]))
+    doc = {
+        "kind": "mpo",
+        "channels": channels,
+        "builder": {"name": builder, "n": n},
+        "site_ops": site_ops,
+        "measurements": measurements,
+    }
+    (case,) = run_experiment(parse_experiment(spec_text(doc))).cases
+    want = oracle.simulate(sites, whole_register_ops(builder, n, events, readouts))
+    np.testing.assert_allclose(case.oracle, want, rtol=0, atol=1e-12)
 
 
 def test_case_filter():
@@ -725,6 +821,32 @@ def test_main_bad_field_is_one_line_spec_error(
         assert _run_doc(tmp_path, doc, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+# a valid definition of every builtin and of a custom channel, and a key it
+# does not read; the stray key used to be dropped (a "p" on depolarizing ran
+# the completely depolarising channel and exited 0)
+_UNREAD_KEYS = {
+    "identity": ({"builtin": "identity"}, "p", 0.1),
+    "bit_flip": ({"builtin": "bit_flip", "p": 0.1}, "matrix", _H),
+    "phase_flip": ({"builtin": "phase_flip", "p": 0.1}, "dim", 2),
+    "depolarizing": ({"builtin": "depolarizing"}, "p", 0.1),
+    "unitary": ({"builtin": "unitary", "matrix": _H}, "p", 0.3),
+    "mixed_unitary": ({"builtin": "mixed_unitary", "p": 0.3, "matrix": _H}, "ops", [_H]),
+    "ops": ({"dim": 2, "ops": [_H]}, "matrix", _H),
+}
+
+
+@pytest.mark.parametrize("kind", list(_UNREAD_KEYS))
+def test_main_channel_key_it_does_not_read_is_spec_error(tmp_path, capsys, kind):
+    assert set(_UNREAD_KEYS) == {*cli._BUILTINS, "ops"}
+    channel, key, value = _UNREAD_KEYS[kind]
+    assert _run_doc(tmp_path, _set(SKELETONS[0], ("channels", "noise"), channel)) == 0
+    capsys.readouterr()
+    doc = _set(SKELETONS[0], ("channels", "noise"), dict(channel, **{key: value}))
+    assert _run_doc(tmp_path, doc) == 2
+    what = "an ops channel" if kind == "ops" else f"builtin {kind!r}"
+    assert capsys.readouterr().err == f"error: channels.noise.{key}: not a field of {what}\n"
 
 
 @pytest.mark.parametrize(

@@ -729,6 +729,29 @@ def test_from_dict_rejects_malformed_sites(corrupt):
         mpo_from_dict(doc)
 
 
+def _bool_site_entry(doc):
+    doc["sites"][1]["matrices"][0][0][0][1] = [False, False]  # in place of 0
+
+
+def _bool_seed_entry(doc):
+    doc["seed"][0][0] = [True, False]
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [(_bool_site_entry, "site 1"), (_bool_seed_entry, "seed")],
+    ids=["site", "seed"],
+)
+def test_from_dict_rejects_boolean_entries(corrupt, where):
+    # a JSON boolean would decode as 0 or 1, and both edited files would load;
+    # the site one would even load to the cluster itself
+    doc = mpo_to_dict(mpo_cluster(3))
+    corrupt(doc)
+    message = rf"^{where}: matrix entries must be numbers, got a boolean$"
+    with pytest.raises(DimensionMismatch, match=message):
+        mpo_from_dict(doc)
+
+
 @pytest.mark.parametrize("doc", [[], None, "x", 3])
 def test_from_dict_rejects_a_top_level_that_is_not_an_object(doc):
     with pytest.raises(DimensionMismatch, match=r"^seed and sites: expected an object"):
