@@ -49,8 +49,9 @@ class MeasSpec:
             raise ValueError(f"unknown basis {self.basis!r}")
         if not np.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        if self.outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
+        k = self.outcome  # an int or a numpy integer: a float or bool fails far later
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (0, 1):
+            raise ValueError(f"outcome must be the integer 0 or 1, got {k!r}")
 
     @property
     def ket(self) -> np.ndarray:

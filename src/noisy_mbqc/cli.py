@@ -82,8 +82,8 @@ indent=2)`` writes, plus a final newline: floats read as their ``repr``
 (``NaN``, ``Infinity``, ``-Infinity`` when not finite), and two runs of one
 document give byte-identical reports apart from ``meta.timestamp``.  The
 writer takes the layout from ``json.dumps`` itself, with null at each matrix
-leaf, and streams the matrices into it row by row, each distinct float
-formatted once.
+leaf, and streams the matrices into it 16 rows (one ``%`` format) at a
+time; one ``np.unique`` finds a report's distinct floats, each formatted once.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault, or ``--cases`` selected no
@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -103,7 +104,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -747,46 +748,54 @@ def report_to_dict(report: Report) -> dict:
 # a matrix leaf in the layout text; a quote inside string data is always
 # escaped, so a key's closing quote then ": null" appears only at the leaves
 _LEAF = re.compile(r'(?<="closed_form": )null|(?<="oracle": )null')
+_PAD = "\n      "  # a case's keys' indent, at which its matrix leaves sit
+_BLOCK_ROWS = 16  # matrix rows per piece handed to the file, so memory stays flat
 
 
 def _report_chunks(report: Report):
     """The text of ``json.dumps(report_to_dict(report), indent=2)``, in pieces.
 
     ``json`` writes the layout with null at each matrix leaf; the text is split
-    there and the matrices are streamed in between, row by row.  Their entries
-    become int64 views (re, im interleaved along each row).  Each distinct bit
-    pattern is formatted once, by one ``json.dumps`` of a list (the C
-    encoder), so ``-0.0``, NaN and the infinities read exactly as the
-    pure-Python encoder writes them.
+    there and the matrices are streamed in between, a block of rows at a time.
+    Their entries become int64 views (re, im interleaved along each row), and
+    one ``np.unique`` finds the distinct bit patterns of the report.  Each is
+    formatted once, by one ``json.dumps`` of a list (the C encoder), so ``-0.0``,
+    NaN and the infinities read exactly as the pure-Python encoder writes them.
     """
     mats = [
         np.ascontiguousarray(m, dtype=complex).view(np.int64)
         for c in report.cases
         for m in (c.closed_form, c.oracle)
     ]
-    bits = dict.fromkeys(chain.from_iterable(m.ravel().tolist() for m in mats))
-    floats = np.array(list(bits), dtype=np.int64).view(np.float64).tolist()
-    text = dict(zip(bits, json.dumps(floats)[1:-1].split(", ")))
+    flat = np.concatenate([np.empty(0, np.int64), *(m.ravel() for m in mats)])
+    bits, inverse = np.unique(flat, return_inverse=True)
+    floats = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    text = np.array(floats, dtype=object)
     pieces = _LEAF.split(json.dumps(_report_skeleton(report, lambda m: None), indent=2))
     yield pieces[0]
+    end = 0
     for m, piece in zip(mats, pieces[1:], strict=True):
-        yield from _matrix_chunks(m.tolist(), text, "\n      ")  # a case's keys' pad
-        yield piece
+        start, end = end, end + m.size
+        if not m.size:
+            yield json.dumps(m.tolist(), indent=2).replace("\n", _PAD) + piece
+            continue
+        cells = text[inverse[start:end]].tolist()
+        rows, width = m.shape
+        for r in range(0, rows, _BLOCK_ROWS):
+            n = min(_BLOCK_ROWS, rows - r)
+            block = cells[r * width : (r + n) * width]
+            yield _rows_template(width, n, r == 0) % tuple(block)
+        yield _PAD + "]" + piece
 
 
-def _matrix_chunks(rows: list, text: dict, pad: str):
-    """One piece per row of a matrix leaf: its [re, im] pairs, indented."""
-    if not (rows and rows[0]):
-        yield json.dumps(rows, indent=2).replace("\n", pad)
-        return
-    a, b, c = pad + "  ", pad + "    ", pad + "      "
+@functools.lru_cache(maxsize=32)
+def _rows_template(width: int, rows: int, first: bool) -> str:
+    """``rows`` rows of ``width`` floats in [re, im] pairs, as a matrix leaf
+    indents them, led by the leaf's ``[`` in its first block and ``,`` after."""
+    a, b, c = _PAD + "  ", _PAD + "    ", _PAD + "      "
     pair = "[" + c + "%s," + c + "%s" + b + "]"
-    row = "[" + b + ("," + b).join([pair] * (len(rows[0]) // 2)) + a + "]"
-    lead = "[" + a
-    for bits in rows:
-        yield lead + row % tuple(map(text.__getitem__, bits))
-        lead = "," + a
-    yield pad + "]"
+    row = "[" + b + ("," + b).join([pair] * (width // 2)) + a + "]"
+    return ("[" if first else ",") + a + ("," + a).join([row] * rows)
 
 
 CSV_COLUMNS = ("case", "branch_prob", "max_entry_diff", "trace_distance", "pass")
@@ -844,7 +853,7 @@ def main(argv=None) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
         return 2
 

@@ -51,6 +51,25 @@ def test_ideal_block_kraus_forms():
     )
 
 
+# a float or bool outcome used to pass the constructor and fail later, in
+# ``ket`` or ``ideal_block``
+@pytest.mark.parametrize("make", [MeasSpec.z, lambda k: MeasSpec.equatorial(0.3, k)])
+@pytest.mark.parametrize(
+    "outcome", [1.0, 0.0, True, False, np.float64(1.0), np.bool_(True), 2, -1, "1", None]
+)
+def test_measspec_refuses_an_outcome_not_the_integer_0_or_1(make, outcome):
+    with pytest.raises(ValueError, match=r"^outcome must be the integer 0 or 1, got "):
+        make(outcome)
+
+
+@pytest.mark.parametrize("outcome", [0, 1, np.int64(1), np.uint8(0)])
+def test_measspec_takes_an_integer_outcome(outcome):
+    meas = MeasSpec.equatorial(0.3, outcome)
+    assert meas == MeasSpec.equatorial(0.3, int(outcome))
+    np.testing.assert_allclose(meas.ket, dm.equatorial_ket(0.3, int(outcome)))
+    ideal_block(MeasSpec.z(outcome))
+
+
 def test_ideal_block_halves_trace(rng):
     rho = random_density(rng)
     for meas in (MeasSpec.z(0), MeasSpec.equatorial(1.7, 1)):

@@ -364,7 +364,10 @@ report_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
 
 @st.composite
 def report_matrices(draw):
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    # some matrices run past one block of rows, the writer's unit of output
+    block = cli._BLOCK_ROWS
+    rows = draw(st.one_of(st.integers(0, 4), st.integers(block - 1, 2 * block + 1)))
+    cols = draw(st.integers(0, 4))
     # a small pool repeats values; a large one makes most of them distinct
     pool = draw(st.lists(report_floats, min_size=1, max_size=2 * rows * cols + 1))
     size = 2 * rows * cols
@@ -402,6 +405,15 @@ def _report_with_text(text: str) -> Report:
     return Report(cases=[case, case], spec_hash=text, timestamp=text)
 
 
+def _report_of(*pairs) -> Report:
+    """One case per (closed_form, oracle) pair."""
+    cases = [CaseResult(f"c{i}", a, b, 0.0, 0.0, 1.0) for i, (a, b) in enumerate(pairs)]
+    return Report(cases=cases, timestamp="t")
+
+
+_TALL = np.arange(3 * (cli._BLOCK_ROWS + 1)).reshape(-1, 3) * (0.1 - 0.2j)
+
+
 # the writer splits json's layout at each matrix leaf, written there as null;
 # string data that spells out a leaf, or a NUL, must not move that split
 @settings(max_examples=200, deadline=None)
@@ -410,6 +422,9 @@ def _report_with_text(text: str) -> Report:
 @example(report=_report_with_text('"oracle": null'))
 @example(report=_report_with_text("\x00matrix"))
 @example(report=_report_with_text('",\n      "oracle": null,\n      "x": "'))
+@example(report=_report_of((_TALL, _TALL.T)))  # one block and one row more
+@example(report=_report_of((np.zeros((3, 0)), np.zeros((0, 3)))))
+@example(report=_report_of((dm.H, np.full((2, 2), 0.5)), (np.full((1, 1), 0.5), dm.I2)))
 def test_emit_json_is_json_dumps_of_report_to_dict(report):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
@@ -417,6 +432,41 @@ def test_emit_json_is_json_dumps_of_report_to_dict(report):
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
+
+
+class _PieceSink:
+    """A file that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def write(self, piece):
+        self.pieces.append(piece)
+
+    def writelines(self, pieces):
+        self.pieces.extend(pieces)
+
+
+def test_emit_json_hands_the_file_one_row_block_at_a_time():
+    # a fully open 7-site cluster: 128x128 outputs, about 2.5 MB of report;
+    # streaming it a block of rows at a time keeps the writer's memory flat
+    doc = {"kind": "mpo", "builder": {"name": "cluster", "n": 7}}
+    report = run_experiment(parse_experiment(spec_text(doc)))
+    assert [c.oracle.shape for c in report.cases] == [(128, 128)]
+    sink = _PieceSink()
+    with mock.patch.object(cli, "open", lambda *args, **kwargs: sink, create=True):
+        emit_report(report, "json", "report.json")
+    assert "".join(sink.pieces) == json.dumps(report_to_dict(report), indent=2) + "\n"
+    # each of the 128 [re, im] pairs of a row spans 4 lines, and the row 2 more
+    block_lines = cli._BLOCK_ROWS * (128 * 4 + 2)
+    assert max(piece.count("\n") for piece in sink.pieces) <= block_lines
+    assert len(sink.pieces) > 2 * 128 // cli._BLOCK_ROWS
 
 
 def test_emit_csv(tmp_path):
@@ -465,6 +515,16 @@ def test_main_spec_error_exit_code(tmp_path, capsys):
     spec_path.write_text("{broken")
     assert main(["run", str(spec_path)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_main_spec_not_utf8_is_one_line_read_error(tmp_path, capsys):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_bytes(b'{"kind": "\xff"}')
+    assert main(["run", str(spec_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {spec_path}: ")
+    assert "0xff" in err and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_main_z_basis_noise_is_spec_error(tmp_path):
