@@ -18,27 +18,24 @@ Document layout (all kinds)::
     }
 
 Kind ``teleport``: ``resource_noise`` names a channel; ``inputs`` is either
-``{"random": N}`` or a list of state specs (``"plus"``, ``"zero"``, ``"one"``,
-``"minus"`` or a 2x2 ``{"matrix": [...]}``).  One case per input and Bell outcome.
+``{"random": N}`` or a list of state specs (an alias ``"plus"``, ``"zero"``,
+``"one"`` or ``"minus"``, also as ``{"state": alias}``, or a 2x2 ``{"matrix":
+[...]}``).  One case per input and Bell outcome.
 
-Kind ``block_chain``: either ``chain`` (a list of step entries) or
-``random_suite`` (``{"cases": N, "kraus": 2}``, comparing composed Choi
-matrices against the oracle for random noise at all four locations).  A chain
-entry reads ``{"phi": 0.3, "k": 0|1|"both", "alpha1": "name", ...}`` or
-``{"z": true, "k": ...}``, where ``z`` is a JSON boolean (default false) and a
-Z step names no phi or alpha slot; ``phi`` may also be an adaptive sign table
-``{"magnitude": x, "flip_on": [earlier step indices]}``, resolved to x *
-(-1)^(sum of those outcomes) per outcome string.  One case per outcome string;
-states are compared unnormalised so traces carry branch probabilities.  A chain
-composes each distinct step (step index and resolved measurement, Z or not)
-once with ``block.compose_block_noise`` and reuses it across outcome strings.
-The outcome strings are walked depth first as a prefix tree, in product
-order: the closed-form state and the oracle's one live qubit after a prefix
-are computed once and shared by every string below it.  Step i's oracle
-starts from that live qubit on site i and runs the step's circuit on sites
-(i, i+1) of the chain's full register (len(chain) + 1 sites), so the register
-cap applies as for one circuit over the whole chain.  An L-step chain costs
-2^(L+1) - 2 step evaluations on each path, not L * 2^L.
+Kind ``block_chain``: either ``chain`` (a list of step entries, run on the
+state spec ``input``, default ``"plus"``) or ``random_suite`` (``{"cases": N,
+"kraus": 2}``, comparing composed Choi matrices against the oracle for random
+noise at all four locations).  A chain entry reads ``{"phi": 0.3, "k":
+0|1|"both", "alpha1": "name", ...}`` or ``{"z": true, "k": ...}``, where ``z``
+is a JSON boolean (default false) and a Z step names no phi or alpha slot;
+``phi`` may also be an adaptive sign table ``{"magnitude": x, "flip_on":
+[earlier step indices]}``, resolved to x * (-1)^(sum of those outcomes) per
+outcome string.  One case per outcome string, in product order; states are
+compared unnormalised so traces carry branch probabilities.  The oracle runs
+step i on sites (i, i+1) of the chain's full register (len(chain) + 1 sites),
+so the register cap applies as for one circuit over the whole chain.  Both
+paths walk the outcome strings as a prefix tree and compose each distinct step
+once, so an L-step chain costs 2^(L+1) - 2 step evaluations, not L * 2^L.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -48,17 +45,13 @@ bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
 "name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
 0|1|"both"}``, each site of the register at most once.  Contractions are
 compared against the dense simulation per outcome string.  Its circuit
-prepares every site, then runs site by site in ascending order the CZ to the
-next site (cluster), the site's events in document order and the site's
-readout, so a read-out site leaves the register before any later site's
-events run; the peak register is the full one, as the preps make it.  The
-prep and per-site op lists are built once per document; a branch only places
-its readouts among them.  An optional
-``save_mpo`` path stores the prepared (pre-measurement) operator as
-``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
-[{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
-boundary, as 1 x D rows), once every case has run and ``--cases`` has
-selected at least one.
+prepares every site (the peak register is the full one), then runs per site,
+in ascending order, the CZ to the next site (cluster), the site's events in
+document order and the site's readout.  An optional ``save_mpo`` path stores
+the prepared (pre-measurement) operator as ``mpo.mpo_to_dict`` writes it,
+``{"seed": [[re, im] rows], "sites": [{"matrices": [P][S][rows][cols] of
+[re, im]}, ...]}`` (the last site, the boundary, as 1 x D rows), once every
+case has run and ``--cases`` has selected at least one.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
 ``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
@@ -67,8 +60,9 @@ bad input.  Number fields (``tolerance``, ``p``, ``phi``, ``magnitude``, matrix
 entries) reject booleans and strings; ``phi``, ``magnitude`` and matrix entries
 must be finite.
 A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
-A channel definition names only the keys its kind reads (``builtin`` and its
-``p`` and ``matrix``, or ``dim`` and ``ops``); any other key is bad input.
+Every object names only the keys its reader reads (a channel definition
+``builtin`` and its ``p`` and ``matrix``, or ``dim`` and ``ops``); any other
+key, at the top level or in a chain step, is bad input, never dropped.
 The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 ``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
 
@@ -76,18 +70,18 @@ The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 or file work, and returns the spec with its kind's ``run(rng)``; the runner
 reads no field of the document.
 
-Reports: ``--out`` writes CSV when the path ends in ``.csv`` and JSON
-otherwise.  The JSON text is what ``json.dump(report_to_dict(report), fh,
-indent=2)`` writes, plus a final newline: floats read as their ``repr``
-(``NaN``, ``Infinity``, ``-Infinity`` when not finite), and two runs of one
-document give byte-identical reports apart from ``meta.timestamp``.  The
-writer takes the layout from ``json.dumps`` itself, with null at each matrix
-leaf, and streams the matrices into it 16 rows (one ``%`` format) at a
-time; one ``np.unique`` finds a report's distinct floats, each formatted once.
+Reports: the JSON and CSV writers and the console lines all read one view of
+a report, whose verdict per case is ``Report.ok``.  ``--out`` writes CSV when
+the path ends in ``.csv`` and JSON otherwise, the text of
+``json.dumps(report_to_dict(report), indent=2)`` plus a final newline: floats
+read as their ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` when not finite),
+and two runs of one document give byte-identical reports apart from
+``meta.timestamp``.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
-document or a module precondition was at fault, or ``--cases`` selected no
-case.  ``NOISY_MBQC_MAX_QUBITS`` caps the dense register (default 12).
+document or a module precondition was at fault (a document that needs more
+memory than exists included), or ``--cases`` selected no case.
+``NOISY_MBQC_MAX_QUBITS`` caps the dense register (default 12).
 """
 
 from __future__ import annotations
@@ -183,13 +177,17 @@ class Report:
     spec_hash: str = ""
     timestamp: str = ""
 
+    def ok(self, case: CaseResult) -> bool:
+        """The one verdict on a case: its max-entry difference within tolerance."""
+        return bool(case.max_entry_diff <= self.tolerance)
+
     @property
     def max_entry_diff(self) -> float:
         return max((c.max_entry_diff for c in self.cases), default=0.0)
 
     @property
     def passed(self) -> bool:
-        return all(c.max_entry_diff <= self.tolerance for c in self.cases)
+        return all(map(self.ok, self.cases))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +211,7 @@ _BUILTINS = {
 
 def _parse_channel_def(name: str, obj) -> KrausChannel:
     where = f"channels.{name}"
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object")
+    _require(isinstance(obj, dict), f"{where}: expected an object")
     try:
         if "builtin" in obj:
             builtin = obj["builtin"]
@@ -240,10 +237,15 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
         raise ParseError(f"{where}: malformed definition ({exc})") from exc
     except NotAChannel as exc:
         raise NotAChannel(f"{where}: {exc}") from exc
-    # a key the channel does not read is refused, not dropped
-    for key in obj:
-        _require(key in reads, f"{where}.{key}: not a field of {what}")
+    _only(obj, reads, where, what)
     return channel
+
+
+def _only(obj: dict, reads, where: str, what: str) -> None:
+    """Refuse, rather than drop, a key of ``obj`` that its reader does not read."""
+    for key in obj:
+        path = f"{where}.{key}" if where else key
+        _require(key in reads, f"{path}: not a field of {what}")
 
 
 def _number(obj, where: str) -> float:
@@ -324,13 +326,14 @@ def _tolerance(obj, where: str) -> float:
 
 def _parse_state(obj, where: str) -> np.ndarray:
     if isinstance(obj, str):
-        if obj not in _STATES:
-            raise ParseError(f"{where}: unknown state alias {obj!r}")
+        _require(obj in _STATES, f"{where}: unknown state alias {obj!r}")
         return _STATES[obj].copy()
     if isinstance(obj, dict):
         if "state" in obj:
+            _only(obj, ("state",), where, "a state")
             return _parse_state(obj["state"], where)
         if "matrix" in obj:
+            _only(obj, ("matrix",), where, "a state")
             rho = _matrix(obj["matrix"], f"{where}.matrix")
             _require(rho.shape == (2, 2), f"{where}.matrix: expected a 2x2 matrix")
             if not dm.is_density_operator(rho, normalized=True):
@@ -384,11 +387,17 @@ def parse_experiment(text: str) -> ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
+_SLOTS = ("alpha1", "alpha2", "alpha3", "alpha4")
+_COMMON = ("kind", "tolerance", "seed", "channels")  # the fields every kind reads
+
+
 def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+    _only(doc, (*_COMMON, "resource_noise", "inputs"), "", "a teleport document")
     eps = _resolve_ref(doc.get("resource_noise"), channels, "resource_noise")
     inputs = doc.get("inputs", {"random": 1})
     if isinstance(inputs, dict):
         _require("random" in inputs, "inputs: expected {'random': N} or a list")
+        _only(inputs, ("random",), "inputs", "random inputs")
         states, n_random = [], _at_least(inputs["random"], "inputs.random", 1)
     else:
         _require(isinstance(inputs, list) and inputs, "inputs: empty list")
@@ -412,25 +421,21 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     return run
 
 
-_SLOTS = ("alpha1", "alpha2", "alpha3", "alpha4")
-
-
 def _parse_phi(obj, step_index: int, where: str) -> tuple[float, tuple[int, ...]]:
     """A chain angle as (magnitude, flip_on); a plain number flips on nothing."""
-    if isinstance(obj, dict) and "magnitude" in obj:
-        magnitude = _finite(obj["magnitude"], f"{where}.magnitude")
-        flips = obj.get("flip_on", [])
-        _require(isinstance(flips, list), f"{where}.flip_on: expected a list")
-        flip_on = tuple(_integer(j, f"{where}.flip_on[{n}]") for n, j in enumerate(flips))
-        for n, j in enumerate(flip_on):
-            _require(
-                0 <= j < step_index,
-                f"{where}.flip_on[{n}] must name an earlier step, got {j}",
-            )
-        return magnitude, flip_on
-    if isinstance(obj, dict):
-        raise ParseError(f"{where}: expected a number or {{magnitude, flip_on}}")
-    return _finite(obj, where), ()
+    if not isinstance(obj, dict):
+        return _finite(obj, where), ()
+    _require("magnitude" in obj, f"{where}: expected a number or {{magnitude, flip_on}}")
+    _only(obj, ("magnitude", "flip_on"), where, "an adaptive angle")
+    magnitude = _finite(obj["magnitude"], f"{where}.magnitude")
+    flips = obj.get("flip_on", [])
+    _require(isinstance(flips, list), f"{where}.flip_on: expected a list")
+    flip_on = tuple(_integer(j, f"{where}.flip_on[{n}]") for n, j in enumerate(flips))
+    for n, j in enumerate(flip_on):
+        _require(
+            0 <= j < step_index, f"{where}.flip_on[{n}] must name an earlier step, got {j}"
+        )
+    return magnitude, flip_on
 
 
 def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
@@ -441,14 +446,17 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         "block_chain needs exactly one of 'chain' or 'random_suite'",
     )
     if suite is not None:
+        _only(doc, (*_COMMON, "random_suite"), "", "a random_suite document")
         return _parse_block_random_suite(suite)
 
+    _only(doc, (*_COMMON, "chain", "input"), "", "a chain document")
     _require(isinstance(chain, list) and chain, "chain must be nonempty")
     # per step: (magnitude, flip_on) or None for a Z step, its k axis, its noise
     steps = []
     for i, entry in enumerate(chain):
         where = f"chain[{i}]"
         _require(isinstance(entry, dict), f"{where}: expected an object")
+        _only(entry, ("z", "phi", "k", *_SLOTS), where, "a chain step")
         z = entry.get("z", False)
         _require(isinstance(z, bool), f"{where}.z: expected a boolean, got {z!r}")
         _require(not (z and "phi" in entry), f"{where}.phi: a Z step takes no angle")
@@ -489,14 +497,12 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                     sign = -1.0 if sum(outcomes[j] for j in flip_on) % 2 else 1.0
                     meas = MeasSpec.equatorial(sign * magnitude, k)
                 cfg = BlockNoiseConfig(meas=meas, **alphas)
-                step = composed.get((i, meas))
-                if step is None:
-                    step = compose_block_noise(cfg)
-                    composed[i, meas] = step
+                if (i, meas) not in composed:
+                    composed[i, meas] = compose_block_noise(cfg)
                 circuit = [oracle.PrepState(i, live), *oracle.block_step_ops(cfg, i)]
                 walk(
                     (*outcomes, k),
-                    apply(step, closed),
+                    apply(composed[i, meas], closed),
                     oracle.simulate(len(steps) + 1, circuit),
                 )
 
@@ -508,6 +514,7 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
 
 def _parse_block_random_suite(suite) -> Runner:
     _require(isinstance(suite, dict), "random_suite: expected {'cases': N}")
+    _only(suite, ("cases", "kraus"), "random_suite", "a random suite")
     n_cases = _at_least(suite.get("cases", 0), "random_suite.cases", 1)
     n_kraus = _at_least(suite.get("kraus", 2), "random_suite.kraus", 1)
 
@@ -527,6 +534,8 @@ def _parse_block_random_suite(suite) -> Runner:
 
 
 def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+    reads = (*_COMMON, "builder", "site_ops", "measurements", "save_mpo")
+    _only(doc, reads, "", "an mpo document")
     builder = doc.get("builder")
     shape = "builder: expected {'name': cluster|maximally_mixed|one_clean, 'n': N}"
     _require(
@@ -534,6 +543,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         and builder.get("name") in ("cluster", "maximally_mixed", "one_clean"),
         shape,
     )
+    _only(builder, ("name", "n"), "builder", "a builder")
     name, n = builder["name"], _integer(builder.get("n", 0), "builder.n")
     _require(n >= 1, shape)
     _require(name != "cluster" or n >= 2, "builder: a cluster needs at least 2 sites")
@@ -551,6 +561,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     for i, op in enumerate(site_ops):
         where = f"site_ops[{i}]"
         _require(isinstance(op, dict) and "site" in op, f"{where}: needs a site")
+        _only(op, ("site", "pauli", "unitary", "channel"), where, "a site event")
         kinds = [k for k in ("pauli", "unitary", "channel") if k in op]
         _require(len(kinds) == 1, f"{where}: exactly one of pauli/unitary/channel")
         site = _integer(op["site"], f"{where}.site")
@@ -580,6 +591,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         shape = f"{where}: expected site, basis x|z, outcome 0|1|'both'"
         basis = m.get("basis", "x") if isinstance(m, dict) else None
         _require(basis in ("x", "z") and "site" in m, shape)
+        _only(m, ("site", "basis", "outcome"), where, "a measurement")
         site = _integer(m["site"], f"{where}.site")
         _require(0 <= site < sites, f"{where}.site must be in 0..{sites - 1}, got {site}")
         _require(
@@ -712,8 +724,9 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _report_skeleton(report: Report, leaf) -> dict:
-    """The report layout, with ``leaf(matrix)`` at each matrix."""
+def _report_skeleton(report: Report, leaf=lambda m: None) -> dict:
+    """The one view of a report that the JSON, CSV and console writers read,
+    with ``leaf(matrix)`` at each matrix (null by default)."""
     return {
         "meta": {
             "spec_sha256": report.spec_hash,
@@ -726,10 +739,10 @@ def _report_skeleton(report: Report, leaf) -> dict:
                 "case": c.case_id,
                 "closed_form": leaf(c.closed_form),
                 "oracle": leaf(c.oracle),
-                "max_entry_diff": c.max_entry_diff,
-                "trace_distance": c.trace_distance,
-                "branch_prob": c.branch_prob,
-                "pass": c.max_entry_diff <= report.tolerance,
+                "max_entry_diff": float(c.max_entry_diff),
+                "trace_distance": float(c.trace_distance),
+                "branch_prob": float(c.branch_prob),
+                "pass": report.ok(c),
             }
             for c in report.cases
         ],
@@ -771,7 +784,7 @@ def _report_chunks(report: Report):
     bits, inverse = np.unique(flat, return_inverse=True)
     floats = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     text = np.array(floats, dtype=object)
-    pieces = _LEAF.split(json.dumps(_report_skeleton(report, lambda m: None), indent=2))
+    pieces = _LEAF.split(json.dumps(_report_skeleton(report), indent=2))
     yield pieces[0]
     end = 0
     for m, piece in zip(mats, pieces[1:], strict=True):
@@ -803,27 +816,17 @@ CSV_COLUMNS = ("case", "branch_prob", "max_entry_diff", "trace_distance", "pass"
 
 def emit_report(report: Report, fmt: str, path: str) -> None:
     """Write a report as JSON (full matrices) or CSV (scalar columns)."""
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if fmt == "json":
             fh.writelines(_report_chunks(report))
             fh.write("\n")
-        return
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        else:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for c in report.cases:
-                writer.writerow(
-                    [
-                        c.case_id,
-                        repr(c.branch_prob),
-                        repr(c.max_entry_diff),
-                        repr(c.trace_distance),
-                        c.max_entry_diff <= report.tolerance,
-                    ]
-                )
-        return
-    raise ValueError(f"unknown report format {fmt!r}")
+            cases = _report_skeleton(report)["cases"]
+            writer.writerows([case[k] for k in CSV_COLUMNS] for case in cases)
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +835,9 @@ def emit_report(report: Report, fmt: str, path: str) -> None:
 
 # every library precondition error subclasses one of these (ParseError,
 # UnknownChannelRef, NotAChannel, ZBasisUnsupported, SizeLimit, ... are
-# ValueErrors; SiteOutOfRange is an IndexError)
-_SPEC_ERRORS = (ValueError, IndexError)
+# ValueErrors; SiteOutOfRange is an IndexError); a document that asks for
+# more memory than exists (numpy refuses the array) is bad input too
+_SPEC_ERRORS = (ValueError, IndexError, MemoryError)
 
 
 def main(argv=None) -> int:
@@ -866,16 +870,17 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    for c in report.cases:
-        verdict = "ok" if c.max_entry_diff <= report.tolerance else "FAIL"
+    view = _report_skeleton(report)
+    for c in view["cases"]:
         print(
-            f"{c.case_id}: prob={c.branch_prob:.6f} "
-            f"max_diff={c.max_entry_diff:.3e} tdist={c.trace_distance:.3e} {verdict}"
+            f"{c['case']}: prob={c['branch_prob']:.6f} max_diff={c['max_entry_diff']:.3e} "
+            f"tdist={c['trace_distance']:.3e} {'ok' if c['pass'] else 'FAIL'}"
         )
+    summary = view["summary"]
     print(
-        f"summary: {len(report.cases)} cases, worst max_diff="
-        f"{report.max_entry_diff:.3e}, tolerance={report.tolerance:.1e} -> "
-        f"{'PASS' if report.passed else 'FAIL'}"
+        f"summary: {summary['n_cases']} cases, worst max_diff="
+        f"{summary['max_entry_diff']:.3e}, tolerance={view['tolerance']:.1e} -> "
+        f"{'PASS' if summary['pass'] else 'FAIL'}"
     )
 
     if args.out:
@@ -886,7 +891,7 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
 
-    return 0 if report.passed else 1
+    return 0 if summary["pass"] else 1
 
 
 if __name__ == "__main__":

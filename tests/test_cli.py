@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -907,6 +908,89 @@ def test_main_channel_key_it_does_not_read_is_spec_error(tmp_path, capsys, kind)
     assert _run_doc(tmp_path, doc) == 2
     what = "an ops channel" if kind == "ops" else f"builtin {kind!r}"
     assert capsys.readouterr().err == f"error: channels.noise.{key}: not a field of {what}\n"
+
+
+# one object of each kind the parser reads, and a key its reader does not
+# read; a stray key used to be dropped, so a typo such as "alpah2" ran a
+# noiseless step and exited 0
+_UNREAD_IN = {
+    "chain step": (_CHAIN, ("chain", 0), "alpah2", "a chain step"),
+    "adaptive angle": (_CHAIN, ("chain", 1, "phi"), "flipon", "an adaptive angle"),
+    "inputs object": (SKELETONS[1], ("inputs",), "randm", "random inputs"),
+    "state alias object": (_CHAIN, ("input",), "label", "a state"),
+    "state matrix object": (SKELETONS[0], ("inputs", 1), "label", "a state"),
+    "random_suite": (SKELETONS[3], ("random_suite",), "kruas", "a random suite"),
+    "builder": (_MPO, ("builder",), "sites", "a builder"),
+    "site_ops entry": (_MPO, ("site_ops", 1), "after", "a site event"),
+    "measurements entry": (_MPO, ("measurements", 0), "basiss", "a measurement"),
+    "teleport top level": (SKELETONS[0], (), "resource", "a teleport document"),
+    "chain top level": (_CHAIN, (), "chian", "a chain document"),
+    "random_suite top level": (SKELETONS[3], (), "input", "a random_suite document"),
+    "mpo top level": (_MPO, (), "save", "an mpo document"),
+}
+
+
+@pytest.mark.parametrize("obj", list(_UNREAD_IN))
+def test_main_key_its_reader_does_not_read_is_spec_error(tmp_path, capsys, obj):
+    doc, path, key, what = _UNREAD_IN[obj]
+    doc = copy.deepcopy(doc)
+    target = doc
+    for k in path:
+        target = target[k]
+    target[key] = "noise"
+    assert _run_doc(tmp_path, doc) == 2
+    field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in (*path, key))[1:]
+    assert capsys.readouterr().err == f"error: {field}: not a field of {what}\n"
+
+
+def test_main_document_needing_more_memory_than_exists_is_spec_error(tmp_path, capsys):
+    # numpy refuses this 28 PiB request before it allocates anything; never
+    # test a size the machine could actually allocate
+    doc = {"kind": "block_chain", "random_suite": {"cases": 1, "kraus": 10**15}}
+    out = tmp_path / "report.json"
+    assert _run_doc(tmp_path, doc, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _verdict_report(n_cases: int, scalar=float) -> Report:
+    """One case exactly at the tolerance, then one just above it."""
+    tol = 0.5
+    diffs = [tol, np.nextafter(tol, 1.0)][:n_cases]
+    cases = [
+        CaseResult(f"c{i}", dm.H, dm.I2, scalar(d), scalar(0.25), scalar(0.1))
+        for i, d in enumerate(diffs)
+    ]
+    return Report(cases=cases, tolerance=tol, seed=1, spec_hash="h", timestamp="t")
+
+
+@pytest.mark.parametrize("n_cases, code", [(1, 0), (2, 1)])
+def test_one_verdict_reaches_every_writer_and_the_exit_code(
+    tmp_path, capsys, monkeypatch, n_cases, code
+):
+    report = _verdict_report(n_cases)
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: report)
+    for ext in ("json", "csv"):
+        assert _run_doc(tmp_path, MINIMAL_BLOCK, "--out", str(tmp_path / f"r.{ext}")) == code
+    verdicts = ["ok", "FAIL"][:n_cases] + ["PASS" if code == 0 else "FAIL"]
+    assert [line.split()[-1] for line in capsys.readouterr().out.splitlines()] == verdicts * 2
+    written = json.loads((tmp_path / "r.json").read_text())
+    assert [c["pass"] for c in written["cases"]] == [True, False][:n_cases]
+    assert written["summary"]["pass"] is (code == 0)
+    with open(tmp_path / "r.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[-1] for row in rows[1:]] == ["True", "False"][:n_cases]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_numpy_scalars_write_the_bytes_of_python_floats(tmp_path, fmt):
+    written = []
+    for scalar in (float, np.float64):
+        path = tmp_path / f"{scalar.__name__}.{fmt}"
+        emit_report(_verdict_report(2, scalar), fmt, str(path))
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize(

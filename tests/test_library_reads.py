@@ -46,3 +46,15 @@ def test_check_sees_attributes_and_code_spans():
     assert reads(tree) == {"used", "cli", "to_dict"}
     text = "`from_dict` reads\n```python\nf(x)\n```\nand `x.y`"
     assert code_names(text) == {"from_dict", "x", "y"}
+
+
+def test_package_init_binds_only_its_modules():
+    # every caller imports a name from its module, so the package re-exports none
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    for node in imports:
+        assert isinstance(node, ast.ImportFrom) and node.level == 1, ast.unparse(node)
+        assert node.module is None, f"re-exports names of .{node.module}"
+    assert {a.name for n in imports for a in n.names} <= {p.stem for p in MODULES}
+    assigned = {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets}
+    assert assigned == {"__version__"}
