@@ -44,14 +44,17 @@ sites before the last (the boundary): ``{"site": i, "pauli": [a, b]}`` with
 bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
 "name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
 0|1|"both"}``, each site of the register at most once.  Contractions are
-compared against the dense simulation per outcome string.  Its circuit
-prepares every site (the peak register is the full one), then runs per site,
-in ascending order, the CZ to the next site (cluster), the site's events in
-document order and the site's readout.  An optional ``save_mpo`` path stores
-the prepared (pre-measurement) operator as ``mpo.mpo_to_dict`` writes it,
-``{"seed": [[re, im] rows], "sites": [{"matrices": [P][S][rows][cols] of
-[re, im]}, ...]}`` (the last site, the boundary, as 1 x D rows), once every
-case has run and ``--cases`` has selected at least one.
+compared against the dense simulation per outcome string, and agree where
+the MPO event rule is exact (``noisy_mbqc.mpo``): Pauli events and channels
+anywhere, one unitary or channel per cluster site, one unitary on site 0 of
+``one_clean``.  The oracle circuit prepares every site (the peak register is
+the full one), then runs per site, in ascending order, the CZ to the next
+site (cluster), the site's events in document order and the site's readout.
+An optional ``save_mpo`` path stores the prepared (pre-measurement) operator
+as ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
+[{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
+boundary, as 1 x D rows), once every case has run and ``--cases`` has
+selected at least one.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
 ``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
@@ -81,7 +84,8 @@ and two runs of one document give byte-identical reports apart from
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
 memory than exists included), or ``--cases`` selected no case.
-``NOISY_MBQC_MAX_QUBITS`` caps the dense register (default 12).
+``NOISY_MBQC_MAX_QUBITS`` caps the dense register and the MPO contraction's
+open sites (default 12).
 """
 
 from __future__ import annotations
@@ -289,16 +293,12 @@ def _outcomes(obj, where: str, message: str) -> tuple[int, ...]:
 
 
 def _matrix(obj, where: str) -> np.ndarray:
-    finite = f"{where}: matrix entries must be finite"
     try:
         m = dm.mat_from_json(obj)
-    except OverflowError:  # an integer entry too large for a float
-        raise ParseError(finite) from None
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: expected a matrix of [re, im] pairs") from None
-    boolean = f"{where}: matrix entries must be numbers, got a boolean"
-    _require(not dm.holds_bool(obj), boolean)
-    _require(np.isfinite(m).all(), finite)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    _require(m.ndim == 2, f"{where}: expected a matrix of [re, im] pairs")
+    _require(np.isfinite(m).all(), f"{where}: matrix entries must be finite")
     return m
 
 
@@ -547,7 +547,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     name, n = builder["name"], _integer(builder.get("n", 0), "builder.n")
     _require(n >= 1, shape)
     _require(name != "cluster" or n >= 2, "builder: a cluster needs at least 2 sites")
-    limit = oracle.max_oracle_qubits() - (name == "one_clean")  # its clean qubit
+    limit = dm.max_qubits() - (name == "one_clean")  # its clean qubit
     _require(n <= limit, f"builder.n must be <= {limit} for {name} (register cap)")
     sites = n + (name == "one_clean")  # the register; its last site is the boundary
     site_ops = doc.get("site_ops", [])

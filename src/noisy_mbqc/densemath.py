@@ -8,11 +8,12 @@ branch probability, so post-selected branches are stored unnormalised.
 
 from __future__ import annotations
 
+import os
 from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNormalized
+from .errors import DimensionMismatch, NotNormalized, SizeLimit
 
 #: default tolerance for Hermiticity / positivity / trace checks
 ATOL = 1e-10
@@ -181,15 +182,33 @@ def mat_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def mat_from_json(rows: list) -> np.ndarray:
-    """Inverse of :func:`mat_to_json`."""
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-    )
+def mat_from_json(obj) -> np.ndarray:
+    """Inverse of :func:`mat_to_json` for any rank, the one JSON array decoder.
+
+    A boolean entry (numpy reads it as 0 or 1) or an integer too large for a
+    float raises TypeError; anything else but nested lists of [re, im] number
+    pairs (a ragged list, a lone pair, a string, None) raises ValueError.
+    Non-finite floats decode as they are: callers check what they need.
+    """
+    try:
+        entries = np.array(obj, dtype=object)
+    except ValueError:  # numpy's "inhomogeneous shape", refused below
+        entries = np.array(None)
+    kinds = set(map(type, entries.flat))
+    if entries.ndim < 2 or entries.shape[-1] != 2 or not kinds <= {bool, int, float}:
+        raise ValueError("expected a matrix of [re, im] pairs")
+    if bool in kinds:
+        raise TypeError("matrix entries must be numbers, got a boolean")
+    try:
+        return entries.astype(float).view(complex)[..., 0]
+    except OverflowError:
+        raise TypeError("matrix entries must be finite") from None
 
 
-def holds_bool(obj) -> bool:
-    """True when nested lists hold a JSON boolean, which decodes as 0 or 1."""
-    if isinstance(obj, list):
-        return any(holds_bool(x) for x in obj)
-    return isinstance(obj, bool)
+def max_qubits() -> int:
+    """Dense-simulation cap, overridable via the environment."""
+    raw = os.environ.get("NOISY_MBQC_MAX_QUBITS", "12")
+    try:
+        return int(raw)
+    except ValueError:
+        raise SizeLimit(f"NOISY_MBQC_MAX_QUBITS must be an integer, got {raw!r}") from None

@@ -6,10 +6,10 @@ sites hold matrices A[i, s] (P, S, D, D); the last site is the boundary and
 holds vectors v[i, s] (P, S, D).  A measured site is one with a single
 physical slot, P == 1.  ``MpoState.__post_init__`` is the one place that
 checks this site contract, for built, hand-made and decoded states alike;
-``mpo_from_dict`` decodes JSON, refuses booleans, and checks only the
-boundary rows.  The contraction starts from the correlation-space seed and carries
-a tensor T[r, c] of bond operators over the open sites seen so far.  An
-interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c]
+``mpo_from_dict`` decodes JSON, refuses non-finite entries, and checks only
+the boundary rows.  The contraction starts from the correlation-space seed
+and carries a tensor T[r, c] of bond operators over the open sites seen so
+far.  An interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c]
 A[j, s]^dag, so a measured site leaves T's size alone.  The boundary closes
 the sweep with out[(r,i),(c,j)] = sum_s v[i, s]^dag T[r, c] v[j, s], which
 is the dense operator with the first site as most significant bit.  A
@@ -26,14 +26,17 @@ dense state, each as one broadcast expression over the stacked family:
   Pauli sigma_ab = i^(ab) X^a Z^b this is A -> Z^a A sigma_ab;
 * a channel extends the s family with one branch per Kraus operator.
 
-The correlation-space rule (Gross and Eisert, quant-ph/0609149) tracks the
-dense state exactly for tensor families with the cluster symmetry
-(A[i^1, s] = Z A[i, s] X and A[i, s] Z = (-1)^i A[i, s]), which covers the
-builders here and any single update per site; stacking several non-Pauli
-updates on one site leaves that family and is on the caller.  The bond
-dimension D is 2, the correlation space of the cluster state: the event
-rule's Z acts on the bond and needs it, and ``MpoState`` checks it on the
-seed and on every site.
+The correlation-space rule (Gross and Eisert, quant-ph/0609149) is exact
+for any number of Pauli events and Pauli channels on any builder, one
+unitary or channel per site of a cluster, and one unitary on the clean site
+0 of ``mpo_one_clean``.  Elsewhere it can be wrong, on the caller: it needs
+the cluster symmetry A[i^1, s] = Z A[i, s] X and A[i, s] Z = (-1)^i A[i, s],
+which the mixed sites' scrambling members A[i] X / sqrt 2 break (H on site 1
+of ``mpo_maximally_mixed(3)`` is off by 0.125), as do two updates on one
+cluster site unless both are Paulis (H then T; X and H in either order).
+The bond dimension D is 2, the correlation space of the cluster state: the
+event rule's Z acts on the bond and needs it, and ``MpoState`` checks it on
+the seed and on every site.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ import numpy as np
 from . import densemath as dm
 from .channels import KrausChannel, basis_element, check_unitary
 from .errors import AlreadyMeasured, DimensionMismatch, SizeLimit, UnmeasuredSites
-
-CONTRACTION_MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,9 @@ def mpo_contract(state: MpoState) -> np.ndarray:
     Sweeps left to right from the seed and closes with the boundary, whose
     vectors enter as the 1 x D rows v[i, s]^dag.
     """
-    open_count = state.unmeasured_count()
-    if open_count > CONTRACTION_MAX_QUBITS:
-        raise SizeLimit(
-            f"contraction over {open_count} open sites exceeds 2^{CONTRACTION_MAX_QUBITS}"
-        )
+    open_count, cap = state.unmeasured_count(), dm.max_qubits()
+    if open_count > cap:
+        raise SizeLimit(f"contraction over {open_count} open sites exceeds 2^{cap}")
     rows = state.sites[-1].conj()[:, :, None, :]
     return _absorb(_sweep(state), rows)[:, :, 0, 0]
 
@@ -266,42 +265,40 @@ def mpo_to_dict(state: MpoState) -> dict:
     return {"seed": dm.mat_to_json(state.seed), "sites": sites}
 
 
+def _decoded(obj, where: str, shape: str) -> np.ndarray:
+    """One matrix array of an MPO file; its entries must be finite."""
+    try:
+        m = dm.mat_from_json(obj)
+    except TypeError as exc:  # a boolean, or an integer too large for a float
+        raise DimensionMismatch(f"{where}: {exc}") from None
+    except ValueError:  # missing, not [re, im] pairs, or ragged
+        raise DimensionMismatch(shape) from None
+    if not np.isfinite(m).all():
+        raise DimensionMismatch(f"{where}: matrix entries must be finite")
+    return m
+
+
 def mpo_from_dict(doc: dict) -> MpoState:
     """Inverse of :func:`mpo_to_dict`.
 
     Reads only ``seed`` and each site's ``matrices`` and ignores any other
     key, so files that also record per-site dimensions and flags load the
-    same.  A malformed document, a JSON boolean entry included, raises
-    DimensionMismatch, naming the seed or the site; of the shapes, only the
-    boundary rows are checked here.
+    same.  A malformed document, a JSON boolean or non-finite entry included,
+    raises DimensionMismatch, naming the seed or the site; of the shapes, only
+    the boundary rows are checked here.
     """
     if not isinstance(doc, dict):
         kind = type(doc).__name__
         raise DimensionMismatch(f"seed and sites: expected an object, got {kind}")
-    try:
-        seed = dm.mat_from_json(doc.get("seed"))
-    except (TypeError, ValueError):  # missing, not [re, im] pairs, or ragged rows
-        raise DimensionMismatch("seed: expected a matrix of [re, im] pairs") from None
-    if dm.holds_bool(doc["seed"]):
-        raise DimensionMismatch("seed: matrix entries must be numbers, got a boolean")
+    seed = _decoded(doc.get("seed"), "seed", "seed: expected a matrix of [re, im] pairs")
     entries = doc.get("sites")
     if not isinstance(entries, list) or not entries:
         raise DimensionMismatch("sites: expected a non-empty list")
     sites = []
     for idx, entry in enumerate(entries):
-        try:
-            ops = np.array(
-                [[dm.mat_from_json(rows) for rows in fam] for fam in entry["matrices"]]
-            )
-        except (KeyError, TypeError, ValueError):  # missing, not pairs, or ragged
-            raise DimensionMismatch(
-                f"site {idx} matrices are missing or do not stack as [re, im] pairs"
-            ) from None
-        if dm.holds_bool(entry["matrices"]):
-            raise DimensionMismatch(
-                f"site {idx}: matrix entries must be numbers, got a boolean"
-            )
-        sites.append(ops)
+        matrices = entry.get("matrices") if isinstance(entry, dict) else None
+        shape = f"site {idx} matrices are missing or do not stack as [re, im] pairs"
+        sites.append(_decoded(matrices, f"site {idx}", shape))
     rows = sites.pop()  # the boundary
     if rows.ndim != 4 or rows.shape[2] != 1:
         raise DimensionMismatch(f"site {idx} (the boundary) is not written as 1 x D rows")

@@ -1,6 +1,6 @@
 """Brute-force density-matrix circuit simulator used as ground truth.
 
-The register holds up to ``NOISY_MBQC_MAX_QUBITS`` (default 12) sites.
+The register holds up to ``densemath.max_qubits()`` sites (default 12).
 Sites enter the simulation when a prep op runs and leave it when a
 measurement with ``remove=True`` traces them out, so long chains can be
 simulated with a small live register.  Everything is linear in the state,
@@ -24,7 +24,6 @@ plus its half- and quarter-sized contractions.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -33,26 +32,7 @@ import numpy as np
 from . import densemath as dm
 from .block import EQUATORIAL, BlockNoiseConfig, MeasSpec
 from .channels import KrausChannel
-from .errors import (
-    DimensionMismatch,
-    SiteOutOfRange,
-    SizeLimit,
-    ZBasisUnsupported,
-)
-
-ENV_MAX_QUBITS = "NOISY_MBQC_MAX_QUBITS"
-DEFAULT_MAX_QUBITS = 12
-
-
-def max_oracle_qubits() -> int:
-    """Dense-simulation cap, overridable via the environment."""
-    raw = os.environ.get(ENV_MAX_QUBITS)
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        return int(raw)
-    except ValueError:
-        raise SizeLimit(f"{ENV_MAX_QUBITS} must be an integer, got {raw!r}") from None
+from .errors import DimensionMismatch, SiteOutOfRange, SizeLimit, ZBasisUnsupported
 
 
 @dataclass(frozen=True)
@@ -188,7 +168,7 @@ def simulate(n: int, ops) -> np.ndarray:
     Measurements project onto their ket (no sampling); the final trace is the
     probability of the chosen outcome string.
     """
-    cap = max_oracle_qubits()
+    cap = dm.max_qubits()
     if not 1 <= n <= cap:
         raise SizeLimit(f"register size {n} outside [1, {cap}]")
     reg = _Register(n)

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from conftest import random_complex, random_density, signed_zero_complex
 
 from noisy_mbqc import densemath as dm
@@ -163,3 +166,64 @@ def test_mat_to_json_matches_the_per_entry_loop_bit_for_bit(rng, shape):
     got_bits = np.array(got, dtype=float).view(np.int64)
     assert np.array_equal(got_bits, np.array(want, dtype=float).view(np.int64))
     assert all(type(x) is float for x in np.ravel(np.array(got, dtype=object)))
+
+
+# finite and infinite parts, with both signed zeros drawn often
+_PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
+_ARRAYS = hnp.arrays(
+    complex,
+    hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=3),
+    elements=st.builds(complex, _PARTS, _PARTS),
+)
+
+
+def _lists(node):
+    """Every list of ``node`` whose items are lists, root first."""
+    if isinstance(node, list) and isinstance(node[0], list):
+        yield node
+        for child in node:
+            yield from _lists(child)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ARRAYS)
+def test_mat_from_json_inverts_mat_to_json_at_every_rank(a):
+    back = dm.mat_from_json(json.loads(json.dumps(dm.mat_to_json(a))))
+    assert back.dtype == complex and back.shape == a.shape
+    assert back.tobytes() == a.tobytes()  # the sign of every zero included
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ARRAYS, data=st.data())
+def test_mat_from_json_refuses_a_boolean_at_any_depth(a, data):
+    doc = dm.mat_to_json(a)
+    rows = [n for n in _lists(doc) if not isinstance(n[0][0], list)]  # lists of pairs
+    pair = data.draw(st.sampled_from(data.draw(st.sampled_from(rows))))
+    pair[data.draw(st.integers(0, 1))] = data.draw(st.booleans())
+    with pytest.raises(TypeError, match=r"^matrix entries must be numbers, got a boolean$"):
+        dm.mat_from_json(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_ARRAYS, data=st.data())
+def test_mat_from_json_refuses_a_ragged_list_at_any_depth(a, data):
+    doc = dm.mat_to_json(a)
+    node = data.draw(st.sampled_from(list(_lists(doc))))
+    node.append(node[0][:-1])  # one item shorter than its first sibling
+    with pytest.raises(ValueError, match=r"^expected a matrix of \[re, im\] pairs$"):
+        dm.mat_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    ["x", None, [1.0, 0.0], [["1", 0.0]], [[None, 0.0]], [{}], []],
+    ids=["string", "none", "lone_pair", "string_entry", "null_entry", "object", "empty"],
+)
+def test_mat_from_json_refuses_what_is_not_an_array_of_pairs(obj):
+    with pytest.raises(ValueError, match=r"^expected a matrix of \[re, im\] pairs$"):
+        dm.mat_from_json(obj)
+
+
+def test_mat_from_json_refuses_an_integer_too_large_for_a_float():
+    with pytest.raises(TypeError, match=r"^matrix entries must be finite$"):
+        dm.mat_from_json([[10**400, 0]])

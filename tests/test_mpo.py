@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -750,6 +751,40 @@ def test_from_dict_rejects_boolean_entries(corrupt, where):
     message = rf"^{where}: matrix entries must be numbers, got a boolean$"
     with pytest.raises(DimensionMismatch, match=message):
         mpo_from_dict(doc)
+
+
+def _nan_site_entry(doc):
+    doc["sites"][1]["matrices"][0][0][0][0] = [math.nan, 0.0]
+
+
+def _infinite_seed_entry(doc):
+    doc["seed"][0][0] = [0.5, -math.inf]
+
+
+def _huge_seed_entry(doc):
+    doc["seed"][0][0] = [10**400, 0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, where",
+    [(_nan_site_entry, "site 1"), (_infinite_seed_entry, "seed"), (_huge_seed_entry, "seed")],
+    ids=["nan_site", "infinite_seed", "huge_integer_seed"],
+)
+def test_from_dict_rejects_entries_that_are_not_finite(corrupt, where):
+    # no document can make such a state: a NaN or Infinity file would load and
+    # contract to NaN, and the integer would overflow instead of being refused
+    doc = mpo_to_dict(mpo_cluster(3))
+    corrupt(doc)
+    message = rf"^{where}: matrix entries must be finite$"
+    with pytest.raises(DimensionMismatch, match=message):
+        mpo_from_dict(json.loads(json.dumps(doc)))
+
+
+def test_contraction_is_bounded_by_the_qubit_cap(monkeypatch):
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "4")
+    assert mpo_contract(mpo_cluster(4)).shape == (16, 16)
+    with pytest.raises(SizeLimit, match=r"^contraction over 5 open sites exceeds 2\^4$"):
+        mpo_contract(mpo_cluster(5))
 
 
 @pytest.mark.parametrize("doc", [[], None, "x", 3])
