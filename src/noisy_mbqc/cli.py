@@ -20,7 +20,8 @@ Document layout (all kinds)::
 Kind ``teleport``: ``resource_noise`` names a channel; ``inputs`` is either
 ``{"random": N}`` or a list of state specs (an alias ``"plus"``, ``"zero"``,
 ``"one"`` or ``"minus"``, also as ``{"state": alias}``, or a 2x2 ``{"matrix":
-[...]}``).  One case per input and Bell outcome.
+[...]}``, Hermitian, positive and of trace 1 within ``densemath.ATOL``).  One
+case per input and Bell outcome.
 
 Kind ``block_chain``: either ``chain`` (a list of step entries, run on the
 state spec ``input``, default ``"plus"``) or ``random_suite`` (``{"cases": N,
@@ -150,9 +151,9 @@ class ExperimentSpec:
     channels: dict[str, KrausChannel]
     payload: dict  # the document as read
     run: Runner  # the selected cases, from the parsed fields; reads no field again
-    tolerance: float = 1e-9
-    seed: int = 0
-    spec_hash: str = ""
+    tolerance: float
+    seed: int
+    spec_hash: str
 
 
 @dataclass
@@ -325,20 +326,20 @@ def _tolerance(obj, where: str) -> float:
 
 
 def _parse_state(obj, where: str) -> np.ndarray:
+    if isinstance(obj, dict) and "state" in obj:
+        _only(obj, ("state",), where, "a state")
+        obj, where = obj["state"], f"{where}.state"
+        _require(isinstance(obj, str), f"{where}: expected a state alias")
     if isinstance(obj, str):
         _require(obj in _STATES, f"{where}: unknown state alias {obj!r}")
         return _STATES[obj].copy()
-    if isinstance(obj, dict):
-        if "state" in obj:
-            _only(obj, ("state",), where, "a state")
-            return _parse_state(obj["state"], where)
-        if "matrix" in obj:
-            _only(obj, ("matrix",), where, "a state")
-            rho = _matrix(obj["matrix"], f"{where}.matrix")
-            _require(rho.shape == (2, 2), f"{where}.matrix: expected a 2x2 matrix")
-            if not dm.is_density_operator(rho, normalized=True):
-                raise ParseError(f"{where}: matrix is not a normalised state")
-            return rho
+    if isinstance(obj, dict) and "matrix" in obj:
+        _only(obj, ("matrix",), where, "a state")
+        rho = _matrix(obj["matrix"], f"{where}.matrix")
+        _require(rho.shape == (2, 2), f"{where}.matrix: expected a 2x2 matrix")
+        if not (dm.is_psd(rho) and abs(np.trace(rho).real - 1.0) <= dm.ATOL):
+            raise ParseError(f"{where}: matrix is not a normalised state")
+        return rho
     raise ParseError(f"{where}: expected a state alias or a matrix")
 
 
@@ -814,19 +815,18 @@ def _rows_template(width: int, rows: int, first: bool) -> str:
 CSV_COLUMNS = ("case", "branch_prob", "max_entry_diff", "trace_distance", "pass")
 
 
-def emit_report(report: Report, fmt: str, path: str) -> None:
-    """Write a report as JSON (full matrices) or CSV (scalar columns)."""
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: Report, path: str) -> None:
+    """Write a report as CSV (scalar columns) when ``path`` ends in ``.csv``,
+    else as JSON (full matrices)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "json":
-            fh.writelines(_report_chunks(report))
-            fh.write("\n")
-        else:
+        if path.endswith(".csv"):
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             cases = _report_skeleton(report)["cases"]
             writer.writerows([case[k] for k in CSV_COLUMNS] for case in cases)
+        else:
+            fh.writelines(_report_chunks(report))
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -884,9 +884,8 @@ def main(argv=None) -> int:
     )
 
     if args.out:
-        fmt = "csv" if args.out.endswith(".csv") else "json"
         try:
-            emit_report(report, fmt, args.out)
+            emit_report(report, args.out)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2

@@ -9,13 +9,12 @@ branch probability, so post-selected branches are stored unnormalised.
 from __future__ import annotations
 
 import os
-from functools import reduce
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotNormalized, SizeLimit
 
-#: default tolerance for Hermiticity / positivity / trace checks
+#: tolerance of the library's state, unitarity and channel checks
 ATOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
@@ -23,14 +22,13 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 # shared by every caller: a write into one would corrupt it process-wide
-for _const in (I2, X, Y, Z, H, CZ, KET0, KET1, PLUS, MINUS):
+for _const in (I2, X, Y, Z, H, KET0, KET1, PLUS, MINUS):
     _const.setflags(write=False)
 
 
@@ -51,13 +49,6 @@ def stacked(ops, ndim: int, what: str) -> np.ndarray:
             f"{what} must fill a non-empty {ndim}-axis array, got {out.shape}"
         )
     return out
-
-
-def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
-    if not mats:
-        raise DimensionMismatch("kron needs at least one operand")
-    return reduce(np.kron, (np.asarray(m, dtype=complex) for m in mats))
 
 
 def unit_ket(ket) -> np.ndarray:
@@ -139,41 +130,15 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = ATOL) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - dag(m))) <= tol)
-
-
-def is_psd(m: np.ndarray, tol: float = ATOL) -> bool:
-    """Hermitian within ``tol`` and all eigenvalues >= -tol."""
+def is_psd(m: np.ndarray) -> bool:
+    """Hermitian within ``ATOL`` and all eigenvalues >= -``ATOL``."""
     m = np.asarray(m, dtype=complex)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("positivity check needs a square matrix")
-    if not is_hermitian(m, tol):
+    if not np.max(np.abs(m - dag(m))) <= ATOL:  # NaN fails too
         return False
     evals = np.linalg.eigvalsh(0.5 * (m + dag(m)))
-    return bool(evals.min() >= -tol)
-
-
-def is_density_operator(
-    rho: np.ndarray, tol: float = ATOL, normalized: bool = False
-) -> bool:
-    """Check Hermiticity, positivity and the trace convention.
-
-    With ``normalized`` the trace must be 1; otherwise it may sit anywhere in
-    [0, 1] (an unnormalised branch whose trace is its probability).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if not np.all(np.isfinite(rho)):
-        return False
-    if not is_psd(rho, tol):
-        return False
-    tr = np.trace(rho).real
-    if normalized:
-        return bool(abs(tr - 1.0) <= tol)
-    return bool(-tol <= tr <= 1.0 + tol)
+    return bool(evals.min() >= -ATOL)
 
 
 def mat_to_json(m: np.ndarray) -> list:

@@ -20,7 +20,7 @@ from .errors import DimensionMismatch
 
 def bell_ket(i: int, j: int) -> np.ndarray:
     """Bell state (I (x) X^i Z^j)(|00> + |11>)/sqrt(2)."""
-    base = (dm.kron(dm.I2, np.linalg.matrix_power(dm.X, i) @ np.linalg.matrix_power(dm.Z, j)))
+    base = np.kron(dm.I2, np.linalg.matrix_power(dm.X, i) @ np.linalg.matrix_power(dm.Z, j))
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return base @ v
@@ -43,17 +43,17 @@ def teleport_branch(resource: np.ndarray, rho: np.ndarray, s: int, t: int) -> np
         raise DimensionMismatch("resource must be a two-qubit operator")
     if rho.shape != (2, 2):
         raise DimensionMismatch("input must be a single-qubit operator")
-    joint = dm.kron(rho, resource)
-    proj = dm.kron(dm.projector(bell_ket(s, t)), dm.I2)
+    joint = np.kron(rho, resource)
+    proj = np.kron(dm.projector(bell_ket(s, t)), dm.I2)
     projected = proj @ joint @ proj
     return dm.partial_trace(projected, keep=[2], dims=(2, 2, 2))
 
 
-def is_pauli_channel(eps: KrausChannel, tol: float = dm.ATOL) -> bool:
-    """True when every Kraus operator is proportional to one Pauli."""
+def is_pauli_channel(eps: KrausChannel) -> bool:
+    """True when every Kraus operator is proportional to one Pauli, within dm.ATOL."""
     for k in eps.ops:
         coeffs = np.abs(pauli_decompose(k))
-        if np.count_nonzero(coeffs > tol) > 1:
+        if np.count_nonzero(coeffs > dm.ATOL) > 1:
             return False
     return True
 

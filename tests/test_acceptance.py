@@ -306,7 +306,7 @@ def test_criterion_5_mpo_builders():
             <= 1e-10
         )
     for n in range(1, 6):
-        want = dm.kron(dm.projector(dm.KET0), np.eye(2**n) / 2**n)
+        want = np.kron(dm.projector(dm.KET0), np.eye(2**n) / 2**n)
         ok &= dm.max_abs_diff(mpo_contract(mpo_one_clean(n)), want) <= 1e-10
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0

@@ -336,7 +336,7 @@ def test_case_filter_matching_nothing_writes_no_save_mpo(tmp_path, capsys):
 def test_report_json_roundtrip(tmp_path):
     report = run_experiment(parse_experiment(spec_text(MINIMAL_BLOCK)))
     path = tmp_path / "report.json"
-    emit_report(report, "json", str(path))
+    emit_report(report, str(path))
     back = report_from_dict(json.loads(path.read_text()))
     assert back.spec_hash == report.spec_hash
     assert [c.case_id for c in back.cases] == [c.case_id for c in report.cases]
@@ -352,7 +352,7 @@ def test_report_determinism_modulo_timestamp(tmp_path):
         report = run_experiment(parse_experiment(text))
         report.timestamp = "fixed"
         path = tmp_path / f"report{i}.json"
-        emit_report(report, "json", str(path))
+        emit_report(report, str(path))
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -429,7 +429,7 @@ _TALL = np.arange(3 * (cli._BLOCK_ROWS + 1)).reshape(-1, 3) * (0.1 - 0.2j)
 def test_emit_json_is_json_dumps_of_report_to_dict(report):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
-        emit_report(report, "json", path)
+        emit_report(report, path)
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
@@ -462,7 +462,7 @@ def test_emit_json_hands_the_file_one_row_block_at_a_time():
     assert [c.oracle.shape for c in report.cases] == [(128, 128)]
     sink = _PieceSink()
     with mock.patch.object(cli, "open", lambda *args, **kwargs: sink, create=True):
-        emit_report(report, "json", "report.json")
+        emit_report(report, "report.json")
     assert "".join(sink.pieces) == json.dumps(report_to_dict(report), indent=2) + "\n"
     # each of the 128 [re, im] pairs of a row spans 4 lines, and the row 2 more
     block_lines = cli._BLOCK_ROWS * (128 * 4 + 2)
@@ -473,7 +473,7 @@ def test_emit_json_hands_the_file_one_row_block_at_a_time():
 def test_emit_csv(tmp_path):
     report = run_experiment(parse_experiment(spec_text(MINIMAL_BLOCK)))
     path = tmp_path / "report.csv"
-    emit_report(report, "csv", str(path))
+    emit_report(report, str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "case,branch_prob,max_entry_diff,trace_distance,pass"
     assert len(lines) == 3
@@ -484,7 +484,7 @@ def test_emit_csv(tmp_path):
 def test_emit_csv_empty_report(tmp_path):
     report = Report()  # run_experiment refuses a filter that selects no case
     path = tmp_path / "empty.csv"
-    emit_report(report, "csv", str(path))
+    emit_report(report, str(path))
     assert path.read_text().strip() == "case,branch_prob,max_entry_diff,trace_distance,pass"
 
 
@@ -988,9 +988,26 @@ def test_numpy_scalars_write_the_bytes_of_python_floats(tmp_path, fmt):
     written = []
     for scalar in (float, np.float64):
         path = tmp_path / f"{scalar.__name__}.{fmt}"
-        emit_report(_verdict_report(2, scalar), fmt, str(path))
+        emit_report(_verdict_report(2, scalar), str(path))
         written.append(path.read_bytes())
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "name, is_csv", [("r.csv", True), ("r.json", False), ("r.CSV", False), ("r", False)]
+)
+def test_emit_report_writes_csv_for_a_csv_suffix_only(tmp_path, monkeypatch, name, is_csv):
+    report = _verdict_report(1)
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: report)
+    (tmp_path / "main").mkdir()
+    assert _run_doc(tmp_path, MINIMAL_BLOCK, "--out", str(tmp_path / "main" / name)) == 0
+    emit_report(report, str(tmp_path / name))
+    written = (tmp_path / name).read_bytes()
+    assert written == (tmp_path / "main" / name).read_bytes()
+    if is_csv:
+        assert written.startswith(b"case,branch_prob,max_entry_diff,trace_distance,pass\r\n")
+    else:
+        assert written == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -1003,6 +1020,36 @@ def test_parse_rejects_a_two_qubit_input_state(doc, path, where):
     doc = _set(doc, path, {"matrix": dm.mat_to_json(np.eye(4) / 4)})
     with pytest.raises(ParseError, match=rf"^{where}\.matrix: expected a 2x2 matrix$"):
         parse_experiment(spec_text(doc))
+
+
+# an input state off by e in its trace, its Hermiticity or its least eigenvalue
+_OFF_STATES = {
+    "trace": lambda e: np.diag([0.5 + e, 0.5]),
+    "hermiticity": lambda e: dm.I2 / 2 + np.array([[0.0, e], [0.0, 0.0]]),
+    "eigenvalue": lambda e: np.diag([1.0 + e, -e]),
+}
+
+
+@pytest.mark.parametrize("gap", list(_OFF_STATES))
+@pytest.mark.parametrize("atols, code", [(0.5, 0), (2.0, 2)], ids=["0.5atol", "2atol"])
+def test_main_input_state_check_holds_within_atol(tmp_path, capsys, gap, atols, code):
+    rho = _OFF_STATES[gap](atols * dm.ATOL)
+    assert _run_doc(tmp_path, _set(_CHAIN, ("input",), {"matrix": dm.mat_to_json(rho)})) == code
+    err = capsys.readouterr().err
+    assert err == ("error: input: matrix is not a normalised state\n" if code else "")
+
+
+@pytest.mark.parametrize(
+    "doc, path, where",
+    [(_CHAIN, ("input",), "input"), (SKELETONS[0], ("inputs", 0), "inputs[0]")],
+    ids=["input", "inputs[0]"],
+)
+@pytest.mark.parametrize(
+    "inner", [{"state": "plus"}, {"matrix": dm.mat_to_json(dm.I2 / 2)}], ids=["state", "matrix"]
+)
+def test_main_state_object_takes_an_alias_only(tmp_path, capsys, doc, path, where, inner):
+    assert _run_doc(tmp_path, _set(doc, path, {"state": inner})) == 2
+    assert capsys.readouterr().err == f"error: {where}.state: expected a state alias\n"
 
 
 def test_main_huge_kraus_entry_is_one_line_spec_error(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_maximally_mixed_contraction():
 def test_one_clean_contraction():
     np.testing.assert_allclose(
         mpo_contract(mpo_one_clean(1)),
-        dm.kron(dm.projector(dm.KET0), dm.I2 / 2),
+        np.kron(dm.projector(dm.KET0), dm.I2 / 2),
         atol=1e-12,
     )
     got = mpo_contract(mpo_one_clean(2))

@@ -55,8 +55,9 @@ def test_prep_plus_z_measure_keep():
 
 def test_cluster_small_cases():
     np.testing.assert_allclose(build_cluster_dm(1), dm.projector(dm.PLUS), atol=1e-12)
-    plus2 = dm.kron(dm.projector(dm.PLUS), dm.projector(dm.PLUS))
-    np.testing.assert_allclose(build_cluster_dm(2), dm.CZ @ plus2 @ dm.CZ, atol=1e-12)
+    cz = np.diag([1, 1, 1, -1])
+    plus2 = np.kron(dm.projector(dm.PLUS), dm.projector(dm.PLUS))
+    np.testing.assert_allclose(build_cluster_dm(2), cz @ plus2 @ cz, atol=1e-12)
 
 
 def test_cluster_matches_op_by_op_simulation():
@@ -86,7 +87,7 @@ def test_trace_preserving_ops_keep_trace_and_psd(rng):
     ]
     state = simulate(2, ops)
     assert np.trace(state).real == pytest.approx(1.0, abs=1e-10)
-    assert dm.is_psd(state, tol=1e-10)
+    assert dm.is_psd(state)
 
 
 def test_measurement_branch_completeness(rng):
@@ -128,7 +129,7 @@ def test_out_of_order_prep_keeps_site_ordering(rng):
     a = simulate(2, [PrepState(1, rho), PrepPlus(0)])
     b = simulate(2, [PrepPlus(0), PrepState(1, rho)])
     np.testing.assert_allclose(a, b, atol=1e-12)
-    np.testing.assert_allclose(a, dm.kron(dm.projector(dm.PLUS), rho), atol=1e-12)
+    np.testing.assert_allclose(a, np.kron(dm.projector(dm.PLUS), rho), atol=1e-12)
 
 
 def test_site_errors():
@@ -274,7 +275,7 @@ def test_block_oracle_rejects_z_basis():
 
 
 def _embed(op, pos, m):
-    return dm.kron(np.eye(2**pos), op, np.eye(2 ** (m - pos - 1)))
+    return np.kron(np.kron(np.eye(2**pos), op), np.eye(2 ** (m - pos - 1)))
 
 
 def reference_simulate(ops):
