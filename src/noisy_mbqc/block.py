@@ -61,11 +61,11 @@ class MeasSpec:
         return dm.equatorial_ket(self.phi, self.outcome)
 
     @classmethod
-    def z(cls, outcome: int = 0) -> "MeasSpec":
+    def z(cls, outcome: int) -> "MeasSpec":
         return cls(basis=Z_BASIS, outcome=outcome)
 
     @classmethod
-    def equatorial(cls, phi: float, outcome: int = 0) -> "MeasSpec":
+    def equatorial(cls, phi: float, outcome: int) -> "MeasSpec":
         return cls(basis=EQUATORIAL, phi=phi, outcome=outcome)
 
 

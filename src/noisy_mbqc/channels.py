@@ -170,7 +170,7 @@ def depolarizing() -> KrausChannel:
     return validate([0.5 * s for s in (dm.I2, dm.X, dm.Y, dm.Z)])
 
 
-def random_channel(rng: np.random.Generator, n_kraus: int = 2) -> KrausChannel:
+def random_channel(rng: np.random.Generator, n_kraus: int) -> KrausChannel:
     """A Haar-flavoured single-qubit CPTP channel from a random isometry.
 
     A Gaussian (2 n_kraus) x 2 matrix is orthonormalised by QR; slicing the

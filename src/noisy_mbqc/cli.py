@@ -33,10 +33,10 @@ is a JSON boolean (default false) and a Z step names no phi or alpha slot;
 [earlier step indices]}``, resolved to x * (-1)^(sum of those outcomes) per
 outcome string.  One case per outcome string, in product order; states are
 compared unnormalised so traces carry branch probabilities.  The oracle runs
-step i on sites (i, i+1) of the chain's full register (len(chain) + 1 sites),
-so the register cap applies as for one circuit over the whole chain.  Both
-paths walk the outcome strings as a prefix tree and compose each distinct step
-once, so an L-step chain costs 2^(L+1) - 2 step evaluations, not L * 2^L.
+each step as one two-qubit circuit, the previous output on site 0 and
+``oracle.block_step_ops`` after it, so a chain of any length holds two qubits.
+Both paths grow the outcome strings' prefix tree one step at a time and compose
+each distinct step once: an L-step chain costs 2^(L+1) - 2 step evaluations.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -85,8 +85,8 @@ and two runs of one document give byte-identical reports apart from
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
 memory than exists included), or ``--cases`` selected no case.
-``NOISY_MBQC_MAX_QUBITS`` caps the dense register and the MPO contraction's
-open sites (default 12).
+``NOISY_MBQC_MAX_QUBITS`` caps the qubits of one oracle circuit (two for a
+chain step) and the MPO contraction's open sites (default 12).
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ import numbers
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import product
 
@@ -147,7 +147,6 @@ _STATES = {
 class ExperimentSpec:
     """Parsed and resolved experiment document."""
 
-    kind: str
     channels: dict[str, KrausChannel]
     payload: dict  # the document as read
     run: Runner  # the selected cases, from the parsed fields; reads no field again
@@ -176,11 +175,11 @@ Runner = Callable[["np.random.Generator", Callable], list[CaseResult]]
 
 @dataclass
 class Report:
-    cases: list[CaseResult] = field(default_factory=list)
-    tolerance: float = 1e-9
-    seed: int = 0
-    spec_hash: str = ""
-    timestamp: str = ""
+    cases: list[CaseResult]
+    tolerance: float
+    seed: int
+    spec_hash: str
+    timestamp: str
 
     def ok(self, case: CaseResult) -> bool:
         """The one verdict on a case: its max-entry difference within tolerance."""
@@ -373,7 +372,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
         channels[name] = _parse_channel_def(name, obj)
 
     return ExperimentSpec(
-        kind=kind,
         channels=channels,
         payload=dict(doc),
         tolerance=_tolerance(doc.get("tolerance", 1e-9), "tolerance"),
@@ -478,36 +476,28 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     rho0 = _parse_state(doc.get("input", "plus"), "input")
 
     def run(rng, select) -> list[CaseResult]:
-        # a step's channel depends only on (step, MeasSpec): at most four per step
-        composed: dict[tuple[int, MeasSpec], KrausChannel] = {}
-        cases = []
-
-        def walk(outcomes: tuple[int, ...], closed: np.ndarray, live: np.ndarray):
-            """Cases below the prefix ``outcomes``, whose closed-form output is
-            ``closed`` and whose oracle leaves ``live`` on site len(outcomes)."""
-            i = len(outcomes)
-            if i == len(steps):
-                cases.append(_case("k=" + "".join(map(str, outcomes)), closed, live))
-                return
-            phi, ks, alphas = steps[i]
-            for k in ks:
-                if phi is None:
-                    meas = MeasSpec.z(k)
-                else:
-                    magnitude, flip_on = phi
-                    sign = -1.0 if sum(outcomes[j] for j in flip_on) % 2 else 1.0
-                    meas = MeasSpec.equatorial(sign * magnitude, k)
-                cfg = BlockNoiseConfig(meas=meas, **alphas)
-                if (i, meas) not in composed:
-                    composed[i, meas] = compose_block_noise(cfg)
-                circuit = [oracle.PrepState(i, live), *oracle.block_step_ops(cfg, i)]
-                walk(
-                    (*outcomes, k),
-                    apply(composed[i, meas], closed),
-                    oracle.simulate(len(steps) + 1, circuit),
-                )
-
-        walk((), rho0, rho0)
+        # the prefixes of one length, each as (outcomes, closed form, oracle output)
+        frontier = [((), rho0, rho0)]
+        for phi, ks, alphas in steps:
+            # a step's channel depends only on its MeasSpec: at most four per step
+            composed: dict[MeasSpec, KrausChannel] = {}
+            grown = []
+            for outcomes, closed, live in frontier:
+                for k in ks:
+                    if phi is None:
+                        meas = MeasSpec.z(k)
+                    else:
+                        magnitude, flip_on = phi
+                        sign = -1.0 if sum(outcomes[j] for j in flip_on) % 2 else 1.0
+                        meas = MeasSpec.equatorial(sign * magnitude, k)
+                    cfg = BlockNoiseConfig(meas=meas, **alphas)
+                    if meas not in composed:
+                        composed[meas] = compose_block_noise(cfg)
+                    circuit = [oracle.PrepState(0, live), *oracle.block_step_ops(cfg)]
+                    orac = oracle.simulate(2, circuit)
+                    grown.append(((*outcomes, k), apply(composed[meas], closed), orac))
+            frontier = grown
+        cases = [_case("k=" + "".join(map(str, s)), c, o) for s, c, o in frontier]
         return select(cases)
 
     return run

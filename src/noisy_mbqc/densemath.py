@@ -100,14 +100,10 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatch(f"keep indices {keep} out of range for {n} subsystems")
 
-    lower = "abcdefghijklmnopqrstuvwxyz"
-    upper = lower.upper()
-    if n > len(lower):
-        raise DimensionMismatch("too many subsystems for partial_trace")
-    row = [lower[i] for i in range(n)]
-    col = [upper[i] if i in keep else lower[i] for i in range(n)]
-    out = "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
-    reduced = np.einsum("".join(row + col) + "->" + out, rho.reshape(dims + dims))
+    # axis i of the rows is label i; of the columns, n + i if kept, else i (traced)
+    col = [n + i if i in keep else i for i in range(n)]
+    out = [*keep, *(n + i for i in keep)]
+    reduced = np.einsum(rho.reshape(dims + dims), [*range(n), *col], out)
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return reduced.reshape(d_keep, d_keep)
 

@@ -232,11 +232,11 @@ def teleport_oracle_state(
     return simulate(3, ops)
 
 
-def block_step_ops(cfg: BlockNoiseConfig, site: int) -> list:
-    """One noisy step on sites (site, site+1): prep the fresh plus qubit, noise
-    before CZ (alpha1, alpha2), CZ, noise after it (alpha3, alpha4), then the
-    removing readout of ``site``."""
-    a, b = site, site + 1
+def block_step_ops(cfg: BlockNoiseConfig) -> list:
+    """One noisy step on sites (0, 1), whose input the caller prepares on site 0:
+    prep a plus qubit on site 1, noise before CZ (alpha1, alpha2), CZ, noise after
+    it (alpha3, alpha4), then the removing readout of site 0, leaving site 1."""
+    a, b = 0, 1
     ops: list = [PrepPlus(b)]
     if cfg.alpha1 is not None:
         ops.append(Channel1Q(a, cfg.alpha1))
@@ -262,7 +262,7 @@ def block_oracle_channel(cfg: BlockNoiseConfig) -> np.ndarray:
         raise ZBasisUnsupported(
             "noise composition is defined for equatorial measurements only"
         )
-    step = block_step_ops(cfg, 0)
+    step = block_step_ops(cfg)
     chois = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):

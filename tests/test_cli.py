@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -51,7 +52,6 @@ def spec_text(doc) -> str:
 
 def test_parse_minimal_block_chain():
     spec = parse_experiment(spec_text(MINIMAL_BLOCK))
-    assert spec.kind == "block_chain"
     assert spec.tolerance == 1e-9 and spec.seed == 0
     assert spec.spec_hash
 
@@ -403,13 +403,13 @@ def reports(draw):
 def _report_with_text(text: str) -> Report:
     """A two-case report whose case ids, spec hash and timestamp are ``text``."""
     case = CaseResult(text, dm.H, np.zeros((0, 2)), 0.0, -0.0, float("nan"))
-    return Report(cases=[case, case], spec_hash=text, timestamp=text)
+    return Report([case, case], 1e-9, 0, spec_hash=text, timestamp=text)
 
 
 def _report_of(*pairs) -> Report:
     """One case per (closed_form, oracle) pair."""
     cases = [CaseResult(f"c{i}", a, b, 0.0, 0.0, 1.0) for i, (a, b) in enumerate(pairs)]
-    return Report(cases=cases, timestamp="t")
+    return Report(cases, 1e-9, 0, spec_hash="", timestamp="t")
 
 
 _TALL = np.arange(3 * (cli._BLOCK_ROWS + 1)).reshape(-1, 3) * (0.1 - 0.2j)
@@ -482,7 +482,8 @@ def test_emit_csv(tmp_path):
 
 
 def test_emit_csv_empty_report(tmp_path):
-    report = Report()  # run_experiment refuses a filter that selects no case
+    # run_experiment refuses a filter that selects no case
+    report = Report([], 1e-9, 0, spec_hash="", timestamp="")
     path = tmp_path / "empty.csv"
     emit_report(report, str(path))
     assert path.read_text().strip() == "case,branch_prob,max_entry_diff,trace_distance,pass"
@@ -1269,7 +1270,8 @@ def test_chain_z_steps_fold_like_run_block_sequence():
 def reference_chain_cases(spec) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """The chain runner as a flat loop over ``product(...)``: every outcome
     string starts again from the input, and its oracle is one circuit over the
-    whole chain.  Returns (label, closed form, oracle) per case."""
+    whole chain, step i moved onto sites (i, i + 1).  Returns (label, closed
+    form, oracle) per case."""
     doc = spec.payload
     steps = []
     for entry in doc["chain"]:
@@ -1305,7 +1307,11 @@ def reference_chain_cases(spec) -> list[tuple[str, np.ndarray, np.ndarray]]:
                     step = compose_block_noise(cfg)
                 composed[i, meas] = step
             closed = apply(step, closed)
-            circuit.extend(oracle.block_step_ops(cfg, i))
+            for op in oracle.block_step_ops(cfg):
+                if isinstance(op, oracle.CZ):
+                    circuit.append(oracle.CZ(op.a + i, op.b + i))
+                else:
+                    circuit.append(dataclasses.replace(op, site=op.site + i))
         orac = oracle.simulate(len(steps) + 1, circuit)
         cases.append(("k=" + "".join(map(str, outcomes)), closed, orac))
     return cases
@@ -1414,11 +1420,44 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
     assert counts["compose"] == len(distinct) == 20
 
 
-def test_chain_register_over_the_cap_is_spec_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "4")
-    assert _run_doc(tmp_path, _both_chain(3)) == 0
+def _fixed_chain(n_steps: int) -> dict:
+    """An n-step chain with one outcome per step, so one case, adaptive from step
+    1 on, with noise in all four slots of every step."""
+    slots = ("alpha1", "alpha2", "alpha3", "alpha4")
+    chain = []
+    for i in range(n_steps):
+        flip_on = list(range(max(0, i - 3), i))
+        phi = {"magnitude": 0.1 * (i % 9) + 0.2, "flip_on": flip_on}
+        noise = {slot: ("h", "bf")[(i + j) % 2] for j, slot in enumerate(slots)}
+        chain.append({"phi": phi, "k": i % 2, **noise})
+    return {"kind": "block_chain", "channels": _NOISE, "chain": chain}
+
+
+def test_chain_holds_two_qubits_whatever_its_length(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "2")
+    sizes = []
+    simulate = oracle.simulate
+
+    def recorded(n, ops):
+        sizes.append(n)
+        return simulate(n, ops)
+
+    monkeypatch.setattr(oracle, "simulate", recorded)
+    out = tmp_path / "report.json"
+    assert _run_doc(tmp_path, _fixed_chain(100), "--out", str(out)) == 0
+    assert sizes == [2] * 100
+    [case] = report_from_dict(json.loads(out.read_text())).cases
+    tr = np.trace(case.closed_form).real
+    assert 0.0 < tr < 1e-20  # a tiny branch, which the absolute gate cannot see
+    np.testing.assert_allclose(case.oracle / tr, case.closed_form / tr, atol=1e-12)
     capsys.readouterr()
-    # a chain of cap steps needs cap + 1 sites, though each step's oracle
-    # holds at most two of them live
-    assert _run_doc(tmp_path, _both_chain(4)) == 2
-    assert "register size 5 outside [1, 4]" in capsys.readouterr().err
+    # each step's circuit holds two qubits, one more than this cap
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "1")
+    assert _run_doc(tmp_path, _fixed_chain(100)) == 2
+    assert "register size 2 outside [1, 1]" in capsys.readouterr().err
+
+
+def test_chain_longer_than_the_recursion_limit_runs(tmp_path, capsys):
+    assert _run_doc(tmp_path, _fixed_chain(1100)) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("k=") and "summary: 1 cases," in out

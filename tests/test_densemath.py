@@ -35,6 +35,28 @@ def test_partial_trace_cz_dephases_input():
     np.testing.assert_allclose(got, np.diag([0.7, 0.3]), atol=1e-12)
 
 
+@pytest.mark.parametrize("keep", [[2, 0], [1]])
+def test_partial_trace_mixed_dims_matches_a_loop(rng, keep):
+    dims = (2, 3, 2)
+    rho = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    full = rho.reshape(dims + dims)
+    kept = sorted(keep)  # the kept subsystems come out in ascending order
+    traced = [i for i in range(3) if i not in kept]
+    kept_dims = [dims[i] for i in kept]
+    want = np.zeros((int(np.prod(kept_dims)),) * 2, dtype=complex)
+    for a, r in enumerate(np.ndindex(*kept_dims)):
+        for b, c in enumerate(np.ndindex(*kept_dims)):
+            for s in np.ndindex(*(dims[i] for i in traced)):
+                row, col = [0] * 3, [0] * 3
+                for i, x, y in zip(kept, r, c):
+                    row[i], col[i] = x, y
+                for i, x in zip(traced, s):
+                    row[i] = col[i] = x
+                want[a, b] += full[(*row, *col)]
+    got = dm.partial_trace(rho, keep=keep, dims=dims)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dm.partial_trace(np.eye(4), keep=[0], dims=(2, 3))

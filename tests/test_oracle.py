@@ -248,21 +248,21 @@ def test_block_step_ops_order():
     a1, a2, a3, a4 = (phase_flip(p) for p in (0.1, 0.2, 0.3, 0.4))
     meas = MeasSpec.equatorial(0.7, 1)
     cfg = BlockNoiseConfig(meas=meas, alpha1=a1, alpha2=a2, alpha3=a3, alpha4=a4)
-    ops = block_step_ops(cfg, 3)
+    ops = block_step_ops(cfg)
     assert ops[:-1] == [
-        PrepPlus(4),
-        Channel1Q(3, a1),
-        Channel1Q(4, a2),
-        CZ(3, 4),
-        Channel1Q(3, a3),
-        Channel1Q(4, a4),
+        PrepPlus(1),
+        Channel1Q(0, a1),
+        Channel1Q(1, a2),
+        CZ(0, 1),
+        Channel1Q(0, a3),
+        Channel1Q(1, a4),
     ]
-    bare = block_step_ops(BlockNoiseConfig(meas=meas), 0)
+    bare = block_step_ops(BlockNoiseConfig(meas=meas))
     assert bare[:-1] == [PrepPlus(1), CZ(0, 1)]
     # a readout holds an array, so it is compared field by field
-    for readout, site in ((ops[-1], 3), (bare[-1], 0)):
+    for readout in (ops[-1], bare[-1]):
         assert isinstance(readout, Measure)
-        assert (readout.site, readout.remove) == (site, True)
+        assert (readout.site, readout.remove) == (0, True)
         assert readout.ket.tobytes() == dm.equatorial_ket(0.7, 1).tobytes()
 
 
