@@ -76,11 +76,11 @@ reads no field of the document.
 
 Reports: the JSON and CSV writers and the console lines all read one view of
 a report, whose verdict per case is ``Report.ok``.  ``--out`` writes CSV when
-the path ends in ``.csv`` and JSON otherwise, the text of
-``json.dumps(report_to_dict(report), indent=2)`` plus a final newline: floats
-read as their ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` when not finite),
-and two runs of one document give byte-identical reports apart from
-``meta.timestamp``.
+the path ends in ``.csv``, else JSON (``"format": 2``; a case's ``oracle``
+matrix only when it fails) as ``json.dumps(report_to_dict(report), indent=2)``
+plus a final newline: floats read as their ``repr`` (``NaN``, ``Infinity``,
+``-Infinity`` when not finite), and two runs of one document give
+byte-identical reports apart from ``meta.timestamp``.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
@@ -548,7 +548,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     save = doc.get("save_mpo")
     _require(save is None or isinstance(save, str), "save_mpo: expected a path")
 
-    events = []  # (pauli|unitary|channel, site, [a, b] | matrix | channel)
+    events = []  # (site, its mpo_apply_* update, the update's value, the oracle op)
     for i, op in enumerate(site_ops):
         where = f"site_ops[{i}]"
         _require(isinstance(op, dict) and "site" in op, f"{where}: needs a site")
@@ -570,11 +570,15 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             _require(
                 set(value) <= {0, 1}, f"{where}.pauli: expected a pair of bits, got {value}"
             )
+            pauli = oracle.Unitary1Q(site, basis_element(*value))
+            event = (mpo_mod.mpo_apply_pauli, value, pauli)
         elif "unitary" in op:
             value = _unitary(op["unitary"], f"{where}.unitary")
+            event = (mpo_mod.mpo_apply_unitary, value, oracle.Unitary1Q(site, value))
         else:
             value = _resolve_ref(op["channel"], channels, f"{where}.channel")
-        events.append((kinds[0], site, value))
+            event = (mpo_mod.mpo_apply_channel, value, oracle.Channel1Q(site, value))
+        events.append((site, *event))
 
     measurements = []  # (site, basis kets, outcome axis)
     for i, m in enumerate(readouts):
@@ -611,16 +615,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             [oracle.CZ(j, j + 1)] if name == "cluster" and j < n - 1 else []
             for j in range(sites)
         ]
-        for kind, site, value in events:
-            if kind == "pauli":
-                state = mpo_mod.mpo_apply_pauli(state, site, value)
-                steps[site].append(oracle.Unitary1Q(site, basis_element(*value)))
-            elif kind == "unitary":
-                state = mpo_mod.mpo_apply_unitary(state, site, value)
-                steps[site].append(oracle.Unitary1Q(site, value))
-            else:
-                state = mpo_mod.mpo_apply_channel(state, site, value)
-                steps[site].append(oracle.Channel1Q(site, value))
+        for site, update, value, op in events:
+            state = update(state, site, value)
+            steps[site].append(op)
 
         cases = []
         for ks in product(*(axis for _, _, axis in measurements)):
@@ -717,8 +714,10 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
 
 def _report_skeleton(report: Report, leaf=lambda m: None) -> dict:
     """The one view of a report that the JSON, CSV and console writers read,
-    with ``leaf(matrix)`` at each matrix (null by default)."""
+    with ``leaf(matrix)`` at each matrix (null by default); a passing case has
+    no ``oracle`` key, as a null there would read as a matrix slot."""
     return {
+        "format": 2,  # a report without this key is format 1: every oracle written
         "meta": {
             "spec_sha256": report.spec_hash,
             "seed": report.seed,
@@ -729,7 +728,7 @@ def _report_skeleton(report: Report, leaf=lambda m: None) -> dict:
             {
                 "case": c.case_id,
                 "closed_form": leaf(c.closed_form),
-                "oracle": leaf(c.oracle),
+                **({} if report.ok(c) else {"oracle": leaf(c.oracle)}),
                 "max_entry_diff": float(c.max_entry_diff),
                 "trace_distance": float(c.trace_distance),
                 "branch_prob": float(c.branch_prob),
@@ -746,6 +745,7 @@ def _report_skeleton(report: Report, leaf=lambda m: None) -> dict:
 
 
 def report_to_dict(report: Report) -> dict:
+    """Format 2: a case holds ``oracle`` only when it fails; ``summary`` is last."""
     return _report_skeleton(report, dm.mat_to_json)
 
 
@@ -769,7 +769,7 @@ def _report_chunks(report: Report):
     mats = [
         np.ascontiguousarray(m, dtype=complex).view(np.int64)
         for c in report.cases
-        for m in (c.closed_form, c.oracle)
+        for m in ((c.closed_form,) if report.ok(c) else (c.closed_form, c.oracle))
     ]
     flat = np.concatenate([np.empty(0, np.int64), *(m.ravel() for m in mats)])
     bits, inverse = np.unique(flat, return_inverse=True)
@@ -807,7 +807,7 @@ CSV_COLUMNS = ("case", "branch_prob", "max_entry_diff", "trace_distance", "pass"
 
 def emit_report(report: Report, path: str) -> None:
     """Write a report as CSV (scalar columns) when ``path`` ends in ``.csv``,
-    else as JSON (full matrices)."""
+    else as JSON (matrices: every closed form, a failing case's oracle)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if path.endswith(".csv"):
             writer = csv.writer(fh)

@@ -75,11 +75,18 @@ def whole_register_ops(builder: str, n: int, events: list, readouts: list) -> li
 
 
 def report_from_dict(doc: dict) -> Report:
-    """Read back a JSON report written in the ``cli.report_to_dict`` format."""
+    """Read back a JSON report of format 2 (``cli.report_to_dict``); a passing
+    case has no ``oracle`` key and reads back with ``oracle=None``."""
+    assert doc["format"] == 2, doc["format"]
     meta, mat = doc["meta"], dm.mat_from_json
     scalars = ("max_entry_diff", "trace_distance", "branch_prob")
     cases = [
-        CaseResult(c["case"], mat(c["closed_form"]), mat(c["oracle"]), *(c[k] for k in scalars))
+        CaseResult(
+            c["case"],
+            mat(c["closed_form"]),
+            mat(c["oracle"]) if "oracle" in c else None,
+            *(c[k] for k in scalars),
+        )
         for c in doc["cases"]
     ]
     return Report(cases, doc["tolerance"], meta["seed"], meta["spec_sha256"], meta["timestamp"])

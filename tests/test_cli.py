@@ -337,12 +337,16 @@ def test_report_json_roundtrip(tmp_path):
     report = run_experiment(parse_experiment(spec_text(MINIMAL_BLOCK)))
     path = tmp_path / "report.json"
     emit_report(report, str(path))
-    back = report_from_dict(json.loads(path.read_text()))
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["format", "meta", "tolerance", "cases", "summary"]
+    back = report_from_dict(doc)
     assert back.spec_hash == report.spec_hash
     assert [c.case_id for c in back.cases] == [c.case_id for c in report.cases]
+    assert report.passed
     for ca, cb in zip(report.cases, back.cases):
         np.testing.assert_allclose(ca.closed_form, cb.closed_form)
         assert ca.max_entry_diff == cb.max_entry_diff
+        assert cb.oracle is None  # a passing case does not write its oracle
 
 
 def test_report_determinism_modulo_timestamp(tmp_path):
@@ -412,6 +416,16 @@ def _report_of(*pairs) -> Report:
     return Report(cases, 1e-9, 0, spec_hash="", timestamp="t")
 
 
+def _report_of_diffs(*diffs) -> Report:
+    """One case per max-entry difference, at tolerance 1e-9, each with its own
+    matrix shapes and values, so a matrix streamed into another leaf shows."""
+    cases = [
+        CaseResult(f"c{i}", np.full((1, i + 1), i), np.full((i + 2, 1), -i), d, 0.0, 1.0)
+        for i, d in enumerate(diffs)
+    ]
+    return Report(cases, 1e-9, 0, spec_hash="", timestamp="t")
+
+
 _TALL = np.arange(3 * (cli._BLOCK_ROWS + 1)).reshape(-1, 3) * (0.1 - 0.2j)
 
 
@@ -426,6 +440,8 @@ _TALL = np.arange(3 * (cli._BLOCK_ROWS + 1)).reshape(-1, 3) * (0.1 - 0.2j)
 @example(report=_report_of((_TALL, _TALL.T)))  # one block and one row more
 @example(report=_report_of((np.zeros((3, 0)), np.zeros((0, 3)))))
 @example(report=_report_of((dm.H, np.full((2, 2), 0.5)), (np.full((1, 1), 0.5), dm.I2)))
+@example(report=_report_of_diffs(0.0, 1.0))  # a passing case, then a failing one
+@example(report=_report_of_diffs(1.0, 0.0))  # a failing case, then a passing one
 def test_emit_json_is_json_dumps_of_report_to_dict(report):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
@@ -455,8 +471,9 @@ class _PieceSink:
 
 
 def test_emit_json_hands_the_file_one_row_block_at_a_time():
-    # a fully open 7-site cluster: 128x128 outputs, about 2.5 MB of report;
-    # streaming it a block of rows at a time keeps the writer's memory flat
+    # a fully open 7-site cluster: 128x128 outputs, about 1.2 MB of report (the
+    # case passes, so only its closed form is written); streaming it a block of
+    # rows at a time keeps the writer's memory flat
     doc = {"kind": "mpo", "builder": {"name": "cluster", "n": 7}}
     report = run_experiment(parse_experiment(spec_text(doc)))
     assert [c.oracle.shape for c in report.cases] == [(128, 128)]
@@ -467,7 +484,7 @@ def test_emit_json_hands_the_file_one_row_block_at_a_time():
     # each of the 128 [re, im] pairs of a row spans 4 lines, and the row 2 more
     block_lines = cli._BLOCK_ROWS * (128 * 4 + 2)
     assert max(piece.count("\n") for piece in sink.pieces) <= block_lines
-    assert len(sink.pieces) > 2 * 128 // cli._BLOCK_ROWS
+    assert len(sink.pieces) > 128 // cli._BLOCK_ROWS
 
 
 def test_emit_csv(tmp_path):
@@ -487,6 +504,28 @@ def test_emit_csv_empty_report(tmp_path):
     path = tmp_path / "empty.csv"
     emit_report(report, str(path))
     assert path.read_text().strip() == "case,branch_prob,max_entry_diff,trace_distance,pass"
+
+
+def test_report_writes_the_oracle_matrix_of_failing_cases_only(tmp_path):
+    suite = {"kind": "block_chain", "random_suite": {"cases": 3}}
+    spec = parse_experiment(spec_text(suite))
+    diffs = sorted(c.max_entry_diff for c in run_experiment(spec).cases)
+    assert diffs[0] < diffs[-1]
+    # a tolerance between the smallest and the largest difference splits the verdicts
+    report = run_experiment(spec, tolerance=(diffs[0] + diffs[-1]) / 2)
+    assert not report.passed and any(map(report.ok, report.cases))
+    emit_report(report, str(tmp_path / "report.json"))
+    emit_report(report, str(tmp_path / "report.csv"))
+    written = json.loads((tmp_path / "report.json").read_text())["cases"]
+    assert len(written) == len(report.cases)
+    for case, entry in zip(report.cases, written):
+        assert ("oracle" in entry) == (not entry["pass"]) == (not report.ok(case))
+        if "oracle" in entry:
+            assert entry["oracle"] == dm.mat_to_json(case.oracle)
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(cli.CSV_COLUMNS)
+    assert [row[0] for row in rows[1:]] == [c.case_id for c in report.cases]
 
 
 def test_main_pass_and_report(tmp_path, capsys):
@@ -1443,10 +1482,9 @@ def test_chain_holds_two_qubits_whatever_its_length(tmp_path, capsys, monkeypatc
         return simulate(n, ops)
 
     monkeypatch.setattr(oracle, "simulate", recorded)
-    out = tmp_path / "report.json"
-    assert _run_doc(tmp_path, _fixed_chain(100), "--out", str(out)) == 0
+    assert _run_doc(tmp_path, _fixed_chain(100)) == 0
     assert sizes == [2] * 100
-    [case] = report_from_dict(json.loads(out.read_text())).cases
+    [case] = run_experiment(parse_experiment(spec_text(_fixed_chain(100)))).cases
     tr = np.trace(case.closed_form).real
     assert 0.0 < tr < 1e-20  # a tiny branch, which the absolute gate cannot see
     np.testing.assert_allclose(case.oracle / tr, case.closed_form / tr, atol=1e-12)
