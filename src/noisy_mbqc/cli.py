@@ -33,10 +33,13 @@ is a JSON boolean (default false) and a Z step names no phi or alpha slot;
 [earlier step indices]}``, resolved to x * (-1)^(sum of those outcomes) per
 outcome string.  One case per outcome string, in product order; states are
 compared unnormalised so traces carry branch probabilities.  The oracle runs
-each step as one two-qubit circuit, the previous output on site 0 and
-``oracle.block_step_ops`` after it, so a chain of any length holds two qubits.
-Both paths grow the outcome strings' prefix tree one step at a time and compose
-each distinct step once: an L-step chain costs 2^(L+1) - 2 step evaluations.
+a step as two-qubit circuits, ``oracle.block_step_ops`` after the previous
+output on site 0, so a chain of any length holds two qubits.  Both paths grow
+the outcome strings' prefix tree one step at a time and compose each distinct
+step once: an L-step chain costs 2^(L+1) - 2 step evaluations.  On the oracle
+those are batched: per step, the prefixes that share a readout angle (at most
+two, one per sign of an adaptive angle) are one prep stack, and the readout
+forks over the step's outcomes, one ``oracle.simulate`` call per angle.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -51,6 +54,9 @@ anywhere, one unitary or channel per cluster site, one unitary on site 0 of
 ``one_clean``.  The oracle circuit prepares every site (the peak register is
 the full one), then runs per site, in ascending order, the CZ to the next
 site (cluster), the site's events in document order and the site's readout.
+It is one circuit per document: a ``"both"`` readout forks over its two kets,
+and the fork axes are put into the document's measurement order, so the
+oracle output of each outcome string comes from one ``oracle.simulate`` call.
 An optional ``save_mpo`` path stores the prepared (pre-measurement) operator
 as ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
 [{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
@@ -407,14 +413,14 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         rhos = states + [_random_density(rng) for _ in range(n_random)]
         pauli = is_pauli_channel(eps)
         resource = diagonal_resource(eps)
+        outputs = oracle.teleport_oracle_state(eps, np.stack(rhos))
         cases = []
         for (idx, rho), s, t in product(enumerate(rhos), range(2), range(2)):
             if pauli:
                 closed = pauli_corrected_target(eps, rho, s, t)
             else:
                 closed = teleport_branch(resource, rho, s, t)
-            orac = oracle.teleport_oracle_state(eps, rho, s, t)
-            cases.append(_case(f"input{idx}:s{s}t{t}", closed, orac))
+            cases.append(_case(f"input{idx}:s{s}t{t}", closed, outputs[idx, s, t]))
         return select(cases)
 
     return run
@@ -479,24 +485,37 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         # the prefixes of one length, each as (outcomes, closed form, oracle output)
         frontier = [((), rho0, rho0)]
         for phi, ks, alphas in steps:
+            # a prefix's outcomes set only the sign of the step's angle: one
+            # oracle call per sign, its prefixes stacked on site 0 and the
+            # readout forking over ks
+            signs = [
+                -1.0 if phi and sum(outcomes[j] for j in phi[1]) % 2 else 1.0
+                for outcomes, _, _ in frontier
+            ]
             # a step's channel depends only on its MeasSpec: at most four per step
             composed: dict[MeasSpec, KrausChannel] = {}
-            grown = []
-            for outcomes, closed, live in frontier:
-                for k in ks:
-                    if phi is None:
-                        meas = MeasSpec.z(k)
-                    else:
-                        magnitude, flip_on = phi
-                        sign = -1.0 if sum(outcomes[j] for j in flip_on) % 2 else 1.0
-                        meas = MeasSpec.equatorial(sign * magnitude, k)
-                    cfg = BlockNoiseConfig(meas=meas, **alphas)
+            branches = [None] * len(frontier)
+            for sign in dict.fromkeys(signs):
+                specs = [
+                    MeasSpec.z(k) if phi is None else MeasSpec.equatorial(sign * phi[0], k)
+                    for k in ks
+                ]
+                for meas in specs:
                     if meas not in composed:
+                        cfg = BlockNoiseConfig(meas=meas, **alphas)
                         composed[meas] = compose_block_noise(cfg)
-                    circuit = [oracle.PrepState(0, live), *oracle.block_step_ops(cfg)]
-                    orac = oracle.simulate(2, circuit)
-                    grown.append(((*outcomes, k), apply(composed[meas], closed), orac))
-            frontier = grown
+                members = [i for i, s in enumerate(signs) if s == sign]
+                lives = np.stack([frontier[i][2] for i in members])
+                *body, _ = oracle.block_step_ops(BlockNoiseConfig(meas=specs[0], **alphas))
+                readout = oracle.Measure(0, np.stack([m.ket for m in specs]))
+                outs = oracle.simulate(2, [oracle.PrepState(0, lives), *body, readout])
+                for i, out in zip(members, outs.reshape(len(members), len(ks), 2, 2)):
+                    branches[i] = zip(specs, out)
+            frontier = [
+                ((*outcomes, k), apply(composed[meas], closed), out)
+                for (outcomes, closed, _), branch in zip(frontier, branches)
+                for k, (meas, out) in zip(ks, branch)
+            ]
         cases = [_case("k=" + "".join(map(str, s)), c, o) for s, c, o in frontier]
         return select(cases)
 
@@ -610,7 +629,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             preps += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
 
         # every prep first, so the peak register is the full one; then per
-        # site its CZ to the right, its events and (per branch) its readout
+        # site its CZ to the right, its events and its readout
         steps = [
             [oracle.CZ(j, j + 1)] if name == "cluster" and j < n - 1 else []
             for j in range(sites)
@@ -619,21 +638,30 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             state = update(state, site, value)
             steps[site].append(op)
 
+        # one circuit for every outcome string: a "both" readout forks, and the
+        # fork axes move from site order to the document's measurement order
+        readouts = {
+            site: oracle.Measure(site, np.stack([kets[k] for k in ks]))
+            for site, kets, ks in measurements
+        }
+        circuit = list(preps)
+        for j, step in enumerate(steps):
+            circuit += step
+            if j in readouts:
+                circuit.append(readouts[j])
+        forks = [site for site, _, ks in measurements if len(ks) > 1]
+        orac = oracle.simulate(state.n_sites, circuit)
+        order = [sorted(forks).index(site) for site in forks]
+        outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
+
         cases = []
-        for ks in product(*(axis for _, _, axis in measurements)):
+        strings = product(*(axis for _, _, axis in measurements))
+        for ks, out in zip(strings, outs, strict=True):
             branch_state = state
-            readouts = {}
             for (site, kets, _), k in zip(measurements, ks):
                 branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k])
-                readouts[site] = oracle.Measure(site, kets[k])
-            circuit = list(preps)
-            for j, step in enumerate(steps):
-                circuit += step
-                if j in readouts:
-                    circuit.append(readouts[j])
             closed = mpo_mod.mpo_contract(branch_state)
-            orac = oracle.simulate(state.n_sites, circuit)
-            cases.append(_case("m=" + "".join(str(k) for k in ks), closed, orac))
+            cases.append(_case("m=" + "".join(str(k) for k in ks), closed, out))
 
         # written once every case has run and --cases selected some, so a
         # failed case or an empty selection leaves no file

@@ -12,14 +12,23 @@ measurement names the unit ket of its outcome, the same readout form
 :func:`noisy_mbqc.mpo.mpo_measure` takes, and projects onto it without
 sampling, so the final trace is the probability of the chosen outcomes.
 
-Every op costs O(4^m) on m live sites and touches only its sites' ket and
-bra axes: a single-site unitary, channel or kept projection is one matmul
-with the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ negates two
-quarter-slices in place; a removing measurement contracts <v| and |v> into
-the site's axes.  No 2^m x 2^m operator is built.  Single-site maps hold two
-state-sized arrays, the state and a spare they write into (268 MB each by
-shape at m=12); a removing measurement frees the spare and holds the state
-plus its half- and quarter-sized contractions.
+One call runs a batch of branches of one circuit.  The state is a stack of
+B branches, shape (B, D, D): a ``PrepState`` whose ``rho`` is a (P, 2, 2)
+stack multiplies B by P, and a removing ``Measure`` whose ``ket`` is a
+(K, 2) stack of unit kets (K >= 2) forks each branch into K.  The result has
+one leading axis per stack, in op order, then (D, D); a circuit without
+stacks runs with B = 1 and returns (D, D).  Every branch sees the same
+arithmetic as a circuit of its own, bit for bit.
+
+Every op costs O(B * 4^m) on m live sites and touches only its sites' ket
+and bra axes: a single-site unitary, channel or kept projection is one
+matmul per branch with the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ
+negates two quarter-slices in place; a removing measurement contracts <v|
+and |v> into the site's axes, once per ket.  No 2^m x 2^m operator is
+built.  Single-site maps hold two state-sized arrays, the state and a spare
+they write into (268 MB each by shape at m=12 and B=1); a removing
+measurement frees the spare and holds the state, its half-sized contraction
+and the K quarter-sized branches it forks into.
 """
 
 from __future__ import annotations
@@ -32,7 +41,13 @@ import numpy as np
 from . import densemath as dm
 from .block import EQUATORIAL, BlockNoiseConfig, MeasSpec
 from .channels import KrausChannel
-from .errors import DimensionMismatch, SiteOutOfRange, SizeLimit, ZBasisUnsupported
+from .errors import (
+    DimensionMismatch,
+    NotNormalized,
+    SiteOutOfRange,
+    SizeLimit,
+    ZBasisUnsupported,
+)
 
 
 @dataclass(frozen=True)
@@ -42,6 +57,8 @@ class PrepPlus:
 
 @dataclass(frozen=True)
 class PrepState:
+    """Prepare ``site`` in ``rho``, a 2x2 operator or a (P, 2, 2) stack of them."""
+
     site: int
     rho: np.ndarray
 
@@ -68,7 +85,8 @@ class Unitary1Q:
 class Measure:
     """Project ``site`` onto the unit outcome vector ``ket``.
 
-    With ``remove`` the site is traced out afterwards, shrinking the register.
+    With ``remove`` the site is traced out afterwards, shrinking the register,
+    and ``ket`` may be a (K, 2) stack of unit kets (K >= 2), one per outcome.
     """
 
     site: int
@@ -77,17 +95,17 @@ class Measure:
 
 
 class _Register:
-    """Live subset of the register as a dense operator.
+    """Live subset of the register as a stack of dense operators, (B, D, D).
 
-    Each kernel views the state as one ket and one bra axis per live site and
-    touches only the axes of the sites it acts on, O(4^m) for m live sites.
+    Each kernel views a branch as one ket and one bra axis per live site and
+    touches only the axes of the sites it acts on, O(B * 4^m) for m live sites.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.sites: list[int] = []  # kept in ascending site order
-        self.state = np.array([[1.0 + 0j]])
-        self.spare = np.empty((0, 0), dtype=complex)
+        self.state = np.ones((1, 1, 1), dtype=complex)
+        self.spare = np.empty((0, 0, 0), dtype=complex)
 
     @property
     def m(self) -> int:
@@ -103,25 +121,24 @@ class _Register:
             raise SiteOutOfRange(f"site {site} has not been prepared")
         return self.sites.index(site)
 
-    def prep(self, site: int, block: np.ndarray):
+    def prep(self, site: int, blocks: np.ndarray):
+        """Tensor in one of the (P, 2, 2) ``blocks`` per branch: B -> B * P."""
         self.check_site(site)
         if site in self.sites:
             raise SiteOutOfRange(f"site {site} prepared twice")
-        block = np.asarray(block, dtype=complex)
-        if block.shape != (2, 2):
-            raise DimensionMismatch("prepared state must be a 2x2 operator")
         pos = bisect_left(self.sites, site)
         left, right = 2**pos, 2 ** (self.m - pos)
-        grown = self.state.reshape(left, 1, right, left, 1, right) * block.reshape(
-            1, 2, 1, 1, 2, 1
+        b, p = len(self.state), len(blocks)
+        grown = self.state.reshape(b, 1, left, 1, right, left, 1, right) * blocks.reshape(
+            1, p, 1, 2, 1, 1, 2, 1
         )
         self.sites.insert(pos, site)
-        self.state = grown.reshape(2**self.m, 2**self.m)
+        self.state = grown.reshape(b * p, 2**self.m, 2**self.m)
 
     def apply(self, ks: np.ndarray, pos: int):
         """rho -> sum_r K_r rho K_r^dag on the site at ``pos``, K_r = ks[r].
 
-        The superoperator sum_r K_r (x) conj(K_r) acts on the site's (ket,
+        The superoperator sum_r K_r (x) conj(K_r) acts on each branch's (ket,
         bra) axis pair in one matmul, whatever the Kraus count.  The state
         and one spare array of its size trade places, so repeated maps on
         a register of one size allocate nothing.
@@ -129,55 +146,105 @@ class _Register:
         sup = np.einsum("rij,rkl->ikjl", ks, ks.conj()).reshape(4, 4)
         if self.spare.shape != self.state.shape:
             self.spare = np.empty(self.state.shape, dtype=complex)
+        b = len(self.state)
         left, right = 2**pos, 2 ** (self.m - pos - 1)
-        site_axes = (left, 2, right, left, 2, right)
-        pair_first = (2, 2, left, right, left, right)
+        site_axes = (b, left, 2, right, left, 2, right)
+        pair_first = (b, 2, 2, left, right, left, right)
         moved = self.spare.reshape(pair_first)
-        np.copyto(moved, self.state.reshape(site_axes).transpose(1, 4, 0, 2, 3, 5))
-        mixed = np.matmul(sup, moved.reshape(4, -1), out=self.state.reshape(4, -1))
+        np.copyto(moved, self.state.reshape(site_axes).transpose(0, 2, 5, 1, 3, 4, 6))
+        mixed = np.matmul(sup, moved.reshape(b, 4, -1), out=self.state.reshape(b, 4, -1))
         back = self.spare.reshape(site_axes)
-        np.copyto(back, mixed.reshape(pair_first).transpose(2, 0, 3, 4, 1, 5))
+        np.copyto(back, mixed.reshape(pair_first).transpose(0, 3, 1, 4, 5, 2, 6))
         self.state, self.spare = back.reshape(self.state.shape), self.state
 
     def cz(self, pa: int, pb: int):
-        """Negate in place the quarter-slice where both ket bits are 1, then
-        the one where both bra bits are 1."""
+        """Negate in place, in every branch, the quarter-slice where both ket
+        bits are 1, then the one where both bra bits are 1."""
         lo, hi = sorted((pa, pb))
         dim = 2**self.m
         a, mid, b = 2**lo, 2 ** (hi - lo - 1), 2 ** (self.m - hi - 1)
-        rows = self.state.reshape(a, 2, mid, 2, b * dim)
+        rows = self.state.reshape(-1, 2, mid, 2, b * dim)
         rows[:, 1, :, 1] *= -1
-        cols = rows.reshape(dim * a, 2, mid, 2, b)
+        cols = rows.reshape(-1, 2, mid, 2, b)
         cols[:, 1, :, 1] *= -1
-        self.state = cols.reshape(dim, dim)
+        self.state = cols.reshape(-1, dim, dim)
 
-    def project_out(self, ket: np.ndarray, pos: int):
-        """<v| rho |v> on the site at ``pos``, which leaves the register."""
-        self.spare = np.empty((0, 0), dtype=complex)  # free it: the register shrinks
+    def project_out(self, kets: np.ndarray, pos: int):
+        """<v| rho |v> on the site at ``pos``, which leaves the register, for
+        each of the (K, 2) ``kets``: each branch forks into K, B -> B * K."""
+        self.spare = np.empty((0, 0, 0), dtype=complex)  # free it: the register shrinks
+        b, k = len(self.state), len(kets)
         left, right = 2**pos, 2 ** (self.m - pos - 1)
-        half = np.matmul(ket.conj(), self.state.reshape(left, 2, -1))
-        reduced = np.matmul(ket, half.reshape(-1, 2, right))
+        rows = self.state.reshape(b * left, 2, -1)
         del self.sites[pos]
-        self.state = reduced.reshape(2**self.m, 2**self.m)
+        dim = 2**self.m
+        forked = np.empty((b, k, dim * left, right), dtype=complex)
+        for i, ket in enumerate(kets):
+            half = np.matmul(ket.conj(), rows)
+            np.matmul(ket, half.reshape(b, -1, 2, right), out=forked[:, i])
+        self.state = forked.reshape(b * k, dim, dim)
+
+
+_PLUS = dm.projector(dm.PLUS)[None]
+_PLUS.setflags(write=False)
+
+
+def _prep_blocks(rho) -> tuple[np.ndarray, bool]:
+    """A prep's operators as a (P, 2, 2) stack, and whether ``rho`` was one."""
+    blocks = np.asarray(rho, dtype=complex)
+    if blocks.shape == (2, 2):
+        return blocks[None], False
+    if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or not len(blocks):
+        raise DimensionMismatch(
+            f"prepared state must be a 2x2 operator or a (P, 2, 2) stack, got {blocks.shape}"
+        )
+    return blocks, True
+
+
+def _readout_kets(op: Measure) -> tuple[np.ndarray, bool]:
+    """A readout's unit kets as a (K, 2) stack, and whether ``op.ket`` was one.
+
+    Two entries are one ket (a (2, 1) column too); a (K, 2) stack forks a
+    removing readout, each row checked by :func:`densemath.unit_ket`.
+    """
+    ket = np.asarray(op.ket)
+    if ket.size == 2 or ket.ndim != 2 or ket.shape[1] != 2:
+        return dm.unit_ket(ket)[None], False
+    if not len(ket):
+        raise DimensionMismatch("a readout stack must hold at least one ket")
+    if not op.remove:
+        raise DimensionMismatch("a kept readout reads one ket, not a stack")
+    rows = []
+    for i, row in enumerate(ket):
+        try:
+            rows.append(dm.unit_ket(row))
+        except NotNormalized as exc:
+            raise NotNormalized(f"readout stack row {i}: {exc}") from None
+    return np.stack(rows), True
 
 
 def simulate(n: int, ops) -> np.ndarray:
-    """Run the operation list over an ``n``-site register.
+    """Run the operation list over an ``n``-site register, one branch per
+    choice of a row in each prep and readout stack.
 
-    Returns the state over the surviving sites in ascending site order.
-    Measurements project onto their ket (no sampling); the final trace is the
-    probability of the chosen outcome string.
+    Returns the states over the surviving sites in ascending site order, with
+    one leading axis per stack, in op order: shape (*stacks, D, D), or (D, D)
+    when no op holds a stack.  Measurements project onto their ket (no
+    sampling); the final trace is the probability of the chosen outcome string.
     """
     cap = dm.max_qubits()
     if not 1 <= n <= cap:
         raise SizeLimit(f"register size {n} outside [1, {cap}]")
     reg = _Register(n)
+    stacks: list[int] = []  # the length of each stack met so far
 
     for op in ops:
         if isinstance(op, PrepPlus):
-            reg.prep(op.site, dm.projector(dm.PLUS))
+            reg.prep(op.site, _PLUS)
         elif isinstance(op, PrepState):
-            reg.prep(op.site, op.rho)
+            blocks, stacked = _prep_blocks(op.rho)
+            reg.prep(op.site, blocks)
+            stacks += [len(blocks)] * stacked
         elif isinstance(op, CZ):
             pa, pb = reg.pos(op.a), reg.pos(op.b)
             if pa == pb:
@@ -191,15 +258,17 @@ def simulate(n: int, ops) -> np.ndarray:
         elif isinstance(op, Channel1Q):
             reg.apply(op.channel.ops, reg.pos(op.site))
         elif isinstance(op, Measure):
-            ket = dm.unit_ket(op.ket)
+            kets, stacked = _readout_kets(op)
             pos = reg.pos(op.site)
             if op.remove:
-                reg.project_out(ket, pos)
+                reg.project_out(kets, pos)
+                stacks += [len(kets)] * stacked
             else:
-                reg.apply(dm.projector(ket)[None], pos)
+                reg.apply(dm.projector(kets[0])[None], pos)
         else:
             raise TypeError(f"unknown circuit op {op!r}")
-    return reg.state
+    dim = 2**reg.m
+    return reg.state.reshape(*stacks, dim, dim)
 
 
 def cluster_ops(n: int) -> list:
@@ -209,13 +278,14 @@ def cluster_ops(n: int) -> list:
     return ops
 
 
-def teleport_oracle_state(
-    eps: KrausChannel, rho: np.ndarray, s: int, t: int
-) -> np.ndarray:
-    """Gate-level teleportation: noisy resource on qubits (1, 2), Bell readout
-    on (0, 1) via CNOT and H, Z measurements reading (t, s)."""
+def teleport_oracle_state(eps: KrausChannel, rhos) -> np.ndarray:
+    """Gate-level teleportation of each input in ``rhos``, a (N, 2, 2) stack:
+    noisy resource on qubits (1, 2), Bell readout on (0, 1) via CNOT and H, Z
+    measurements reading (t, s), both forking.  Returns the outputs as
+    [input, s, t], shape (N, 2, 2, 2, 2)."""
+    z = np.stack([MeasSpec.z(0).ket, MeasSpec.z(1).ket])
     ops = [
-        PrepState(0, rho),
+        PrepState(0, rhos),
         PrepPlus(1),
         PrepState(2, dm.projector(dm.KET0)),
         Unitary1Q(2, dm.H),
@@ -226,10 +296,10 @@ def teleport_oracle_state(
         CZ(0, 1),
         Unitary1Q(1, dm.H),
         Unitary1Q(0, dm.H),
-        Measure(0, MeasSpec.z(t).ket),
-        Measure(1, MeasSpec.z(s).ket),
+        Measure(0, z),
+        Measure(1, z),
     ]
-    return simulate(3, ops)
+    return simulate(3, ops).swapaxes(-4, -3)
 
 
 def block_step_ops(cfg: BlockNoiseConfig) -> list:
@@ -254,20 +324,17 @@ def block_step_ops(cfg: BlockNoiseConfig) -> list:
 def block_oracle_channel(cfg: BlockNoiseConfig) -> np.ndarray:
     """Choi matrix of one noisy measurement step, assembled by simulation.
 
-    Feeds each basis element |i><j| through the two-qubit circuit of
-    :func:`block_step_ops` and stacks the outputs; linearity makes this the
-    exact process matrix.
+    Feeds the four basis elements |i><j|, as one prep stack, through the
+    two-qubit circuit of :func:`block_step_ops` and places output (i, j) in
+    block (i, j); linearity makes this the exact process matrix.
     """
     if cfg.meas.basis != EQUATORIAL:
         raise ZBasisUnsupported(
             "noise composition is defined for equatorial measurements only"
         )
-    step = block_step_ops(cfg)
-    chois = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            out = simulate(2, [PrepState(0, e), *step])
-            chois += np.kron(e, out)
-    return chois
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |i><j| in (i, j) order
+    outs = simulate(2, [PrepState(0, basis), *block_step_ops(cfg)])
+    # added to zeros rather than copied, so a -0.0 entry becomes 0.0
+    chois = np.zeros((2, 2, 2, 2), dtype=complex)
+    chois += outs.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    return chois.reshape(4, 4)

@@ -228,10 +228,15 @@ def test_mpo_oracle_circuit_reads_out_each_site_after_its_ops():
         ],
     }
     with mock.patch.object(oracle, "simulate", wraps=oracle.simulate) as simulate:
-        run_experiment(parse_experiment(spec_text(doc)))
-    assert simulate.call_count == 2  # one call per branch
+        report = run_experiment(parse_experiment(spec_text(doc)))
+    assert [c.case_id for c in report.cases] == ["m=101000", "m=111000"]
+    # one call for both branches: the readout of site 3 forks over its kets
+    assert simulate.call_count == 1
     for (n_sites, ops), _ in simulate.call_args_list:
         assert n_sites == 6
+        forks = [op for op in ops if isinstance(op, oracle.Measure) and op.ket.size > 2]
+        assert [op.site for op in forks] == [3]
+        np.testing.assert_array_equal(forks[0].ket, np.stack([dm.PLUS, dm.MINUS]))
         # every prep comes first, so the live register peaks at 6 qubits, as
         # in the whole-register order
         assert ops[:6] == [oracle.PrepPlus(s) for s in range(6)]
@@ -303,6 +308,44 @@ def test_mpo_oracle_matches_the_whole_register_order(seed, builder, n, n_events)
     (case,) = run_experiment(parse_experiment(spec_text(doc))).cases
     want = oracle.simulate(sites, whole_register_ops(builder, n, events, readouts))
     np.testing.assert_allclose(case.oracle, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 5))
+def test_mpo_forks_give_each_outcome_string_its_own_branch(seed, n):
+    # a channel on every site but the boundary and readouts in a random
+    # document order, some fixed and some "both": the one forking circuit's
+    # case m=... holds the whole-register circuit of its own outcome string
+    rng = np.random.default_rng(seed)
+    channels, site_ops, events = {}, [], []
+    for site in range(n - 1):
+        ch = random_channel(rng, 2)
+        channels[f"c{site}"] = {"ops": [dm.mat_to_json(k) for k in ch.ops]}
+        site_ops.append({"site": site, "channel": f"c{site}"})
+        events.append(oracle.Channel1Q(site, ch))
+    measurements = []
+    for site in (int(s) for s in rng.permutation(n)):
+        if rng.random() < 0.8:
+            outcome = ("both", 0, 1)[int(rng.integers(0, 3))]
+            basis = ("x", "z")[int(rng.integers(0, 2))]
+            measurements.append({"site": site, "basis": basis, "outcome": outcome})
+    doc = {
+        "kind": "mpo",
+        "channels": channels,
+        "builder": {"name": "cluster", "n": n},
+        "site_ops": site_ops,
+        "measurements": measurements,
+    }
+    report = run_experiment(parse_experiment(spec_text(doc)))
+    axes = [(0, 1) if m["outcome"] == "both" else (m["outcome"],) for m in measurements]
+    for case, ks in zip(report.cases, product(*axes), strict=True):
+        assert case.case_id == "m=" + "".join(map(str, ks))
+        readouts = [
+            oracle.Measure(m["site"], (_X_KETS if m["basis"] == "x" else _Z_KETS)[k])
+            for m, k in zip(measurements, ks)
+        ]
+        want = oracle.simulate(n, whole_register_ops("cluster", n, events, readouts))
+        np.testing.assert_allclose(case.oracle, want, rtol=0, atol=1e-12)
 
 
 def test_case_filter():
@@ -1434,9 +1477,10 @@ def test_chain_walk_matches_the_product_loop_bit_for_bit(name):
 
 def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
     spec = parse_experiment(spec_text(_both_chain(6)))
-    distinct = set()
+    distinct, angles = set(), set()
     for ks in product((0, 1), repeat=6):
         distinct.update((i, cfg.meas) for i, cfg in enumerate(_chain_cfgs(spec, ks)))
+        angles.update((i, cfg.meas.phi) for i, cfg in enumerate(_chain_cfgs(spec, ks)))
     counts = {"apply": 0, "simulate": 0, "compose": 0}
 
     def counted(name, fn):
@@ -1454,8 +1498,10 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
     report = run_experiment(spec)
     assert len(report.cases) == 64 and report.passed
     # one evaluation per prefix, 2 + 4 + ... + 64, where a loop over the
-    # strings applies 6 * 64 steps and simulates 64 whole chains
-    assert counts["apply"] == counts["simulate"] == 2**7 - 2 == 126
+    # strings applies 6 * 64 steps; the oracle runs one call per level and
+    # readout angle, its prefixes stacked and the readout forking over k
+    assert counts["apply"] == 2**7 - 2 == 126
+    assert counts["simulate"] == len(angles) == 1 + 1 + 2 + 2 + 2 + 2 == 10
     assert counts["compose"] == len(distinct) == 20
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 from bisect import bisect_left
+from itertools import product
 
 import numpy as np
 import pytest
@@ -67,14 +69,14 @@ def test_cluster_matches_op_by_op_simulation():
 
 
 def test_teleport_circuit_reproduces_projector_math(rng):
-    rho = random_density(rng)
+    rhos = np.stack([random_density(rng), dm.projector(dm.KET1)])
     for eps in (phase_flip(0.5), random_channel(rng, 3)):
         resource = diagonal_resource(eps)
-        for s in range(2):
-            for t in range(2):
-                circuit = teleport_oracle_state(eps, rho, s, t)
-                direct = teleport_branch(resource, rho, s, t)
-                np.testing.assert_allclose(circuit, direct, atol=1e-10)
+        circuit = teleport_oracle_state(eps, rhos)
+        assert circuit.shape == (2, 2, 2, 2, 2)  # [input, s, t] then the output
+        for (i, rho), s, t in product(enumerate(rhos), range(2), range(2)):
+            direct = teleport_branch(resource, rho, s, t)
+            np.testing.assert_allclose(circuit[i, s, t], direct, atol=1e-10)
 
 
 def test_trace_preserving_ops_keep_trace_and_psd(rng):
@@ -159,12 +161,14 @@ def test_measure_rejects_a_ket_that_is_not_a_unit_2_vector(ket, error):
 
 
 def test_measure_accepts_a_column_ket():
+    # two entries are one ket, however shaped: a (1, 2) row adds no fork axis
     for remove in (True, False):
-        flat, column = (
+        flat, column, row = (
             simulate(1, [PrepPlus(0), Measure(0, ket, remove=remove)])
-            for ket in (dm.MINUS, dm.MINUS.reshape(2, 1))
+            for ket in (dm.MINUS, dm.MINUS.reshape(2, 1), dm.MINUS.reshape(1, 2))
         )
         np.testing.assert_array_equal(column, flat)
+        np.testing.assert_array_equal(row, flat)
 
 
 @st.composite
@@ -205,6 +209,37 @@ def test_oracle_and_mpo_share_one_readout_check(ket):
     oracle_error = _raised(lambda: simulate(1, [PrepPlus(0), Measure(0, ket)]))
     mpo_error = _raised(lambda: mpo_measure(mpo_cluster(2), 0, ket))
     assert oracle_error is mpo_error
+
+
+_BAD_STACKS = {
+    "empty_ket_stack": (Measure(0, np.zeros((0, 2))), DimensionMismatch, "at least one ket"),
+    "non_unit_row": (
+        Measure(0, np.stack([dm.PLUS, 2 * dm.MINUS, dm.KET0])),
+        NotNormalized,
+        "row 1",
+    ),
+    "nan_row": (Measure(0, np.stack([[np.nan, 0.0], dm.KET1])), NotNormalized, "row 0"),
+    "kept_readout_stack": (
+        Measure(0, np.stack([dm.KET0, dm.KET1]), remove=False),
+        DimensionMismatch,
+        "one ket, not a stack",
+    ),
+    "prep_stack_of_3x3": (PrepState(1, np.zeros((2, 3, 3))), DimensionMismatch, r"\(P, 2, 2\)"),
+    "prep_stack_of_rows": (PrepState(1, np.zeros((3, 2))), DimensionMismatch, r"\(P, 2, 2\)"),
+    "empty_prep_stack": (PrepState(1, np.zeros((0, 2, 2))), DimensionMismatch, r"\(P, 2, 2\)"),
+    "prep_stack_of_stacks": (
+        PrepState(1, np.zeros((2, 2, 2, 2))),
+        DimensionMismatch,
+        r"\(P, 2, 2\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_STACKS))
+def test_simulate_refuses_a_bad_stack(name):
+    op, error, message = _BAD_STACKS[name]
+    with pytest.raises(error, match=message):
+        simulate(2, [PrepPlus(0), op])
 
 
 def test_size_limit_and_env_cap(monkeypatch):
@@ -395,3 +430,91 @@ def test_eleven_site_noisy_cluster_matches_mpo(rng):
         state = mpo_measure(state, site, (dm.PLUS, dm.MINUS)[k])
         ops.append(Measure(site, (dm.PLUS, dm.MINUS)[k]))
     np.testing.assert_allclose(simulate(n, ops), mpo_contract(state), atol=1e-9)
+
+
+# --- a batch of branches in one call against one call per branch --------------------
+
+
+def _stack_ops(ops) -> list[int]:
+    """Indices of the ops holding a prep or readout stack, in op order."""
+    return [
+        i
+        for i, op in enumerate(ops)
+        if (isinstance(op, PrepState) and np.ndim(op.rho) == 3)
+        or (isinstance(op, Measure) and np.size(op.ket) > 2)
+    ]
+
+
+def branch_loop(n, ops) -> np.ndarray:
+    """One single-prep, single-ket simulate per branch, in product order over
+    the stacks, stacked as (*stacks, D, D)."""
+    at = _stack_ops(ops)
+    rows = [ops[i].rho if isinstance(ops[i], PrepState) else ops[i].ket for i in at]
+    outs = []
+    for choice in product(*(range(len(r)) for r in rows)):
+        branch = list(ops)
+        for i, r, c in zip(at, rows, choice):
+            field = "rho" if isinstance(ops[i], PrepState) else "ket"
+            branch[i] = dataclasses.replace(ops[i], **{field: r[c]})
+        outs.append(simulate(n, branch))
+    return np.stack(outs).reshape(*(len(r) for r in rows), *outs[0].shape)
+
+
+@st.composite
+def stacked_circuits(draw):
+    """A random circuit ``(n, ops)`` on 2-5 sites whose preps may hold (P, 2, 2)
+    stacks and whose removing readouts, on any live site, may fork over (K, 2)
+    stacks of unit kets; CZ, unitary and channel ops run before and after them.
+    At most 48 branches in all."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(s) for s in rng.permutation(n)]
+    live: list[int] = []
+    ops: list = []
+    branches = 1
+    for _ in range(draw(st.integers(1, 16))):
+        step = draw(st.sampled_from(["prep", "cz", "unitary", "channel", "measure"]))
+        size = draw(st.integers(2, 4))
+        stack = draw(st.booleans()) and branches * size <= 48
+        if step == "prep" or not live:
+            if not order:
+                continue
+            site = order.pop()
+            if not stack and draw(st.booleans()):
+                ops.append(PrepPlus(site))
+            else:
+                blocks = [random_density(rng) for _ in range(size)]
+                # a basis element |i><j| too, as block_oracle_channel feeds
+                blocks[0] = np.eye(4, dtype=complex)[draw(st.integers(0, 3))].reshape(2, 2)
+                ops.append(PrepState(site, np.stack(blocks) if stack else blocks[-1]))
+                branches *= size if stack else 1
+            live.append(site)
+        elif step == "cz":
+            if len(live) < 2:
+                continue
+            a, b = rng.choice(live, size=2, replace=False)
+            ops.append(CZ(int(a), int(b)))
+        elif step == "unitary":
+            ops.append(Unitary1Q(int(rng.choice(live)), _random_unitary(rng)))
+        elif step == "channel":
+            ch = random_channel(rng, draw(st.integers(1, 3)))
+            ops.append(Channel1Q(int(rng.choice(live)), ch))
+        else:
+            site = int(rng.choice(live))
+            remove = stack or draw(st.booleans())
+            kets = [_random_unitary(rng)[:, int(rng.integers(0, 2))] for _ in range(size)]
+            kets[0] = MeasSpec.equatorial(float(rng.uniform(0, 6.3)), 1).ket
+            ops.append(Measure(site, np.stack(kets) if stack else kets[-1], remove=remove))
+            branches *= size if stack else 1
+            if remove:
+                live.remove(site)
+    return n, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_circuits())
+def test_a_batched_simulate_is_the_branch_loop_bit_for_bit(circuit):
+    n, ops = circuit
+    got, want = simulate(n, ops), branch_loop(n, ops)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
