@@ -49,9 +49,7 @@ class MeasSpec:
             raise ValueError(f"unknown basis {self.basis!r}")
         if not np.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        k = self.outcome  # an int or a numpy integer: a float or bool fails far later
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (0, 1):
-            raise ValueError(f"outcome must be the integer 0 or 1, got {k!r}")
+        dm.outcome_bit(self.outcome)  # here, not far later in ``ket`` or ``ideal_block``
 
     @property
     def ket(self) -> np.ndarray:
@@ -110,8 +108,6 @@ def map_measurement_noise(alpha3: KrausChannel, phi: float, k: int) -> KrausChan
     In the basis rotated by exp(-i*phi*Z/2), Paulis map as I -> I, Z -> Z,
     X -> (-1)^k I and iXZ -> i(-1)^k Z.
     """
-    if not np.isfinite(phi):
-        raise ValueError("phi must be finite")
     v = dm.equatorial_ket(phi, k)
     return KrausChannel([2.0 * np.diag(v * (v.conj() @ op)) for op in alpha3.ops])
 

@@ -109,7 +109,8 @@ def choi(ch: KrausChannel) -> np.ndarray:
 
 
 def basis_element(g: int, h: int) -> np.ndarray:
-    """The Pauli sigma_gh = i^(g*h) X^g Z^h."""
+    """The Pauli sigma_gh = i^(g*h) X^g Z^h, for bits g and h."""
+    g, h = dm.outcome_bit(g), dm.outcome_bit(h)
     return (1j) ** (g * h) * np.linalg.matrix_power(dm.X, g) @ np.linalg.matrix_power(
         dm.Z, h
     )

@@ -51,12 +51,12 @@ bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
 compared against the dense simulation per outcome string, and agree where
 the MPO event rule is exact (``noisy_mbqc.mpo``): Pauli events and channels
 anywhere, one unitary or channel per cluster site, one unitary on site 0 of
-``one_clean``.  The oracle circuit prepares every site (the peak register is
-the full one), then runs per site, in ascending order, the CZ to the next
-site (cluster), the site's events in document order and the site's readout.
-It is one circuit per document: a ``"both"`` readout forks over its two kets,
-and the fork axes are put into the document's measurement order, so the
-oracle output of each outcome string comes from one ``oracle.simulate`` call.
+``one_clean``.  The oracle circuit is built once, at parse: it prepares
+every site (the peak register is the full one), then runs per site, in
+ascending order, the CZ to the next site (cluster), the site's events in
+document order and the site's readout.  A ``"both"`` readout forks over its
+two kets, and the fork axes are put into the document's measurement order, so
+every outcome string's oracle output comes from one ``oracle.simulate`` call.
 An optional ``save_mpo`` path stores the prepared (pre-measurement) operator
 as ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
 [{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
@@ -132,8 +132,7 @@ from .channels import (
     unitary_channel,
     validate,
 )
-from .errors import DimensionMismatch, NotAChannel, NotUnitary, ParseError
-from .errors import UnknownChannelRef
+from .errors import DimensionMismatch, NotAChannel, NotUnitary, ParseError, UnknownChannelRef
 from .teleport import (
     diagonal_resource,
     is_pauli_channel,
@@ -567,7 +566,23 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     save = doc.get("save_mpo")
     _require(save is None or isinstance(save, str), "save_mpo: expected a path")
 
-    events = []  # (site, its mpo_apply_* update, the update's value, the oracle op)
+    # the one oracle circuit: every prep first (the peak register is the full
+    # one), then per site its CZ to the right, its events and its readout
+    if name == "cluster":
+        build = mpo_mod.mpo_cluster
+        circuit: list = [oracle.PrepPlus(i) for i in range(n)]
+    elif name == "maximally_mixed":
+        build = mpo_mod.mpo_maximally_mixed
+        circuit = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
+    else:
+        build = mpo_mod.mpo_one_clean
+        circuit = [oracle.PrepState(0, dm.projector(dm.KET0))]
+        circuit += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
+    per_site = [
+        [oracle.CZ(j, j + 1)] if name == "cluster" and j < n - 1 else []
+        for j in range(sites)
+    ]
+    updates = []  # (site, its mpo_apply_* update, the update's value), in document order
     for i, op in enumerate(site_ops):
         where = f"site_ops[{i}]"
         _require(isinstance(op, dict) and "site" in op, f"{where}: needs a site")
@@ -589,15 +604,16 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             _require(
                 set(value) <= {0, 1}, f"{where}.pauli: expected a pair of bits, got {value}"
             )
-            pauli = oracle.Unitary1Q(site, basis_element(*value))
-            event = (mpo_mod.mpo_apply_pauli, value, pauli)
+            update = mpo_mod.mpo_apply_pauli
+            gate = oracle.Unitary1Q(site, basis_element(*value))
         elif "unitary" in op:
             value = _unitary(op["unitary"], f"{where}.unitary")
-            event = (mpo_mod.mpo_apply_unitary, value, oracle.Unitary1Q(site, value))
+            update, gate = mpo_mod.mpo_apply_unitary, oracle.Unitary1Q(site, value)
         else:
             value = _resolve_ref(op["channel"], channels, f"{where}.channel")
-            event = (mpo_mod.mpo_apply_channel, value, oracle.Channel1Q(site, value))
-        events.append((site, *event))
+            update, gate = mpo_mod.mpo_apply_channel, oracle.Channel1Q(site, value)
+        updates.append((site, update, value))
+        per_site[site].append(gate)
 
     measurements = []  # (site, basis kets, outcome axis)
     for i, m in enumerate(readouts):
@@ -615,45 +631,19 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         ks = _outcomes(m.get("outcome", "both"), f"{where}.outcome", shape)
         kets = (dm.PLUS, dm.MINUS) if basis == "x" else (dm.KET0, dm.KET1)
         measurements.append((site, kets, ks))
+        per_site[site].append(oracle.Measure(site, np.stack([kets[k] for k in ks])))
+    circuit += [gate for ops in per_site for gate in ops]
+    # the fork axes of "both" readouts come out in site order: order puts them
+    # into the document's measurement order
+    forks = [site for site, _, ks in measurements if len(ks) > 1]
+    order = [sorted(forks).index(site) for site in forks]
 
     def run(rng, select) -> list[CaseResult]:
-        if name == "cluster":
-            state = mpo_mod.mpo_cluster(n)
-            preps: list = [oracle.PrepPlus(i) for i in range(n)]
-        elif name == "maximally_mixed":
-            state = mpo_mod.mpo_maximally_mixed(n)
-            preps = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
-        else:
-            state = mpo_mod.mpo_one_clean(n)
-            preps = [oracle.PrepState(0, dm.projector(dm.KET0))]
-            preps += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
-
-        # every prep first, so the peak register is the full one; then per
-        # site its CZ to the right, its events and its readout
-        steps = [
-            [oracle.CZ(j, j + 1)] if name == "cluster" and j < n - 1 else []
-            for j in range(sites)
-        ]
-        for site, update, value, op in events:
+        state = build(n)
+        for site, update, value in updates:
             state = update(state, site, value)
-            steps[site].append(op)
-
-        # one circuit for every outcome string: a "both" readout forks, and the
-        # fork axes move from site order to the document's measurement order
-        readouts = {
-            site: oracle.Measure(site, np.stack([kets[k] for k in ks]))
-            for site, kets, ks in measurements
-        }
-        circuit = list(preps)
-        for j, step in enumerate(steps):
-            circuit += step
-            if j in readouts:
-                circuit.append(readouts[j])
-        forks = [site for site, _, ks in measurements if len(ks) > 1]
-        orac = oracle.simulate(state.n_sites, circuit)
-        order = [sorted(forks).index(site) for site in forks]
+        orac = oracle.simulate(sites, circuit)
         outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
-
         cases = []
         strings = product(*(axis for _, _, axis in measurements))
         for ks, out in zip(strings, outs, strict=True):

@@ -69,14 +69,25 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def outcome_bit(k) -> int:
+    """``k`` if it is the integer 0 or 1, an ``int`` or a numpy integer; a bool,
+    a float or any other value raises ValueError.  The one check of a readout
+    outcome or a Pauli label bit."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (0, 1):
+        raise ValueError(f"outcome must be the integer 0 or 1, got {k!r}")
+    return k
+
+
 def rz(phi: float) -> np.ndarray:
-    """Rotation exp(-i*phi*Z/2) about the Z axis."""
+    """Rotation exp(-i*phi*Z/2) about the Z axis; a non-finite phi raises ValueError."""
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
     return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
 
 
 def equatorial_ket(phi: float, k: int) -> np.ndarray:
     """Equatorial basis state exp(-i*phi*Z/2) Z^k |+>, outcome k in {0,1}."""
-    v = PLUS if k % 2 == 0 else MINUS
+    v = MINUS if outcome_bit(k) else PLUS
     return rz(phi) @ v
 
 

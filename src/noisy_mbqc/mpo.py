@@ -224,8 +224,6 @@ def _apply_ops(state: MpoState, index: int, ks: np.ndarray) -> MpoState:
 def mpo_apply_pauli(state: MpoState, index: int, pauli: tuple[int, int]) -> MpoState:
     """Pauli sigma_ab on the physical qubit: A -> Z^a A sigma_ab."""
     a, b = pauli
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValueError("Pauli label must be a pair of bits")
     return _apply_ops(state, index, basis_element(a, b)[None])
 
 

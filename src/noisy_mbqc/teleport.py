@@ -19,7 +19,8 @@ from .errors import DimensionMismatch
 
 
 def bell_ket(i: int, j: int) -> np.ndarray:
-    """Bell state (I (x) X^i Z^j)(|00> + |11>)/sqrt(2)."""
+    """Bell state (I (x) X^i Z^j)(|00> + |11>)/sqrt(2), for bits i and j."""
+    i, j = dm.outcome_bit(i), dm.outcome_bit(j)
     base = np.kron(dm.I2, np.linalg.matrix_power(dm.X, i) @ np.linalg.matrix_power(dm.Z, j))
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
@@ -61,7 +62,8 @@ def is_pauli_channel(eps: KrausChannel) -> bool:
 def pauli_corrected_target(
     eps: KrausChannel, rho: np.ndarray, s: int, t: int
 ) -> np.ndarray:
-    """Closed-form branch state (1/4) X^s Z^t eps(rho) Z^t X^s."""
+    """Closed-form branch state (1/4) X^s Z^t eps(rho) Z^t X^s, for bits s and t."""
+    s, t = dm.outcome_bit(s), dm.outcome_bit(t)
     xs = np.linalg.matrix_power(dm.X, s)
     zt = np.linalg.matrix_power(dm.Z, t)
     return 0.25 * xs @ zt @ apply(eps, rho) @ zt @ xs

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from noisy_mbqc import cli
 from noisy_mbqc import densemath as dm
-from noisy_mbqc import oracle
+from noisy_mbqc import mpo, oracle
 from noisy_mbqc.block import (
     BlockNoiseConfig,
     MeasSpec,
@@ -1245,6 +1245,33 @@ def test_run_reads_no_document_field_and_reruns_the_same(monkeypatch):
             assert a.case_id == b.case_id
             np.testing.assert_array_equal(a.closed_form, b.closed_form)
             np.testing.assert_array_equal(a.oracle, b.oracle)
+
+
+_RUN_WORK = (
+    "mpo_cluster",
+    "mpo_maximally_mixed",
+    "mpo_one_clean",
+    "mpo_apply_pauli",
+    "mpo_apply_unitary",
+    "mpo_apply_channel",
+    "mpo_measure",
+    "mpo_contract",
+)
+
+
+def _run_work(*args, **kwargs):
+    raise AssertionError("parse did MPO or oracle work")
+
+
+def test_parse_does_no_mpo_oracle_or_file_work(monkeypatch, tmp_path):
+    monkeypatch.setattr(oracle, "simulate", _run_work)
+    for name in _RUN_WORK:
+        monkeypatch.setattr(mpo, name, _run_work)
+    monkeypatch.chdir(tmp_path)
+    save = tmp_path / "saved.json"
+    for doc in [*SKELETONS, dict(_MPO, save_mpo=str(save))]:
+        assert parse_experiment(spec_text(doc)).run
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chain_integral_float_k_runs_as_int(tmp_path, capsys):

@@ -8,8 +8,16 @@ from hypothesis.extra import numpy as hnp
 from conftest import random_complex, random_density, signed_zero_complex
 
 from noisy_mbqc import densemath as dm
-from noisy_mbqc.block import MeasSpec
+from noisy_mbqc.block import MeasSpec, map_measurement_noise
+from noisy_mbqc.channels import KrausChannel, basis_element, bit_flip
 from noisy_mbqc.errors import DimensionMismatch
+from noisy_mbqc.mpo import MpoState, mpo_apply_pauli, mpo_cluster, mpo_to_dict
+from noisy_mbqc.teleport import (
+    bell_ket,
+    diagonal_resource,
+    pauli_corrected_target,
+    teleport_branch,
+)
 
 
 def test_partial_trace_bell():
@@ -199,3 +207,62 @@ def test_mat_from_json_refuses_what_is_not_an_array_of_pairs(obj):
 def test_mat_from_json_refuses_an_integer_too_large_for_a_float():
     with pytest.raises(TypeError, match=r"^matrix entries must be finite$"):
         dm.mat_from_json([[10**400, 0]])
+
+
+_NOISE = bit_flip(0.1)
+_RESOURCE = diagonal_resource(_NOISE)
+_RHO = dm.projector(dm.PLUS)
+# every public call that takes an outcome or a Pauli label bit, by the slot
+# the bit goes into; each used to read an out-of-range bit as some other one
+_BIT_CALLS = {
+    "equatorial_ket": lambda k: dm.equatorial_ket(0.3, k),
+    "MeasSpec.z": MeasSpec.z,
+    "MeasSpec.equatorial": lambda k: MeasSpec.equatorial(0.3, k),
+    "map_measurement_noise": lambda k: map_measurement_noise(_NOISE, 0.3, k),
+    "basis_element.g": lambda k: basis_element(k, 1),
+    "basis_element.h": lambda k: basis_element(1, k),
+    "bell_ket.i": lambda k: bell_ket(k, 0),
+    "bell_ket.j": lambda k: bell_ket(0, k),
+    "teleport_branch.s": lambda k: teleport_branch(_RESOURCE, _RHO, k, 0),
+    "teleport_branch.t": lambda k: teleport_branch(_RESOURCE, _RHO, 0, k),
+    "pauli_corrected_target.s": lambda k: pauli_corrected_target(_NOISE, _RHO, k, 0),
+    "pauli_corrected_target.t": lambda k: pauli_corrected_target(_NOISE, _RHO, 0, k),
+    "mpo_apply_pauli.a": lambda k: mpo_apply_pauli(mpo_cluster(2), 0, (k, 0)),
+    "mpo_apply_pauli.b": lambda k: mpo_apply_pauli(mpo_cluster(2), 0, (0, k)),
+}
+
+
+@pytest.mark.parametrize("bit", [2, -1, True, 0.5], ids=repr)
+@pytest.mark.parametrize("call", list(_BIT_CALLS))
+def test_a_bit_not_the_integer_0_or_1_raises(call, bit):
+    with pytest.raises(ValueError, match=r"^outcome must be the integer 0 or 1, got "):
+        _BIT_CALLS[call](bit)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("call", list(_BIT_CALLS))
+def test_a_numpy_integer_bit_gives_the_int_answer(call, bit):
+    want, got = _BIT_CALLS[call](bit), _BIT_CALLS[call](np.int64(bit))
+    if isinstance(want, MeasSpec):
+        assert got == want and got.ket.tobytes() == want.ket.tobytes()
+    elif isinstance(want, KrausChannel):
+        assert got.ops.tobytes() == want.ops.tobytes()
+    elif isinstance(want, MpoState):
+        assert json.dumps(mpo_to_dict(got)) == json.dumps(mpo_to_dict(want))
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        dm.rz,
+        lambda phi: dm.equatorial_ket(phi, 0),
+        lambda phi: map_measurement_noise(_NOISE, phi, 1),
+    ],
+    ids=["rz", "equatorial_ket", "map_measurement_noise"],
+)
+def test_a_non_finite_angle_raises(call, phi):
+    with pytest.raises(ValueError, match=r"^phi must be finite$"):
+        call(phi)

@@ -1,0 +1,36 @@
+"""Smoke test of ``tools/same_answers.py``, the check that two checkouts give
+the same answers.  Its reference documents are parsed here, never run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from noisy_mbqc import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "same_answers.py"
+_spec = importlib.util.spec_from_file_location("same_answers", TOOL)
+same_answers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_answers)
+
+
+def test_no_checkouts_prints_the_usage_line(capsys):
+    assert same_answers.main([]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "usage: python tools/same_answers.py OLD_ROOT NEW_ROOT\n")
+
+
+def test_every_workload_and_demo_spec_is_one_parsed_document():
+    docs = same_answers.reference_documents(ROOT)
+    workloads = sys.modules["perfbench_workloads"]  # the module the tool loaded
+    # a name made twice would overwrite a document and shrink the count
+    expected = sum(
+        len(workloads.make_documents(workload, seed))
+        for workload in workloads.GENERATORS
+        for seed in same_answers.SEEDS
+    )
+    expected += len(list((ROOT / "demos" / "specs").glob("*.json")))
+    assert len(docs) == expected
+    assert all(name.endswith(".json") for name in docs)
+    for text in docs.values():
+        cli.parse_experiment(text)
