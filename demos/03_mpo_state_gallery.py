@@ -37,6 +37,6 @@ print("\n-- one clean qubit --")
 got = mpo_contract(mpo_one_clean(2))
 print("diagonal of the contraction (clean qubit first):", np.diag(got).real)
 
-# each site is one (P, S, D, D) array, (P, S, D) on the boundary
+# each site is one (P, S, rows, D) array: D rows inside, one bra row on the boundary
 sizes = [(len(a), a.shape[-1], a.shape[1]) for a in mpo_cluster(4).sites]
 print("\nsite table (physical, bond, branches):", sizes)

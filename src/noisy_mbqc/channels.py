@@ -135,7 +135,8 @@ def check_unitary(u) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2x2 matrix, got shape {u.shape}")
     if not np.isfinite(u).all():
         raise NotUnitary("a unitary must have finite entries")
-    if dm.max_abs_diff(dm.dag(u) @ u, dm.I2) > dm.ATOL:
+    # unit columns bound every entry; a larger one could overflow U^dag U
+    if np.abs(u).max() > 1.0 + dm.ATOL or dm.max_abs_diff(dm.dag(u) @ u, dm.I2) > dm.ATOL:
         raise NotUnitary("matrix fails the unitarity check, U^dag U != I")
     return u
 

@@ -36,10 +36,10 @@ compared unnormalised so traces carry branch probabilities.  The oracle runs
 a step as two-qubit circuits, ``oracle.block_step_ops`` after the previous
 output on site 0, so a chain of any length holds two qubits.  Both paths grow
 the outcome strings' prefix tree one step at a time and compose each distinct
-step once: an L-step chain costs 2^(L+1) - 2 step evaluations.  On the oracle
-those are batched: per step, the prefixes that share a readout angle (at most
-two, one per sign of an adaptive angle) are one prep stack, and the readout
-forks over the step's outcomes, one ``oracle.simulate`` call per angle.
+step once: an L-step chain costs 2^(L+1) - 2 step evaluations.  The oracle
+runs each step as one ``oracle.simulate`` call: every prefix is one prep
+stack, and the readout, on the site ``block_step_ops`` reads out, forks over
+the kets of each (sign of the angle, outcome) the step needs, at most four.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
@@ -47,14 +47,14 @@ fit ``NOISY_MBQC_MAX_QUBITS``; ``site_ops`` lists single-site events on
 sites before the last (the boundary): ``{"site": i, "pauli": [a, b]}`` with
 bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
 "name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
-0|1|"both"}``, each site of the register at most once.  Contractions are
-compared against the dense simulation per outcome string, and agree where
-the MPO event rule is exact (``noisy_mbqc.mpo``): Pauli events and channels
-anywhere, one unitary or channel per cluster site, one unitary on site 0 of
-``one_clean``.  The oracle circuit is built once, at parse: it prepares
-every site (the peak register is the full one), then runs per site, in
-ascending order, the CZ to the next site (cluster), the site's events in
-document order and the site's readout.  A ``"both"`` readout forks over its
+0|1|"both"}``, each site of the register at most once.  The MPO side measures
+each outcome prefix once, in document order, and its contractions agree with
+the dense simulation where the MPO event rule is exact (``noisy_mbqc.mpo``):
+Pauli events and channels anywhere, one unitary or channel per cluster site,
+one unitary on site 0 of ``one_clean``.  The oracle circuit is built once, at
+parse: it prepares every site (the peak register is the full one), then runs
+per site, in ascending order, the CZ to the next site (cluster), the site's
+events in document order and its readout.  A ``"both"`` readout forks over its
 two kets, and the fork axes are put into the document's measurement order, so
 every outcome string's oracle output comes from one ``oracle.simulate`` call.
 An optional ``save_mpo`` path stores the prepared (pre-measurement) operator
@@ -72,7 +72,8 @@ must be finite.
 A custom channel has ``dim`` 2 (the default) and a non-empty list of 2x2 ops.
 Every object names only the keys its reader reads (a channel definition
 ``builtin`` and its ``p`` and ``matrix``, or ``dim`` and ``ops``); any other
-key, at the top level or in a chain step, is bad input, never dropped.
+key, at the top level or in a chain step, is bad input, never dropped, and
+so is a key repeated in one object.
 The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 ``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
 
@@ -347,6 +348,15 @@ def _parse_state(obj, where: str) -> np.ndarray:
     raise ParseError(f"{where}: expected a state alias or a matrix")
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key is bad input, never a value dropped."""
+    obj = {}
+    for key, value in pairs:
+        _require(key not in obj, f"{key}: repeated key")
+        obj[key] = value
+    return obj
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ParseError(message)
@@ -361,7 +371,7 @@ def _resolve_ref(ref, channels: dict[str, KrausChannel], where: str) -> KrausCha
 def parse_experiment(text: str) -> ExperimentSpec:
     """Read and check every field once; every channel must pass validation."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError:
@@ -484,36 +494,34 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         # the prefixes of one length, each as (outcomes, closed form, oracle output)
         frontier = [((), rho0, rho0)]
         for phi, ks, alphas in steps:
-            # a prefix's outcomes set only the sign of the step's angle: one
-            # oracle call per sign, its prefixes stacked on site 0 and the
-            # readout forking over ks
+            # a prefix's outcomes set only the sign of the step's angle: a level
+            # reads out a ket per (sign, k), at most four; a -0.0 angle keeps its own
             signs = [
                 -1.0 if phi and sum(outcomes[j] for j in phi[1]) % 2 else 1.0
                 for outcomes, _, _ in frontier
             ]
+            groups = list(dict.fromkeys(signs))
+            specs = [
+                [MeasSpec.equatorial(s * phi[0], k) if phi else MeasSpec.z(k) for k in ks]
+                for s in groups
+            ]
             # a step's channel depends only on its MeasSpec: at most four per step
-            composed: dict[MeasSpec, KrausChannel] = {}
-            branches = [None] * len(frontier)
-            for sign in dict.fromkeys(signs):
-                specs = [
-                    MeasSpec.z(k) if phi is None else MeasSpec.equatorial(sign * phi[0], k)
-                    for k in ks
-                ]
-                for meas in specs:
-                    if meas not in composed:
-                        cfg = BlockNoiseConfig(meas=meas, **alphas)
-                        composed[meas] = compose_block_noise(cfg)
-                members = [i for i, s in enumerate(signs) if s == sign]
-                lives = np.stack([frontier[i][2] for i in members])
-                *body, _ = oracle.block_step_ops(BlockNoiseConfig(meas=specs[0], **alphas))
-                readout = oracle.Measure(0, np.stack([m.ket for m in specs]))
-                outs = oracle.simulate(2, [oracle.PrepState(0, lives), *body, readout])
-                for i, out in zip(members, outs.reshape(len(members), len(ks), 2, 2)):
-                    branches[i] = zip(specs, out)
+            composed = {
+                meas: compose_block_noise(BlockNoiseConfig(meas=meas, **alphas))
+                for meas in dict.fromkeys(m for row in specs for m in row)
+            }
+            # one oracle call: every prefix stacked, the readout forking over every
+            # ket of the level; each prefix keeps the outputs of its own sign
+            *body, last = oracle.block_step_ops(BlockNoiseConfig(meas=specs[0][0], **alphas))
+            kets = np.stack([m.ket for row in specs for m in row])
+            lives = oracle.PrepState(0, np.stack([live for _, _, live in frontier]))
+            outs = oracle.simulate(2, [lives, *body, oracle.Measure(last.site, kets)])
+            outs = outs.reshape(len(frontier), len(groups), len(ks), 2, 2)
+            rows = map(groups.index, signs)
             frontier = [
                 ((*outcomes, k), apply(composed[meas], closed), out)
-                for (outcomes, closed, _), branch in zip(frontier, branches)
-                for k, (meas, out) in zip(ks, branch)
+                for (outcomes, closed, _), g, forked in zip(frontier, rows, outs)
+                for k, meas, out in zip(ks, specs[g], forked[g])
             ]
         cases = [_case("k=" + "".join(map(str, s)), c, o) for s, c, o in frontier]
         return select(cases)
@@ -644,14 +652,17 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             state = update(state, site, value)
         orac = oracle.simulate(sites, circuit)
         outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
-        cases = []
-        strings = product(*(axis for _, _, axis in measurements))
-        for ks, out in zip(strings, outs, strict=True):
-            branch_state = state
-            for (site, kets, _), k in zip(measurements, ks):
-                branch_state = mpo_mod.mpo_measure(branch_state, site, kets[k])
-            closed = mpo_mod.mpo_contract(branch_state)
-            cases.append(_case("m=" + "".join(str(k) for k in ks), closed, out))
+        branches = [((), state)]
+        for site, kets, axis in measurements:  # each prefix once, in product order
+            branches = [
+                ((*ks, k), mpo_mod.mpo_measure(branch, site, kets[k]))
+                for ks, branch in branches
+                for k in axis
+            ]
+        cases = [
+            _case("m=" + "".join(map(str, ks)), mpo_mod.mpo_contract(branch), out)
+            for (ks, branch), out in zip(branches, outs, strict=True)
+        ]
 
         # written once every case has run and --cases selected some, so a
         # failed case or an empty selection leaves no file

@@ -1,20 +1,19 @@
 """Matrix product operators contracted by one left-to-right sweep.
 
-An ``MpoState`` holds one bare array per site: the family of bond-space
-objects indexed by the physical value i and a Kraus-like index s.  Interior
-sites hold matrices A[i, s] (P, S, D, D); the last site is the boundary and
-holds vectors v[i, s] (P, S, D).  A measured site is one with a single
-physical slot, P == 1.  ``MpoState.__post_init__`` is the one place that
-checks this site contract, for built, hand-made and decoded states alike;
-``mpo_from_dict`` decodes JSON, refuses non-finite entries, and checks only
-the boundary rows.  The contraction starts from the correlation-space seed
-and carries a tensor T[r, c] of bond operators over the open sites seen so
-far.  An interior site is absorbed as T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c]
-A[j, s]^dag, so a measured site leaves T's size alone.  The boundary closes
-the sweep with out[(r,i),(c,j)] = sum_s v[i, s]^dag T[r, c] v[j, s], which
-is the dense operator with the first site as most significant bit.  A
-measured interior site's logical step is the channel with Kraus operators
-A[0, s]; stopping the sweep before the boundary composes those steps.
+An ``MpoState`` holds one bare (P, S, rows, D) array per site: the family of
+bond-space objects indexed by the physical value i and a Kraus-like index s.
+Interior sites hold matrices A[i, s] (rows = D); the last site, the boundary,
+holds the bra rows B[i, s] = v[i, s]^dag of its closing vectors (rows = 1).
+A measured site has a single physical slot, P == 1.  ``MpoState.__post_init__``
+is the one place that checks this site contract, for built, hand-made and
+decoded states alike.  The contraction carries a tensor T[r, c] of bond
+operators over the open sites seen so far, from the correlation-space seed
+through every site, the boundary included: T'[(r,i),(c,j)] = sum_s A[i, s]
+T[r, c] A[j, s]^dag.  A measured site leaves T's size alone, and the
+boundary's single row closes T to the dense operator, first site as most
+significant bit.  A measured interior site's logical step is the channel
+with Kraus operators A[0, s]; stopping the sweep before the boundary
+composes those steps.
 
 Physical single-site events update the stored families in place of the
 dense state, each as one broadcast expression over the stacked family:
@@ -55,8 +54,8 @@ class MpoState:
     """Ordered site families plus the correlation-space seed operator.
 
     ``sites[j]`` is an array or nested sequences, stacked once into a complex
-    (P, S, 2, 2) array, or (P, S, 2) for the last site, the boundary, with
-    P in (1, 2); the seed is a 2x2 matrix.
+    (P, S, rows, 2) array with P in (1, 2): two rows on an interior site, one
+    on the last site, the boundary; the seed is a 2x2 matrix.
     """
 
     sites: tuple[np.ndarray, ...]
@@ -68,16 +67,16 @@ class MpoState:
             raise DimensionMismatch(f"seed must be a 2x2 matrix, got shape {seed.shape}")
         if not self.sites:
             raise DimensionMismatch("sites: an MPO needs at least one site")
-        last = len(self.sites) - 1
         sites = tuple(
-            dm.stacked(a, 3 if j == last else 4, f"site {j} family members")
-            for j, a in enumerate(self.sites)
+            dm.stacked(a, 4, f"site {j} family members") for j, a in enumerate(self.sites)
         )
         for j, a in enumerate(sites):
-            if len(a) > 2 or set(a.shape[2:]) != {2}:
+            rows = 1 if j == len(sites) - 1 else 2  # the boundary closes with one row
+            if len(a) > 2 or a.shape[2:] != (rows, 2):
+                row = "a single row of " if rows == 1 else ""
                 raise DimensionMismatch(
                     f"site {j} has shape {a.shape}; it needs 1 or 2 physical slots "
-                    "and bond dimension 2"
+                    f"and {row}bond dimension 2"
                 )
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sites", sites)
@@ -97,12 +96,12 @@ class MpoState:
 
 def mpo_cluster(n: int) -> MpoState:
     """Linear cluster state: interior A[k] = H|k><k| on a |+><+| seed,
-    boundary vectors |i>."""
+    boundary rows <i|."""
     if n < 2:
         raise ValueError("cluster representation needs at least 2 sites")
     a = [dm.H @ dm.projector(dm.KET0), dm.H @ dm.projector(dm.KET1)]
     interior = np.asarray([[a[0]], [a[1]]], dtype=complex)
-    bound = [[dm.KET0], [dm.KET1]]
+    bound = np.conj([[[dm.KET0]], [[dm.KET1]]])
     return MpoState(
         sites=tuple([interior] * (n - 1) + [bound]), seed=dm.projector(dm.PLUS)
     )
@@ -118,7 +117,7 @@ def mpo_maximally_mixed(n: int) -> MpoState:
     interior = np.asarray(
         [[r * a[0], r * a[0] @ dm.X], [r * a[1], r * a[1] @ dm.X]], dtype=complex
     )
-    bound = [[r * dm.KET0, r * (dm.X @ dm.KET0)], [r * dm.KET1, r * (dm.X @ dm.KET1)]]
+    bound = np.conj([[[r * dm.KET0], [r * dm.KET1]], [[r * dm.KET1], [r * dm.KET0]]])
     return MpoState(
         sites=tuple([interior] * (n - 1) + [bound]), seed=dm.projector(dm.KET0)
     )
@@ -152,26 +151,22 @@ def _absorb(t: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(r * p, c * p, d, d)
 
 
-def _sweep(state: MpoState) -> np.ndarray:
-    """Seed carried through every interior site, shape (2^k, 2^k, D, D) over
-    the k open ones; the first site is the most significant bit."""
+def _sweep(state: MpoState, sites) -> np.ndarray:
+    """Seed carried through ``sites``, shape (2^k, 2^k, rows, D) over the k
+    open ones; the first site is the most significant bit."""
     t = state.seed[None, None]
-    for site in state.sites[:-1]:
+    for site in sites:
         t = _absorb(t, site)
     return t
 
 
 def mpo_contract(state: MpoState) -> np.ndarray:
-    """Dense operator over the unmeasured sites, first site most significant.
-
-    Sweeps left to right from the seed and closes with the boundary, whose
-    vectors enter as the 1 x D rows v[i, s]^dag.
-    """
+    """Dense operator over the unmeasured sites, first site most significant:
+    one sweep from the seed through every site, closed by the boundary row."""
     open_count, cap = state.unmeasured_count(), dm.max_qubits()
     if open_count > cap:
         raise SizeLimit(f"contraction over {open_count} open sites exceeds 2^{cap}")
-    rows = state.sites[-1].conj()[:, :, None, :]
-    return _absorb(_sweep(state), rows)[:, :, 0, 0]
+    return _sweep(state, state.sites)[:, :, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +189,10 @@ def _with_site(state: MpoState, index: int, site: np.ndarray) -> MpoState:
 
 
 def mpo_measure(state: MpoState, index: int, basis_vec: np.ndarray) -> MpoState:
-    """Collapse a site onto the unit vector of an observed outcome.
-
-    Interior matrices combine with conjugated amplitudes <v|i>; boundary
-    vectors combine with plain amplitudes because the boundary functional
-    already daggers its bra-side vector.
-    """
+    """Collapse a site onto the unit vector v of an observed outcome: every
+    site, the boundary's rows included, combines with the amplitudes <v|i>."""
     site = _site(state, index)
-    v = dm.unit_ket(basis_vec)
-    weights = v if index == state.n_sites - 1 else v.conj()
+    weights = dm.unit_ket(basis_vec).conj()
     collapsed = weights[0] * site[0] + weights[1] * site[1]
     return _with_site(state, index, collapsed[None])
 
@@ -213,7 +203,7 @@ def _apply_ops(state: MpoState, index: int, ks: np.ndarray) -> MpoState:
     site = _site(state, index)
     if index == state.n_sites - 1:
         raise ValueError(
-            "boundary sites hold vectors; the correlation-space updates need matrices"
+            "boundary sites hold rows; the correlation-space updates need matrices"
         )
     diag = np.where(np.eye(2, dtype=bool), ks, 0)
     a = site[:, :, None]
@@ -247,7 +237,7 @@ def mpo_logical_output(state: MpoState) -> np.ndarray:
     pending = [i for i, a in enumerate(state.sites[:-1]) if len(a) != 1]
     if pending:
         raise UnmeasuredSites(f"sites {pending} are still open")
-    return _sweep(state)[0, 0]
+    return _sweep(state, state.sites[:-1])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +247,10 @@ def mpo_logical_output(state: MpoState) -> np.ndarray:
 
 def mpo_to_dict(state: MpoState) -> dict:
     """JSON-ready description: the seed and each site's (P, S, rows, cols)
-    matrices as [re, im] pairs; a boundary vector is written as a 1 x D row."""
-    rows = state.sites[-1][:, :, None]
-    sites = [{"matrices": dm.mat_to_json(a)} for a in (*state.sites[:-1], rows)]
-    return {"seed": dm.mat_to_json(state.seed), "sites": sites}
+    matrices as [re, im] pairs; the boundary as its vectors v, 1 x D rows."""
+    sites = (*state.sites[:-1], state.sites[-1].conj())
+    matrices = [{"matrices": dm.mat_to_json(a)} for a in sites]
+    return {"seed": dm.mat_to_json(state.seed), "sites": matrices}
 
 
 def _decoded(obj, where: str, shape: str) -> np.ndarray:
@@ -282,8 +272,8 @@ def mpo_from_dict(doc: dict) -> MpoState:
     Reads only ``seed`` and each site's ``matrices`` and ignores any other
     key, so files that also record per-site dimensions and flags load the
     same.  A malformed document, a JSON boolean or non-finite entry included,
-    raises DimensionMismatch, naming the seed or the site; of the shapes, only
-    the boundary rows are checked here.
+    raises DimensionMismatch, naming the seed or the site; ``MpoState``
+    checks every shape.
     """
     if not isinstance(doc, dict):
         kind = type(doc).__name__
@@ -297,7 +287,4 @@ def mpo_from_dict(doc: dict) -> MpoState:
         matrices = entry.get("matrices") if isinstance(entry, dict) else None
         shape = f"site {idx} matrices are missing or do not stack as [re, im] pairs"
         sites.append(_decoded(matrices, f"site {idx}", shape))
-    rows = sites.pop()  # the boundary
-    if rows.ndim != 4 or rows.shape[2] != 1:
-        raise DimensionMismatch(f"site {idx} (the boundary) is not written as 1 x D rows")
-    return MpoState(sites=(*sites, rows[:, :, 0]), seed=seed)
+    return MpoState(sites=(*sites[:-1], sites[-1].conj()), seed=seed)

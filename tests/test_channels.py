@@ -370,8 +370,8 @@ def test_random_channel_is_cptp(rng):
 
 
 def _sites(bond):
-    """One interior site and the boundary, stacked, with bond dimension ``bond``."""
-    return (np.ones((2, 1, bond, bond)), np.ones((2, 1, bond)))
+    """One interior site and the boundary row, stacked, with bond dimension ``bond``."""
+    return (np.ones((2, 1, bond, bond)), np.ones((2, 1, 1, bond)))
 
 
 def _round_trip(bond):

@@ -6,9 +6,11 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,7 @@ from noisy_mbqc.block import (
     compose_block_noise,
     ideal_block,
 )
-from noisy_mbqc.channels import apply, basis_element, random_channel
+from noisy_mbqc.channels import apply, basis_element, bit_flip, check_unitary, random_channel
 from noisy_mbqc.cli import (
     CaseResult,
     Report,
@@ -36,9 +38,11 @@ from noisy_mbqc.cli import (
     report_to_dict,
     run_experiment,
 )
-from noisy_mbqc.errors import NotAChannel, ParseError, UnknownChannelRef
+from noisy_mbqc.errors import NotAChannel, NotUnitary, ParseError, UnknownChannelRef
 from noisy_mbqc.mpo import mpo_from_dict
 
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_BLOCK = {
     "kind": "block_chain",
@@ -194,6 +198,23 @@ def test_mpo_experiment_bit_flip_then_sweep(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-9)
     stored = mpo_from_dict(json.loads(save.read_text()))
     assert stored.n_sites == 5
+
+
+def test_mpo_walk_measures_each_outcome_prefix_once(monkeypatch):
+    # four "both" readouts: a walk per outcome string measures 16 * 4 = 64
+    # times, the prefix walk 2 + 4 + 8 + 16 = 30, and each string's closed
+    # form is bit for bit that of measuring its own string in document order
+    text = (ROOT / "demos" / "specs" / "mpo_bitflip_sweep.json").read_text()
+    measure, calls = mpo.mpo_measure, []
+    monkeypatch.setattr(mpo, "mpo_measure", lambda *args: calls.append(args) or measure(*args))
+    report = run_experiment(parse_experiment(text))
+    assert len(calls) == 2 + 4 + 8 + 16 == 30 and report.passed
+    state = mpo.mpo_apply_channel(mpo.mpo_cluster(5), 3, bit_flip(0.5))
+    for case, ks in zip(report.cases, product((0, 1), repeat=4), strict=True):
+        branch = state
+        for site, k in enumerate(ks):
+            branch = measure(branch, site, (dm.PLUS, dm.MINUS)[k])
+        assert case.closed_form.tobytes() == mpo.mpo_contract(branch).tobytes()
 
 
 def test_mpo_builders_run():
@@ -1147,6 +1168,58 @@ def test_main_huge_kraus_entry_is_one_line_spec_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# a finite entry this large overflows U^dag U
+_HUGE = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value, where",
+    [
+        (
+            SKELETONS[0],
+            ("channels", "noise"),
+            {"builtin": "unitary", "matrix": _HUGE},
+            "channels.noise.matrix",
+        ),
+        (SKELETONS[1], ("channels", "noise", "matrix"), _HUGE, "channels.noise.matrix"),
+        (_MPO, ("site_ops", 2, "unitary"), _HUGE, "site_ops[2].unitary"),
+    ],
+    ids=["unitary", "mixed_unitary", "site_unitary"],
+)
+def test_main_huge_unitary_entry_is_one_line_spec_error(
+    tmp_path, capsys, doc, path, value, where
+):
+    # refused before U^dag U is formed, so no overflow warning reaches stderr
+    message = "matrix fails the unitarity check, U^dag U != I"
+    with pytest.raises(NotUnitary, match=rf"^{re.escape(message)}$"):
+        check_unitary(dm.mat_from_json(_HUGE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_doc(tmp_path, _set(doc, path, value)) == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+
+# a repeated key, which json.loads would resolve to its last value
+_REPEATED = {
+    "top_level": (_MPO, '"kind": "mpo"', '"kind": "block_chain", "kind": "mpo"', "kind"),
+    "chain_step": (_CHAIN, '"alpha2": "noise"', '"alpha2": "noise", "alpha2": "x"', "alpha2"),
+    "channel_definition": (_CHAIN, '"p": 0.1', '"p": 0.1, "p": 0.9', "p"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED))
+def test_main_repeated_key_is_spec_error_and_writes_nothing(tmp_path, capsys, case):
+    doc, once, twice, key = _REPEATED[case]
+    save, out = tmp_path / "saved.json", tmp_path / "report.json"
+    text = spec_text(dict(doc, save_mpo=str(save)) if doc["kind"] == "mpo" else doc)
+    assert text.count(once) == 1
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text.replace(once, twice))
+    assert main(["run", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {key}: repeated key\n"
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_flip_on_takes_integral_floats():
     # flip_on entries are integer fields: an integral float names the same step
     as_floats, as_ints = (_set(_CHAIN3, _FLIPS, flips) for flips in ([0.0, 1.0], [0, 1]))
@@ -1525,10 +1598,10 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
     report = run_experiment(spec)
     assert len(report.cases) == 64 and report.passed
     # one evaluation per prefix, 2 + 4 + ... + 64, where a loop over the
-    # strings applies 6 * 64 steps; the oracle runs one call per level and
-    # readout angle, its prefixes stacked and the readout forking over k
+    # strings applies 6 * 64 steps; the oracle runs one call per level, its
+    # prefixes stacked and the readout forking over every (angle, k) ket
     assert counts["apply"] == 2**7 - 2 == 126
-    assert counts["simulate"] == len(angles) == 1 + 1 + 2 + 2 + 2 + 2 == 10
+    assert counts["simulate"] == len({i for i, _ in angles}) == 6
     assert counts["compose"] == len(distinct) == 20
 
 

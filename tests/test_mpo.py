@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import build_cluster_dm, random_complex, signed_zero_complex
+from conftest import build_cluster_dm, random_complex, signed_zero_complex, whole_register_ops
 from test_block import _test_channel
 
 from noisy_mbqc import densemath as dm
@@ -335,7 +335,7 @@ def test_updates_rejected_on_measured_or_boundary_sites():
     with pytest.raises(AlreadyMeasured):
         mpo_apply_pauli(state, 0, (1, 0))
     with pytest.raises(ValueError):
-        mpo_apply_unitary(state, 2, dm.X)  # boundary site holds vectors
+        mpo_apply_unitary(state, 2, dm.X)  # boundary site holds rows
 
 
 # --- the Pauli-table rule the matrix rule replaced -----------------------------
@@ -361,7 +361,7 @@ def _random_family_state(rng, s_count: int) -> MpoState:
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     family = tuple(tuple(rand(2, 2) for _ in range(s_count)) for _ in range(2))
-    return MpoState(sites=(family, ((rand(2),), (rand(2),))), seed=rand(2, 2))
+    return MpoState(sites=(family, ((rand(1, 2),), (rand(1, 2),))), seed=rand(2, 2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -424,7 +424,7 @@ def test_stacked_event_and_measure_match_the_loops_bit_for_bit(
 ):
     rng = np.random.default_rng(seed)
     interior = signed_zero_complex(rng, (2, s_count, 2, 2))
-    bound = signed_zero_complex(rng, (2, s_count, 2))
+    bound = signed_zero_complex(rng, (2, s_count, 1, 2))
     state = MpoState(sites=(interior, bound), seed=dm.I2)
     # any (K, 2, 2) stack: the event kernel takes no trace bound
     ks = signed_zero_complex(rng, (n_kraus, 2, 2))
@@ -437,33 +437,37 @@ def test_stacked_event_and_measure_match_the_loops_bit_for_bit(
         v /= np.linalg.norm(v)
     else:
         v = {"zero": dm.KET0, "one": dm.KET1, "plus": dm.PLUS, "minus": dm.MINUS}[ket]
-    # interior amplitudes enter conjugated, boundary ones as they are
-    for site, weights in ((0, v.conj()), (1, v)):
+    # every site, the boundary rows included, takes the amplitudes conjugated
+    for site, weights in ((0, v.conj()), (1, v.conj())):
         got = mpo_measure(updated, site, v).sites[site]
         want = reference_collapse(updated.sites[site], weights)
         assert len(got) == 1 and got.tobytes() == want.tobytes()
 
 
 def test_site_tensor_stacks_its_family_once():
-    bound = [[dm.KET0], [dm.KET1]]
+    bound = [[[dm.KET0]], [[dm.KET1]]]
     state = MpoState(sites=([[dm.H, [[1, 0], [0, 1]]], [dm.Z, dm.X]], bound), seed=dm.I2)
     site = state.sites[0]
     assert site.dtype == complex and site.shape == (2, 2, 2, 2)
-    assert state.sites[1].shape == (2, 1, 2)  # the last site is the boundary
+    assert state.sites[1].shape == (2, 1, 1, 2)  # the last site is the boundary row
     assert MpoState(sites=state.sites, seed=dm.I2).sites[0] is site
     # every error names the site at fault, or "sites" when there is none
     for bad, where in (
         (([[dm.H], [np.eye(3)]], bound), "site 0 "),  # ragged family
-        ((bound, bound), "site 0 "),  # vectors on an interior site
+        ((bound, bound), "site 0 "),  # rows on an interior site
         (([[dm.H], [dm.X]], [[dm.H], [dm.X]]), "site 1 "),  # matrices on the boundary
         (([[], []], bound), "site 0 "),  # no members
         ((), "sites"),  # no site at all
         ((np.zeros((3, 1, 2, 2)), bound), "site 0 "),  # a third physical slot
         (([[np.eye(3)], [np.eye(3)]], bound), "site 0 "),  # bond 3 on a 2x2 seed
-        (([[dm.H], [dm.X]], [[np.ones(3)], [np.ones(3)]]), "site 1 "),  # boundary too
+        (([[dm.H], [dm.X]], [[[np.ones(3)]], [[np.ones(3)]]]), "site 1 "),  # boundary too
+        (([[dm.H], [dm.X]], [[dm.KET0], [dm.KET1]]), "site 1 "),  # kets, not rows
     ):
         with pytest.raises(DimensionMismatch, match=f"^{where}"):
             MpoState(sites=bad, seed=dm.I2)
+    single_row = r"^site 1 has shape \(2, 1, 2, 2\); .*a single row of bond dimension 2$"
+    with pytest.raises(DimensionMismatch, match=single_row):
+        MpoState(sites=([[dm.H], [dm.X]], [[dm.H], [dm.X]]), seed=dm.I2)
 
 
 # --- error propagation examples --------------------------------------------------
@@ -572,6 +576,60 @@ def test_random_programs_match_oracle(rng):
     assert logical_checks > 0
 
 
+def _pauli_channel(rng) -> KrausChannel:
+    """A random Pauli channel: sigma_ab with a Dirichlet-drawn probability."""
+    probs = rng.dirichlet(np.ones(4))
+    return validate([np.sqrt(p) * _SIGMA[ab] for p, ab in zip(probs, _SIGMA)])
+
+
+_BUILDERS = (mpo_cluster, mpo_maximally_mixed, mpo_one_clean)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    builder=st.sampled_from(_BUILDERS),
+    n=st.integers(2, 5),
+)
+def test_any_readout_of_any_site_matches_the_oracle(seed, builder, n):
+    # inside the event rule's exact domain (Pauli events and Pauli channels on
+    # any builder, one unitary or 2-Kraus channel per cluster site), reading
+    # out a random set of sites, the boundary row included, with random
+    # complex kets contracts to the oracle's state of the same circuit
+    rng = np.random.default_rng(seed)
+    state, events = builder(n), []
+    for site in range(state.n_sites - 1):
+        if builder is mpo_cluster and rng.random() < 0.5:
+            if rng.random() < 0.5:
+                u = random_channel(rng, 1).ops[0]
+                state = mpo_apply_unitary(state, site, u)
+                events.append(oracle.Unitary1Q(site, u))
+            else:
+                eta = random_channel(rng, 2)
+                state = mpo_apply_channel(state, site, eta)
+                events.append(oracle.Channel1Q(site, eta))
+            continue
+        for _ in range(int(rng.integers(0, 3))):
+            if rng.random() < 0.5:
+                bits = tuple(int(b) for b in rng.integers(0, 2, 2))
+                state = mpo_apply_pauli(state, site, bits)
+                events.append(oracle.Unitary1Q(site, basis_element(*bits)))
+            else:
+                eta = _pauli_channel(rng)
+                state = mpo_apply_channel(state, site, eta)
+                events.append(oracle.Channel1Q(site, eta))
+    readouts = []
+    for site in (int(j) for j in rng.permutation(state.n_sites)):
+        if rng.random() < 0.5:
+            v = random_complex(rng, 2)
+            v /= np.linalg.norm(v)
+            state = mpo_measure(state, site, v)
+            readouts.append(oracle.Measure(site, v))
+    ops = whole_register_ops(builder.__name__.removeprefix("mpo_"), n, events, readouts)
+    want = oracle.simulate(state.n_sites, ops)
+    np.testing.assert_allclose(mpo_contract(state), want, rtol=0, atol=1e-12)
+
+
 # --- serialization -----------------------------------------------------------------
 
 
@@ -588,7 +646,48 @@ def test_serialization_roundtrip(rng):
     assert shapes == [(1, 1, 2, 2, 2), (2, 2, 2, 2, 2), (2, 1, 1, 2, 2)]
 
 
-_BUILDERS = (mpo_cluster, mpo_maximally_mixed, mpo_one_clean)
+# json.dumps(mpo_to_dict(builder(2))) as a save_mpo file holds it, per builder
+_SAVED = {
+    mpo_cluster: (
+        '{"seed": [[[0.4999999999999999, 0.0], [0.4999999999999999, 0.0]], '
+        '[[0.4999999999999999, 0.0], [0.4999999999999999, 0.0]]], "sites": '
+        '[{"matrices": [[[[[0.7071067811865475, 0.0], [0.0, 0.0]], '
+        '[[0.7071067811865475, 0.0], [-0.0, 0.0]]]], [[[[0.0, 0.0], '
+        '[0.7071067811865475, 0.0]], [[-0.0, 0.0], [-0.7071067811865475, 0.0]]]]]}, '
+        '{"matrices": [[[[[1.0, 0.0], [0.0, 0.0]]]], [[[[0.0, 0.0], [1.0, 0.0]]]]]}]}'
+    ),
+    mpo_maximally_mixed: (
+        '{"seed": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "sites": '
+        '[{"matrices": [[[[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, '
+        '0.0]]], [[[0.0, 0.0], [0.7071067811865475, 0.0]], [[0.0, 0.0], [0.0, '
+        '0.0]]]], [[[[0.0, 0.0], [0.7071067811865475, 0.0]], [[0.0, 0.0], [0.0, '
+        '0.0]]], [[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, '
+        '0.0]]]]]}, {"matrices": [[[[[0.7071067811865475, 0.0], [0.0, 0.0]]], [[[0.0, '
+        '0.0], [0.7071067811865475, 0.0]]]], [[[[0.0, 0.0], [0.7071067811865475, '
+        '0.0]]], [[[0.7071067811865475, 0.0], [0.0, 0.0]]]]]}]}'
+    ),
+    mpo_one_clean: (
+        '{"seed": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "sites": '
+        '[{"matrices": [[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]], '
+        '[[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]]}, {"matrices": '
+        '[[[[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
+        '[[[0.0, 0.0], [0.7071067811865475, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]], '
+        '[[[[0.0, 0.0], [0.7071067811865475, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
+        '[[[0.7071067811865475, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]]}, '
+        '{"matrices": [[[[[0.7071067811865475, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], '
+        '[0.7071067811865475, 0.0]]]], [[[[0.0, 0.0], [0.7071067811865475, 0.0]]], '
+        '[[[0.7071067811865475, 0.0], [0.0, 0.0]]]]]}]}'
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
+def test_saved_builders_keep_their_bytes(builder):
+    # the boundary is stored as bra rows and written as its vectors, so a
+    # save_mpo file of a prepared state keeps the bytes it always had
+    assert json.dumps(mpo_to_dict(builder(2))) == _SAVED[builder]
+    back = mpo_from_dict(json.loads(_SAVED[builder]))
+    assert [a.tobytes() for a in back.sites] == [a.tobytes() for a in builder(2).sites]
 
 
 @settings(max_examples=100, deadline=None)
@@ -794,9 +893,9 @@ def test_from_dict_rejects_a_top_level_that_is_not_an_object(doc):
 
 
 def _bond_sites(bond: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two sites, one interior and the boundary, with the given bond dimension."""
+    """Two sites, one interior and the boundary row, with the given bond dimension."""
     interior = np.array(((np.eye(bond),), (2.0 * np.eye(bond),)))
-    bound = np.ones((2, 1, bond))
+    bound = np.ones((2, 1, 1, bond))
     return (interior, bound)
 
 
