@@ -54,11 +54,12 @@ Pauli events and channels anywhere, one unitary or channel per cluster site,
 one unitary on site 0 of ``one_clean``.  The oracle circuit is built once, at
 parse: it prepares every site (the peak register is the full one), then runs
 per site, in ascending order, the CZ to the next site (cluster), the site's
-events in document order and its readout.  A ``"both"`` readout forks over its
-two kets, and the fork axes are put into the document's measurement order, so
-every outcome string's oracle output comes from one ``oracle.simulate`` call.
-An optional ``save_mpo`` path stores the prepared (pre-measurement) operator
-as ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
+events in document order and its readout.  Every readout forks, a ``"both"``
+one over its two kets and a fixed one into one branch, and the fork axes are
+put into the document's measurement order, so every outcome string's oracle
+output comes from one ``oracle.simulate`` call.  An optional ``save_mpo``
+path, a non-empty string, stores the prepared (pre-measurement) operator as
+``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
 [{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
 boundary, as 1 x D rows), once every case has run and ``--cases`` has
 selected at least one.
@@ -572,7 +573,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     readouts = doc.get("measurements", [])
     _require(isinstance(readouts, list), "measurements: expected a list")
     save = doc.get("save_mpo")
-    _require(save is None or isinstance(save, str), "save_mpo: expected a path")
+    _require(
+        save is None or (isinstance(save, str) and save != ""), "save_mpo: expected a path"
+    )
 
     # the one oracle circuit: every prep first (the peak register is the full
     # one), then per site its CZ to the right, its events and its readout
@@ -641,9 +644,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         measurements.append((site, kets, ks))
         per_site[site].append(oracle.Measure(site, np.stack([kets[k] for k in ks])))
     circuit += [gate for ops in per_site for gate in ops]
-    # the fork axes of "both" readouts come out in site order: order puts them
-    # into the document's measurement order
-    forks = [site for site, _, ks in measurements if len(ks) > 1]
+    # every readout forks, a fixed one into one branch; the fork axes come out
+    # in site order, and order puts them into the document's measurement order
+    forks = [site for site, _, _ in measurements]
     order = [sorted(forks).index(site) for site in forks]
 
     def run(rng, select) -> list[CaseResult]:
@@ -667,7 +670,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         # written once every case has run and --cases selected some, so a
         # failed case or an empty selection leaves no file
         cases = select(cases)
-        if save:
+        if save is not None:
             try:
                 with open(save, "w", encoding="utf-8") as fh:
                     fh.write(json.dumps(mpo_mod.mpo_to_dict(state)))
@@ -788,23 +791,22 @@ _BLOCK_ROWS = 16  # matrix rows per piece handed to the file, so memory stays fl
 def _report_chunks(report: Report):
     """The text of ``json.dumps(report_to_dict(report), indent=2)``, in pieces.
 
-    ``json`` writes the layout with null at each matrix leaf; the text is split
-    there and the matrices are streamed in between, a block of rows at a time.
+    ``json`` writes the report view with null at each matrix leaf, whose
+    matrices the view hands over in text order; the text is split at the
+    leaves and the matrices are streamed in between, a block of rows at a time.
     Their entries become int64 views (re, im interleaved along each row), and
     one ``np.unique`` finds the distinct bit patterns of the report.  Each is
     formatted once, by one ``json.dumps`` of a list (the C encoder), so ``-0.0``,
     NaN and the infinities read exactly as the pure-Python encoder writes them.
     """
-    mats = [
-        np.ascontiguousarray(m, dtype=complex).view(np.int64)
-        for c in report.cases
-        for m in ((c.closed_form,) if report.ok(c) else (c.closed_form, c.oracle))
-    ]
+    leaves: list[np.ndarray] = []
+    layout = json.dumps(_report_skeleton(report, leaves.append), indent=2)
+    mats = [np.ascontiguousarray(m, dtype=complex).view(np.int64) for m in leaves]
     flat = np.concatenate([np.empty(0, np.int64), *(m.ravel() for m in mats)])
     bits, inverse = np.unique(flat, return_inverse=True)
     floats = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     text = np.array(floats, dtype=object)
-    pieces = _LEAF.split(json.dumps(_report_skeleton(report), indent=2))
+    pieces = _LEAF.split(layout)
     yield pieces[0]
     end = 0
     for m, piece in zip(mats, pieces[1:], strict=True):
@@ -902,7 +904,7 @@ def main(argv=None) -> int:
         f"{'PASS' if summary['pass'] else 'FAIL'}"
     )
 
-    if args.out:
+    if args.out is not None:
         try:
             emit_report(report, args.out)
         except OSError as exc:

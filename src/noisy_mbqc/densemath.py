@@ -52,12 +52,11 @@ def stacked(ops, ndim: int, what: str) -> np.ndarray:
 
 
 def unit_ket(ket) -> np.ndarray:
-    """The readout check of the oracle and the MPO: ``ket`` (a (2, 1) column
-    too) as a complex 2-vector with |<v|v> - 1| <= 1e-12; NaN fails."""
+    """The readout check of the oracle and the MPO: ``ket`` as a complex
+    2-vector, shape (2,) and no other, with |<v|v> - 1| <= 1e-12; NaN fails."""
     v = np.asarray(ket, dtype=complex)
-    if v.size != 2:
-        raise DimensionMismatch(f"a measurement ket must have 2 entries, got {v.shape}")
-    v = v.reshape(2)
+    if v.shape != (2,):
+        raise DimensionMismatch(f"a measurement ket must be a 2-vector, got {v.shape}")
     if not abs(np.vdot(v, v) - 1.0) <= 1e-12:  # NaN fails too
         raise NotNormalized("a measurement ket must be a unit vector")
     return v

@@ -1,40 +1,39 @@
 """Brute-force density-matrix circuit simulator used as ground truth.
 
 The register holds up to ``densemath.max_qubits()`` sites (default 12).
-Sites enter the simulation when a prep op runs and leave it when a
-measurement with ``remove=True`` traces them out, so long chains can be
-simulated with a small live register.  Everything is linear in the state,
-which lets callers feed computational basis elements |i><j| to assemble
-process matrices; no positivity is enforced on prepared operators.
+Sites enter the simulation when a prep op runs and leave it on their readout,
+which traces them out as a readout collapses a site out of an MPO, so long
+chains run on a small live register.  Everything is linear in the state, so
+callers may feed basis elements |i><j| to assemble process matrices; no
+positivity is enforced on prepared operators.
 
 :func:`simulate` returns the bare state over the surviving sites.  A
 measurement names the unit ket of its outcome, the same readout form
 :func:`noisy_mbqc.mpo.mpo_measure` takes, and projects onto it without
 sampling, so the final trace is the probability of the chosen outcomes.
 
-One call runs a batch of branches of one circuit.  The state is a stack of
-B branches, shape (B, D, D): a ``PrepState`` whose ``rho`` is a (P, 2, 2)
-stack multiplies B by P, and a removing ``Measure`` whose ``ket`` is a
-(K, 2) stack of unit kets (K >= 2) forks each branch into K.  The result has
-one leading axis per stack, in op order, then (D, D); a circuit without
-stacks runs with B = 1 and returns (D, D).  Every branch sees the same
-arithmetic as a circuit of its own, bit for bit.
+One call runs a batch of branches of one circuit, a state of shape (B, D, D).
+A prep holds a 2x2 operator or a (P, 2, 2) stack, which multiplies B by P; a
+readout holds a unit 2-vector or a (K, 2) stack of them, which forks each
+branch into K.  The result has one leading axis per stack, whatever its
+length, in op order, then (D, D).  Every branch sees the same arithmetic as
+a circuit of its own, bit for bit.
 
 Every op costs O(B * 4^m) on m live sites and touches only its sites' ket
-and bra axes: a single-site unitary, channel or kept projection is one
-matmul per branch with the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ
-negates two quarter-slices in place; a removing measurement contracts <v|
-and |v> into the site's axes, once per ket.  No 2^m x 2^m operator is
-built.  Single-site maps hold two state-sized arrays, the state and a spare
-they write into (268 MB each by shape at m=12 and B=1); a removing
-measurement frees the spare and holds the state, its half-sized contraction
-and the K quarter-sized branches it forks into.
+and bra axes: a single-site unitary or channel is one matmul per branch with
+the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ negates two quarter-slices
+in place; a readout contracts <v| and |v> into the site's axes, once per
+ket.  No 2^m x 2^m operator is built.  Single-site maps hold two state-sized
+arrays, the state and a spare they write into (268 MB each by shape at m=12
+and B=1); a readout frees the spare and holds the state, its half-sized
+contraction and the K quarter-sized branches it forks into.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,15 +82,13 @@ class Unitary1Q:
 
 @dataclass(frozen=True)
 class Measure:
-    """Project ``site`` onto the unit outcome vector ``ket``.
-
-    With ``remove`` the site is traced out afterwards, shrinking the register,
-    and ``ket`` may be a (K, 2) stack of unit kets (K >= 2), one per outcome.
-    """
+    """Project ``site`` onto the unit outcome vector ``ket``, a 2-vector, and
+    trace the site out, shrinking the register; a (K, 2) stack of unit kets,
+    one per outcome, forks each branch into K."""
 
     site: int
     ket: np.ndarray
-    remove: bool = True
+    remove: ClassVar[bool] = True  # every readout removes its site; perfbench reads it
 
 
 class _Register:
@@ -189,49 +186,34 @@ _PLUS = dm.projector(dm.PLUS)[None]
 _PLUS.setflags(write=False)
 
 
-def _prep_blocks(rho) -> tuple[np.ndarray, bool]:
-    """A prep's operators as a (P, 2, 2) stack, and whether ``rho`` was one."""
-    blocks = np.asarray(rho, dtype=complex)
-    if blocks.shape == (2, 2):
-        return blocks[None], False
-    if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or not len(blocks):
-        raise DimensionMismatch(
-            f"prepared state must be a 2x2 operator or a (P, 2, 2) stack, got {blocks.shape}"
-        )
-    return blocks, True
+def _stack(items, shape: tuple, refusal: str) -> np.ndarray:
+    """``items`` as a complex array: one item of ``shape`` or a non-empty stack of them."""
+    a = np.asarray(items, dtype=complex)
+    if a.shape not in (shape, (*a.shape[:1], *shape)) or not a.size:
+        raise DimensionMismatch(f"{refusal}, got {a.shape}")
+    return a
 
 
-def _readout_kets(op: Measure) -> tuple[np.ndarray, bool]:
-    """A readout's unit kets as a (K, 2) stack, and whether ``op.ket`` was one.
-
-    Two entries are one ket (a (2, 1) column too); a (K, 2) stack forks a
-    removing readout, each row checked by :func:`densemath.unit_ket`.
-    """
-    ket = np.asarray(op.ket)
-    if ket.size == 2 or ket.ndim != 2 or ket.shape[1] != 2:
-        return dm.unit_ket(ket)[None], False
-    if not len(ket):
-        raise DimensionMismatch("a readout stack must hold at least one ket")
-    if not op.remove:
-        raise DimensionMismatch("a kept readout reads one ket, not a stack")
-    rows = []
-    for i, row in enumerate(ket):
+def _readout_kets(ket) -> np.ndarray:
+    """A readout's unit ket, or its (K, 2) stack of unit kets, each row
+    checked by :func:`densemath.unit_ket`."""
+    refusal = "a measurement ket must be a 2-vector or a (K, 2) stack of at least one ket"
+    kets = _stack(ket, (2,), refusal)
+    for i, row in enumerate(kets.reshape(-1, 2)):
         try:
-            rows.append(dm.unit_ket(row))
+            dm.unit_ket(row)
         except NotNormalized as exc:
-            raise NotNormalized(f"readout stack row {i}: {exc}") from None
-    return np.stack(rows), True
+            where = f"readout stack row {i}: " if kets.ndim == 2 else ""
+            raise NotNormalized(f"{where}{exc}") from None
+    return kets
 
 
 def simulate(n: int, ops) -> np.ndarray:
-    """Run the operation list over an ``n``-site register, one branch per
-    choice of a row in each prep and readout stack.
-
-    Returns the states over the surviving sites in ascending site order, with
-    one leading axis per stack, in op order: shape (*stacks, D, D), or (D, D)
-    when no op holds a stack.  Measurements project onto their ket (no
-    sampling); the final trace is the probability of the chosen outcome string.
-    """
+    """Run the operation list over an ``n``-site register, one branch per row
+    of each prep and readout stack, and return the states over the surviving
+    sites in ascending site order, shape (*stacks, D, D): one leading axis per
+    stack, in op order.  Nothing is sampled; the final trace is the
+    probability of the chosen outcome string."""
     cap = dm.max_qubits()
     if not 1 <= n <= cap:
         raise SizeLimit(f"register size {n} outside [1, {cap}]")
@@ -242,9 +224,10 @@ def simulate(n: int, ops) -> np.ndarray:
         if isinstance(op, PrepPlus):
             reg.prep(op.site, _PLUS)
         elif isinstance(op, PrepState):
-            blocks, stacked = _prep_blocks(op.rho)
-            reg.prep(op.site, blocks)
-            stacks += [len(blocks)] * stacked
+            refusal = "prepared state must be a 2x2 operator or a (P, 2, 2) stack"
+            blocks = _stack(op.rho, (2, 2), refusal)
+            reg.prep(op.site, blocks.reshape(-1, 2, 2))
+            stacks += blocks.shape[:-2]
         elif isinstance(op, CZ):
             pa, pb = reg.pos(op.a), reg.pos(op.b)
             if pa == pb:
@@ -258,13 +241,9 @@ def simulate(n: int, ops) -> np.ndarray:
         elif isinstance(op, Channel1Q):
             reg.apply(op.channel.ops, reg.pos(op.site))
         elif isinstance(op, Measure):
-            kets, stacked = _readout_kets(op)
-            pos = reg.pos(op.site)
-            if op.remove:
-                reg.project_out(kets, pos)
-                stacks += [len(kets)] * stacked
-            else:
-                reg.apply(dm.projector(kets[0])[None], pos)
+            kets = _readout_kets(op.ket)
+            reg.project_out(kets.reshape(-1, 2), reg.pos(op.site))
+            stacks += kets.shape[:-1]
         else:
             raise TypeError(f"unknown circuit op {op!r}")
     dim = 2**reg.m

@@ -70,7 +70,7 @@ def test_span_counters_read_existing_attributes():
         oracle.Unitary1Q(0, dm.H),
         oracle.Channel1Q(1, ch),
         oracle.Measure(0, dm.MINUS),
-        oracle.Measure(1, dm.PLUS, remove=False),
+        oracle.Measure(1, dm.PLUS),
     ]
     slots = dict.fromkeys(("alpha1", "alpha2", "alpha3", "alpha4"), ch)
     cfg = BlockNoiseConfig(MeasSpec.equatorial(0.2, 1), **slots)

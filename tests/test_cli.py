@@ -858,6 +858,21 @@ def test_main_bad_save_mpo_is_spec_error(tmp_path, capsys, monkeypatch, save):
     assert capsys.readouterr().err.startswith("error: save_mpo")
 
 
+def test_main_empty_save_mpo_is_spec_error(tmp_path, capsys, monkeypatch):
+    # an empty path names no file: refused at parse, not skipped after the run
+    monkeypatch.chdir(tmp_path)
+    assert _run_doc(tmp_path, dict(_MPO, save_mpo="")) == 2
+    assert capsys.readouterr().err == "error: save_mpo: expected a path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_main_empty_out_path_cannot_be_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run_doc(tmp_path, MINIMAL_BLOCK, "--out", "") == 2
+    assert capsys.readouterr().err.startswith("error: cannot write : ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 # --- satellite parse fixes: each of these documents misbehaved before --------
 
 _CHAIN = SKELETONS[2]

@@ -1,7 +1,8 @@
 """Every public function and class of a library module is read by the library,
 a demo or a README example, or named in README.md; a helper only tests read
 belongs in the tests, as a named reference.  Every option of a public function
-or method is set by some call outside the tests."""
+or method, and every defaulted field of a public class, is set by some call
+outside the tests."""
 
 import ast
 import re
@@ -51,17 +52,39 @@ def test_check_sees_attributes_and_code_spans():
 
 CALLERS = [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")]
 CALLERS += ROOT.glob("perfbench/*.py")  # read only: the benchmark's own calls
+
+
+def calls(tree: ast.Module):
+    """(called name, call) of every call in ``tree``: the bare or attribute
+    name, or the class for a ``cls(...)`` call in that class's classmethod."""
+    own = {}
+    for cls in [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]:
+        for fn in [f for f in cls.body if isinstance(f, ast.FunctionDef)]:
+            if "classmethod" not in map(ast.unparse, fn.decorator_list):
+                continue
+            first = fn.args.args[0].arg
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == first:
+                    own[node] = cls.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            yield own.get(node, name), node
+
+
 CALLS = [
-    node
+    pair
     for code in [p.read_text() for p in CALLERS] + README_BLOCKS
-    for node in ast.walk(ast.parse(code))
-    if isinstance(node, ast.Call)
+    for pair in calls(ast.parse(code))
 ]
 
 
 def options(tree: ast.Module):
     """(function, parameter, position) of each defaulted parameter of a public
-    function or of a public method of a public class; keyword-only at None."""
+    function or of a public method of a public class, keyword-only at None;
+    and (class, field, position) of each defaulted field of a public class,
+    an annotated assignment with a value in its body, a ``ClassVar`` not one."""
     classes = [n for n in tree.body if isinstance(n, ast.ClassDef) and not n.name.startswith("_")]
     for scope in [tree, *classes]:
         for fn in scope.body:
@@ -74,13 +97,21 @@ def options(tree: ast.Module):
             for a, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     yield fn.name, a.arg, None
+    for cls in classes:
+        fields = [
+            n
+            for n in cls.body
+            if isinstance(n, ast.AnnAssign) and "ClassVar" not in ast.unparse(n.annotation)
+        ]
+        for i, field in enumerate(fields):
+            if field.value is not None:
+                yield cls.name, field.target.id, i
 
 
-def sets(call: ast.Call, name: str, param: str, position) -> bool:
-    """True when ``call`` calls ``name`` and passes ``param``, by keyword, by
-    position, or through a * or ** unpacking."""
-    func = call.func
-    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != name:
+def sets(called: str, call: ast.Call, name: str, param: str, position) -> bool:
+    """True when ``called``, the name ``call`` calls, is ``name`` and ``call``
+    passes ``param``, by keyword, by position, or through a * or ** unpacking."""
+    if called != name:
         return False
     if any(k.arg in (param, None) for k in call.keywords):
         return True
@@ -90,14 +121,15 @@ def sets(call: ast.Call, name: str, param: str, position) -> bool:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_option_is_set_by_a_call(path):
-    """A default that every caller keeps is one value, not an option.  Calls in
-    the library, the demos, the tools, the benchmark and the README count, and
-    so does a call that forwards the option: ``is_psd(m, tol)`` inside a
-    wrapper with its own ``tol`` sets ``is_psd``'s ``tol``."""
+    """A default that every caller keeps is one value, not an option; so is a
+    dataclass field's default.  Calls in the library, the demos, the tools,
+    the benchmark and the README count, and so does a call that forwards the
+    option: ``is_psd(m, tol)`` inside a wrapper with its own ``tol`` sets
+    ``is_psd``'s ``tol``."""
     unset = [
         f"{fn}({param})"
         for fn, param, position in options(ast.parse(path.read_text()))
-        if not any(sets(call, fn, param, position) for call in CALLS)
+        if not any(sets(*pair, fn, param, position) for pair in CALLS)
     ]
     assert not unset, f"{path.name}: no call outside the tests sets {unset}"
 
@@ -108,10 +140,23 @@ def test_option_check_sees_keywords_positions_and_forwarding():
         "class K:\n    def m(self, x=0): pass\n    def _p(self, y=0): pass\n"
     )
     assert list(options(tree)) == [("f", "b", 1), ("f", "c", None), ("m", "x", 0)]
-    calls = [ast.parse(c).body[0].value for c in ("f(0, 1)", "k.f(0, c=3)", "k.m(**kw)", "g(0, 1)")]
-    assert [sets(c, "f", "b", 1) for c in calls] == [True, False, False, False]
-    assert [sets(c, "f", "c", None) for c in calls] == [False, True, False, False]
-    assert sets(calls[2], "m", "x", 0)
+    code = ("f(0, 1)", "k.f(0, c=3)", "k.m(**kw)", "g(0, 1)")
+    pairs = [next(calls(ast.parse(c))) for c in code]
+    assert [sets(*p, "f", "b", 1) for p in pairs] == [True, False, False, False]
+    assert [sets(*p, "f", "c", None) for p in pairs] == [False, True, False, False]
+    assert sets(*pairs[2], "m", "x", 0)
+
+
+def test_option_check_sees_fields_and_classmethods():
+    tree = ast.parse(
+        "class D:\n    a: int\n    b: int = 0\n    c: ClassVar[int] = 1\n    d: int = 2\n"
+        "    @classmethod\n    def make(cls): return cls(1, d=3)\n"
+    )
+    assert list(options(tree)) == [("D", "b", 1), ("D", "d", 2)]
+    [(called, call)] = calls(tree)
+    assert called == "D"
+    assert sets(called, call, "D", "d", 2)
+    assert not sets(called, call, "D", "b", 1)
 
 
 def test_package_init_binds_only_its_modules():

@@ -50,11 +50,6 @@ def test_single_block_circuit_matches_step_channel(rng):
             )
 
 
-def test_prep_plus_z_measure_keep():
-    got = simulate(1, [PrepPlus(0), Measure(0, dm.KET0, remove=False)])
-    np.testing.assert_allclose(got, 0.5 * dm.projector(dm.KET0), atol=1e-12)
-
-
 def test_cluster_small_cases():
     np.testing.assert_allclose(build_cluster_dm(1), dm.projector(dm.PLUS), atol=1e-12)
     cz = np.diag([1, 1, 1, -1])
@@ -155,20 +150,38 @@ def test_site_errors():
     ids=["zero", "ones", "nan", "four_entries", "eye4_row"],
 )
 def test_measure_rejects_a_ket_that_is_not_a_unit_2_vector(ket, error):
-    for remove in (True, False):
-        with pytest.raises(error):
-            simulate(1, [PrepPlus(0), Measure(0, ket, remove=remove)])
+    with pytest.raises(error):
+        simulate(1, [PrepPlus(0), Measure(0, ket)])
 
 
-def test_measure_accepts_a_column_ket():
-    # two entries are one ket, however shaped: a (1, 2) row adds no fork axis
-    for remove in (True, False):
-        flat, column, row = (
-            simulate(1, [PrepPlus(0), Measure(0, ket, remove=remove)])
-            for ket in (dm.MINUS, dm.MINUS.reshape(2, 1), dm.MINUS.reshape(1, 2))
-        )
-        np.testing.assert_array_equal(column, flat)
-        np.testing.assert_array_equal(row, flat)
+def test_a_readout_always_removes_its_site():
+    assert Measure.remove is True
+    with pytest.raises(TypeError):
+        Measure(0, dm.PLUS, remove=False)
+
+
+@pytest.mark.parametrize("which", ["readout", "prep"])
+def test_a_stack_of_one_adds_a_length_1_axis(which, rng):
+    # a stack forks whatever its length: a (1, 2) readout as a (1, 2, 2) prep
+    rho, ket = random_density(rng), MeasSpec.equatorial(0.3, 1).ket
+
+    def run(item):
+        prep, readout = (item, ket) if which == "prep" else (rho, item)
+        ops = [PrepState(0, prep), PrepPlus(1), CZ(0, 1), Measure(0, readout)]
+        return simulate(2, ops)
+
+    lone = rho if which == "prep" else ket
+    one, stacked = run(lone), run(lone[None])
+    assert (one.shape, stacked.shape) == ((2, 2), (1, 2, 2))
+    assert stacked[0].tobytes() == one.tobytes()
+
+
+def test_oracle_and_mpo_refuse_a_column_ket():
+    column = dm.MINUS.reshape(2, 1)
+    with pytest.raises(DimensionMismatch):
+        simulate(1, [PrepPlus(0), Measure(0, column)])
+    with pytest.raises(DimensionMismatch):
+        mpo_measure(mpo_cluster(2), 0, column)
 
 
 @st.composite
@@ -219,11 +232,6 @@ _BAD_STACKS = {
         "row 1",
     ),
     "nan_row": (Measure(0, np.stack([[np.nan, 0.0], dm.KET1])), NotNormalized, "row 0"),
-    "kept_readout_stack": (
-        Measure(0, np.stack([dm.KET0, dm.KET1]), remove=False),
-        DimensionMismatch,
-        "one ket, not a stack",
-    ),
     "prep_stack_of_3x3": (PrepState(1, np.zeros((2, 3, 3))), DimensionMismatch, r"\(P, 2, 2\)"),
     "prep_stack_of_rows": (PrepState(1, np.zeros((3, 2))), DimensionMismatch, r"\(P, 2, 2\)"),
     "empty_prep_stack": (PrepState(1, np.zeros((0, 2, 2))), DimensionMismatch, r"\(P, 2, 2\)"),
@@ -340,7 +348,7 @@ def reference_simulate(ops):
             else:
                 kraus = [dm.projector(op.ket)]
             state = sum(_embed(k, pos, m) @ state @ dm.dag(_embed(k, pos, m)) for k in kraus)
-            if isinstance(op, Measure) and op.remove:
+            if isinstance(op, Measure):
                 keep = [i for i in range(m) if i != pos]
                 state = dm.partial_trace(state, keep, (2,) * m)
                 del sites[pos]
@@ -356,7 +364,7 @@ def circuits(draw):
     """A random circuit ``(n, ops)`` over at most 6 sites.
 
     Sites are prepared in a random order, any live pair may meet in a CZ, and
-    measurements either keep the projected site or remove it.
+    a measurement reads one ket and removes its site.
     """
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -392,7 +400,6 @@ def circuits(draw):
                 ops.append(Channel1Q(site, random_channel(rng, draw(st.integers(1, 4)))))
             else:
                 u = draw(st.sampled_from(["x", "z", "equatorial", "random"]))
-                remove = draw(st.booleans())
                 k = draw(st.integers(0, 1))
                 if u == "random":
                     ket = _random_unitary(rng)[:, k]
@@ -402,9 +409,8 @@ def circuits(draw):
                         "z": MeasSpec.z(k),
                         "equatorial": MeasSpec.equatorial(float(rng.uniform(0, 6.3)), k),
                     }[u].ket
-                ops.append(Measure(site, ket, remove=remove))
-                if remove:
-                    live.remove(site)
+                ops.append(Measure(site, ket))
+                live.remove(site)
     return n, ops
 
 
@@ -441,7 +447,7 @@ def _stack_ops(ops) -> list[int]:
         i
         for i, op in enumerate(ops)
         if (isinstance(op, PrepState) and np.ndim(op.rho) == 3)
-        or (isinstance(op, Measure) and np.size(op.ket) > 2)
+        or (isinstance(op, Measure) and np.ndim(op.ket) == 2)
     ]
 
 
@@ -463,8 +469,8 @@ def branch_loop(n, ops) -> np.ndarray:
 @st.composite
 def stacked_circuits(draw):
     """A random circuit ``(n, ops)`` on 2-5 sites whose preps may hold (P, 2, 2)
-    stacks and whose removing readouts, on any live site, may fork over (K, 2)
-    stacks of unit kets; CZ, unitary and channel ops run before and after them.
+    stacks and whose readouts, on any live site, may fork over (K, 2) stacks of
+    unit kets, K = 1 too; CZ, unitary and channel ops run before and after them.
     At most 48 branches in all."""
     n = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -474,7 +480,7 @@ def stacked_circuits(draw):
     branches = 1
     for _ in range(draw(st.integers(1, 16))):
         step = draw(st.sampled_from(["prep", "cz", "unitary", "channel", "measure"]))
-        size = draw(st.integers(2, 4))
+        size = draw(st.integers(1, 4))
         stack = draw(st.booleans()) and branches * size <= 48
         if step == "prep" or not live:
             if not order:
@@ -501,13 +507,11 @@ def stacked_circuits(draw):
             ops.append(Channel1Q(int(rng.choice(live)), ch))
         else:
             site = int(rng.choice(live))
-            remove = stack or draw(st.booleans())
             kets = [_random_unitary(rng)[:, int(rng.integers(0, 2))] for _ in range(size)]
             kets[0] = MeasSpec.equatorial(float(rng.uniform(0, 6.3)), 1).ket
-            ops.append(Measure(site, np.stack(kets) if stack else kets[-1], remove=remove))
+            ops.append(Measure(site, np.stack(kets) if stack else kets[-1]))
             branches *= size if stack else 1
-            if remove:
-                live.remove(site)
+            live.remove(site)
     return n, ops
 
 
