@@ -2,14 +2,15 @@
 
 A channel is one complex (r, 2, 2) array of single-qubit Kraus operators,
 stacked once when built, so each kernel is one broadcast over the stack
-axis; the constructor is the one place that checks the 2x2 shape.  No trace
-condition is stored with it: sum K^dag K is I for a trace-preserving map,
-below I for a post-selected branch, and may exceed I for a derived map such
-as mapped resource or readout noise.  :func:`validate` checks the bound
-where channels enter (stock channels and parsed documents); the constructor
-and :func:`compose` build derived maps without it, and :func:`kraus_sum`
-gives the trace behaviour on demand.  Channels are compared through their
-Choi matrices (Kraus sets are not unique).
+axis; :func:`densemath.stacked` checks its shape, as it checks every state
+and operator the other calls here take.  No trace condition is stored with
+it: sum K^dag K is I for a trace-preserving map, below I for a post-selected
+branch, and may exceed I for a derived map such as mapped resource or
+readout noise.  :func:`validate` checks the bound where channels enter
+(stock channels and parsed documents); the constructor and :func:`compose`
+build derived maps without it, and :func:`kraus_sum` gives the trace
+behaviour on demand.  Channels are compared through their Choi matrices
+(Kraus sets are not unique).
 
 Single-qubit Paulis carry one labelling, sigma_gh = i^(g*h) X^g Z^h: (0, 1)
 is Z, (1, 0) is X and (1, 1) is Y.  :func:`pauli_decompose` gives an
@@ -24,20 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densemath as dm
-from .errors import DimensionMismatch, NotAChannel, NotUnitary
+from .errors import NotAChannel, NotUnitary
 
 
 @dataclass(frozen=True)
 class KrausChannel:
     """A single-qubit completely positive map: ``ops``, any sequence of r >= 1
-    2x2 Kraus operators, is stored as one (r, 2, 2) array."""
+    2x2 Kraus operators, is stored as one (r, 2, 2) array by
+    :func:`densemath.stacked`."""
 
     ops: np.ndarray
 
     def __post_init__(self):
-        ops = dm.stacked(self.ops, 3, "Kraus operators")
-        if ops.shape[1:] != (2, 2):
-            raise DimensionMismatch(f"Kraus operators are {ops.shape[1:]}, not 2x2")
+        ops = dm.stacked(self.ops, (None, 2, 2), "Kraus operators")
         object.__setattr__(self, "ops", ops)
 
     def __len__(self) -> int:
@@ -79,9 +79,7 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     The r products are one batched matmul over the stacked Kraus operators,
     summed over the stack axis.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DimensionMismatch(f"state shape {rho.shape} is not 2x2")
+    rho = dm.stacked(rho, (2, 2), "state rho")
     ks = ch.ops
     return (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
@@ -118,9 +116,7 @@ def basis_element(g: int, h: int) -> np.ndarray:
 
 def pauli_decompose(k: np.ndarray) -> np.ndarray:
     """Coefficients a[g, h] with k = sum_gh a[g, h] * basis_element(g, h)."""
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 matrix, got {k.shape}")
+    k = dm.stacked(k, (2, 2), "operator k")
     table = np.zeros((2, 2), dtype=complex)
     for g in range(2):
         for h in range(2):
@@ -130,9 +126,7 @@ def pauli_decompose(k: np.ndarray) -> np.ndarray:
 
 def check_unitary(u) -> np.ndarray:
     """``u`` as a complex 2x2 matrix: finite, with U^dag U within ``dm.ATOL`` of I."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 matrix, got shape {u.shape}")
+    u = dm.stacked(u, (2, 2), "unitary")
     if not np.isfinite(u).all():
         raise NotUnitary("a unitary must have finite entries")
     # unit columns bound every entry; a larger one could overflow U^dag U

@@ -229,9 +229,11 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
             if not isinstance(builtin, str) or builtin not in _BUILTINS:
                 raise ParseError(f"{where}: unknown builtin {builtin!r}")
             fields, make = _BUILTINS[builtin]
+            what, reads = f"builtin {builtin!r}", ("builtin", *fields)
+            for key in fields:
+                _require(key in obj, f"{where}.{key}: missing ({what} reads {key})")
             read = {"p": _probability, "matrix": _unitary}
             channel = make(*(read[key](obj[key], f"{where}.{key}") for key in fields))
-            what, reads = f"builtin {builtin!r}", ("builtin", *fields)
         elif "ops" in obj:
             dim = _integer(obj.get("dim", 2), f"{where}.dim")
             _require(dim == 2, f"{where}.dim must be 2 (single-qubit), got {dim}")
@@ -244,7 +246,7 @@ def _parse_channel_def(name: str, obj) -> KrausChannel:
             what, reads = "an ops channel", ("dim", "ops")
         else:
             raise ParseError(f"{where}: needs either 'builtin' or 'ops'")
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"{where}: malformed definition ({exc})") from exc
     except NotAChannel as exc:
         raise NotAChannel(f"{where}: {exc}") from exc
@@ -570,6 +572,8 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     sites = n + (name == "one_clean")  # the register; its last site is the boundary
     site_ops = doc.get("site_ops", [])
     _require(isinstance(site_ops, list), "site_ops: expected a list")
+    alone = "site_ops: the register has no site before the boundary, so it takes no events"
+    _require(sites > 1 or not site_ops, alone)
     readouts = doc.get("measurements", [])
     _require(isinstance(readouts, list), "measurements: expected a list")
     save = doc.get("save_mpo")
@@ -872,7 +876,7 @@ def main(argv=None) -> int:
     runp.add_argument("--out", help="report path (.json or .csv)")
     runp.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     runp.add_argument("--tol", type=float, default=None, help="override the tolerance")
-    runp.add_argument("--cases", default=None, help="only run cases whose id contains this")
+    runp.add_argument("--cases", help="report and judge only cases whose id contains this")
     args = parser.parse_args(argv)
 
     try:

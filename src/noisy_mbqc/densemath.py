@@ -37,34 +37,37 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def stacked(ops, ndim: int, what: str) -> np.ndarray:
-    """``ops``, an array or nested sequences, as one non-empty complex array
-    with ``ndim`` axes: the storage of a Kraus set or an MPO site family."""
+def stacked(a, shape: tuple, what: str) -> np.ndarray:
+    """``a``, an array or nested sequences, as a non-empty complex array of
+    ``shape``, whose leading ``None`` axes take any length: the one conversion
+    and shape check of every state, operator, ket, Kraus set and MPO site a
+    public call takes.  Ragged or non-numeric input raises DimensionMismatch
+    too, naming ``what``."""
     try:
-        out = np.asarray(ops, dtype=complex)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise DimensionMismatch(f"{what} must share one shape") from None
-    if out.ndim != ndim or not out.size:
-        raise DimensionMismatch(
-            f"{what} must fill a non-empty {ndim}-axis array, got {out.shape}"
-        )
+        out = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError):  # numpy's "inhomogeneous shape", or a non-number
+        out = None
+    free = shape.count(None)
+    fits = out is not None and out.size and out.ndim == len(shape)
+    if not fits or out.shape[free:] != shape[free:]:
+        got = "ragged or non-numeric entries" if out is None else f"shape {out.shape}"
+        want = str(shape).replace("None", "*")
+        raise DimensionMismatch(f"{what} must be a non-empty {want} array, got {got}")
     return out
 
 
 def unit_ket(ket) -> np.ndarray:
     """The readout check of the oracle and the MPO: ``ket`` as a complex
-    2-vector, shape (2,) and no other, with |<v|v> - 1| <= 1e-12; NaN fails."""
-    v = np.asarray(ket, dtype=complex)
-    if v.shape != (2,):
-        raise DimensionMismatch(f"a measurement ket must be a 2-vector, got {v.shape}")
+    2-vector, :func:`stacked` to shape (2,), with |<v|v> - 1| <= 1e-12; NaN fails."""
+    v = stacked(ket, (2,), "measurement ket")
     if not abs(np.vdot(v, v) - 1.0) <= 1e-12:  # NaN fails too
         raise NotNormalized("a measurement ket must be a unit vector")
     return v
 
 
 def projector(vec: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v|."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    """Rank-1 projector |v><v| of a vector ``vec``."""
+    v = stacked(vec, (None,), "projector vector")
     return np.outer(v, v.conj())
 
 
@@ -101,11 +104,7 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = int(np.prod(dims)) if dims else 1
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (total, total):
-        raise DimensionMismatch(
-            f"operator shape {rho.shape} does not match subsystem dims {dims}"
-        )
+    rho = stacked(rho, (total, total), f"operator on subsystem dims {dims}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatch(f"keep indices {keep} out of range for {n} subsystems")
@@ -138,7 +137,7 @@ def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def is_psd(m: np.ndarray) -> bool:
     """Hermitian within ``ATOL`` and all eigenvalues >= -``ATOL``."""
-    m = np.asarray(m, dtype=complex)
+    m = stacked(m, (None, None), "positivity check matrix")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("positivity check needs a square matrix")
     if not np.max(np.abs(m - dag(m))) <= ATOL:  # NaN fails too

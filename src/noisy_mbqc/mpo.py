@@ -53,31 +53,27 @@ from .errors import AlreadyMeasured, DimensionMismatch, SizeLimit, UnmeasuredSit
 class MpoState:
     """Ordered site families plus the correlation-space seed operator.
 
-    ``sites[j]`` is an array or nested sequences, stacked once into a complex
-    (P, S, rows, 2) array with P in (1, 2): two rows on an interior site, one
-    on the last site, the boundary; the seed is a 2x2 matrix.
+    ``sites[j]`` is an array or nested sequences, stacked once by
+    :func:`densemath.stacked` into a complex (P, S, rows, 2) array with P in
+    (1, 2): two rows on an interior site, one on the last site, the boundary;
+    the seed is a 2x2 matrix.  There is at least one site.
     """
 
     sites: tuple[np.ndarray, ...]
     seed: np.ndarray
 
     def __post_init__(self):
-        seed = dm.stacked(self.seed, 2, "seed")
-        if seed.shape != (2, 2):
-            raise DimensionMismatch(f"seed must be a 2x2 matrix, got shape {seed.shape}")
+        seed = dm.stacked(self.seed, (2, 2), "seed")
         if not self.sites:
             raise DimensionMismatch("sites: an MPO needs at least one site")
+        last = len(self.sites) - 1  # the boundary, which closes with one row
         sites = tuple(
-            dm.stacked(a, 4, f"site {j} family members") for j, a in enumerate(self.sites)
+            dm.stacked(a, (None, None, 1 if j == last else 2, 2), f"site {j}")
+            for j, a in enumerate(self.sites)
         )
         for j, a in enumerate(sites):
-            rows = 1 if j == len(sites) - 1 else 2  # the boundary closes with one row
-            if len(a) > 2 or a.shape[2:] != (rows, 2):
-                row = "a single row of " if rows == 1 else ""
-                raise DimensionMismatch(
-                    f"site {j} has shape {a.shape}; it needs 1 or 2 physical slots "
-                    f"and {row}bond dimension 2"
-                )
+            if len(a) > 2:
+                raise DimensionMismatch(f"site {j} has {len(a)} physical slots, not 1 or 2")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sites", sites)
 

@@ -186,19 +186,18 @@ _PLUS = dm.projector(dm.PLUS)[None]
 _PLUS.setflags(write=False)
 
 
-def _stack(items, shape: tuple, refusal: str) -> np.ndarray:
+def _stack(items, shape: tuple, what: str) -> np.ndarray:
     """``items`` as a complex array: one item of ``shape`` or a non-empty stack of them."""
-    a = np.asarray(items, dtype=complex)
-    if a.shape not in (shape, (*a.shape[:1], *shape)) or not a.size:
-        raise DimensionMismatch(f"{refusal}, got {a.shape}")
-    return a
+    try:
+        return dm.stacked(items, shape, what)
+    except DimensionMismatch:
+        return dm.stacked(items, (None, *shape), what)
 
 
 def _readout_kets(ket) -> np.ndarray:
     """A readout's unit ket, or its (K, 2) stack of unit kets, each row
     checked by :func:`densemath.unit_ket`."""
-    refusal = "a measurement ket must be a 2-vector or a (K, 2) stack of at least one ket"
-    kets = _stack(ket, (2,), refusal)
+    kets = _stack(ket, (2,), "readout (a 2-vector, or a (K, 2) stack of at least one ket)")
     for i, row in enumerate(kets.reshape(-1, 2)):
         try:
             dm.unit_ket(row)
@@ -224,8 +223,7 @@ def simulate(n: int, ops) -> np.ndarray:
         if isinstance(op, PrepPlus):
             reg.prep(op.site, _PLUS)
         elif isinstance(op, PrepState):
-            refusal = "prepared state must be a 2x2 operator or a (P, 2, 2) stack"
-            blocks = _stack(op.rho, (2, 2), refusal)
+            blocks = _stack(op.rho, (2, 2), "prepared state (2x2, or a (P, 2, 2) stack)")
             reg.prep(op.site, blocks.reshape(-1, 2, 2))
             stacks += blocks.shape[:-2]
         elif isinstance(op, CZ):
@@ -234,9 +232,7 @@ def simulate(n: int, ops) -> np.ndarray:
                 raise SiteOutOfRange("CZ needs two distinct sites")
             reg.cz(pa, pb)
         elif isinstance(op, Unitary1Q):
-            u = np.asarray(op.u, dtype=complex)
-            if u.shape != (2, 2):
-                raise DimensionMismatch("single-site unitary must be 2x2")
+            u = dm.stacked(op.u, (2, 2), "single-site unitary")
             reg.apply(u[None], reg.pos(op.site))
         elif isinstance(op, Channel1Q):
             reg.apply(op.channel.ops, reg.pos(op.site))

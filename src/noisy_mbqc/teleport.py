@@ -15,7 +15,6 @@ import numpy as np
 
 from . import densemath as dm
 from .channels import KrausChannel, apply, choi, pauli_decompose
-from .errors import DimensionMismatch
 
 
 def bell_ket(i: int, j: int) -> np.ndarray:
@@ -38,13 +37,8 @@ def teleport_branch(resource: np.ndarray, rho: np.ndarray, s: int, t: int) -> np
     Returns Bob's unnormalised single-qubit state; its trace is the branch
     probability (1/4 for any Bell-diagonal resource).
     """
-    resource = np.asarray(resource, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if resource.shape != (4, 4):
-        raise DimensionMismatch("resource must be a two-qubit operator")
-    if rho.shape != (2, 2):
-        raise DimensionMismatch("input must be a single-qubit operator")
-    joint = np.kron(rho, resource)
+    resource = dm.stacked(resource, (4, 4), "resource")
+    joint = np.kron(dm.stacked(rho, (2, 2), "input rho"), resource)
     proj = np.kron(dm.projector(bell_ket(s, t)), dm.I2)
     projected = proj @ joint @ proj
     return dm.partial_trace(projected, keep=[2], dims=(2, 2, 2))

@@ -220,7 +220,8 @@ def test_compose_rejects_mismatched_dimension(rng, slot):
     meas = MeasSpec.equatorial(0.5, 1)
     cfg = BlockNoiseConfig(meas=meas, **{slot: random_channel(rng, 2)})
     assert compose_block_noise(cfg).ops.shape == (2, 2, 2)
-    with pytest.raises(DimensionMismatch, match=r"^Kraus operators are \(4, 4\), not 2x2$"):
+    shape = r"^Kraus operators must be a non-empty \(\*, 2, 2\) array, got shape \(2, 4, 4\)$"
+    with pytest.raises(DimensionMismatch, match=shape):
         BlockNoiseConfig(meas=meas, **{slot: KrausChannel(random_complex(rng, (2, 4, 4)))})
 
 

@@ -380,17 +380,18 @@ def _round_trip(bond):
 
 
 # each constructor that owns the single-qubit rule, fed a 3x3 or 4x4 operand
-_UNITARY_SHAPE = r"^expected a 2x2 matrix, got shape \(\d, \d\)$"
+_UNITARY_SHAPE = r"^unitary must be a non-empty \(2, 2\) array, got shape \(\d, \d\)$"
+_KRAUS_SHAPE = r"^Kraus operators must be a non-empty \(\*, 2, 2\) array, got shape \(1, \d, \d\)$"
 _OWNERS = {
-    "KrausChannel": (lambda: KrausChannel([np.eye(4)]), "not 2x2"),
-    "validate": (lambda: validate([np.eye(3)]), "not 2x2"),
+    "KrausChannel": (lambda: KrausChannel([np.eye(4)]), _KRAUS_SHAPE),
+    "validate": (lambda: validate([np.eye(3)]), _KRAUS_SHAPE),
     "check_unitary": (lambda: check_unitary(np.eye(4)), _UNITARY_SHAPE),
     "unitary_channel": (lambda: unitary_channel(np.eye(4)), _UNITARY_SHAPE),
     "mixed_unitary": (
         lambda: mixed_unitary([(0.5, dm.I2), (0.5, np.eye(3))]),
         _UNITARY_SHAPE,
     ),
-    "apply": (lambda: apply(identity_channel(), np.eye(4) / 4), "not 2x2"),
+    "apply": (lambda: apply(identity_channel(), np.eye(4) / 4), r"^state rho .*\(4, 4\)$"),
     "MpoState-seed3x3": (lambda: MpoState(sites=_sites(2), seed=np.eye(3)), "^seed "),
     "MpoState-bond1": (lambda: MpoState(sites=_sites(1), seed=dm.I2), "^site 0 "),
     "MpoState-bond3": (lambda: MpoState(sites=_sites(3), seed=dm.I2), "^site 0 "),

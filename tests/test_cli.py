@@ -975,7 +975,7 @@ _Z_PHI = "chain[{}].phi: a Z step takes no angle"
             SKELETONS[1],
             ("channels", "noise", "matrix"),
             dm.mat_to_json(np.eye(4)),
-            "channels.noise.matrix: expected a 2x2 matrix",
+            "channels.noise.matrix: unitary must be a non-empty (2, 2) array, got shape (4, 4)",
         ),
         (_CHAIN3, _FLIPS, 1, "chain[2].phi.flip_on: expected a list"),
         (_CHAIN3, _FLIPS, [0, 0.5], "chain[2].phi.flip_on[1]: expected an integer"),
@@ -1027,6 +1027,24 @@ def test_main_channel_key_it_does_not_read_is_spec_error(tmp_path, capsys, kind)
     assert _run_doc(tmp_path, doc) == 2
     what = "an ops channel" if kind == "ops" else f"builtin {kind!r}"
     assert capsys.readouterr().err == f"error: channels.noise.{key}: not a field of {what}\n"
+
+
+@pytest.mark.parametrize(
+    "channel, key",
+    [
+        ({"builtin": "bit_flip"}, "p"),
+        ({"builtin": "phase_flip"}, "p"),
+        ({"builtin": "unitary"}, "matrix"),
+        ({"builtin": "mixed_unitary", "p": 0.3}, "matrix"),
+    ],
+    ids=["bit_flip", "phase_flip", "unitary", "mixed_unitary"],
+)
+def test_main_missing_builtin_field_is_named(tmp_path, capsys, channel, key):
+    # it used to be named as a Python KeyError: "malformed definition ('p')"
+    assert _run_doc(tmp_path, _set(SKELETONS[0], ("channels", "noise"), channel)) == 2
+    builtin = channel["builtin"]
+    want = f"error: channels.noise.{key}: missing (builtin {builtin!r} reads {key})\n"
+    assert capsys.readouterr().err == want
 
 
 # one object of each kind the parser reads, and a key its reader does not
@@ -1290,7 +1308,7 @@ def test_builder_n_over_register_cap_fails_at_parse(tmp_path, capsys, monkeypatc
         (
             ("site_ops", 2, "unitary"),
             dm.mat_to_json(np.eye(3)),
-            "site_ops[2].unitary: expected a 2x2 matrix",
+            "site_ops[2].unitary: unitary must be a non-empty (2, 2) array, got shape (3, 3)",
         ),
         (
             ("site_ops", 2, "unitary"),
@@ -1306,6 +1324,15 @@ def test_parse_alone_rejects_bad_mpo_field(path, value, message):
     with pytest.raises(ParseError) as info:
         parse_experiment(spec_text(_set(_MPO, path, value)))
     assert str(info.value).startswith(message)
+
+
+def test_parse_refuses_events_on_a_one_site_register():
+    # its one site is the boundary; the range of event sites used to read "0..-1"
+    doc = {"kind": "mpo", "builder": {"name": "maximally_mixed", "n": 1}}
+    parse_experiment(spec_text(doc))
+    message = "site_ops: the register has no site before the boundary, so it takes no events"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_experiment(spec_text(dict(doc, site_ops=[{"site": 0, "pauli": [1, 0]}])))
 
 
 @pytest.mark.parametrize("site", [1.5, 9])

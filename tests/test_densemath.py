@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,28 @@ from conftest import random_complex, random_density, signed_zero_complex
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.block import MeasSpec, map_measurement_noise
-from noisy_mbqc.channels import KrausChannel, basis_element, bit_flip
+from noisy_mbqc.channels import (
+    KrausChannel,
+    apply,
+    basis_element,
+    bit_flip,
+    check_unitary,
+    identity_channel,
+    mixed_unitary,
+    pauli_decompose,
+    unitary_channel,
+    validate,
+)
 from noisy_mbqc.errors import DimensionMismatch
-from noisy_mbqc.mpo import MpoState, mpo_apply_pauli, mpo_cluster, mpo_to_dict
+from noisy_mbqc.mpo import (
+    MpoState,
+    mpo_apply_pauli,
+    mpo_apply_unitary,
+    mpo_cluster,
+    mpo_measure,
+    mpo_to_dict,
+)
+from noisy_mbqc.oracle import Measure, PrepPlus, PrepState, Unitary1Q, simulate
 from noisy_mbqc.teleport import (
     bell_ket,
     diagonal_resource,
@@ -68,6 +88,100 @@ def test_partial_trace_mixed_dims_matches_a_loop(rng, keep):
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dm.partial_trace(np.eye(4), keep=[0], dims=(2, 3))
+
+
+def test_stacked_names_what_it_wants_and_what_it_got():
+    ops = np.zeros((3, 2, 2), dtype=complex)
+    assert dm.stacked(ops, (None, 2, 2), "ops") is ops  # a complex array is not copied
+    assert dm.stacked([[1, 0], [0, 1]], (2, 2), "u").dtype == complex
+    wants = r"^ops must be a non-empty \(\*, 2, 2\) array, got "
+    with pytest.raises(DimensionMismatch, match=wants + r"shape \(3, 2\)$"):
+        dm.stacked(np.zeros((3, 2)), (None, 2, 2), "ops")
+    with pytest.raises(DimensionMismatch, match=wants + r"shape \(0, 2, 2\)$"):
+        dm.stacked(np.zeros((0, 2, 2)), (None, 2, 2), "ops")
+    with pytest.raises(DimensionMismatch, match=wants + "ragged or non-numeric entries$"):
+        dm.stacked([dm.I2, np.eye(3)], (None, 2, 2), "ops")
+    with pytest.raises(DimensionMismatch, match=r"got shape \(\)$"):
+        dm.stacked(1.0, (None,), "v")  # a leading None axis is still an axis
+
+
+def test_projector_and_is_psd_refuse_a_misshapen_argument():
+    with pytest.raises(DimensionMismatch, match="^projector vector "):
+        dm.projector(np.eye(2))  # it used to flatten into a 4x4 "projector"
+    with pytest.raises(DimensionMismatch, match="^positivity check matrix "):
+        dm.is_psd([1, 2])  # it used to raise IndexError
+    with pytest.raises(DimensionMismatch, match="square"):
+        dm.is_psd(np.ones((2, 3)))
+
+
+_BOUNDARY_ROW = [[[dm.KET0]], [[dm.KET1]]]
+
+# each public call that takes an array: (the call, the shape it takes, the
+# name its refusal starts with); validate, unitary_channel, mixed_unitary and
+# mpo_apply_unitary reach dm.stacked through KrausChannel and check_unitary
+_ARRAY_ARGUMENTS = {
+    "KrausChannel": (KrausChannel, (None, 2, 2), "Kraus operators"),
+    "validate": (validate, (None, 2, 2), "Kraus operators"),
+    "apply": (lambda a: apply(identity_channel(), a), (2, 2), "state rho"),
+    "pauli_decompose": (pauli_decompose, (2, 2), "operator k"),
+    "check_unitary": (check_unitary, (2, 2), "unitary"),
+    "unitary_channel": (unitary_channel, (2, 2), "unitary"),
+    "mixed_unitary": (lambda a: mixed_unitary([(1.0, a)]), (2, 2), "unitary"),
+    "mpo_apply_unitary": (lambda a: mpo_apply_unitary(mpo_cluster(2), 0, a), (2, 2), "unitary"),
+    "unit_ket": (dm.unit_ket, (2,), "measurement ket"),
+    "mpo_measure": (lambda a: mpo_measure(mpo_cluster(2), 0, a), (2,), "measurement ket"),
+    "projector": (dm.projector, (None,), "projector vector"),
+    "partial_trace": (
+        lambda a: dm.partial_trace(a, [0], (2, 2)),
+        (4, 4),
+        "operator on subsystem dims (2, 2)",
+    ),
+    "is_psd": (dm.is_psd, (None, None), "positivity check matrix"),
+    "PrepState": (lambda a: simulate(1, [PrepState(0, a)]), (None, 2, 2), "prepared state"),
+    "Measure": (lambda a: simulate(1, [PrepPlus(0), Measure(0, a)]), (None, 2), "readout"),
+    "Unitary1Q": (
+        lambda a: simulate(1, [PrepPlus(0), Unitary1Q(0, a)]),
+        (2, 2),
+        "single-site unitary",
+    ),
+    "teleport_resource": (lambda a: teleport_branch(a, dm.I2 / 2, 0, 0), (4, 4), "resource"),
+    "teleport_rho": (lambda a: teleport_branch(np.eye(4) / 4, a, 0, 0), (2, 2), "input rho"),
+    "MpoState_seed": (lambda a: MpoState(sites=mpo_cluster(2).sites, seed=a), (2, 2), "seed"),
+    "MpoState_site": (
+        lambda a: MpoState(sites=(a, _BOUNDARY_ROW), seed=dm.I2),
+        (None, None, 2, 2),
+        "site 0",
+    ),
+}
+
+
+def _bad_arguments(shape: tuple) -> dict:
+    """A ragged list, a list of non-numbers and a misshapen array for a call
+    taking ``shape``; and an empty stack when ``shape`` has a free axis."""
+    full = tuple(1 if d is None else d for d in shape)
+    bad = {
+        "ragged": [np.zeros(full[1:]).tolist(), [0, 0, 0]],
+        "not_a_number": np.full(full, {}, dtype=object).tolist(),
+        "misshapen": np.zeros((3, 3, 3)),
+    }
+    if None in shape:
+        bad["empty_stack"] = np.zeros((0, *full[1:]))
+    return bad
+
+
+_BAD_CALLS = [
+    (name, kind)
+    for name, (_, shape, _) in _ARRAY_ARGUMENTS.items()
+    for kind in _bad_arguments(shape)
+]
+
+
+@pytest.mark.parametrize("name, kind", _BAD_CALLS, ids=lambda v: v)
+def test_every_array_argument_is_refused_as_a_dimension_mismatch(name, kind):
+    # numpy's own ValueError, TypeError or IndexError used to escape some calls
+    call, shape, what = _ARRAY_ARGUMENTS[name]
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(what)}"):
+        call(_bad_arguments(shape)[kind])
 
 
 def test_trace_distance_values():

@@ -2,7 +2,8 @@
 a demo or a README example, or named in README.md; a helper only tests read
 belongs in the tests, as a named reference.  Every option of a public function
 or method, and every defaulted field of a public class, is set by some call
-outside the tests."""
+outside the tests.  Every array argument is converted by
+``densemath.stacked``."""
 
 import ast
 import re
@@ -157,6 +158,58 @@ def test_option_check_sees_fields_and_classmethods():
     assert called == "D"
     assert sets(called, call, "D", "d", 2)
     assert not sets(called, call, "D", "b", 1)
+
+
+def raw_conversions(tree: ast.Module) -> set[tuple[str, str]]:
+    """(function, argument) of each ``np.asarray`` or ``np.array`` call that
+    converts a parameter of its function, a loop variable, or an attribute of
+    either, rather than leaving the conversion to ``densemath.stacked``."""
+    found = set()
+    for fn in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+        a = fn.args
+        names = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x}
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                names |= {n.id for n in ast.walk(node.target) if isinstance(n, ast.Name)}
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            if ast.unparse(node.func) not in ("np.asarray", "np.array"):
+                continue
+            base = node.args[0]
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in names:
+                found.add((fn.name, ast.unparse(node.args[0])))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "densemath.py"], ids=lambda p: p.name
+)
+def test_array_arguments_are_converted_by_densemath_stacked(path):
+    """One owner converts and shape-checks an array a call takes, so a ragged
+    or misshapen argument is one DimensionMismatch, in one message form."""
+    raw = sorted(raw_conversions(ast.parse(path.read_text())))
+    assert not raw, f"{path.name}: convert through dm.stacked, not {raw}"
+
+
+def test_conversion_check_sees_parameters_loop_variables_and_attributes():
+    tree = ast.parse(
+        "def f(a, *rest, k=None):\n"
+        "    local = [a]\n"
+        "    for op in rest:\n        np.asarray(op.u)\n"
+        "    kets = [np.array(v) for v in rest]\n"
+        "    return np.asarray(a), np.array(k.x.y, dtype=complex), np.asarray(local)\n"
+        "def g(self):\n    return np.asarray(self.ops), np.asarray([self]), dm.stacked(self)\n"
+    )
+    assert raw_conversions(tree) == {
+        ("f", "a"),
+        ("f", "k.x.y"),
+        ("f", "op.u"),
+        ("f", "v"),
+        ("g", "self.ops"),
+    }
 
 
 def test_package_init_binds_only_its_modules():

@@ -465,7 +465,7 @@ def test_site_tensor_stacks_its_family_once():
     ):
         with pytest.raises(DimensionMismatch, match=f"^{where}"):
             MpoState(sites=bad, seed=dm.I2)
-    single_row = r"^site 1 has shape \(2, 1, 2, 2\); .*a single row of bond dimension 2$"
+    single_row = r"^site 1 must be a non-empty \(\*, \*, 1, 2\) array, got shape \(2, 1, 2, 2\)$"
     with pytest.raises(DimensionMismatch, match=single_row):
         MpoState(sites=([[dm.H], [dm.X]], [[dm.H], [dm.X]]), seed=dm.I2)
 
@@ -918,7 +918,8 @@ def test_events_name_the_site_and_its_bond_dimension(bond, from_dict, event):
     # built or decoded, naming the site, so no event can meet one
     seed = dm.I2 / 2
     assert mpo_contract(event(MpoState(sites=_bond_sites(2), seed=seed))).shape == (4, 4)
-    match = rf"^site 0 has shape \(2, 1, {bond}, {bond}\); .*bond dimension 2$"
+    match = r"^site 0 must be a non-empty \(\*, \*, 2, 2\) array, "
+    match += rf"got shape \(2, 1, {bond}, {bond}\)$"
     with pytest.raises(DimensionMismatch, match=match):
         if from_dict:
             doc = mpo_to_dict(SimpleNamespace(sites=_bond_sites(bond), seed=seed))
