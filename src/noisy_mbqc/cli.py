@@ -52,9 +52,11 @@ each outcome prefix once, in document order, and its contractions agree with
 the dense simulation where the MPO event rule is exact (``noisy_mbqc.mpo``):
 Pauli events and channels anywhere, one unitary or channel per cluster site,
 one unitary on site 0 of ``one_clean``.  The oracle circuit is built once, at
-parse: it prepares every site (the peak register is the full one), then runs
-per site, in ascending order, the CZ to the next site (cluster), the site's
-events in document order and its readout.  Every readout forks, a ``"both"``
+parse: it prepares every site, then runs per site, in ascending order, the CZ
+to the next site (cluster), the site's events in document order and its
+readout; the oracle joins a prepared site only when an op first touches it,
+so the live register holds the open sites and the few around the next
+readout.  Every readout forks, a ``"both"``
 one over its two kets and a fixed one into one branch, and the fork axes are
 put into the document's measurement order, so every outcome string's oracle
 output comes from one ``oracle.simulate`` call.  An optional ``save_mpo``
@@ -581,8 +583,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         save is None or (isinstance(save, str) and save != ""), "save_mpo: expected a path"
     )
 
-    # the one oracle circuit: every prep first (the peak register is the full
-    # one), then per site its CZ to the right, its events and its readout
+    # the one oracle circuit: every prep first, then per site its CZ to the
+    # right, its events and its readout; simulate joins a prep only when an op
+    # first touches its site, so the live register stays a few sites wide
     if name == "cluster":
         build = mpo_mod.mpo_cluster
         circuit: list = [oracle.PrepPlus(i) for i in range(n)]

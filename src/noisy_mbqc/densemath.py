@@ -41,10 +41,12 @@ def stacked(a, shape: tuple, what: str) -> np.ndarray:
     """``a``, an array or nested sequences, as a non-empty complex array of
     ``shape``, whose leading ``None`` axes take any length: the one conversion
     and shape check of every state, operator, ket, Kraus set and MPO site a
-    public call takes.  Ragged or non-numeric input raises DimensionMismatch
+    public call takes.  Ragged or non-numeric input (a string, bytes or any
+    other object entry, even one numpy could parse) raises DimensionMismatch
     too, naming ``what``."""
     try:
-        out = np.asarray(a, dtype=complex)
+        raw = np.asarray(a)
+        out = None if raw.dtype.kind in "OSUV" else raw.astype(complex, copy=False)
     except (TypeError, ValueError):  # numpy's "inhomogeneous shape", or a non-number
         out = None
     free = shape.count(None)

@@ -1,11 +1,14 @@
 """Brute-force density-matrix circuit simulator used as ground truth.
 
 The register holds up to ``densemath.max_qubits()`` sites (default 12).
-Sites enter the simulation when a prep op runs and leave it on their readout,
-which traces them out as a readout collapses a site out of an MPO, so long
-chains run on a small live register.  Everything is linear in the state, so
-callers may feed basis elements |i><j| to assemble process matrices; no
-positivity is enforced on prepared operators.
+A prep op only records its site's operator.  The site joins the dense state
+when an op first touches it, together with every prep issued before its own,
+in op order; preps no op touched join at the end.  A site leaves the state on
+its readout, which traces it out as a readout collapses a site out of an MPO,
+so a circuit that prepares every site first and then reads them out one by
+one, like a long chain, runs on a small live state.  Everything is linear in
+the state, so callers may feed basis elements |i><j| to assemble process
+matrices; no positivity is enforced on prepared operators.
 
 :func:`simulate` returns the bare state over the surviving sites.  A
 measurement names the unit ket of its outcome, the same readout form
@@ -19,14 +22,18 @@ branch into K.  The result has one leading axis per stack, whatever its
 length, in op order, then (D, D).  Every branch sees the same arithmetic as
 a circuit of its own, bit for bit.
 
-Every op costs O(B * 4^m) on m live sites and touches only its sites' ket
-and bra axes: a single-site unitary or channel is one matmul per branch with
-the 4x4 superoperator sum_r K_r (x) conj(K_r); CZ negates two quarter-slices
-in place; a readout contracts <v| and |v> into the site's axes, once per
-ket.  No 2^m x 2^m operator is built.  Single-site maps hold two state-sized
-arrays, the state and a spare they write into (268 MB each by shape at m=12
-and B=1); a readout frees the spare and holds the state, its half-sized
-contraction and the K quarter-sized branches it forks into.
+Every op costs O(B * 4^m) on the m sites joined so far and not yet read
+out, and touches only its sites' ket and bra axes: a single-site unitary or
+channel is one matmul per branch with the 4x4 superoperator
+sum_r K_r (x) conj(K_r); CZ negates two quarter-slices in place; a readout
+contracts <v| and |v> into the site's axes, once per ket.  No 2^m x 2^m
+operator is built.  Single-site maps hold two state-sized arrays, the state
+and a spare they write into (268 MB each by shape at m=12 and B=1, when all
+twelve sites are joined at once; the ``mpo`` runner's site-ordered circuit
+holds its unmeasured sites and a few more, 3 sites at most on 8-10-site
+clusters read out everywhere); a readout frees the spare and holds the
+state, its half-sized contraction and the K quarter-sized branches it forks
+into.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from . import densemath as dm
 from .block import EQUATORIAL, BlockNoiseConfig, MeasSpec
 from .channels import KrausChannel
 from .errors import (
-    DimensionMismatch,
     NotNormalized,
     SiteOutOfRange,
     SizeLimit,
@@ -94,13 +100,17 @@ class Measure:
 class _Register:
     """Live subset of the register as a stack of dense operators, (B, D, D).
 
+    A prep waits in ``pending`` until an op touches its site (``positions``).
     Each kernel views a branch as one ket and one bra axis per live site and
     touches only the axes of the sites it acts on, O(B * 4^m) for m live sites.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.sites: list[int] = []  # kept in ascending site order
+        self.sites: list[int] = []  # joined sites, kept in ascending site order
+        # preps no op has touched yet, in op order: (site, (P, 2, 2) blocks, axis)
+        self.pending: list[tuple[int, np.ndarray, int | None]] = []
+        self.axes: list[int] = []  # the op-order stack number of each branch axis
         self.state = np.ones((1, 1, 1), dtype=complex)
         self.spare = np.empty((0, 0, 0), dtype=complex)
 
@@ -112,17 +122,36 @@ class _Register:
         if not 0 <= site < self.n:
             raise SiteOutOfRange(f"site {site} outside register of size {self.n}")
 
-    def pos(self, site: int) -> int:
+    def positions(self, *sites: int) -> list[int]:
+        """The positions of ``sites`` in the state, once every pending prep up
+        to and including theirs has joined."""
+        for site in sites:
+            self.check_site(site)
+            waiting = [s for s, _, _ in self.pending]
+            if site in waiting:
+                self.join(waiting.index(site) + 1)
+            if site not in self.sites:
+                raise SiteOutOfRange(f"site {site} has not been prepared")
+        return [self.sites.index(site) for site in sites]
+
+    def hold(self, site: int, blocks: np.ndarray, axis: int | None):
+        """Record the prep of ``site`` in the (P, 2, 2) ``blocks`` as pending;
+        ``axis`` numbers a stack among the circuit's stacks, None a lone prep."""
         self.check_site(site)
-        if site not in self.sites:
-            raise SiteOutOfRange(f"site {site} has not been prepared")
-        return self.sites.index(site)
+        if site in self.sites or any(s == site for s, _, _ in self.pending):
+            raise SiteOutOfRange(f"site {site} prepared twice")
+        self.pending.append((site, blocks, axis))
+
+    def join(self, count: int):
+        """Tensor in the first ``count`` pending preps, in op order."""
+        for site, blocks, axis in self.pending[:count]:
+            self.prep(site, blocks)
+            if axis is not None:
+                self.axes.append(axis)
+        del self.pending[:count]
 
     def prep(self, site: int, blocks: np.ndarray):
         """Tensor in one of the (P, 2, 2) ``blocks`` per branch: B -> B * P."""
-        self.check_site(site)
-        if site in self.sites:
-            raise SiteOutOfRange(f"site {site} prepared twice")
         pos = bisect_left(self.sites, site)
         left, right = 2**pos, 2 ** (self.m - pos)
         b, p = len(self.state), len(blocks)
@@ -187,11 +216,13 @@ _PLUS.setflags(write=False)
 
 
 def _stack(items, shape: tuple, what: str) -> np.ndarray:
-    """``items`` as a complex array: one item of ``shape`` or a non-empty stack of them."""
+    """``items`` as a complex array: one item of ``shape`` or a non-empty stack
+    of them, told apart by shape; anything else is refused as a stack."""
     try:
-        return dm.stacked(items, shape, what)
-    except DimensionMismatch:
-        return dm.stacked(items, (None, *shape), what)
+        lone = np.shape(items) == shape
+    except ValueError:  # numpy's "inhomogeneous shape": ragged, refused below
+        lone = False
+    return dm.stacked(items, shape if lone else (None, *shape), what)
 
 
 def _readout_kets(ket) -> np.ndarray:
@@ -212,38 +243,48 @@ def simulate(n: int, ops) -> np.ndarray:
     of each prep and readout stack, and return the states over the surviving
     sites in ascending site order, shape (*stacks, D, D): one leading axis per
     stack, in op order.  Nothing is sampled; the final trace is the
-    probability of the chosen outcome string."""
+    probability of the chosen outcome string.
+
+    A prep joins the state when an op first touches its site, with every
+    prep issued before it (see the module docstring), so each op costs
+    O(B * 4^m) on the m sites joined and not yet read out."""
     cap = dm.max_qubits()
     if not 1 <= n <= cap:
         raise SizeLimit(f"register size {n} outside [1, {cap}]")
     reg = _Register(n)
-    stacks: list[int] = []  # the length of each stack met so far
+    stacks: list[int] = []  # the length of each stack met so far, in op order
 
     for op in ops:
         if isinstance(op, PrepPlus):
-            reg.prep(op.site, _PLUS)
+            reg.hold(op.site, _PLUS, None)
         elif isinstance(op, PrepState):
             blocks = _stack(op.rho, (2, 2), "prepared state (2x2, or a (P, 2, 2) stack)")
-            reg.prep(op.site, blocks.reshape(-1, 2, 2))
+            axis = len(stacks) if blocks.ndim == 3 else None
+            reg.hold(op.site, blocks.reshape(-1, 2, 2), axis)
             stacks += blocks.shape[:-2]
         elif isinstance(op, CZ):
-            pa, pb = reg.pos(op.a), reg.pos(op.b)
+            pa, pb = reg.positions(op.a, op.b)
             if pa == pb:
                 raise SiteOutOfRange("CZ needs two distinct sites")
             reg.cz(pa, pb)
         elif isinstance(op, Unitary1Q):
             u = dm.stacked(op.u, (2, 2), "single-site unitary")
-            reg.apply(u[None], reg.pos(op.site))
+            reg.apply(u[None], *reg.positions(op.site))
         elif isinstance(op, Channel1Q):
-            reg.apply(op.channel.ops, reg.pos(op.site))
+            reg.apply(op.channel.ops, *reg.positions(op.site))
         elif isinstance(op, Measure):
             kets = _readout_kets(op.ket)
-            reg.project_out(kets.reshape(-1, 2), reg.pos(op.site))
+            reg.project_out(kets.reshape(-1, 2), *reg.positions(op.site))
+            if kets.ndim == 2:
+                reg.axes.append(len(stacks))
             stacks += kets.shape[:-1]
         else:
             raise TypeError(f"unknown circuit op {op!r}")
+    reg.join(len(reg.pending))
     dim = 2**reg.m
-    return reg.state.reshape(*stacks, dim, dim)
+    # a stacked prep may join after a later readout forked: axes back to op order
+    joined = reg.state.reshape(*(stacks[a] for a in reg.axes), dim, dim)
+    return joined.transpose(*np.argsort(reg.axes), -2, -1)
 
 
 def cluster_ops(n: int) -> list:

@@ -105,6 +105,21 @@ def test_stacked_names_what_it_wants_and_what_it_got():
         dm.stacked(1.0, (None,), "v")  # a leading None axis is still an axis
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dm.unit_ket(["1", "0"]),  # it read as the ket |0>
+        lambda: check_unitary([["1", "0"], ["0", "1j"]]),  # it read as S
+        lambda: dm.unit_ket([b"1", b"0"]),
+        lambda: dm.unit_ket(np.array([1, 0], dtype=object)),
+    ],
+    ids=["numeric_strings", "numeric_string_unitary", "bytes", "object_array"],
+)
+def test_stacked_refuses_strings_and_objects_that_numpy_would_parse(call):
+    with pytest.raises(DimensionMismatch, match="ragged or non-numeric entries$"):
+        call()
+
+
 def test_projector_and_is_psd_refuse_a_misshapen_argument():
     with pytest.raises(DimensionMismatch, match="^projector vector "):
         dm.projector(np.eye(2))  # it used to flatten into a 4x4 "projector"

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from bisect import bisect_left
 from itertools import product
 
@@ -522,3 +523,55 @@ def test_a_batched_simulate_is_the_branch_loop_bit_for_bit(circuit):
     got, want = simulate(n, ops), branch_loop(n, ops)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# --- a prep joins the state when an op first touches its site ------------------------
+
+
+def test_a_site_ordered_cluster_holds_only_its_live_sites():
+    # the mpo runner's circuit: every prep first, then per site its CZ to the
+    # right, a channel and its readout; joined at once, 12 sites need 268 MB
+    n = 12
+    ops: list = [PrepPlus(j) for j in range(n)]
+    for j in range(n):
+        ops += [CZ(j, j + 1)] if j < n - 1 else []
+        ops += [Channel1Q(j, bit_flip(0.1)), Measure(j, dm.PLUS)]
+    tracemalloc.start()
+    try:
+        out = simulate(n, ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 1)
+    assert peak < 2**20
+
+
+def _joined_at_prep(ops) -> list:
+    """``ops`` with an identity unitary right after each prep, which joins the
+    prepared site to the state at once."""
+    out: list = []
+    for op in ops:
+        out.append(op)
+        if isinstance(op, (PrepPlus, PrepState)):
+            out.append(Unitary1Q(op.site, dm.I2))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacked_circuits())
+def test_a_pending_prep_gives_what_a_prep_joined_at_once_gives(circuit):
+    n, ops = circuit
+    got, want = simulate(n, ops), simulate(n, _joined_at_prep(ops))
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_stacked_prep_pending_across_a_fork_keeps_its_axis_first(rng):
+    # site 1's three preps join only at the end, after site 0 forked in two
+    rhos = np.stack([random_density(rng) for _ in range(3)])
+    kets = np.stack([dm.KET0, dm.PLUS])  # outcome weights 1/2 and 1 on |+>
+    ops = [PrepPlus(0), PrepState(1, rhos), Measure(0, kets)]
+    got = simulate(2, ops)
+    assert got.shape == (3, 2, 2, 2)
+    np.testing.assert_allclose(got, np.stack([rhos / 2, rhos], axis=1), atol=1e-15)
+    assert got.tobytes() == branch_loop(2, ops).tobytes()

@@ -2,8 +2,11 @@
 the same answers.  Its reference documents are parsed here, never run."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from noisy_mbqc import cli
 
@@ -34,3 +37,31 @@ def test_every_workload_and_demo_spec_is_one_parsed_document():
     assert all(name.endswith(".json") for name in docs)
     for text in docs.values():
         cli.parse_experiment(text)
+
+
+def _report(closed, oracle, diff, prob):
+    case = {"case": "b0", "closed_form": closed, "oracle": oracle, "max_entry_diff": diff}
+    case |= {"trace_distance": diff, "branch_prob": prob, "pass": False}
+    return json.dumps({"format": 2, "cases": [case], "summary": {"max_entry_diff": diff}})
+
+
+def test_moves_reports_the_largest_change_of_each_field_and_the_signed_zeros():
+    old = _report([[[0.5, 0.0], [0.0, -0.0]]], [[[0.5, 1e-17], [0.0, 0.0]]], 1e-17, 0.25)
+    new = _report([[[0.5, 0.0], [0.0, -0.0]]], [[[0.5, -2e-17], [-0.0, 0.0]]], 3e-17, 0.25)
+    largest, signed_zeros = same_answers.moves(old, new)
+    assert largest == pytest.approx(
+        {
+            "closed_form": 0.0,
+            "oracle": 3e-17,
+            "max_entry_diff": 2e-17,
+            "trace_distance": 2e-17,
+            "branch_prob": 0.0,
+        },
+        rel=1e-12,
+        abs=0.0,
+    )
+    assert signed_zeros == 1
+    assert same_answers.moves_line(largest, signed_zeros) == (
+        "moved: closed_form 0, oracle 3e-17, max_entry_diff 2e-17, "
+        "trace_distance 2e-17, branch_prob 0; 1 signed zeros"
+    )

@@ -9,15 +9,20 @@ one fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and that checkout's
 ``src`` first on its path runs every document through ``cli.main``, once with
 ``--out x.json`` and once with ``--out x.csv``.  The two checkouts must agree
 on the exit code, stdout, stderr, the CSV bytes, and the JSON bytes apart
-from the ``meta.timestamp`` line.  Every document that differs is listed,
-and the exit code is 1 if any does, else 0.
+from the ``meta.timestamp`` value.  Every document that differs is listed,
+and the exit code is 1 if any does, else 0.  For each JSON report that
+differs, the largest absolute change of each numeric field (``closed_form``,
+``oracle``, ``max_entry_diff``, ``trace_distance``, ``branch_prob``) is
+printed, with the count of entries that differ only in the sign of zero.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,6 +30,8 @@ from collections import Counter
 from pathlib import Path
 
 SEEDS = (7, 11)
+TIMESTAMP = re.compile(r'^(\s*"timestamp": ).*$', re.MULTILINE)
+NUMERIC_FIELDS = ("closed_form", "oracle", "max_entry_diff", "trace_distance", "branch_prob")
 
 # run in each checkout's interpreter: argv is src, the documents, the results file
 CHILD = r"""
@@ -84,9 +91,40 @@ def answers(root: Path, docs_dir: Path, work: Path) -> dict[str, list]:
     for key, entry in found.items():
         text = entry[3]
         if text is not None and key.endswith(".json"):
-            lines = text.splitlines(keepends=True)
-            entry[3] = "".join(x for x in lines if not x.lstrip().startswith('"timestamp": '))
+            entry[3] = TIMESTAMP.sub(r"\1null", text)  # still JSON, for moves()
     return found
+
+
+def _number_pairs(old, new, field=None):
+    """(field, old, new) for each number under a numeric field that both
+    report trees hold at the same place."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in old.keys() & new.keys():
+            yield from _number_pairs(old[key], new[key], key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for x, y in zip(old, new):
+            yield from _number_pairs(x, y, field)
+    elif field in NUMERIC_FIELDS and isinstance(old, float) and isinstance(new, float):
+        yield field, old, new
+
+
+def moves(old_text: str, new_text: str) -> tuple[dict[str, float], int]:
+    """The largest absolute change of each numeric field between two JSON
+    reports, and the number of entries that differ only in the sign of zero."""
+    largest = dict.fromkeys(NUMERIC_FIELDS, 0.0)
+    signed_zeros = 0
+    for field, x, y in _number_pairs(json.loads(old_text), json.loads(new_text)):
+        if x == y:
+            signed_zeros += math.copysign(1.0, x) != math.copysign(1.0, y)
+        elif not (math.isnan(x) and math.isnan(y)):
+            largest[field] = max(largest[field], abs(x - y))
+    return largest, signed_zeros
+
+
+def moves_line(largest: dict[str, float], signed_zeros: int) -> str:
+    """What :func:`moves` found, as one line."""
+    fields = ", ".join(f"{field} {value:.2g}" for field, value in largest.items())
+    return f"moved: {fields}; {signed_zeros} signed zeros"
 
 
 def main(argv=None) -> int:
@@ -110,8 +148,17 @@ def main(argv=None) -> int:
         for key in sorted(new)
         if old[key] != new[key]
     }
+    total, total_zeros = dict.fromkeys(NUMERIC_FIELDS, 0.0), 0
     for key, what in differ.items():
         print(f"differs: {key} ({', '.join(what)})")
+        texts = old[key][3], new[key][3]
+        if "report" in what and key.endswith(".json") and None not in texts:
+            largest, signed_zeros = moves(*texts)
+            print(f"  {moves_line(largest, signed_zeros)}")
+            total = {f: max(total[f], largest[f]) for f in NUMERIC_FIELDS}
+            total_zeros += signed_zeros
+    if differ:
+        print(f"over all JSON reports, {moves_line(total, total_zeros)}")
     codes = Counter(str(entry[0]) for key, entry in new.items() if key.endswith(".json"))
     summary = ", ".join(f"exit {code}: {n}" for code, n in sorted(codes.items()))
     documents = len({key.split(" --out ")[0] for key in differ})
