@@ -42,29 +42,29 @@ stack, and the readout, on the site ``block_step_ops`` reads out, forks over
 the kets of each (sign of the angle, outcome) the step needs, at most four.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
-"one_clean", "n": N}``, whose register (n sites, n+1 for ``one_clean``) must
-fit ``NOISY_MBQC_MAX_QUBITS``; ``site_ops`` lists single-site events on
-sites before the last (the boundary): ``{"site": i, "pauli": [a, b]}`` with
-bits a, b, ``{"site": i, "unitary": [...]}`` or ``{"site": i, "channel":
-"name"}``; ``measurements`` lists ``{"site": i, "basis": "x"|"z", "outcome":
-0|1|"both"}``, each site of the register at most once.  The MPO side measures
-each outcome prefix once, in document order, and its contractions agree with
-the dense simulation where the MPO event rule is exact (``noisy_mbqc.mpo``):
-Pauli events and channels anywhere, one unitary or channel per cluster site,
-one unitary on site 0 of ``one_clean``.  The oracle circuit is built once, at
-parse: it prepares every site, then runs per site, in ascending order, the CZ
-to the next site (cluster), the site's events in document order and its
-readout; the oracle joins a prepared site only when an op first touches it,
-so the live register holds the open sites and the few around the next
-readout.  Every readout forks, a ``"both"``
-one over its two kets and a fixed one into one branch, and the fork axes are
-put into the document's measurement order, so every outcome string's oracle
-output comes from one ``oracle.simulate`` call.  An optional ``save_mpo``
-path, a non-empty string, stores the prepared (pre-measurement) operator as
-``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows], "sites":
-[{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last site, the
-boundary, as 1 x D rows), once every case has run and ``--cases`` has
-selected at least one.
+"one_clean", "n": N}``, n sites (n+1 for ``one_clean``), whose open sites
+plus ``"both"`` readouts must not exceed ``NOISY_MBQC_MAX_QUBITS``;
+``site_ops`` lists single-site events on sites before the last (the
+boundary): ``{"site": i, "pauli": [a, b]}`` with bits a, b, ``{"site": i,
+"unitary": [...]}`` or ``{"site": i, "channel": "name"}``; ``measurements``
+lists ``{"site": i, "basis": "x"|"z", "outcome": 0|1|"both"}``, each site of
+the register at most once.  The MPO side measures each outcome prefix once,
+in document order, and its contractions agree with the dense simulation where
+the MPO event rule is exact (``noisy_mbqc.mpo``): Pauli events and channels
+anywhere, one unitary or channel per cluster site, one unitary on site 0 of
+``one_clean``.  The oracle circuit is built once, at parse: it prepares every
+site, then runs per site, in ascending order, the CZ to the next site
+(cluster), the site's events in document order and its readout; the oracle
+joins a prepared site only when an op first touches it, so the live register
+holds the open sites and the few around the next readout.  A ``"both"``
+readout forks over its two kets, a fixed one reads its one ket, and the fork
+axes are put into the document's measurement order, so every outcome string's
+oracle output comes from one ``oracle.simulate`` call.  An optional
+``save_mpo`` path, a non-empty string, stores the prepared (pre-measurement)
+operator as ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows],
+"sites": [{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last
+site, the boundary, as 1 x D rows), once every case has run and ``--cases``
+has selected at least one.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
 ``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
@@ -95,8 +95,8 @@ byte-identical reports apart from ``meta.timestamp``.
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
 memory than exists included), or ``--cases`` selected no case.
-``NOISY_MBQC_MAX_QUBITS`` caps the qubits of one oracle circuit (two for a
-chain step) and the MPO contraction's open sites (default 12).
+``NOISY_MBQC_MAX_QUBITS`` (default 12) caps the qubits one dense state holds:
+the oracle's live sites (two in a chain step) and an MPO contraction's open ones.
 """
 
 from __future__ import annotations
@@ -569,8 +569,6 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     name, n = builder["name"], _integer(builder.get("n", 0), "builder.n")
     _require(n >= 1, shape)
     _require(name != "cluster" or n >= 2, "builder: a cluster needs at least 2 sites")
-    limit = dm.max_qubits() - (name == "one_clean")  # its clean qubit
-    _require(n <= limit, f"builder.n must be <= {limit} for {name} (register cap)")
     sites = n + (name == "one_clean")  # the register; its last site is the boundary
     site_ops = doc.get("site_ops", [])
     _require(isinstance(site_ops, list), "site_ops: expected a list")
@@ -583,23 +581,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         save is None or (isinstance(save, str) and save != ""), "save_mpo: expected a path"
     )
 
-    # the one oracle circuit: every prep first, then per site its CZ to the
-    # right, its events and its readout; simulate joins a prep only when an op
-    # first touches its site, so the live register stays a few sites wide
-    if name == "cluster":
-        build = mpo_mod.mpo_cluster
-        circuit: list = [oracle.PrepPlus(i) for i in range(n)]
-    elif name == "maximally_mixed":
-        build = mpo_mod.mpo_maximally_mixed
-        circuit = [oracle.PrepState(i, 0.5 * dm.I2) for i in range(n)]
-    else:
-        build = mpo_mod.mpo_one_clean
-        circuit = [oracle.PrepState(0, dm.projector(dm.KET0))]
-        circuit += [oracle.PrepState(i + 1, 0.5 * dm.I2) for i in range(n)]
-    per_site = [
-        [oracle.CZ(j, j + 1)] if name == "cluster" and j < n - 1 else []
-        for j in range(sites)
-    ]
+    per_site: dict[int, list] = {}  # each site's events, then its readout
     updates = []  # (site, its mpo_apply_* update, the update's value), in document order
     for i, op in enumerate(site_ops):
         where = f"site_ops[{i}]"
@@ -631,9 +613,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             value = _resolve_ref(op["channel"], channels, f"{where}.channel")
             update, gate = mpo_mod.mpo_apply_channel, oracle.Channel1Q(site, value)
         updates.append((site, update, value))
-        per_site[site].append(gate)
+        per_site.setdefault(site, []).append(gate)
 
-    measurements = []  # (site, basis kets, outcome axis)
+    measurements = {}  # site -> (basis kets, outcome axis), in document order
     for i, m in enumerate(readouts):
         where = f"measurements[{i}]"
         shape = f"{where}: expected site, basis x|z, outcome 0|1|'both'"
@@ -642,19 +624,35 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         _only(m, ("site", "basis", "outcome"), where, "a measurement")
         site = _integer(m["site"], f"{where}.site")
         _require(0 <= site < sites, f"{where}.site must be in 0..{sites - 1}, got {site}")
-        _require(
-            all(site != other for other, _, _ in measurements),
-            f"{where}.site: site {site} is measured twice",
-        )
+        _require(site not in measurements, f"{where}.site: site {site} is measured twice")
         ks = _outcomes(m.get("outcome", "both"), f"{where}.outcome", shape)
         kets = (dm.PLUS, dm.MINUS) if basis == "x" else (dm.KET0, dm.KET1)
-        measurements.append((site, kets, ks))
-        per_site[site].append(oracle.Measure(site, np.stack([kets[k] for k in ks])))
-    circuit += [gate for ops in per_site for gate in ops]
-    # every readout forks, a fixed one into one branch; the fork axes come out
-    # in site order, and order puts them into the document's measurement order
-    forks = [site for site, _, _ in measurements]
-    order = [sorted(forks).index(site) for site in forks]
+        measurements[site] = (kets, ks)
+        ket = np.stack(kets) if len(ks) == 2 else kets[ks[0]]  # only "both" forks
+        per_site.setdefault(site, []).append(oracle.Measure(site, ket))
+    # each case is a dense state over the open sites; each fork doubles the cases
+    forks = [site for site, (_, ks) in measurements.items() if len(ks) == 2]
+    opened, cap = sites - len(measurements), dm.max_qubits()
+    rule = f"open sites plus forking readouts must be <= {cap} (NOISY_MBQC_MAX_QUBITS)"
+    _require(opened + len(forks) <= cap, f"builder.n: {rule}, got {opened} + {len(forks)}")
+
+    # the one oracle circuit: every prep first, then per site its CZ to the
+    # right, its events and its readout; simulate joins a prep only when an op
+    # first touches its site, so the live register stays a few sites wide
+    clean = name == "one_clean"  # a clean qubit 0 before the n mixed ones
+    if name == "cluster":
+        build = mpo_mod.mpo_cluster
+        circuit: list = [oracle.PrepPlus(i) for i in range(n)]
+    else:
+        build = mpo_mod.mpo_one_clean if clean else mpo_mod.mpo_maximally_mixed
+        circuit = [oracle.PrepState(0, dm.projector(dm.KET0))] * clean
+        circuit += [oracle.PrepState(i + clean, 0.5 * dm.I2) for i in range(n)]
+    for j in range(sites):
+        if name == "cluster" and j < n - 1:
+            circuit.append(oracle.CZ(j, j + 1))
+        circuit += per_site.get(j, [])
+    # fork axes come out in site order; order puts them in measurement order
+    order = [sorted(forks).index(site) for site in forks]  # at most cap forks
 
     def run(rng, select) -> list[CaseResult]:
         state = build(n)
@@ -663,7 +661,7 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         orac = oracle.simulate(sites, circuit)
         outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
         branches = [((), state)]
-        for site, kets, axis in measurements:  # each prefix once, in product order
+        for site, (kets, axis) in measurements.items():  # each prefix once, product order
             branches = [
                 ((*ks, k), mpo_mod.mpo_measure(branch, site, kets[k]))
                 for ks, branch in branches

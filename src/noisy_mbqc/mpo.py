@@ -4,16 +4,16 @@ An ``MpoState`` holds one bare (P, S, rows, D) array per site: the family of
 bond-space objects indexed by the physical value i and a Kraus-like index s.
 Interior sites hold matrices A[i, s] (rows = D); the last site, the boundary,
 holds the bra rows B[i, s] = v[i, s]^dag of its closing vectors (rows = 1).
-A measured site has a single physical slot, P == 1.  ``MpoState.__post_init__``
-is the one place that checks this site contract, for built, hand-made and
-decoded states alike.  The contraction carries a tensor T[r, c] of bond
-operators over the open sites seen so far, from the correlation-space seed
-through every site, the boundary included: T'[(r,i),(c,j)] = sum_s A[i, s]
-T[r, c] A[j, s]^dag.  A measured site leaves T's size alone, and the
-boundary's single row closes T to the dense operator, first site as most
-significant bit.  A measured interior site's logical step is the channel
-with Kraus operators A[0, s]; stopping the sweep before the boundary
-composes those steps.
+A measured site has a single physical slot, P == 1.  ``_family`` is the one
+check of this site contract, run on every site of a new ``MpoState`` and on
+the one site an event or readout changes.  The contraction carries a tensor
+T[r, c] of bond operators over the open sites seen so far, from the
+correlation-space seed through every site, the boundary included:
+T'[(r,i),(c,j)] = sum_s A[i, s] T[r, c] A[j, s]^dag.  A measured site leaves
+T's size alone, and the boundary's single row closes T to the dense operator,
+first site as most significant bit.  A measured interior site's logical step
+is the channel with Kraus operators A[0, s]; stopping the sweep before the
+boundary composes those steps.
 
 Physical single-site events update the stored families in place of the
 dense state, each as one broadcast expression over the stacked family:
@@ -40,7 +40,8 @@ the seed and on every site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,14 +67,7 @@ class MpoState:
         seed = dm.stacked(self.seed, (2, 2), "seed")
         if not self.sites:
             raise DimensionMismatch("sites: an MPO needs at least one site")
-        last = len(self.sites) - 1  # the boundary, which closes with one row
-        sites = tuple(
-            dm.stacked(a, (None, None, 1 if j == last else 2, 2), f"site {j}")
-            for j, a in enumerate(self.sites)
-        )
-        for j, a in enumerate(sites):
-            if len(a) > 2:
-                raise DimensionMismatch(f"site {j} has {len(a)} physical slots, not 1 or 2")
+        sites = tuple(_family(a, j, len(self.sites)) for j, a in enumerate(self.sites))
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "sites", sites)
 
@@ -83,6 +77,14 @@ class MpoState:
 
     def unmeasured_count(self) -> int:
         return sum(len(a) != 1 for a in self.sites)
+
+
+def _family(a, j: int, count: int) -> np.ndarray:
+    """Site ``j`` of ``count`` as a checked complex (P, S, rows, 2) array."""
+    site = dm.stacked(a, (None, None, 1 if j == count - 1 else 2, 2), f"site {j}")
+    if len(site) > 2:
+        raise DimensionMismatch(f"site {j} has {len(site)} physical slots, not 1 or 2")
+    return site
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,11 @@ def _site(state: MpoState, index: int) -> np.ndarray:
 
 
 def _with_site(state: MpoState, index: int, site: np.ndarray) -> MpoState:
-    return replace(state, sites=(*state.sites[:index], site, *state.sites[index + 1 :]))
+    """``state`` with site ``index`` replaced and checked, the others as they were."""
+    new = copy.copy(state)  # skips __post_init__ and its check of every site
+    site = _family(site, index, state.n_sites)
+    object.__setattr__(new, "sites", (*state.sites[:index], site, *state.sites[index + 1 :]))
+    return new
 
 
 def mpo_measure(state: MpoState, index: int, basis_vec: np.ndarray) -> MpoState:

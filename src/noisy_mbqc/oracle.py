@@ -1,14 +1,14 @@
 """Brute-force density-matrix circuit simulator used as ground truth.
 
-The register holds up to ``densemath.max_qubits()`` sites (default 12).
-A prep op only records its site's operator.  The site joins the dense state
-when an op first touches it, together with every prep issued before its own,
-in op order; preps no op touched join at the end.  A site leaves the state on
-its readout, which traces it out as a readout collapses a site out of an MPO,
-so a circuit that prepares every site first and then reads them out one by
-one, like a long chain, runs on a small live state.  Everything is linear in
-the state, so callers may feed basis elements |i><j| to assemble process
-matrices; no positivity is enforced on prepared operators.
+The dense state holds at most ``densemath.max_qubits()`` qubits (default 12);
+site labels may run past it.  A prep op only records its site's operator.  The
+site joins the dense state when an op first touches it, together with every
+prep issued before its own, in op order; preps no op touched join at the end.
+A site leaves the state on its readout, which traces it out as a readout
+collapses a site out of an MPO, so a circuit that prepares every site first and
+then reads them out one by one, like a long chain, runs on a small live state.
+Everything is linear in the state, so callers may feed basis elements |i><j| to
+assemble process matrices; no positivity is enforced on prepared operators.
 
 :func:`simulate` returns the bare state over the surviving sites.  A
 measurement names the unit ket of its outcome, the same readout form
@@ -28,17 +28,16 @@ channel is one matmul per branch with the 4x4 superoperator
 sum_r K_r (x) conj(K_r); CZ negates two quarter-slices in place; a readout
 contracts <v| and |v> into the site's axes, once per ket.  No 2^m x 2^m
 operator is built.  Single-site maps hold two state-sized arrays, the state
-and a spare they write into (268 MB each by shape at m=12 and B=1, when all
-twelve sites are joined at once; the ``mpo`` runner's site-ordered circuit
-holds its unmeasured sites and a few more, 3 sites at most on 8-10-site
-clusters read out everywhere); a readout frees the spare and holds the
-state, its half-sized contraction and the K quarter-sized branches it forks
-into.
+and a spare they write into (268 MB each at m=12 and B=1; the ``mpo`` runner's
+circuit holds at most its open sites and two more); a readout frees the spare
+and holds the state, its half-sized contraction and the K quarter-sized
+branches it forks into.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -106,10 +105,11 @@ class _Register:
     """
 
     def __init__(self, n: int):
-        self.n = n
+        self.n, self.cap = n, dm.max_qubits()
         self.sites: list[int] = []  # joined sites, kept in ascending site order
         # preps no op has touched yet, in op order: (site, (P, 2, 2) blocks, axis)
-        self.pending: list[tuple[int, np.ndarray, int | None]] = []
+        self.pending: deque[tuple[int, np.ndarray, int | None]] = deque()
+        self.waiting: set[int] = set()  # the sites of ``pending``
         self.axes: list[int] = []  # the op-order stack number of each branch axis
         self.state = np.ones((1, 1, 1), dtype=complex)
         self.spare = np.empty((0, 0, 0), dtype=complex)
@@ -127,9 +127,8 @@ class _Register:
         to and including theirs has joined."""
         for site in sites:
             self.check_site(site)
-            waiting = [s for s, _, _ in self.pending]
-            if site in waiting:
-                self.join(waiting.index(site) + 1)
+            if site in self.waiting:
+                self.join(site)
             if site not in self.sites:
                 raise SiteOutOfRange(f"site {site} has not been prepared")
         return [self.sites.index(site) for site in sites]
@@ -138,20 +137,27 @@ class _Register:
         """Record the prep of ``site`` in the (P, 2, 2) ``blocks`` as pending;
         ``axis`` numbers a stack among the circuit's stacks, None a lone prep."""
         self.check_site(site)
-        if site in self.sites or any(s == site for s, _, _ in self.pending):
+        if site in self.sites or site in self.waiting:
             raise SiteOutOfRange(f"site {site} prepared twice")
         self.pending.append((site, blocks, axis))
+        self.waiting.add(site)
 
-    def join(self, count: int):
-        """Tensor in the first ``count`` pending preps, in op order."""
-        for site, blocks, axis in self.pending[:count]:
+    def join(self, last: int | None = None):
+        """Tensor in pending preps in op order, through site ``last``'s (or all)."""
+        while self.pending:
+            site, blocks, axis = self.pending.popleft()
+            self.waiting.remove(site)
             self.prep(site, blocks)
             if axis is not None:
                 self.axes.append(axis)
-        del self.pending[:count]
+            if site == last:
+                return
 
     def prep(self, site: int, blocks: np.ndarray):
-        """Tensor in one of the (P, 2, 2) ``blocks`` per branch: B -> B * P."""
+        """Tensor in one of the (P, 2, 2) ``blocks`` per branch, B -> B * P, if m < cap."""
+        if self.m >= self.cap:
+            held = f"{self.m + 1} qubits densely, over the cap of {self.cap}"
+            raise SizeLimit(f"joining site {site} would hold {held} (NOISY_MBQC_MAX_QUBITS)")
         pos = bisect_left(self.sites, site)
         left, right = 2**pos, 2 ** (self.m - pos)
         b, p = len(self.state), len(blocks)
@@ -239,7 +245,7 @@ def _readout_kets(ket) -> np.ndarray:
 
 
 def simulate(n: int, ops) -> np.ndarray:
-    """Run the operation list over an ``n``-site register, one branch per row
+    """Run the operation list over sites labelled 0..n-1, one branch per row
     of each prep and readout stack, and return the states over the surviving
     sites in ascending site order, shape (*stacks, D, D): one leading axis per
     stack, in op order.  Nothing is sampled; the final trace is the
@@ -247,10 +253,10 @@ def simulate(n: int, ops) -> np.ndarray:
 
     A prep joins the state when an op first touches its site, with every
     prep issued before it (see the module docstring), so each op costs
-    O(B * 4^m) on the m sites joined and not yet read out."""
-    cap = dm.max_qubits()
-    if not 1 <= n <= cap:
-        raise SizeLimit(f"register size {n} outside [1, {cap}]")
+    O(B * 4^m) on the m sites joined and not yet read out, and a join past
+    ``densemath.max_qubits()`` raises SizeLimit."""
+    if n < 1:
+        raise SizeLimit(f"register size {n} must be at least 1")
     reg = _Register(n)
     stacks: list[int] = []  # the length of each stack met so far, in op order
 
@@ -280,7 +286,7 @@ def simulate(n: int, ops) -> np.ndarray:
             stacks += kets.shape[:-1]
         else:
             raise TypeError(f"unknown circuit op {op!r}")
-    reg.join(len(reg.pending))
+    reg.join()
     dim = 2**reg.m
     # a stacked prep may join after a later readout forked: axes back to op order
     joined = reg.state.reshape(*(stacks[a] for a in reg.axes), dim, dim)

@@ -74,6 +74,20 @@ def whole_register_ops(builder: str, n: int, events: list, readouts: list) -> li
     return [*ops, *events, *readouts]
 
 
+def record_live_qubits(monkeypatch) -> list[int]:
+    """Wrap ``oracle._Register.prep``, where every site joins the dense state,
+    to record the live qubit count after each join; the list starts at 0."""
+    sizes = [0]
+    prep = oracle._Register.prep
+
+    def recorded(reg, site, blocks):
+        prep(reg, site, blocks)
+        sizes.append(reg.m)
+
+    monkeypatch.setattr(oracle._Register, "prep", recorded)
+    return sizes
+
+
 def report_from_dict(doc: dict) -> Report:
     """Read back a JSON report of format 2 (``cli.report_to_dict``); a passing
     case has no ``oracle`` key and reads back with ``oracle=None``."""

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import choi_distance, random_complex, random_density, run_block_sequence
@@ -25,6 +27,7 @@ from noisy_mbqc.channels import (
     phase_flip,
     random_channel,
 )
+from noisy_mbqc.cli import parse_experiment, run_experiment
 from noisy_mbqc.errors import DimensionMismatch, ZBasisUnsupported
 from noisy_mbqc.oracle import block_oracle_channel
 
@@ -422,3 +425,56 @@ def test_noise_maps_match_the_pauli_table_rules(seed, n_kraus, structured, phi):
         want = reference_measurement_map(noise, phi, k)
         assert len(got) == len(want)
         assert all(dm.max_abs_diff(g, w) <= 1e-13 for g, w in zip(got, want))
+
+
+# --- the rotation convention, pinned by numbers written out by hand ---------
+# rz(phi) = exp(-i phi Z / 2); the closed forms and the oracle both read it,
+# so only literal values can see a wrong convention
+
+_STEP_ON_PLUS = {  # (1/2) X^k H exp(i pi/4 Z) |+><+| exp(-i pi/4 Z) H X^k
+    0: [[0.25, -0.25j], [0.25j, 0.25]],
+    1: [[0.25, 0.25j], [-0.25j, 0.25]],
+}
+
+
+def _anchor_equatorial_ket():
+    want = np.array([np.exp(-0.25j * np.pi), np.exp(0.25j * np.pi)]) / np.sqrt(2)
+    np.testing.assert_allclose(dm.equatorial_ket(np.pi / 2, 0), want, atol=1e-15)
+
+
+def _anchor_noiseless_step():
+    # on |0><0| every Z rotation cancels, (1/2)|+><+| whatever the angle; on
+    # |+><+| the angle shows
+    for k, want in _STEP_ON_PLUS.items():
+        step = ideal_block(MeasSpec.equatorial(np.pi / 2, k))
+        np.testing.assert_allclose(apply(step, dm.projector(dm.KET0)), 0.25, atol=1e-15)
+        np.testing.assert_allclose(apply(step, dm.projector(dm.PLUS)), want, atol=1e-15)
+
+
+def _anchor_one_step_chain():
+    doc = {"kind": "block_chain", "chain": [{"phi": np.pi / 2, "k": "both"}]}
+    report = run_experiment(parse_experiment(json.dumps(doc)))
+    assert [case.case_id for case in report.cases] == ["k=0", "k=1"]
+    for case, want in zip(report.cases, _STEP_ON_PLUS.values()):
+        np.testing.assert_allclose(case.closed_form, want, atol=1e-15)
+        np.testing.assert_allclose(case.oracle, want, atol=1e-15)
+
+
+_ANCHORS = [_anchor_equatorial_ket, _anchor_noiseless_step, _anchor_one_step_chain]
+_WRONG_RZ = {
+    "doubled": lambda phi: np.diag([np.exp(-1j * phi), np.exp(1j * phi)]),
+    "sign-flipped": lambda phi: np.diag([np.exp(0.5j * phi), np.exp(-0.5j * phi)]),
+}
+
+
+@pytest.mark.parametrize("anchor", _ANCHORS, ids=lambda f: f.__name__[len("_anchor_") :])
+def test_rotation_convention_anchor(anchor):
+    anchor()
+
+
+@pytest.mark.parametrize("mutant", sorted(_WRONG_RZ))
+@pytest.mark.parametrize("anchor", _ANCHORS, ids=lambda f: f.__name__[len("_anchor_") :])
+def test_rotation_anchors_reject_a_wrong_rz(monkeypatch, anchor, mutant):
+    monkeypatch.setattr(dm, "rz", _WRONG_RZ[mutant])
+    with pytest.raises(AssertionError):
+        anchor()

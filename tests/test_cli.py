@@ -15,7 +15,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import report_from_dict, run_block_sequence, whole_register_ops
+from conftest import (
+    record_live_qubits,
+    report_from_dict,
+    run_block_sequence,
+    whole_register_ops,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -367,6 +372,60 @@ def test_mpo_forks_give_each_outcome_string_its_own_branch(seed, n):
         ]
         want = oracle.simulate(n, whole_register_ops("cluster", n, events, readouts))
         np.testing.assert_allclose(case.oracle, want, rtol=0, atol=1e-12)
+
+
+def _long_cluster(n: int, open_sites, forks=(), seed=5) -> dict:
+    """An n-site cluster with a random two-Kraus channel on every other site
+    before the boundary and an x or z readout on every site not in
+    ``open_sites``: ``"both"`` on the ``forks``, a fixed outcome elsewhere."""
+    rng = np.random.default_rng(seed)
+    channels, site_ops, measurements = {}, [], []
+    for site in range(0, n - 1, 2):
+        ops = random_channel(rng, 2).ops
+        channels[f"c{site}"] = {"ops": [dm.mat_to_json(k) for k in ops]}
+        site_ops.append({"site": site, "channel": f"c{site}"})
+    for site in (int(s) for s in rng.permutation(n)):
+        if site not in open_sites:
+            outcome = "both" if site in forks else int(rng.integers(0, 2))
+            basis = ("x", "z")[int(rng.integers(0, 2))]
+            measurements.append({"site": site, "basis": basis, "outcome": outcome})
+    return {
+        "kind": "mpo",
+        "channels": channels,
+        "builder": {"name": "cluster", "n": n},
+        "site_ops": site_ops,
+        "measurements": measurements,
+    }
+
+
+@pytest.mark.parametrize("open_sites", [(30, 59), (0, 17, 42, 59)], ids=["2-open", "4-open"])
+def test_long_cluster_runs_on_a_few_live_qubits(monkeypatch, open_sites):
+    # 60 sites under the default cap: fixed readouts leave no axis and take no
+    # share of the cap, and the oracle holds the open sites and two more
+    sizes = record_live_qubits(monkeypatch)
+    report = run_experiment(parse_experiment(spec_text(_long_cluster(60, open_sites))))
+    assert max(sizes) <= len(open_sites) + 2
+    (case,) = report.cases
+    tr = np.trace(case.closed_form).real
+    assert 0.0 < tr < 1e-9  # the absolute gate alone could not see a wrong branch
+    assert case.oracle.shape == (2 ** len(open_sites),) * 2
+    np.testing.assert_allclose(
+        case.oracle / np.trace(case.oracle).real, case.closed_form / tr, rtol=0, atol=1e-12
+    )
+
+
+def test_200_site_cluster_with_fixed_readouts_runs_at_the_default_cap(tmp_path, capsys):
+    # 195 fixed readouts would be as many result axes if each forked, past
+    # numpy's 64; two "both" readouts give four cases over three open sites
+    doc = _long_cluster(200, open_sites=(3, 100, 199), forks=(50, 150))
+    assert sum(m["outcome"] != "both" for m in doc["measurements"]) == 195
+    assert _run_doc(tmp_path, doc) == 0
+    assert "summary: 4 cases, " in capsys.readouterr().out
+    for case in run_experiment(parse_experiment(spec_text(doc))).cases:
+        tr = np.trace(case.closed_form).real
+        np.testing.assert_allclose(
+            case.oracle / np.trace(case.oracle).real, case.closed_form / tr, atol=1e-12
+        )
 
 
 def test_case_filter():
@@ -750,8 +809,9 @@ SKELETONS = [
     {"kind": "mpo", "builder": {"name": "one_clean", "n": 2}},
 ]
 
-# nulls, wrong types and out-of-range values; 9 sites exceed the register cap
-# the fuzz runs under, so no document grows a large dense state
+# nulls, wrong types and out-of-range values; a 9-site builder leaves more
+# open sites than the cap the fuzz runs under, and the oracle never holds more
+# qubits than that cap, so no document grows a large dense state
 _BAD_VALUES = [
     None, True, "x", "0.5", 1.0, 1.7, -1, 0, 9, [], {}, [0.5], math.nan, math.inf
 ]
@@ -959,7 +1019,11 @@ _Z_PHI = "chain[{}].phi: a Z step takes no angle"
         (_CHAIN, ("chain", 0, "z"), [0], _Z + "[0]"),
         (_CHAIN, ("chain", 1, "z"), None, "chain[1].z: expected a boolean, got None"),
         pytest.param(
-            _MPO, ("builder", "n"), 10**400, "builder.n must be <= ", id="n-10e400"
+            _MPO,
+            ("builder", "n"),
+            10**400,
+            "builder.n: open sites plus forking readouts must be <= ",
+            id="n-10e400",
         ),
         (MINIMAL_BLOCK, ("seed",), -3, "seed must be >= 0, got -3"),
         # an empty path passes the value as a command-line flag instead
@@ -1281,15 +1345,24 @@ def test_chain_z_false_is_the_equatorial_step():
 
 @pytest.mark.parametrize("name", ["cluster", "maximally_mixed", "one_clean"])
 def test_builder_n_over_register_cap_fails_at_parse(tmp_path, capsys, monkeypatch, name):
+    # the cap counts open sites plus forking readouts: the largest n admitted
+    # with every site open still runs, and one more open site is refused
     monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "5")
     limit = 4 if name == "one_clean" else 5  # one_clean adds a clean qubit
     doc = {"kind": "mpo", "builder": {"name": name, "n": limit + 1}}
-    with pytest.raises(ParseError, match=rf"^builder\.n must be <= {limit} "):
+    message = "builder.n: open sites plus forking readouts must be <= 5 (NOISY_MBQC_MAX_QUBITS)"
+    with pytest.raises(ParseError, match=re.escape(message + ", got 6 + 0")):
         parse_experiment(spec_text(doc))
     assert _run_doc(tmp_path, doc) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: builder.n must be <= ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}, got 6 + 0\n"
     assert _run_doc(tmp_path, _set(doc, ("builder", "n"), limit)) == 0
+    # a fixed readout of site 0 leaves five open sites, a forking one does not
+    fixed = {"site": 0, "basis": "x", "outcome": 1}
+    assert _run_doc(tmp_path, dict(doc, measurements=[fixed])) == 0
+    capsys.readouterr()
+    both = dict(doc, measurements=[dict(fixed, outcome="both")])
+    assert _run_doc(tmp_path, both) == 2
+    assert capsys.readouterr().err == f"error: {message}, got 5 + 1\n"
 
 
 @pytest.mark.parametrize(
@@ -1680,7 +1753,7 @@ def test_chain_holds_two_qubits_whatever_its_length(tmp_path, capsys, monkeypatc
     # each step's circuit holds two qubits, one more than this cap
     monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "1")
     assert _run_doc(tmp_path, _fixed_chain(100)) == 2
-    assert "register size 2 outside [1, 1]" in capsys.readouterr().err
+    assert "would hold 2 qubits densely, over the cap of 1 " in capsys.readouterr().err
 
 
 def test_chain_longer_than_the_recursion_limit_runs(tmp_path, capsys):

@@ -886,6 +886,38 @@ def test_contraction_is_bounded_by_the_qubit_cap(monkeypatch):
         mpo_contract(mpo_cluster(5))
 
 
+def test_an_event_on_a_long_state_checks_only_its_site(monkeypatch):
+    # an event or readout re-checks the one site it changes, not all 200
+    state, n, flip = mpo_cluster(200), 200, bit_flip(0.1)
+    calls = []
+    stacked = dm.stacked
+
+    def counted(a, shape, what):
+        calls.append(what)
+        return stacked(a, shape, what)
+
+    monkeypatch.setattr(dm, "stacked", counted)
+    state = mpo_apply_channel(state, 100, flip)
+    state = mpo_apply_pauli(state, 7, (1, 1))
+    state = mpo_apply_unitary(state, 8, dm.H)
+    state = x_measure(state, 100, 1)
+    state = mpo_measure(state, n - 1, dm.KET0)
+    assert calls == [
+        "site 100",
+        "site 7",
+        "unitary",
+        "site 8",
+        "measurement ket",
+        "site 100",
+        "measurement ket",
+        f"site {n - 1}",
+    ]
+    monkeypatch.undo()
+    assert state.unmeasured_count() == n - 2
+    with pytest.raises(AlreadyMeasured):
+        mpo_measure(state, 100, dm.PLUS)
+
+
 @pytest.mark.parametrize("doc", [[], None, "x", 3])
 def test_from_dict_rejects_a_top_level_that_is_not_an_object(doc):
     with pytest.raises(DimensionMismatch, match=r"^seed and sites: expected an object"):

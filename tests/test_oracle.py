@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import build_cluster_dm, random_density
+from conftest import build_cluster_dm, random_density, record_live_qubits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -252,13 +252,39 @@ def test_simulate_refuses_a_bad_stack(name):
 
 
 def test_size_limit_and_env_cap(monkeypatch):
-    with pytest.raises(SizeLimit):
-        simulate(13, [])
+    # the cap counts the qubits held densely, not the site labels
+    with pytest.raises(SizeLimit, match="^register size 0 must be at least 1$"):
+        simulate(0, [])
+    monkeypatch.delenv("NOISY_MBQC_MAX_QUBITS", raising=False)
+    assert dm.max_qubits() == 12
     monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "2")
-    with pytest.raises(SizeLimit):
-        simulate(3, [])
-    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "13")
-    simulate(13, [])  # raised cap admits a larger register
+    with pytest.raises(SizeLimit, match="^joining site 2 would hold 3 qubits densely, "):
+        simulate(3, cluster_ops(3))
+    simulate(3, [PrepPlus(0), PrepPlus(1), PrepPlus(2), Measure(0, dm.PLUS), CZ(1, 2)])
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "3")
+    assert simulate(3, cluster_ops(3)).shape == (8, 8)  # a raised cap admits it
+
+
+def test_join_past_the_cap_raises_before_the_state_grows(monkeypatch):
+    sizes = record_live_qubits(monkeypatch)
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "3")
+    with pytest.raises(SizeLimit, match="^joining site 3 would hold 4 qubits densely, "):
+        simulate(5, cluster_ops(5))
+    assert sizes == [0, 1, 2, 3]
+
+
+def test_site_labels_run_past_the_cap(monkeypatch):
+    # 300 sites read out one after another hold at most two live qubits
+    sizes = record_live_qubits(monkeypatch)
+    n = 300
+    ops = [*(PrepPlus(i) for i in range(n))]
+    for i in range(n - 1):
+        ops += [CZ(i, i + 1), Measure(i, dm.PLUS)]
+    out = simulate(n, ops)
+    assert max(sizes) == 2 and out.shape == (2, 2)
+    assert np.trace(out).real == pytest.approx(2.0 ** -(n - 1), rel=1e-12)
+    with pytest.raises(SiteOutOfRange, match="outside register of size 300"):
+        simulate(n, [PrepPlus(n)])
 
 
 def test_block_oracle_noiseless_matches_ideal_choi():
