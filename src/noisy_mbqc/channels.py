@@ -74,14 +74,17 @@ def validate(ops) -> KrausChannel:
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel: sum_m K_m rho K_m^dag.
+    """Apply the channel, sum_m K_m rho K_m^dag, to ``rho``: one 2x2 state or an
+    (N, 2, 2) stack of them, told apart by shape as an oracle prep's are
+    (:func:`densemath.item_or_stack`); a stack gives an (N, 2, 2) stack.
 
-    The r products are one batched matmul over the stacked Kraus operators,
-    summed over the stack axis.
+    The r products of every state are one batched matmul over the stacked
+    Kraus operators, summed over the Kraus axis, so each state of a stack
+    gets the bits it would get alone.
     """
-    rho = dm.stacked(rho, (2, 2), "state rho")
+    rho = dm.item_or_stack(rho, (2, 2), "state rho (2x2, or an (N, 2, 2) stack)")
     ks = ch.ops
-    return (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+    return (ks @ rho[..., None, :, :] @ ks.conj().transpose(0, 2, 1)).sum(axis=-3)
 
 
 def compose(after: KrausChannel, before: KrausChannel) -> KrausChannel:

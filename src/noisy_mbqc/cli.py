@@ -36,10 +36,13 @@ compared unnormalised so traces carry branch probabilities.  The oracle runs
 a step as two-qubit circuits, ``oracle.block_step_ops`` after the previous
 output on site 0, so a chain of any length holds two qubits.  Both paths grow
 the outcome strings' prefix tree one step at a time and compose each distinct
-step once: an L-step chain costs 2^(L+1) - 2 step evaluations.  The oracle
-runs each step as one ``oracle.simulate`` call: every prefix is one prep
-stack, and the readout, on the site ``block_step_ops`` reads out, forks over
-the kets of each (sign of the angle, outcome) the step needs, at most four.
+step once: an L-step chain costs 2^(L+1) - 2 step evaluations.  Each path
+keeps a level's prefixes as one (prefixes, 2, 2) stack.  The closed form makes
+one ``channels.apply`` call per distinct step channel of the level, at most
+four, on the stack of the prefixes it follows.  The oracle runs each step as
+one ``oracle.simulate`` call: every prefix is one prep stack, and the readout,
+on the site ``block_step_ops`` reads out, forks over the kets of each (sign of
+the angle, outcome) the step needs, at most four.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, n sites (n+1 for ``one_clean``), whose open sites
@@ -84,13 +87,19 @@ The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 or file work, and returns the spec with its kind's ``run(rng)``; the runner
 reads no field of the document.
 
-Reports: the JSON and CSV writers and the console lines all read one view of
-a report, whose verdict per case is ``Report.ok``.  ``--out`` writes CSV when
-the path ends in ``.csv``, else JSON (``"format": 2``; a case's ``oracle``
-matrix only when it fails) as ``json.dumps(report_to_dict(report), indent=2)``
-plus a final newline: floats read as their ``repr`` (``NaN``, ``Infinity``,
-``-Infinity`` when not finite), and two runs of one document give
-byte-identical reports apart from ``meta.timestamp``.
+Reports: every runner scores its cases once, as (N, d, d) stacks of closed
+forms and oracle outputs (``densemath.max_abs_diff`` and ``trace_distance``
+give one value per matrix).  The JSON and CSV writers and the console lines
+all read one view of a report, whose verdict per case is ``Report.ok``.
+``--out`` writes CSV when the path ends in ``.csv``, else JSON (``"format":
+2``; a case's ``oracle`` matrix only when it fails) as
+``json.dumps(report_to_dict(report), indent=2)`` plus a final newline: floats
+read as their ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` when not
+finite), and two runs of one document give byte-identical reports apart from
+``meta.timestamp``.  The JSON writer reaches those bytes without the
+pure-Python encoder: it lays each case out from a layout cached per verdict,
+which ``json.dumps(..., indent=2)`` wrote once from a one-case view, and one
+``json.dumps`` of a list (the C encoder) formats every value of the report.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
@@ -108,7 +117,6 @@ import hashlib
 import json
 import math
 import numbers
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -428,14 +436,14 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         pauli = is_pauli_channel(eps)
         resource = diagonal_resource(eps)
         outputs = oracle.teleport_oracle_state(eps, np.stack(rhos))
-        cases = []
+        ids, closed = [], []
         for (idx, rho), s, t in product(enumerate(rhos), range(2), range(2)):
+            ids.append(f"input{idx}:s{s}t{t}")
             if pauli:
-                closed = pauli_corrected_target(eps, rho, s, t)
+                closed.append(pauli_corrected_target(eps, rho, s, t))
             else:
-                closed = teleport_branch(resource, rho, s, t)
-            cases.append(_case(f"input{idx}:s{s}t{t}", closed, outputs[idx, s, t]))
-        return select(cases)
+                closed.append(teleport_branch(resource, rho, s, t))
+        return select(_cases(ids, np.stack(closed), outputs.reshape(-1, 2, 2)))
 
     return run
 
@@ -496,14 +504,15 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     rho0 = _parse_state(doc.get("input", "plus"), "input")
 
     def run(rng, select) -> list[CaseResult]:
-        # the prefixes of one length, each as (outcomes, closed form, oracle output)
-        frontier = [((), rho0, rho0)]
+        # the prefixes of one length: their outcome strings, in product order,
+        # and their closed forms and oracle outputs as (prefixes, 2, 2) stacks
+        strings, closed, live = [()], rho0[None], rho0[None]
         for phi, ks, alphas in steps:
             # a prefix's outcomes set only the sign of the step's angle: a level
             # reads out a ket per (sign, k), at most four; a -0.0 angle keeps its own
             signs = [
                 -1.0 if phi and sum(outcomes[j] for j in phi[1]) % 2 else 1.0
-                for outcomes, _, _ in frontier
+                for outcomes in strings
             ]
             groups = list(dict.fromkeys(signs))
             specs = [
@@ -519,17 +528,20 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             # ket of the level; each prefix keeps the outputs of its own sign
             *body, last = oracle.block_step_ops(BlockNoiseConfig(meas=specs[0][0], **alphas))
             kets = np.stack([m.ket for row in specs for m in row])
-            lives = oracle.PrepState(0, np.stack([live for _, _, live in frontier]))
+            lives = oracle.PrepState(0, live)
             outs = oracle.simulate(2, [lives, *body, oracle.Measure(last.site, kets)])
-            outs = outs.reshape(len(frontier), len(groups), len(ks), 2, 2)
-            rows = map(groups.index, signs)
-            frontier = [
-                ((*outcomes, k), apply(composed[meas], closed), out)
-                for (outcomes, closed, _), g, forked in zip(frontier, rows, outs)
-                for k, meas, out in zip(ks, specs[g], forked[g])
-            ]
-        cases = [_case("k=" + "".join(map(str, s)), c, o) for s, c, o in frontier]
-        return select(cases)
+            at = np.array([groups.index(s) for s in signs])  # each prefix's sign group
+            forked = outs.reshape(len(strings), len(groups), len(ks), 2, 2)
+            live = forked[np.arange(len(at)), at]  # (prefix, k, 2, 2)
+            grown = np.empty_like(live)
+            for meas, channel in composed.items():  # one apply per distinct channel
+                uses = np.array([[m == meas for m in row] for row in specs])  # (sign, k)
+                prefix, k = np.nonzero(uses[at])
+                grown[prefix, k] = apply(channel, closed[prefix])
+            strings = [(*outcomes, k) for outcomes in strings for k in ks]
+            closed, live = grown.reshape(-1, 2, 2), live.reshape(-1, 2, 2)
+        ids = ["k=" + "".join(map(str, outcomes)) for outcomes in strings]
+        return select(_cases(ids, closed, live))
 
     return run
 
@@ -541,16 +553,16 @@ def _parse_block_random_suite(suite) -> Runner:
     n_kraus = _at_least(suite.get("kraus", 2), "random_suite.kraus", 1)
 
     def run(rng, select) -> list[CaseResult]:
-        cases = []
+        ids, closed, orac = [], [], []
         for i in range(n_cases):
             phi = float(rng.uniform(0.0, 2.0 * np.pi))
             alphas = {slot: random_channel(rng, n_kraus) for slot in _SLOTS}
             for k in (0, 1):
                 cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(phi, k), **alphas)
-                closed = choi(compose_block_noise(cfg))
-                orac = oracle.block_oracle_channel(cfg)
-                cases.append(_case(f"cfg{i}:k{k}", closed, orac))
-        return select(cases)
+                ids.append(f"cfg{i}:k{k}")
+                closed.append(choi(compose_block_noise(cfg)))
+                orac.append(oracle.block_oracle_channel(cfg))
+        return select(_cases(ids, np.stack(closed), np.stack(orac)))
 
     return run
 
@@ -655,11 +667,12 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     order = [sorted(forks).index(site) for site in forks]  # at most cap forks
 
     def run(rng, select) -> list[CaseResult]:
+        # the oracle first: a register it refuses wastes no MPO work
+        orac = oracle.simulate(sites, circuit)
+        outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
         state = build(n)
         for site, update, value in updates:
             state = update(state, site, value)
-        orac = oracle.simulate(sites, circuit)
-        outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
         branches = [((), state)]
         for site, (kets, axis) in measurements.items():  # each prefix once, product order
             branches = [
@@ -667,10 +680,9 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 for ks, branch in branches
                 for k in axis
             ]
-        cases = [
-            _case("m=" + "".join(map(str, ks)), mpo_mod.mpo_contract(branch), out)
-            for (ks, branch), out in zip(branches, outs, strict=True)
-        ]
+        ids = ["m=" + "".join(map(str, ks)) for ks, _ in branches]
+        closed = np.stack([mpo_mod.mpo_contract(branch) for _, branch in branches])
+        cases = _cases(ids, closed, outs)
 
         # written once every case has run and --cases selected some, so a
         # failed case or an empty selection leaves no file
@@ -727,15 +739,15 @@ def run_experiment(
     )
 
 
-def _case(case_id: str, closed: np.ndarray, orac: np.ndarray) -> CaseResult:
-    return CaseResult(
-        case_id=case_id,
-        closed_form=closed,
-        oracle=orac,
-        max_entry_diff=dm.max_abs_diff(closed, orac),
-        trace_distance=dm.trace_distance(closed, orac),
-        branch_prob=float(np.trace(closed).real),
-    )
+def _cases(ids: list[str], closed: np.ndarray, orac: np.ndarray) -> list[CaseResult]:
+    """One case per id, from the (N, d, d) stacks of its closed forms and oracle
+    outputs: each distance is one stacked call, which gives every case the bits
+    a call of its own would."""
+    diffs = dm.max_abs_diff(closed, orac).tolist()
+    dists = dm.trace_distance(closed, orac).tolist()
+    probs = np.trace(closed, axis1=-2, axis2=-1).real.tolist()
+    rows = zip(ids, closed, orac, diffs, dists, probs, strict=True)
+    return [CaseResult(*row) for row in rows]
 
 
 def _random_density(rng: np.random.Generator) -> np.ndarray:
@@ -786,46 +798,114 @@ def report_to_dict(report: Report) -> dict:
     return _report_skeleton(report, dm.mat_to_json)
 
 
-# a matrix leaf in the layout text; a quote inside string data is always
-# escaped, so a key's closing quote then ": null" appears only at the leaves
-_LEAF = re.compile(r'(?<="closed_form": )null|(?<="oracle": )null')
+_SLOT = "\x00"  # a stand-in value: json writes it "\u0000", which no layout text holds
 _PAD = "\n      "  # a case's keys' indent, at which its matrix leaves sit
 _BLOCK_ROWS = 16  # matrix rows per piece handed to the file, so memory stays flat
+
+
+def _slotted(view):
+    """``view`` with every value that is not a dict or a list replaced by _SLOT."""
+    if isinstance(view, dict):
+        return {key: _slotted(value) for key, value in view.items()}
+    if isinstance(view, list):
+        return [_slotted(value) for value in view]
+    return _SLOT
+
+
+def _values(view) -> list:
+    """The values of ``view`` that :func:`_slotted` replaces, in text order."""
+    if isinstance(view, dict):
+        view = list(view.values())
+    if isinstance(view, list):
+        return [leaf for value in view for leaf in _values(value)]
+    return [view]
+
+
+def _segments(text: str, holes: list[bool]) -> list[tuple[str, int, int]]:
+    """``text``, cut at its json-written _SLOT values, as the % formats between
+    the slots flagged in ``holes``: (format, first slot, end slot) each."""
+    pieces = text.replace("%", "%%").split(json.dumps(_SLOT))
+    segments, fmt, start = [], pieces[0], 0
+    for j, (hole, piece) in enumerate(zip(holes, pieces[1:], strict=True)):
+        if hole:
+            segments.append((fmt, start, j))
+            fmt, start = piece, j + 1
+        else:
+            fmt += "%s" + piece
+    return [*segments, (fmt, start, len(holes))]
+
+
+@functools.cache
+def _layout() -> tuple[list, dict, str]:
+    """``json.dumps(..., indent=2)`` of a one-case report view, as segments: the
+    report's around the place of its cases, a case's per verdict around its matrix
+    leaves, and the text between two cases.  The view comes from
+    :func:`_report_skeleton`, so the layout is defined there alone."""
+    mark, cases = object(), {}
+    for ok in (True, False):
+        probe = CaseResult("", None, None, float(not ok), 0.0, 0.0)
+        view = _report_skeleton(Report([probe], 0.5, 0, "", ""), lambda m: mark)
+        [case], view["cases"] = view["cases"], [_SLOT]
+        holes = [value == _SLOT for value in _values(view)]
+        frame = _segments(json.dumps(_slotted(view), indent=2), holes)
+        head = frame[0][0]  # its last line indents the first case
+        indent = head[head.rindex("\n") :]
+        text = json.dumps(_slotted(case), indent=2).replace("\n", indent)
+        cases[ok] = _segments(text, [value is mark for value in case.values()])
+    return frame, cases, "," + indent
 
 
 def _report_chunks(report: Report):
     """The text of ``json.dumps(report_to_dict(report), indent=2)``, in pieces.
 
-    ``json`` writes the report view with null at each matrix leaf, whose
-    matrices the view hands over in text order; the text is split at the
-    leaves and the matrices are streamed in between, a block of rows at a time.
-    Their entries become int64 views (re, im interleaved along each row), and
-    one ``np.unique`` finds the distinct bit patterns of the report.  Each is
-    formatted once, by one ``json.dumps`` of a list (the C encoder), so ``-0.0``,
-    NaN and the infinities read exactly as the pure-Python encoder writes them.
+    The report view's values, with null at each matrix leaf, fill the cached
+    layout of :func:`_layout`, one case at a time by its verdict; the matrices
+    the view hands over in text order are streamed into their leaves, a block
+    of rows at a time.  Their entries become int64 views (re, im interleaved
+    along each row), and one ``np.unique`` finds the distinct bit patterns of
+    the report.  One ``json.dumps`` of a list (the C encoder) formats every
+    value and each distinct float once, one a line (a string's newlines are
+    escaped), so strings, ``-0.0``, NaN and the infinities read exactly as the
+    pure-Python encoder writes them.
     """
     leaves: list[np.ndarray] = []
-    layout = json.dumps(_report_skeleton(report, leaves.append), indent=2)
+    view = _report_skeleton(report, leaves.append)
+    if not report.cases:  # json writes the empty list as [], a layout of its own
+        yield json.dumps(view, indent=2)
+        return
+    ((head, _, at), (tail, after, n_report)), cases, sep = _layout()
+    views, view["cases"] = view["cases"], [_SLOT]
+    values = _values(view) + [value for case in views for value in case.values()]
     mats = [np.ascontiguousarray(m, dtype=complex).view(np.int64) for m in leaves]
     flat = np.concatenate([np.empty(0, np.int64), *(m.ravel() for m in mats)])
     bits, inverse = np.unique(flat, return_inverse=True)
-    floats = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    text = np.array(floats, dtype=object)
-    pieces = _LEAF.split(layout)
-    yield pieces[0]
-    end = 0
-    for m, piece in zip(mats, pieces[1:], strict=True):
-        start, end = end, end + m.size
-        if not m.size:
-            yield json.dumps(m.tolist(), indent=2).replace("\n", _PAD) + piece
-            continue
-        cells = text[inverse[start:end]].tolist()
-        rows, width = m.shape
-        for r in range(0, rows, _BLOCK_ROWS):
-            n = min(_BLOCK_ROWS, rows - r)
-            block = cells[r * width : (r + n) * width]
-            yield _rows_template(width, n, r == 0) % tuple(block)
-        yield _PAD + "]" + piece
+    text = json.dumps([*values, *bits.view(np.float64).tolist()], separators=("\n", ":"))
+    text = text[1:-1].split("\n")
+    cells = np.array(text[len(values) :], dtype=object)
+    yield head % tuple(text[:at])
+    base, leaf, end = n_report, iter(mats), 0  # the cases' values follow the report's
+    for i, case in enumerate(views):
+        (fmt, a, b), *rest = cases[case["pass"]]
+        yield (sep if i else "") + fmt % tuple(text[base + a : base + b])
+        for fmt, a, b in rest:
+            m = next(leaf)
+            start, end = end, end + m.size
+            yield from _matrix_chunks(m, cells[inverse[start:end]].tolist())
+            yield fmt % tuple(text[base + a : base + b])
+        base += len(case)
+    yield tail % tuple(text[after:n_report])
+
+
+def _matrix_chunks(m: np.ndarray, cells: list[str]):
+    """A matrix leaf's text, of the int64 view ``m`` and its formatted floats."""
+    if not m.size:
+        yield json.dumps(m.tolist(), indent=2).replace("\n", _PAD)
+        return
+    rows, width = m.shape
+    for r in range(0, rows, _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, rows - r)
+        yield _rows_template(width, n, r == 0) % tuple(cells[r * width : (r + n) * width])
+    yield _PAD + "]"
 
 
 @functools.lru_cache(maxsize=32)
@@ -866,7 +946,10 @@ def emit_report(report: Report, path: str) -> None:
 _SPEC_ERRORS = (ValueError, IndexError, MemoryError)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call of :func:`main` and kept for
+    the process: each ``parse_args`` starts from the defaults again."""
     parser = argparse.ArgumentParser(
         prog="noisy-mbqc",
         description="Run noise-propagation experiments against the density-matrix oracle.",
@@ -878,7 +961,11 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     runp.add_argument("--tol", type=float, default=None, help="override the tolerance")
     runp.add_argument("--cases", help="report and judge only cases whose id contains this")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:

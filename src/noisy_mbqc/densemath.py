@@ -37,18 +37,23 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
+def _complex(a) -> np.ndarray | None:
+    """``a`` as a complex array, or None when it is ragged or non-numeric (a
+    string, bytes or any other object entry, even one numpy could parse)."""
+    try:
+        raw = np.asarray(a)
+        return None if raw.dtype.kind in "OSUV" else raw.astype(complex, copy=False)
+    except (TypeError, ValueError):  # numpy's "inhomogeneous shape", or a non-number
+        return None
+
+
 def stacked(a, shape: tuple, what: str) -> np.ndarray:
     """``a``, an array or nested sequences, as a non-empty complex array of
     ``shape``, whose leading ``None`` axes take any length: the one conversion
     and shape check of every state, operator, ket, Kraus set and MPO site a
-    public call takes.  Ragged or non-numeric input (a string, bytes or any
-    other object entry, even one numpy could parse) raises DimensionMismatch
+    public call takes.  Ragged or non-numeric input raises DimensionMismatch
     too, naming ``what``."""
-    try:
-        raw = np.asarray(a)
-        out = None if raw.dtype.kind in "OSUV" else raw.astype(complex, copy=False)
-    except (TypeError, ValueError):  # numpy's "inhomogeneous shape", or a non-number
-        out = None
+    out = _complex(a)
     free = shape.count(None)
     fits = out is not None and out.size and out.ndim == len(shape)
     if not fits or out.shape[free:] != shape[free:]:
@@ -56,6 +61,17 @@ def stacked(a, shape: tuple, what: str) -> np.ndarray:
         want = str(shape).replace("None", "*")
         raise DimensionMismatch(f"{what} must be a non-empty {want} array, got {got}")
     return out
+
+
+def item_or_stack(items, shape: tuple, what: str) -> np.ndarray:
+    """``items`` as a complex array: one item of ``shape`` or a non-empty stack
+    of them, told apart by shape, through :func:`stacked`; anything else is
+    refused as a stack.  The one rule of a call that takes either."""
+    try:
+        lone = np.shape(items) == shape
+    except ValueError:  # numpy's "inhomogeneous shape": ragged, refused below
+        lone = False
+    return stacked(items, shape if lone else (None, *shape), what)
 
 
 def unit_ket(ket) -> np.ndarray:
@@ -119,22 +135,36 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the sum of singular values of (a - b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * float(np.sum(np.linalg.svd(a - b, compute_uv=False)))
+def _difference(a, b) -> np.ndarray:
+    """``a - b`` as complex arrays of one shape, the operand of both distances;
+    ragged, non-numeric or mismatched arguments raise DimensionMismatch."""
+    a, b = _complex(a), _complex(b)
+    if a is None or b is None:
+        got = "ragged or non-numeric entries"
+    elif a.shape != b.shape:
+        got = f"shapes {a.shape} and {b.shape}"
+    else:
+        return a - b
+    raise DimensionMismatch(f"compared arrays must be numeric and of one shape, got {got}")
 
 
-def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entrywise difference |a - b|."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
+def trace_distance(a, b):
+    """Half the sum of singular values of (a - b), per matrix of the last two
+    axes: a float for two matrices, an array of the leading shape for two
+    stacks of them (each matrix gets the bits a call of its own would)."""
+    d = _difference(a, b)
+    half = 0.5 * np.sum(np.linalg.svd(d, compute_uv=False), axis=-1)
+    return float(half) if d.ndim == 2 else half
+
+
+def max_abs_diff(a, b):
+    """Largest entrywise difference |a - b|, 0.0 for no entries: a float for
+    two arrays of at most two axes, and per matrix of the last two axes, an
+    array of the leading shape, for two stacks of matrices."""
+    d = np.abs(_difference(a, b))
+    if d.ndim <= 2:
+        return float(np.max(d, initial=0.0))
+    return np.max(d, axis=(-2, -1), initial=0.0)
 
 
 def is_psd(m: np.ndarray) -> bool:

@@ -221,20 +221,11 @@ _PLUS = dm.projector(dm.PLUS)[None]
 _PLUS.setflags(write=False)
 
 
-def _stack(items, shape: tuple, what: str) -> np.ndarray:
-    """``items`` as a complex array: one item of ``shape`` or a non-empty stack
-    of them, told apart by shape; anything else is refused as a stack."""
-    try:
-        lone = np.shape(items) == shape
-    except ValueError:  # numpy's "inhomogeneous shape": ragged, refused below
-        lone = False
-    return dm.stacked(items, shape if lone else (None, *shape), what)
-
-
 def _readout_kets(ket) -> np.ndarray:
     """A readout's unit ket, or its (K, 2) stack of unit kets, each row
     checked by :func:`densemath.unit_ket`."""
-    kets = _stack(ket, (2,), "readout (a 2-vector, or a (K, 2) stack of at least one ket)")
+    what = "readout (a 2-vector, or a (K, 2) stack of at least one ket)"
+    kets = dm.item_or_stack(ket, (2,), what)
     for i, row in enumerate(kets.reshape(-1, 2)):
         try:
             dm.unit_ket(row)
@@ -264,7 +255,8 @@ def simulate(n: int, ops) -> np.ndarray:
         if isinstance(op, PrepPlus):
             reg.hold(op.site, _PLUS, None)
         elif isinstance(op, PrepState):
-            blocks = _stack(op.rho, (2, 2), "prepared state (2x2, or a (P, 2, 2) stack)")
+            what = "prepared state (2x2, or a (P, 2, 2) stack)"
+            blocks = dm.item_or_stack(op.rho, (2, 2), what)
             axis = len(stacks) if blocks.ndim == 3 else None
             reg.hold(op.site, blocks.reshape(-1, 2, 2), axis)
             stacks += blocks.shape[:-2]

@@ -132,6 +132,17 @@ def test_apply_phase_flip_half_kills_coherence():
     np.testing.assert_allclose(got, dm.I2 / 2, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_kraus", [1, 2, 4, 256])
+def test_apply_on_a_stack_equals_one_call_per_state_bit_for_bit(rng, n_kraus):
+    ch = KrausChannel(signed_zero_complex(rng, (n_kraus, 2, 2)))
+    rhos = signed_zero_complex(rng, (7, 2, 2))
+    got = apply(ch, rhos)
+    assert got.shape == (7, 2, 2)
+    for rho, out in zip(rhos, got, strict=True):
+        assert apply(ch, rho).tobytes() == out.tobytes()
+    assert apply(ch, rhos[:1]).shape == (1, 2, 2)  # a stack of one stays a stack
+
+
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         apply(identity_channel(), np.eye(4))

@@ -732,6 +732,27 @@ def _run_doc(tmp_path, doc, *extra) -> int:
     return main(["run", str(spec_path), *extra])
 
 
+def test_the_reused_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    doc = dict(MINIMAL_BLOCK, seed=3, tolerance=1e-8)
+    out = tmp_path / "report.json"
+
+    def report(*extra):
+        assert _run_doc(tmp_path, doc, "--out", str(out), *extra) == 0
+        written = json.loads(out.read_text())
+        cases = [c["case"] for c in written["cases"]]
+        return written["meta"]["seed"], written["tolerance"], cases
+
+    assert report("--seed", "5", "--tol", "0.5", "--cases", "k=0") == (5, 0.5, ["k=0"])
+    # the same parser again, with no options: the document's own seed and
+    # tolerance and all of its cases
+    assert report() == (3, 1e-8, ["k=0", "k=1"])
+    with pytest.raises(SystemExit) as exc:
+        _run_doc(tmp_path, doc, "--seeds", "5")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seeds 5" in capsys.readouterr().err
+    assert cli._parser() is cli._parser()
+
+
 def test_main_channels_not_an_object_is_spec_error(tmp_path, capsys):
     assert _run_doc(tmp_path, dict(MINIMAL_BLOCK, channels=[])) == 2
     assert "channels: expected an object" in capsys.readouterr().err
@@ -1365,6 +1386,41 @@ def test_builder_n_over_register_cap_fails_at_parse(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == f"error: {message}, got 5 + 1\n"
 
 
+_MPO_CALLS = (
+    "mpo_cluster",
+    "mpo_apply_pauli",
+    "mpo_apply_channel",
+    "mpo_measure",
+    "mpo_contract",
+)
+
+
+def test_a_register_the_oracle_refuses_costs_no_mpo_work(tmp_path, capsys, monkeypatch):
+    # five open sites and a fixed readout of the last one pass the parse rule,
+    # but the oracle holds all six sites densely before that readout; it runs
+    # first, so the refusal comes before the MPO state is built or updated
+    calls = []
+    for name in _MPO_CALLS:
+        fn = getattr(mpo, name)
+        monkeypatch.setattr(mpo, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    doc = {
+        "kind": "mpo",
+        "builder": {"name": "cluster", "n": 6},
+        "channels": {"bf": {"builtin": "bit_flip", "p": 0.1}},
+        "site_ops": [{"site": 0, "pauli": [1, 0]}, {"site": 2, "channel": "bf"}],
+        "measurements": [{"site": 5, "basis": "x", "outcome": 0}],
+    }
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "5")
+    assert _run_doc(tmp_path, doc) == 2
+    held = "joining site 5 would hold 6 qubits densely, over the cap of 5"
+    assert capsys.readouterr().err == f"error: {held} (NOISY_MBQC_MAX_QUBITS)\n"
+    assert calls == []
+    # one qubit more and the document runs, through every wrapped call
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "6")
+    assert _run_doc(tmp_path, doc) == 0
+    assert sorted(set(calls)) == sorted(_MPO_CALLS)
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -1697,6 +1753,7 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
         distinct.update((i, cfg.meas) for i, cfg in enumerate(_chain_cfgs(spec, ks)))
         angles.update((i, cfg.meas.phi) for i, cfg in enumerate(_chain_cfgs(spec, ks)))
     counts = {"apply": 0, "simulate": 0, "compose": 0}
+    applied = []  # the prefixes each apply call takes, as one (N, 2, 2) stack
 
     def counted(name, fn):
         def wrapper(*args):
@@ -1705,7 +1762,12 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "apply", counted("apply", apply))
+    def stacked_apply(ch, rho):
+        assert rho.shape[1:] == (2, 2)
+        applied.append(len(rho))
+        return counted("apply", apply)(ch, rho)
+
+    monkeypatch.setattr(cli, "apply", stacked_apply)
     monkeypatch.setattr(oracle, "simulate", counted("simulate", oracle.simulate))
     monkeypatch.setattr(
         cli, "compose_block_noise", counted("compose", compose_block_noise)
@@ -1713,9 +1775,11 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
     report = run_experiment(spec)
     assert len(report.cases) == 64 and report.passed
     # one evaluation per prefix, 2 + 4 + ... + 64, where a loop over the
-    # strings applies 6 * 64 steps; the oracle runs one call per level, its
+    # strings applies 6 * 64 steps; the closed form makes one stacked apply per
+    # distinct step channel of a level, and the oracle one call per level, its
     # prefixes stacked and the readout forking over every (angle, k) ket
-    assert counts["apply"] == 2**7 - 2 == 126
+    assert sum(applied) == 2**7 - 2 == 126
+    assert counts["apply"] == len(distinct) == 20
     assert counts["simulate"] == len({i for i, _ in angles}) == 6
     assert counts["compose"] == len(distinct) == 20
 

@@ -138,6 +138,17 @@ _ARRAY_ARGUMENTS = {
     "KrausChannel": (KrausChannel, (None, 2, 2), "Kraus operators"),
     "validate": (validate, (None, 2, 2), "Kraus operators"),
     "apply": (lambda a: apply(identity_channel(), a), (2, 2), "state rho"),
+    "apply_stack": (lambda a: apply(identity_channel(), a), (None, 2, 2), "state rho"),
+    "trace_distance": (
+        lambda a: dm.trace_distance(a, np.zeros((1, 2, 2))),
+        (None, 2, 2),
+        "compared arrays",
+    ),
+    "max_abs_diff": (
+        lambda a: dm.max_abs_diff(np.zeros((1, 2, 2)), a),
+        (None, 2, 2),
+        "compared arrays",
+    ),
     "pauli_decompose": (pauli_decompose, (2, 2), "operator k"),
     "check_unitary": (check_unitary, (2, 2), "unitary"),
     "unitary_channel": (unitary_channel, (2, 2), "unitary"),
@@ -217,6 +228,22 @@ def test_trace_distance_triangle(rng):
 def test_trace_distance_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         dm.trace_distance(np.eye(2), np.eye(4))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 16])
+@pytest.mark.parametrize("lead", [(0,), (5,), (2, 3)], ids=str)
+def test_stacked_distances_equal_the_per_matrix_calls_bit_for_bit(rng, d, lead):
+    # two stacks close enough that the singular values and entry differences
+    # are small, with signed zeros in both
+    a = signed_zero_complex(rng, (*lead, d, d))
+    b = a + 1e-9 * signed_zero_complex(rng, (*lead, d, d))
+    for distance in (dm.trace_distance, dm.max_abs_diff):
+        got = distance(a, b)
+        assert got.shape == lead
+        for index in np.ndindex(*lead):
+            one = distance(a[index], b[index])
+            assert type(one) is float
+            assert np.float64(one).tobytes() == got[index].tobytes()
 
 
 def test_is_psd():
