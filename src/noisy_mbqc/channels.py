@@ -74,9 +74,9 @@ def validate(ops) -> KrausChannel:
 
 
 def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel, sum_m K_m rho K_m^dag, to ``rho``: one 2x2 state or an
-    (N, 2, 2) stack of them, told apart by shape as an oracle prep's are
-    (:func:`densemath.item_or_stack`); a stack gives an (N, 2, 2) stack.
+    """Apply the channel, sum_m K_m rho K_m^dag, to ``rho``: one 2x2 state or a
+    stack of them, such as (N, 2, 2), told apart by shape as an oracle prep's
+    are (:func:`densemath.item_or_stack`); a stack gives a stack of its shape.
 
     The r products of every state are one batched matmul over the stacked
     Kraus operators, summed over the Kraus axis, so each state of a stack
@@ -117,14 +117,15 @@ def basis_element(g: int, h: int) -> np.ndarray:
     )
 
 
+#: PAULI_DAGGERS[g, h] is basis_element(g, h)^dag, the table pauli_decompose reads
+PAULI_DAGGERS = np.array([[dm.dag(basis_element(g, h)) for h in range(2)] for g in range(2)])
+PAULI_DAGGERS.setflags(write=False)
+
+
 def pauli_decompose(k: np.ndarray) -> np.ndarray:
     """Coefficients a[g, h] with k = sum_gh a[g, h] * basis_element(g, h)."""
     k = dm.stacked(k, (2, 2), "operator k")
-    table = np.zeros((2, 2), dtype=complex)
-    for g in range(2):
-        for h in range(2):
-            table[g, h] = np.trace(dm.dag(basis_element(g, h)) @ k) / 2.0
-    return table
+    return np.trace(PAULI_DAGGERS @ k, axis1=-2, axis2=-1) / 2.0
 
 
 def check_unitary(u) -> np.ndarray:

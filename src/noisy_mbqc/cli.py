@@ -21,7 +21,12 @@ Kind ``teleport``: ``resource_noise`` names a channel; ``inputs`` is either
 ``{"random": N}`` or a list of state specs (an alias ``"plus"``, ``"zero"``,
 ``"one"`` or ``"minus"``, also as ``{"state": alias}``, or a 2x2 ``{"matrix":
 [...]}``, Hermitian, positive and of trace 1 within ``densemath.ATOL``).  One
-case per input and Bell outcome.
+case per input and Bell outcome.  The closed form makes one call per Bell
+outcome (s, t), four in all, each on the (N, 2, 2) stack of every input:
+``teleport.pauli_corrected_target`` for a Pauli resource, else
+``teleport.teleport_branch`` on the resource; its memory grows with N like
+the oracle's own (N, 8, 8) state, which one ``oracle.teleport_oracle_state``
+call forks over both readouts.
 
 Kind ``block_chain``: either ``chain`` (a list of step entries, run on the
 state spec ``input``, default ``"plus"``) or ``random_suite`` (``{"cases": N,
@@ -432,18 +437,17 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         n_random = 0
 
     def run(rng, select) -> list[CaseResult]:
-        rhos = states + [_random_density(rng) for _ in range(n_random)]
-        pauli = is_pauli_channel(eps)
-        resource = diagonal_resource(eps)
-        outputs = oracle.teleport_oracle_state(eps, np.stack(rhos))
-        ids, closed = [], []
-        for (idx, rho), s, t in product(enumerate(rhos), range(2), range(2)):
-            ids.append(f"input{idx}:s{s}t{t}")
-            if pauli:
-                closed.append(pauli_corrected_target(eps, rho, s, t))
-            else:
-                closed.append(teleport_branch(resource, rho, s, t))
-        return select(_cases(ids, np.stack(closed), outputs.reshape(-1, 2, 2)))
+        rhos = np.stack(states + [_random_density(rng) for _ in range(n_random)])
+        if is_pauli_channel(eps):
+            branch = functools.partial(pauli_corrected_target, eps)
+        else:
+            branch = functools.partial(teleport_branch, diagonal_resource(eps))
+        outputs = oracle.teleport_oracle_state(eps, rhos)
+        # one call per Bell outcome over the input stack: closed[input, s, t]
+        bells = list(product(range(2), range(2)))
+        closed = np.stack([branch(rhos, s, t) for s, t in bells], axis=1)
+        ids = [f"input{i}:s{s}t{t}" for i in range(len(rhos)) for s, t in bells]
+        return select(_cases(ids, closed.reshape(-1, 2, 2), outputs.reshape(-1, 2, 2)))
 
     return run
 

@@ -65,13 +65,15 @@ def stacked(a, shape: tuple, what: str) -> np.ndarray:
 
 def item_or_stack(items, shape: tuple, what: str) -> np.ndarray:
     """``items`` as a complex array: one item of ``shape`` or a non-empty stack
-    of them, told apart by shape, through :func:`stacked`; anything else is
-    refused as a stack.  The one rule of a call that takes either."""
+    of them along one or more leading axes, told apart by shape, through
+    :func:`stacked`; anything else is refused as a one-axis stack.  The one
+    rule of a call that takes either."""
     try:
-        lone = np.shape(items) == shape
+        got = np.shape(items)
     except ValueError:  # numpy's "inhomogeneous shape": ragged, refused below
-        lone = False
-    return stacked(items, shape if lone else (None, *shape), what)
+        got = ()
+    lead = 0 if got == shape else max(len(got) - len(shape), 1)
+    return stacked(items, (None,) * lead + shape, what)
 
 
 def unit_ket(ket) -> np.ndarray:
@@ -115,24 +117,27 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     """Trace out every subsystem not listed in ``keep``.
 
     Args:
-        rho: operator on the full tensor-product space.
+        rho: operator on the full tensor-product space, or a non-empty stack
+            of them (:func:`item_or_stack`); a stack gives a stack of the
+            reduced operators, each with the bits a call of its own would.
         keep: indices of the subsystems to retain, in any order.
         dims: dimension of each subsystem; their product must match ``rho``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = int(np.prod(dims)) if dims else 1
-    rho = stacked(rho, (total, total), f"operator on subsystem dims {dims}")
+    rho = item_or_stack(rho, (total, total), f"operator on subsystem dims {dims}")
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatch(f"keep indices {keep} out of range for {n} subsystems")
 
     # axis i of the rows is label i; of the columns, n + i if kept, else i (traced)
+    lead = rho.shape[:-2]
     col = [n + i if i in keep else i for i in range(n)]
-    out = [*keep, *(n + i for i in keep)]
-    reduced = np.einsum(rho.reshape(dims + dims), [*range(n), *col], out)
+    out = [..., *keep, *(n + i for i in keep)]
+    reduced = np.einsum(rho.reshape(lead + dims + dims), [..., *range(n), *col], out)
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(*lead, d_keep, d_keep)
 
 
 def _difference(a, b) -> np.ndarray:

@@ -221,11 +221,19 @@ _PLUS = dm.projector(dm.PLUS)[None]
 _PLUS.setflags(write=False)
 
 
+def _one_stack(items, shape: tuple, what: str) -> np.ndarray:
+    """``items`` by :func:`densemath.item_or_stack`, held to one stack axis at
+    most, since a prep or readout stack forks the branches along one result
+    axis; :func:`densemath.stacked` refuses a stack of stacks."""
+    out = dm.item_or_stack(items, shape, what)
+    return out if out.ndim <= len(shape) + 1 else dm.stacked(out, (None, *shape), what)
+
+
 def _readout_kets(ket) -> np.ndarray:
     """A readout's unit ket, or its (K, 2) stack of unit kets, each row
     checked by :func:`densemath.unit_ket`."""
     what = "readout (a 2-vector, or a (K, 2) stack of at least one ket)"
-    kets = dm.item_or_stack(ket, (2,), what)
+    kets = _one_stack(ket, (2,), what)
     for i, row in enumerate(kets.reshape(-1, 2)):
         try:
             dm.unit_ket(row)
@@ -256,7 +264,7 @@ def simulate(n: int, ops) -> np.ndarray:
             reg.hold(op.site, _PLUS, None)
         elif isinstance(op, PrepState):
             what = "prepared state (2x2, or a (P, 2, 2) stack)"
-            blocks = dm.item_or_stack(op.rho, (2, 2), what)
+            blocks = _one_stack(op.rho, (2, 2), what)
             axis = len(stacks) if blocks.ndim == 3 else None
             reg.hold(op.site, blocks.reshape(-1, 2, 2), axis)
             stacks += blocks.shape[:-2]

@@ -6,7 +6,10 @@ on qubits (0, 1) with outcome (s, t) leaves qubit 2 holding, for any
 Pauli-noise resource, the unnormalised state (1/4) X^s Z^t e(rho) Z^t X^s:
 the resource noise commutes through the protocol and lands on the input.
 A branch is returned as that bare state, and its trace is the branch
-probability.
+probability.  Both branch forms take one 2x2 input or a stack of them, such
+as (N, 2, 2) (:func:`densemath.item_or_stack`), so one call per Bell outcome
+serves every input, each with the bits a call of its own would give.  The
+Bell projectors are built once, at import.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ def bell_ket(i: int, j: int) -> np.ndarray:
     return base @ v
 
 
+#: BELL_PROJECTORS[s, t] is |b_st><b_st| (x) I on qubits (0, 1, 2), read-only
+BELL_PROJECTORS = np.array(
+    [[np.kron(dm.projector(bell_ket(s, t)), dm.I2) for t in range(2)] for s in range(2)]
+)
+BELL_PROJECTORS.setflags(write=False)
+
+
 def diagonal_resource(eps: KrausChannel) -> np.ndarray:
     """Two-qubit resource sum_ij (1/2)|i><j| (x) eps(|i><j|): half the Choi matrix."""
     return 0.5 * choi(eps)
@@ -34,13 +44,17 @@ def diagonal_resource(eps: KrausChannel) -> np.ndarray:
 def teleport_branch(resource: np.ndarray, rho: np.ndarray, s: int, t: int) -> np.ndarray:
     """Project qubits (0, 1) of rho (x) resource onto the Bell state (s, t).
 
-    Returns Bob's unnormalised single-qubit state; its trace is the branch
-    probability (1/4 for any Bell-diagonal resource).
+    ``rho`` is one 2x2 input or a stack of them, such as (N, 2, 2); the
+    result is Bob's unnormalised single-qubit state per input, of the same
+    leading shape, whose trace is the branch probability (1/4 for any
+    Bell-diagonal resource).  The product rho (x) resource is one broadcast
+    multiply, so each input gets the bits ``np.kron`` would give it.
     """
     resource = dm.stacked(resource, (4, 4), "resource")
-    joint = np.kron(dm.stacked(rho, (2, 2), "input rho"), resource)
-    proj = np.kron(dm.projector(bell_ket(s, t)), dm.I2)
-    projected = proj @ joint @ proj
+    rho = dm.item_or_stack(rho, (2, 2), "input rho (2x2, or an (N, 2, 2) stack)")
+    proj = BELL_PROJECTORS[dm.outcome_bit(s), dm.outcome_bit(t)]
+    joint = rho[..., :, None, :, None] * resource[:, None, :]
+    projected = proj @ joint.reshape(*rho.shape[:-2], 8, 8) @ proj
     return dm.partial_trace(projected, keep=[2], dims=(2, 2, 2))
 
 
@@ -56,7 +70,9 @@ def is_pauli_channel(eps: KrausChannel) -> bool:
 def pauli_corrected_target(
     eps: KrausChannel, rho: np.ndarray, s: int, t: int
 ) -> np.ndarray:
-    """Closed-form branch state (1/4) X^s Z^t eps(rho) Z^t X^s, for bits s and t."""
+    """Closed-form branch state (1/4) X^s Z^t eps(rho) Z^t X^s, for bits s and t,
+    of one 2x2 input or per input of a stack of them, as :func:`channels.apply`
+    takes them."""
     s, t = dm.outcome_bit(s), dm.outcome_bit(t)
     xs = np.linalg.matrix_power(dm.X, s)
     zt = np.linalg.matrix_power(dm.Z, t)

@@ -1784,6 +1784,38 @@ def test_chain_walk_evaluates_each_prefix_once(monkeypatch):
     assert counts["compose"] == len(distinct) == 20
 
 
+@pytest.mark.parametrize("pauli", [True, False], ids=["pauli", "general"])
+@pytest.mark.parametrize("n_inputs", [1, 7])
+def test_teleport_runs_one_closed_form_call_per_bell_outcome(monkeypatch, pauli, n_inputs):
+    noise = {"builtin": "phase_flip", "p": 0.2} if pauli else SKELETONS[1]["channels"]["noise"]
+    doc = {
+        "kind": "teleport",
+        "channels": {"noise": noise},
+        "resource_noise": "noise",
+        "inputs": {"random": n_inputs},
+    }
+    closed = "pauli_corrected_target" if pauli else "teleport_branch"
+    other = "teleport_branch" if pauli else "pauli_corrected_target"
+    counts = {closed: 0, other: 0, "teleport_oracle_state": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, closed)
+    counted(cli, other)
+    counted(oracle, "teleport_oracle_state")
+    report = run_experiment(parse_experiment(spec_text(doc)))
+    assert len(report.cases) == 4 * n_inputs and report.passed
+    # one call per Bell outcome (s, t), each over the stack of every input
+    assert counts == {closed: 4, other: 0, "teleport_oracle_state": 1}
+
+
 def _fixed_chain(n_steps: int) -> dict:
     """An n-step chain with one outcome per step, so one case, adaptive from step
     1 on, with noise in all four slots of every step."""

@@ -11,6 +11,7 @@ from conftest import random_complex, random_density, signed_zero_complex
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.block import MeasSpec, map_measurement_noise
 from noisy_mbqc.channels import (
+    PAULI_DAGGERS,
     KrausChannel,
     apply,
     basis_element,
@@ -33,6 +34,7 @@ from noisy_mbqc.mpo import (
 )
 from noisy_mbqc.oracle import Measure, PrepPlus, PrepState, Unitary1Q, simulate
 from noisy_mbqc.teleport import (
+    BELL_PROJECTORS,
     bell_ket,
     diagonal_resource,
     pauli_corrected_target,
@@ -83,6 +85,18 @@ def test_partial_trace_mixed_dims_matches_a_loop(rng, keep):
                 want[a, b] += full[(*row, *col)]
     got = dm.partial_trace(rho, keep=keep, dims=dims)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+@pytest.mark.parametrize("dims, keep", [((2, 3, 2), [2, 0]), ((3, 2), [1]), ((2, 2, 2), [])])
+def test_partial_trace_on_a_stack_equals_one_call_per_matrix_bit_for_bit(rng, shape, dims, keep):
+    d = int(np.prod(dims))
+    rhos = signed_zero_complex(rng, (*shape, d, d))
+    got = dm.partial_trace(rhos, keep, dims)
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    assert got.shape == (*shape, d_keep, d_keep)
+    for i in np.ndindex(shape):
+        assert dm.partial_trace(rhos[i], keep, dims).tobytes() == got[i].tobytes()
 
 
 def test_partial_trace_dimension_mismatch():
@@ -159,7 +173,7 @@ _ARRAY_ARGUMENTS = {
     "projector": (dm.projector, (None,), "projector vector"),
     "partial_trace": (
         lambda a: dm.partial_trace(a, [0], (2, 2)),
-        (4, 4),
+        (None, 4, 4),
         "operator on subsystem dims (2, 2)",
     ),
     "is_psd": (dm.is_psd, (None, None), "positivity check matrix"),
@@ -171,7 +185,11 @@ _ARRAY_ARGUMENTS = {
         "single-site unitary",
     ),
     "teleport_resource": (lambda a: teleport_branch(a, dm.I2 / 2, 0, 0), (4, 4), "resource"),
-    "teleport_rho": (lambda a: teleport_branch(np.eye(4) / 4, a, 0, 0), (2, 2), "input rho"),
+    "teleport_rho": (
+        lambda a: teleport_branch(np.eye(4) / 4, a, 0, 0),
+        (None, 2, 2),
+        "input rho",
+    ),
     "MpoState_seed": (lambda a: MpoState(sites=mpo_cluster(2).sites, seed=a), (2, 2), "seed"),
     "MpoState_site": (
         lambda a: MpoState(sites=(a, _BOUNDARY_ROW), seed=dm.I2),
@@ -265,6 +283,10 @@ def test_equatorial_kets_orthonormal():
 def test_shared_constants_are_read_only():
     for name in ("I2", "X", "Y", "Z", "H", "KET0", "KET1", "PLUS", "MINUS"):
         assert not getattr(dm, name).flags.writeable, name
+    for table in (BELL_PROJECTORS, PAULI_DAGGERS):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
     with pytest.raises(ValueError):
         MeasSpec.z(0).ket[0] = 0
     np.testing.assert_array_equal(dm.KET0, [1, 0])

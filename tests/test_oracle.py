@@ -241,6 +241,11 @@ _BAD_STACKS = {
         DimensionMismatch,
         r"\(P, 2, 2\)",
     ),
+    "ket_stack_of_stacks": (
+        Measure(0, np.stack([[dm.KET0, dm.KET1]] * 2)),
+        DimensionMismatch,
+        r"\(K, 2\)",
+    ),
 }
 
 

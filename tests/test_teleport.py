@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import random_density, signed_zero_complex
 
 from noisy_mbqc import densemath as dm
 from noisy_mbqc.channels import (
@@ -135,6 +135,21 @@ def test_pauli_corrected_target_shape(rng):
     rho = random_density(rng)
     target = pauli_corrected_target(eps, rho, 1, 1)
     assert np.trace(target).real == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (2, 3)])
+def test_branch_forms_on_a_stack_equal_one_call_per_input_bit_for_bit(rng, shape):
+    resource = signed_zero_complex(rng, (4, 4))
+    eps = KrausChannel(signed_zero_complex(rng, (3, 2, 2)))
+    rhos = signed_zero_complex(rng, (*shape, 2, 2))
+    for s in range(2):
+        for t in range(2):
+            branches = teleport_branch(resource, rhos, s, t)
+            targets = pauli_corrected_target(eps, rhos, s, t)
+            assert branches.shape == targets.shape == (*shape, 2, 2)
+            for i in np.ndindex(shape):
+                assert teleport_branch(resource, rhos[i], s, t).tobytes() == branches[i].tobytes()
+                assert pauli_corrected_target(eps, rhos[i], s, t).tobytes() == targets[i].tobytes()
 
 
 def test_dimension_mismatches():
