@@ -46,8 +46,8 @@ keeps a level's prefixes as one (prefixes, 2, 2) stack.  The closed form makes
 one ``channels.apply`` call per distinct step channel of the level, at most
 four, on the stack of the prefixes it follows.  The oracle runs each step as
 one ``oracle.simulate`` call: every prefix is one prep stack, and the readout,
-on the site ``block_step_ops`` reads out, forks over the kets of each (sign of
-the angle, outcome) the step needs, at most four.
+on the site ``block_step_ops`` reads out, forks over a (sign, k) stack of kets,
+one per sign of the angle and outcome the step needs, at most four.
 
 Kind ``mpo``: ``builder`` is ``{"name": "cluster"|"maximally_mixed"|
 "one_clean", "n": N}``, n sites (n+1 for ``one_clean``), whose open sites
@@ -209,7 +209,9 @@ class Report:
 
     @property
     def max_entry_diff(self) -> float:
-        return max((c.max_entry_diff for c in self.cases), default=0.0)
+        """The largest case difference, 0.0 for no case; NaN if any case's is."""
+        diffs = [c.max_entry_diff for c in self.cases]
+        return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
     @property
     def passed(self) -> bool:
@@ -531,12 +533,11 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             # one oracle call: every prefix stacked, the readout forking over every
             # ket of the level; each prefix keeps the outputs of its own sign
             *body, last = oracle.block_step_ops(BlockNoiseConfig(meas=specs[0][0], **alphas))
-            kets = np.stack([m.ket for row in specs for m in row])
+            kets = np.stack([[m.ket for m in row] for row in specs])  # (sign, k, 2)
             lives = oracle.PrepState(0, live)
             outs = oracle.simulate(2, [lives, *body, oracle.Measure(last.site, kets)])
             at = np.array([groups.index(s) for s in signs])  # each prefix's sign group
-            forked = outs.reshape(len(strings), len(groups), len(ks), 2, 2)
-            live = forked[np.arange(len(at)), at]  # (prefix, k, 2, 2)
+            live = outs[np.arange(len(at)), at]  # (prefix, k, 2, 2)
             grown = np.empty_like(live)
             for meas, channel in composed.items():  # one apply per distinct channel
                 uses = np.array([[m == meas for m in row] for row in specs])  # (sign, k)

@@ -91,12 +91,23 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _checked_int(k, error: type[Exception], what: str):
+    """``k`` if it is an ``int`` or a numpy integer; a bool, a float, a string
+    or any other value raises ``error``, "{what}, got {k!r}".  The one type
+    check of an integer argument: a bit, a size, a site label, an index or a
+    subsystem dimension."""
+    if type(k) is int or isinstance(k, np.integer):  # a bool's type is bool
+        return k
+    raise error(f"{what}, got {k!r}")
+
+
 def outcome_bit(k) -> int:
     """``k`` if it is the integer 0 or 1, an ``int`` or a numpy integer; a bool,
     a float or any other value raises ValueError.  The one check of a readout
     outcome or a Pauli label bit."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in (0, 1):
-        raise ValueError(f"outcome must be the integer 0 or 1, got {k!r}")
+    what = "outcome must be the integer 0 or 1"
+    if _checked_int(k, ValueError, what) not in (0, 1):
+        raise ValueError(f"{what}, got {k!r}")
     return k
 
 
@@ -122,12 +133,15 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
             reduced operators, each with the bits a call of its own would.
         keep: indices of the subsystems to retain, in any order.
         dims: dimension of each subsystem; their product must match ``rho``.
+        Both hold integers (an ``int`` or a numpy integer); anything else
+        raises DimensionMismatch.
     """
-    dims = tuple(int(d) for d in dims)
+    integer = "subsystem dimensions and keep indices must be integers"
+    dims = tuple(int(_checked_int(d, DimensionMismatch, integer)) for d in dims)
     n = len(dims)
     total = int(np.prod(dims)) if dims else 1
     rho = item_or_stack(rho, (total, total), f"operator on subsystem dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(int(_checked_int(k, DimensionMismatch, integer)) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise DimensionMismatch(f"keep indices {keep} out of range for {n} subsystems")
 

@@ -173,7 +173,8 @@ def mpo_contract(state: MpoState) -> np.ndarray:
 
 
 def _site(state: MpoState, index: int) -> np.ndarray:
-    """The family of site ``index``, which must still be open."""
+    """The family of site ``index``, an integer, which must still be open."""
+    dm._checked_int(index, IndexError, "an MPO site index must be an integer")
     if not 0 <= index < state.n_sites:
         raise IndexError(f"site {index} outside MPO of length {state.n_sites}")
     site = state.sites[index]

@@ -16,11 +16,12 @@ measurement names the unit ket of its outcome, the same readout form
 sampling, so the final trace is the probability of the chosen outcomes.
 
 One call runs a batch of branches of one circuit, a state of shape (B, D, D).
-A prep holds a 2x2 operator or a (P, 2, 2) stack, which multiplies B by P; a
-readout holds a unit 2-vector or a (K, 2) stack of them, which forks each
-branch into K.  The result has one leading axis per stack, whatever its
-length, in op order, then (D, D).  Every branch sees the same arithmetic as
-a circuit of its own, bit for bit.
+A prep holds a 2x2 operator and a readout a unit 2-vector, each alone or in
+a stack along one or more leading axes (:func:`densemath.item_or_stack`).
+Each prep and readout adds its leading axes to the result, in op order; a
+lone one adds none.  A stack of P items multiplies B by P, and the result is
+(*leading axes, D, D).  Every branch sees the same arithmetic as a circuit of
+its own, bit for bit.
 
 Every op costs O(B * 4^m) on the m sites joined so far and not yet read
 out, and touches only its sites' ket and bra axes: a single-site unitary or
@@ -61,7 +62,7 @@ class PrepPlus:
 
 @dataclass(frozen=True)
 class PrepState:
-    """Prepare ``site`` in ``rho``, a 2x2 operator or a (P, 2, 2) stack of them."""
+    """Prepare ``site`` in ``rho``, a 2x2 operator or a stack of them."""
 
     site: int
     rho: np.ndarray
@@ -88,8 +89,8 @@ class Unitary1Q:
 @dataclass(frozen=True)
 class Measure:
     """Project ``site`` onto the unit outcome vector ``ket``, a 2-vector, and
-    trace the site out, shrinking the register; a (K, 2) stack of unit kets,
-    one per outcome, forks each branch into K."""
+    trace the site out, shrinking the register; a stack of unit kets, one per
+    outcome, forks each branch into one per ket."""
 
     site: int
     ket: np.ndarray
@@ -107,10 +108,11 @@ class _Register:
     def __init__(self, n: int):
         self.n, self.cap = n, dm.max_qubits()
         self.sites: list[int] = []  # joined sites, kept in ascending site order
-        # preps no op has touched yet, in op order: (site, (P, 2, 2) blocks, axis)
-        self.pending: deque[tuple[int, np.ndarray, int | None]] = deque()
+        # preps no op has touched yet, in op order: (site, (P, 2, 2) blocks, axes)
+        self.pending: deque[tuple[int, np.ndarray, range]] = deque()
         self.waiting: set[int] = set()  # the sites of ``pending``
-        self.axes: list[int] = []  # the op-order stack number of each branch axis
+        self.lengths: list[int] = []  # the length of each stack axis, in op order
+        self.axes: list[int] = []  # the op-order number of each branch axis
         self.state = np.ones((1, 1, 1), dtype=complex)
         self.spare = np.empty((0, 0, 0), dtype=complex)
 
@@ -119,6 +121,7 @@ class _Register:
         return len(self.sites)
 
     def check_site(self, site: int):
+        dm._checked_int(site, SiteOutOfRange, "a site label must be an integer")
         if not 0 <= site < self.n:
             raise SiteOutOfRange(f"site {site} outside register of size {self.n}")
 
@@ -133,23 +136,28 @@ class _Register:
                 raise SiteOutOfRange(f"site {site} has not been prepared")
         return [self.sites.index(site) for site in sites]
 
-    def hold(self, site: int, blocks: np.ndarray, axis: int | None):
-        """Record the prep of ``site`` in the (P, 2, 2) ``blocks`` as pending;
-        ``axis`` numbers a stack among the circuit's stacks, None a lone prep."""
+    def new_axes(self, lead: tuple[int, ...]) -> range:
+        """Number the leading axes ``lead`` of a prep or readout stack, in op order."""
+        start = len(self.lengths)
+        self.lengths += lead
+        return range(start, len(self.lengths))
+
+    def hold(self, site: int, blocks: np.ndarray, axes: range):
+        """Record the prep of ``site`` in the (P, 2, 2) ``blocks`` as pending,
+        with the numbers of the leading axes it adds, empty for a lone prep."""
         self.check_site(site)
         if site in self.sites or site in self.waiting:
             raise SiteOutOfRange(f"site {site} prepared twice")
-        self.pending.append((site, blocks, axis))
+        self.pending.append((site, blocks, axes))
         self.waiting.add(site)
 
     def join(self, last: int | None = None):
         """Tensor in pending preps in op order, through site ``last``'s (or all)."""
         while self.pending:
-            site, blocks, axis = self.pending.popleft()
+            site, blocks, axes = self.pending.popleft()
             self.waiting.remove(site)
             self.prep(site, blocks)
-            if axis is not None:
-                self.axes.append(axis)
+            self.axes += axes
             if site == last:
                 return
 
@@ -221,53 +229,43 @@ _PLUS = dm.projector(dm.PLUS)[None]
 _PLUS.setflags(write=False)
 
 
-def _one_stack(items, shape: tuple, what: str) -> np.ndarray:
-    """``items`` by :func:`densemath.item_or_stack`, held to one stack axis at
-    most, since a prep or readout stack forks the branches along one result
-    axis; :func:`densemath.stacked` refuses a stack of stacks."""
-    out = dm.item_or_stack(items, shape, what)
-    return out if out.ndim <= len(shape) + 1 else dm.stacked(out, (None, *shape), what)
-
-
 def _readout_kets(ket) -> np.ndarray:
-    """A readout's unit ket, or its (K, 2) stack of unit kets, each row
-    checked by :func:`densemath.unit_ket`."""
+    """A readout's unit ket, or its stack of unit kets, each row checked by
+    :func:`densemath.unit_ket`."""
     what = "readout (a 2-vector, or a (K, 2) stack of at least one ket)"
-    kets = _one_stack(ket, (2,), what)
+    kets = dm.item_or_stack(ket, (2,), what)
     for i, row in enumerate(kets.reshape(-1, 2)):
         try:
             dm.unit_ket(row)
         except NotNormalized as exc:
-            where = f"readout stack row {i}: " if kets.ndim == 2 else ""
+            at = ", ".join(map(str, np.unravel_index(i, kets.shape[:-1])))
+            where = f"readout stack row {at}: " if at else ""
             raise NotNormalized(f"{where}{exc}") from None
     return kets
 
 
 def simulate(n: int, ops) -> np.ndarray:
-    """Run the operation list over sites labelled 0..n-1, one branch per row
+    """Run the operation list over sites labelled 0..n-1, one branch per item
     of each prep and readout stack, and return the states over the surviving
-    sites in ascending site order, shape (*stacks, D, D): one leading axis per
-    stack, in op order.  Nothing is sampled; the final trace is the
-    probability of the chosen outcome string.
+    sites in ascending site order, shape (*leading axes, D, D): each prep and
+    readout adds its leading axes, in op order; a lone one adds none.  Nothing
+    is sampled; the final trace is the probability of the chosen outcome string.
 
     A prep joins the state when an op first touches its site, with every
     prep issued before it (see the module docstring), so each op costs
     O(B * 4^m) on the m sites joined and not yet read out, and a join past
     ``densemath.max_qubits()`` raises SizeLimit."""
-    if n < 1:
+    if dm._checked_int(n, SizeLimit, "the register size must be an integer") < 1:
         raise SizeLimit(f"register size {n} must be at least 1")
     reg = _Register(n)
-    stacks: list[int] = []  # the length of each stack met so far, in op order
 
     for op in ops:
         if isinstance(op, PrepPlus):
-            reg.hold(op.site, _PLUS, None)
+            reg.hold(op.site, _PLUS, range(0))
         elif isinstance(op, PrepState):
             what = "prepared state (2x2, or a (P, 2, 2) stack)"
-            blocks = _one_stack(op.rho, (2, 2), what)
-            axis = len(stacks) if blocks.ndim == 3 else None
-            reg.hold(op.site, blocks.reshape(-1, 2, 2), axis)
-            stacks += blocks.shape[:-2]
+            blocks = dm.item_or_stack(op.rho, (2, 2), what)
+            reg.hold(op.site, blocks.reshape(-1, 2, 2), reg.new_axes(blocks.shape[:-2]))
         elif isinstance(op, CZ):
             pa, pb = reg.positions(op.a, op.b)
             if pa == pb:
@@ -281,15 +279,13 @@ def simulate(n: int, ops) -> np.ndarray:
         elif isinstance(op, Measure):
             kets = _readout_kets(op.ket)
             reg.project_out(kets.reshape(-1, 2), *reg.positions(op.site))
-            if kets.ndim == 2:
-                reg.axes.append(len(stacks))
-            stacks += kets.shape[:-1]
+            reg.axes += reg.new_axes(kets.shape[:-1])
         else:
             raise TypeError(f"unknown circuit op {op!r}")
     reg.join()
     dim = 2**reg.m
     # a stacked prep may join after a later readout forked: axes back to op order
-    joined = reg.state.reshape(*(stacks[a] for a in reg.axes), dim, dim)
+    joined = reg.state.reshape(*(reg.lengths[a] for a in reg.axes), dim, dim)
     return joined.transpose(*np.argsort(reg.axes), -2, -1)
 
 
@@ -346,7 +342,7 @@ def block_step_ops(cfg: BlockNoiseConfig) -> list:
 def block_oracle_channel(cfg: BlockNoiseConfig) -> np.ndarray:
     """Choi matrix of one noisy measurement step, assembled by simulation.
 
-    Feeds the four basis elements |i><j|, as one prep stack, through the
+    Feeds the four basis elements |i><j|, as one (2, 2) prep stack, through the
     two-qubit circuit of :func:`block_step_ops` and places output (i, j) in
     block (i, j); linearity makes this the exact process matrix.
     """
@@ -354,9 +350,9 @@ def block_oracle_channel(cfg: BlockNoiseConfig) -> np.ndarray:
         raise ZBasisUnsupported(
             "noise composition is defined for equatorial measurements only"
         )
-    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)  # |i><j| in (i, j) order
+    basis = np.eye(4, dtype=complex).reshape(2, 2, 2, 2)  # [i, j] holds |i><j|
     outs = simulate(2, [PrepState(0, basis), *block_step_ops(cfg)])
     # added to zeros rather than copied, so a -0.0 entry becomes 0.0
     chois = np.zeros((2, 2, 2, 2), dtype=complex)
-    chois += outs.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    chois += outs.transpose(0, 2, 1, 3)
     return chois.reshape(4, 4)

@@ -629,6 +629,18 @@ def test_emit_csv_empty_report(tmp_path):
     assert path.read_text().strip() == "case,branch_prob,max_entry_diff,trace_distance,pass"
 
 
+@pytest.mark.parametrize("diffs", [(math.nan, 1.0), (1.0, math.nan), (0.0, math.nan, 2.0)])
+def test_the_summary_difference_is_nan_whenever_a_case_is(diffs):
+    # a Python max kept whichever came first of a NaN and a number
+    report = _report_of_diffs(*diffs)
+    assert math.isnan(report.max_entry_diff) and not report.passed
+
+
+def test_the_summary_difference_is_the_largest_case_difference():
+    assert _report_of_diffs(0.5, 2.0, 1.0).max_entry_diff == 2.0
+    assert Report([], 1e-9, 0, spec_hash="", timestamp="").max_entry_diff == 0.0
+
+
 def test_report_writes_the_oracle_matrix_of_failing_cases_only(tmp_path):
     suite = {"kind": "block_chain", "random_suite": {"cases": 3}}
     spec = parse_experiment(spec_text(suite))

@@ -104,6 +104,33 @@ def test_partial_trace_dimension_mismatch():
         dm.partial_trace(np.eye(4), keep=[0], dims=(2, 3))
 
 
+@pytest.mark.parametrize(
+    "keep, dims",
+    [
+        ([0.7], (2, 2)),
+        ([0], (2.9, 2)),
+        ([0.7], (2.9, 2)),
+        ([0], ("2", 2)),
+        ([True], (2, 2)),
+        ([0], (2, True, 2)),
+        ([0.0], (2.0, 2)),
+    ],
+    ids=repr,
+)
+def test_partial_trace_refuses_a_dimension_or_keep_index_that_is_not_an_integer(keep, dims):
+    # int() used to truncate each, and answer for keep=[0], dims=(2, 2)
+    rho = np.eye(4, dtype=complex) / 4
+    with pytest.raises(DimensionMismatch, match="^subsystem dimensions and keep indices must be"):
+        dm.partial_trace(rho, keep=keep, dims=dims)
+
+
+def test_partial_trace_takes_numpy_integer_dimensions_and_keep_indices(rng):
+    rho = random_complex(rng, (12, 12))
+    want = dm.partial_trace(rho, keep=[2, 0], dims=(2, 3, 2))
+    got = dm.partial_trace(rho, keep=np.array([2, 0]), dims=np.array([2, 3, 2], dtype=np.uint8))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_stacked_names_what_it_wants_and_what_it_got():
     ops = np.zeros((3, 2, 2), dtype=complex)
     assert dm.stacked(ops, (None, 2, 2), "ops") is ops  # a complex array is not copied

@@ -1,6 +1,7 @@
 """Every public function and class of a library module is read by the library,
 a demo or a README example, or named in README.md; a helper only tests read
-belongs in the tests, as a named reference.  Every option of a public function
+belongs in the tests, as a named reference.  Every private function, class,
+constant and method is read by the library itself.  Every option of a public function
 or method, and every defaulted field of a public class, is set by some call
 outside the tests.  Every array argument is converted by
 ``densemath.stacked``."""
@@ -49,6 +50,55 @@ def test_check_sees_attributes_and_code_spans():
     assert reads(tree) == {"used", "cli", "to_dict"}
     text = "`from_dict` reads\n```python\nf(x)\n```\nand `x.y`"
     assert code_names(text) == {"from_dict", "x", "y"}
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """The ``_``-prefixed functions, classes and constants a module defines at
+    top level, and the ``_``-prefixed methods of its classes; no dunder."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found |= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        if isinstance(node, ast.Assign):
+            found |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+    return {n for n in found if n.startswith("_") and not n.endswith("__")}
+
+
+def shared(tree: ast.Module) -> set[str]:
+    """The names another module can read of this one: attributes it reads and
+    names it imports."""
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    froms = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    return attrs | {a.name for n in froms for a in n.names}
+
+
+PACKAGE_TREES = {p: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read_by_the_package(path):
+    """A private helper the package no longer reads is dead code, whatever the
+    tests read of it.  A module reads its own names bare or as attributes; the
+    rest of the package reads them as attributes or imports them, so a helper
+    of one module is not kept by a namesake of another."""
+    others = [shared(t) for p, t in PACKAGE_TREES.items() if p != path]
+    read = reads(PACKAGE_TREES[path]).union(*others)
+    orphans = sorted(private_names(PACKAGE_TREES[path]) - read)
+    assert not orphans, f"{path.name}: the package reads nothing of {orphans}"
+
+
+def test_private_check_sees_functions_classes_constants_and_methods():
+    tree = ast.parse(
+        "def _f(): pass\nclass _C:\n    def _m(self): pass\n    def __init__(self): pass\n"
+        "class D:\n    def _n(self): pass\n    def pub(self): pass\n"
+        "_K = 1\n_T: int = 2\nPUB = 3\n__version__ = '1'\nfor _loop in (): pass\n"
+    )
+    assert private_names(tree) == {"_f", "_C", "_m", "_n", "_K", "_T"}
+    assert shared(ast.parse("import x\nfrom .m import _a, b\n_d()\nx._c\n")) == {"_a", "b", "_c"}
 
 
 CALLERS = [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")]

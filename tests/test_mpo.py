@@ -958,3 +958,25 @@ def test_events_name_the_site_and_its_bond_dimension(bond, from_dict, event):
             event(mpo_from_dict(doc))
         else:
             event(MpoState(sites=_bond_sites(bond), seed=seed))
+
+
+_INDEX_CALLS = {
+    "mpo_measure": lambda i: mpo_measure(mpo_cluster(3), i, dm.PLUS),
+    "mpo_apply_pauli": lambda i: mpo_apply_pauli(mpo_cluster(3), i, (1, 0)),
+    "mpo_apply_unitary": lambda i: mpo_apply_unitary(mpo_cluster(3), i, dm.H),
+    "mpo_apply_channel": lambda i: mpo_apply_channel(mpo_cluster(3), i, phase_flip(0.2)),
+}
+
+
+@pytest.mark.parametrize("index", [True, 1.0, 0.5, "1"], ids=repr)
+@pytest.mark.parametrize("call", sorted(_INDEX_CALLS))
+def test_an_event_or_readout_index_must_be_an_integer(call, index):
+    # a bool or an integral float used to pass the range check and name site 1
+    with pytest.raises(IndexError, match="^an MPO site index must be an integer, got "):
+        _INDEX_CALLS[call](index)
+
+
+@pytest.mark.parametrize("call", sorted(_INDEX_CALLS))
+def test_a_numpy_integer_index_gives_the_int_answer(call):
+    want, got = _INDEX_CALLS[call](1), _INDEX_CALLS[call](np.int64(1))
+    assert json.dumps(mpo_to_dict(got)) == json.dumps(mpo_to_dict(want))

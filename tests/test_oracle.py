@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 from conftest import build_cluster_dm, random_density, record_live_qubits
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisy_mbqc import densemath as dm
@@ -139,6 +139,35 @@ def test_site_errors():
         simulate(1, [PrepPlus(0), PrepPlus(0)])
 
 
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "2", None], ids=repr)
+def test_the_register_size_must_be_an_integer(size):
+    with pytest.raises(SizeLimit, match="^the register size must be an integer, got "):
+        simulate(size, [PrepPlus(0)])
+
+
+_SITE_OPS = {
+    "prep_plus": lambda s: [PrepPlus(s)],
+    "prep_state": lambda s: [PrepState(s, dm.projector(dm.KET1))],
+    "cz": lambda s: [PrepPlus(0), PrepPlus(1), CZ(0, s)],
+    "unitary": lambda s: [PrepPlus(1), Unitary1Q(s, dm.H)],
+    "channel": lambda s: [PrepPlus(1), Channel1Q(s, bit_flip(0.1))],
+    "measure": lambda s: [PrepPlus(1), Measure(s, dm.PLUS)],
+}
+
+
+@pytest.mark.parametrize("site", [1.0, 0.5, True, "1"], ids=repr)
+@pytest.mark.parametrize("op", sorted(_SITE_OPS))
+def test_a_site_label_must_be_an_integer(op, site):
+    with pytest.raises(SiteOutOfRange, match="^a site label must be an integer, got "):
+        simulate(2, _SITE_OPS[op](site))
+
+
+@pytest.mark.parametrize("op", sorted(_SITE_OPS))
+def test_numpy_integer_sizes_and_sites_give_the_int_answer(op):
+    want = simulate(2, _SITE_OPS[op](1))
+    assert simulate(np.int64(2), _SITE_OPS[op](np.uint8(1))).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize(
     "ket, error",
     [
@@ -236,16 +265,6 @@ _BAD_STACKS = {
     "prep_stack_of_3x3": (PrepState(1, np.zeros((2, 3, 3))), DimensionMismatch, r"\(P, 2, 2\)"),
     "prep_stack_of_rows": (PrepState(1, np.zeros((3, 2))), DimensionMismatch, r"\(P, 2, 2\)"),
     "empty_prep_stack": (PrepState(1, np.zeros((0, 2, 2))), DimensionMismatch, r"\(P, 2, 2\)"),
-    "prep_stack_of_stacks": (
-        PrepState(1, np.zeros((2, 2, 2, 2))),
-        DimensionMismatch,
-        r"\(P, 2, 2\)",
-    ),
-    "ket_stack_of_stacks": (
-        Measure(0, np.stack([[dm.KET0, dm.KET1]] * 2)),
-        DimensionMismatch,
-        r"\(K, 2\)",
-    ),
 }
 
 
@@ -254,6 +273,42 @@ def test_simulate_refuses_a_bad_stack(name):
     op, error, message = _BAD_STACKS[name]
     with pytest.raises(error, match=message):
         simulate(2, [PrepPlus(0), op])
+
+
+def test_a_non_unit_row_of_a_two_axis_ket_stack_is_named_by_its_index():
+    kets = np.stack([[dm.KET0, dm.KET1], [dm.PLUS, np.zeros(2)]])
+    with pytest.raises(NotNormalized, match="^readout stack row 1, 1: "):
+        simulate(2, [PrepPlus(0), Measure(0, kets)])
+
+
+_STACKS_OF_STACKS = {
+    "prep_stack_of_stacks": (PrepState(1, np.zeros((2, 2, 2, 2))), (2, 2, 4, 4)),
+    "ket_stack_of_stacks": (Measure(0, np.stack([[dm.KET0, dm.KET1]] * 2)), (2, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STACKS_OF_STACKS))
+def test_a_stack_of_stacks_adds_its_leading_axes(name):
+    # a prep or readout stack adds every leading axis it has, as channels.apply does
+    op, shape = _STACKS_OF_STACKS[name]
+    ops = [PrepPlus(0), op]
+    got = simulate(2, ops)
+    assert got.shape == shape
+    assert got.tobytes() == branch_loop(2, ops).tobytes()
+
+
+def test_a_two_axis_prep_and_a_two_axis_readout_fork_every_branch(rng):
+    # every branch of a (2, 3) prep stack and a (2, 2) ket stack is its own call
+    rhos = np.stack([random_density(rng) for _ in range(6)]).reshape(2, 3, 2, 2)
+    kets = np.stack([_random_unitary(rng)[:, k] for _ in range(2) for k in (0, 1)])
+    kets = kets.reshape(2, 2, 2)
+    ops = [PrepState(0, rhos), PrepPlus(1), PrepPlus(2), CZ(0, 1), CZ(1, 2), Measure(1, kets)]
+    got = simulate(3, ops)
+    assert got.shape == (2, 3, 2, 2, 4, 4)
+    for i in np.ndindex(2, 3):
+        for k in np.ndindex(2, 2):
+            one = [PrepState(0, rhos[i]), *ops[1:-1], Measure(1, kets[k])]
+            assert got[(*i, *k)].tobytes() == simulate(3, one).tobytes()
 
 
 def test_size_limit_and_env_cap(monkeypatch):
@@ -473,37 +528,41 @@ def test_eleven_site_noisy_cluster_matches_mpo(rng):
 # --- a batch of branches in one call against one call per branch --------------------
 
 
-def _stack_ops(ops) -> list[int]:
-    """Indices of the ops holding a prep or readout stack, in op order."""
-    return [
-        i
-        for i, op in enumerate(ops)
-        if (isinstance(op, PrepState) and np.ndim(op.rho) == 3)
-        or (isinstance(op, Measure) and np.ndim(op.ket) == 2)
-    ]
+def _stack_ops(ops) -> list[tuple[int, str, tuple[int, ...]]]:
+    """(index, field, leading shape) of each op holding a prep or readout
+    stack, in op order."""
+    found = []
+    for i, op in enumerate(ops):
+        if isinstance(op, (PrepState, Measure)):
+            field, item = ("rho", 2) if isinstance(op, PrepState) else ("ket", 1)
+            shape = np.shape(getattr(op, field))
+            if len(shape) > item:
+                found.append((i, field, shape[:-item]))
+    return found
 
 
 def branch_loop(n, ops) -> np.ndarray:
     """One single-prep, single-ket simulate per branch, in product order over
-    the stacks, stacked as (*stacks, D, D)."""
-    at = _stack_ops(ops)
-    rows = [ops[i].rho if isinstance(ops[i], PrepState) else ops[i].ket for i in at]
+    the stacks, each walked over its leading shape by ``np.ndindex``, stacked
+    as (*leading axes, D, D)."""
+    stacks = _stack_ops(ops)
     outs = []
-    for choice in product(*(range(len(r)) for r in rows)):
+    for choice in product(*(np.ndindex(lead) for _, _, lead in stacks)):
         branch = list(ops)
-        for i, r, c in zip(at, rows, choice):
-            field = "rho" if isinstance(ops[i], PrepState) else "ket"
-            branch[i] = dataclasses.replace(ops[i], **{field: r[c]})
+        for (i, field, _), c in zip(stacks, choice):
+            branch[i] = dataclasses.replace(ops[i], **{field: getattr(ops[i], field)[c]})
         outs.append(simulate(n, branch))
-    return np.stack(outs).reshape(*(len(r) for r in rows), *outs[0].shape)
+    lead = [d for _, _, shape in stacks for d in shape]
+    return np.stack(outs).reshape(*lead, *outs[0].shape)
 
 
 @st.composite
 def stacked_circuits(draw):
-    """A random circuit ``(n, ops)`` on 2-5 sites whose preps may hold (P, 2, 2)
-    stacks and whose readouts, on any live site, may fork over (K, 2) stacks of
-    unit kets, K = 1 too; CZ, unitary and channel ops run before and after them.
-    At most 48 branches in all."""
+    """A random circuit ``(n, ops)`` on 2-5 sites whose preps may hold stacks
+    of 2x2 operators and whose readouts, on any live site, may fork over
+    stacks of unit kets, each stack along one or two leading axes of length
+    1-4; CZ, unitary and channel ops run before and after them.  At most 48
+    branches in all."""
     n = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = [int(s) for s in rng.permutation(n)]
@@ -512,7 +571,8 @@ def stacked_circuits(draw):
     branches = 1
     for _ in range(draw(st.integers(1, 16))):
         step = draw(st.sampled_from(["prep", "cz", "unitary", "channel", "measure"]))
-        size = draw(st.integers(1, 4))
+        lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+        size = int(np.prod(lead))
         stack = draw(st.booleans()) and branches * size <= 48
         if step == "prep" or not live:
             if not order:
@@ -524,7 +584,8 @@ def stacked_circuits(draw):
                 blocks = [random_density(rng) for _ in range(size)]
                 # a basis element |i><j| too, as block_oracle_channel feeds
                 blocks[0] = np.eye(4, dtype=complex)[draw(st.integers(0, 3))].reshape(2, 2)
-                ops.append(PrepState(site, np.stack(blocks) if stack else blocks[-1]))
+                rho = np.stack(blocks).reshape(*lead, 2, 2) if stack else blocks[-1]
+                ops.append(PrepState(site, rho))
                 branches *= size if stack else 1
             live.append(site)
         elif step == "cz":
@@ -541,14 +602,26 @@ def stacked_circuits(draw):
             site = int(rng.choice(live))
             kets = [_random_unitary(rng)[:, int(rng.integers(0, 2))] for _ in range(size)]
             kets[0] = MeasSpec.equatorial(float(rng.uniform(0, 6.3)), 1).ket
-            ops.append(Measure(site, np.stack(kets) if stack else kets[-1]))
+            ops.append(Measure(site, np.stack(kets).reshape(*lead, 2) if stack else kets[-1]))
             branches *= size if stack else 1
             live.remove(site)
     return n, ops
 
 
+def _pending_across_a_fork(rng) -> tuple[int, list]:
+    """Site 1's (2, 3) prep stack stays pending while site 0 forks over two
+    kets, and joins only at the unitary after that readout."""
+    rhos = np.stack([random_density(rng) for _ in range(6)]).reshape(2, 3, 2, 2)
+    kets = np.stack([dm.KET0, dm.PLUS])
+    return 2, [PrepPlus(0), PrepState(1, rhos), Measure(0, kets), Unitary1Q(1, dm.H)]
+
+
+_PENDING_ACROSS_A_FORK = _pending_across_a_fork(np.random.default_rng(5))
+
+
 @settings(max_examples=150, deadline=None)
 @given(stacked_circuits())
+@example(_PENDING_ACROSS_A_FORK)
 def test_a_batched_simulate_is_the_branch_loop_bit_for_bit(circuit):
     n, ops = circuit
     got, want = simulate(n, ops), branch_loop(n, ops)
@@ -590,6 +663,7 @@ def _joined_at_prep(ops) -> list:
 
 @settings(max_examples=150, deadline=None)
 @given(stacked_circuits())
+@example(_PENDING_ACROSS_A_FORK)
 def test_a_pending_prep_gives_what_a_prep_joined_at_once_gives(circuit):
     n, ops = circuit
     got, want = simulate(n, ops), simulate(n, _joined_at_prep(ops))
