@@ -101,16 +101,19 @@ all read one view of a report, whose verdict per case is ``Report.ok``.
 ``json.dumps(report_to_dict(report), indent=2)`` plus a final newline: floats
 read as their ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` when not
 finite), and two runs of one document give byte-identical reports apart from
-``meta.timestamp``.  The JSON writer reaches those bytes without the
-pure-Python encoder: it lays each case out from a layout cached per verdict,
-which ``json.dumps(..., indent=2)`` wrote once from a one-case view, and one
-``json.dumps`` of a list (the C encoder) formats every value of the report.
+``meta.timestamp``.  The JSON writer reaches those bytes with json's own
+encoders: ``json.dumps(..., indent=2)`` lays out the view without its cases
+and the C encoder each case, every matrix leaf null; each matrix is streamed
+into its leaf, and one ``json.dumps`` of a list formats its distinct floats.
 
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
 memory than exists included), or ``--cases`` selected no case.
 ``NOISY_MBQC_MAX_QUBITS`` (default 12) caps the qubits one dense state holds:
 the oracle's live sites (two in a chain step) and an MPO contraction's open ones.
+At parse it also caps log2 of a document's case count: a chain's forking steps,
+log2(4N) for a teleport of N inputs, log2(2N) for a random suite of N cases and,
+for ``mpo``, its forking readouts, counted with its open sites.
 """
 
 from __future__ import annotations
@@ -122,6 +125,7 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -382,6 +386,16 @@ def _require(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _case_cap(n_cases: int, where: str, got: str) -> None:
+    """Refuse, at parse, a document of more than 2^cap cases: the qubit cap
+    bounds the cases too, as each case's work and report grow with their count."""
+    cap = dm.max_qubits()
+    _require(
+        n_cases <= 2**cap,
+        f"{where}: the cases must number <= 2^{cap} (NOISY_MBQC_MAX_QUBITS), got {got}",
+    )
+
+
 def _resolve_ref(ref, channels: dict[str, KrausChannel], where: str) -> KrausChannel:
     if not isinstance(ref, str) or ref not in channels:
         raise UnknownChannelRef(f"{where}: unknown channel {ref!r}")
@@ -437,6 +451,9 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         _require(isinstance(inputs, list) and inputs, "inputs: empty list")
         states = [_parse_state(st, f"inputs[{i}]") for i, st in enumerate(inputs)]
         n_random = 0
+    n_inputs = len(states) + n_random
+    where = "inputs.random" if n_random else "inputs"
+    _case_cap(4 * n_inputs, where, f"4 * {n_inputs} (4 Bell outcomes per input)")
 
     def run(rng, select) -> list[CaseResult]:
         rhos = np.stack(states + [_random_density(rng) for _ in range(n_random)])
@@ -507,6 +524,8 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             f"{where}: a Z step takes no noise, got {', '.join(alphas)}",
         )
         steps.append((phi, ks, alphas))
+    forks = sum(len(ks) == 2 for _, ks, _ in steps)
+    _case_cap(2**forks, "chain", f"2^{forks} ({forks} forking steps)")
     rho0 = _parse_state(doc.get("input", "plus"), "input")
 
     def run(rng, select) -> list[CaseResult]:
@@ -556,6 +575,7 @@ def _parse_block_random_suite(suite) -> Runner:
     _only(suite, ("cases", "kraus"), "random_suite", "a random suite")
     n_cases = _at_least(suite.get("cases", 0), "random_suite.cases", 1)
     n_kraus = _at_least(suite.get("kraus", 2), "random_suite.kraus", 1)
+    _case_cap(2 * n_cases, "random_suite.cases", f"2 * {n_cases} (k = 0 and 1 per case)")
 
     def run(rng, select) -> list[CaseResult]:
         ids, closed, orac = [], [], []
@@ -766,10 +786,13 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_CLOSED, _ORACLE = "closed_form", "oracle"  # a case's matrix leaves
+
+
 def _report_skeleton(report: Report, leaf=lambda m: None) -> dict:
     """The one view of a report that the JSON, CSV and console writers read,
     with ``leaf(matrix)`` at each matrix (null by default); a passing case has
-    no ``oracle`` key, as a null there would read as a matrix slot."""
+    no ``oracle`` key, as a null there would read as a matrix leaf."""
     return {
         "format": 2,  # a report without this key is format 1: every oracle written
         "meta": {
@@ -781,8 +804,8 @@ def _report_skeleton(report: Report, leaf=lambda m: None) -> dict:
         "cases": [
             {
                 "case": c.case_id,
-                "closed_form": leaf(c.closed_form),
-                **({} if report.ok(c) else {"oracle": leaf(c.oracle)}),
+                _CLOSED: leaf(c.closed_form),
+                **({} if report.ok(c) else {_ORACLE: leaf(c.oracle)}),
                 "max_entry_diff": float(c.max_entry_diff),
                 "trace_distance": float(c.trace_distance),
                 "branch_prob": float(c.branch_prob),
@@ -803,102 +826,49 @@ def report_to_dict(report: Report) -> dict:
     return _report_skeleton(report, dm.mat_to_json)
 
 
-_SLOT = "\x00"  # a stand-in value: json writes it "\u0000", which no layout text holds
 _PAD = "\n      "  # a case's keys' indent, at which its matrix leaves sit
 _BLOCK_ROWS = 16  # matrix rows per piece handed to the file, so memory stays flat
-
-
-def _slotted(view):
-    """``view`` with every value that is not a dict or a list replaced by _SLOT."""
-    if isinstance(view, dict):
-        return {key: _slotted(value) for key, value in view.items()}
-    if isinstance(view, list):
-        return [_slotted(value) for value in view]
-    return _SLOT
-
-
-def _values(view) -> list:
-    """The values of ``view`` that :func:`_slotted` replaces, in text order."""
-    if isinstance(view, dict):
-        view = list(view.values())
-    if isinstance(view, list):
-        return [leaf for value in view for leaf in _values(value)]
-    return [view]
-
-
-def _segments(text: str, holes: list[bool]) -> list[tuple[str, int, int]]:
-    """``text``, cut at its json-written _SLOT values, as the % formats between
-    the slots flagged in ``holes``: (format, first slot, end slot) each."""
-    pieces = text.replace("%", "%%").split(json.dumps(_SLOT))
-    segments, fmt, start = [], pieces[0], 0
-    for j, (hole, piece) in enumerate(zip(holes, pieces[1:], strict=True)):
-        if hole:
-            segments.append((fmt, start, j))
-            fmt, start = piece, j + 1
-        else:
-            fmt += "%s" + piece
-    return [*segments, (fmt, start, len(holes))]
-
-
-@functools.cache
-def _layout() -> tuple[list, dict, str]:
-    """``json.dumps(..., indent=2)`` of a one-case report view, as segments: the
-    report's around the place of its cases, a case's per verdict around its matrix
-    leaves, and the text between two cases.  The view comes from
-    :func:`_report_skeleton`, so the layout is defined there alone."""
-    mark, cases = object(), {}
-    for ok in (True, False):
-        probe = CaseResult("", None, None, float(not ok), 0.0, 0.0)
-        view = _report_skeleton(Report([probe], 0.5, 0, "", ""), lambda m: mark)
-        [case], view["cases"] = view["cases"], [_SLOT]
-        holes = [value == _SLOT for value in _values(view)]
-        frame = _segments(json.dumps(_slotted(view), indent=2), holes)
-        head = frame[0][0]  # its last line indents the first case
-        indent = head[head.rindex("\n") :]
-        text = json.dumps(_slotted(case), indent=2).replace("\n", indent)
-        cases[ok] = _segments(text, [value is mark for value in case.values()])
-    return frame, cases, "," + indent
+# a case view holds only values, so the C encoder with these separators writes
+# it as json.dumps(..., indent=2) does at a case's depth, bar its braces
+_encode_case = json.JSONEncoder(separators=("," + _PAD, ": ")).encode
+# a matrix leaf as json writes it, null; string data escapes its quotes, so no
+# value can spell one
+_LEAF = re.compile(f'("{_CLOSED}": |"{_ORACLE}": )null')
 
 
 def _report_chunks(report: Report):
     """The text of ``json.dumps(report_to_dict(report), indent=2)``, in pieces.
 
-    The report view's values, with null at each matrix leaf, fill the cached
-    layout of :func:`_layout`, one case at a time by its verdict; the matrices
-    the view hands over in text order are streamed into their leaves, a block
-    of rows at a time.  Their entries become int64 views (re, im interleaved
-    along each row), and one ``np.unique`` finds the distinct bit patterns of
-    the report.  One ``json.dumps`` of a list (the C encoder) formats every
-    value and each distinct float once, one a line (a string's newlines are
-    escaped), so strings, ``-0.0``, NaN and the infinities read exactly as the
-    pure-Python encoder writes them.
+    ``json.dumps(..., indent=2)`` lays out the report view without its cases,
+    and the C encoder lays out each case, spliced in at ``"cases": []``.  The
+    text is split at its null matrix leaves, and the matrices the view hands
+    over in text order are streamed into them, a block of rows at a time.
+    Their entries become int64 views (re, im interleaved along each row), one
+    ``np.unique`` finds the distinct bit patterns of the report, and one
+    ``json.dumps`` of a list (the C encoder) formats each distinct float once,
+    so ``-0.0``, NaN and the infinities read as the pure-Python encoder writes
+    them.
     """
     leaves: list[np.ndarray] = []
     view = _report_skeleton(report, leaves.append)
-    if not report.cases:  # json writes the empty list as [], a layout of its own
-        yield json.dumps(view, indent=2)
-        return
-    ((head, _, at), (tail, after, n_report)), cases, sep = _layout()
-    views, view["cases"] = view["cases"], [_SLOT]
-    values = _values(view) + [value for case in views for value in case.values()]
+    cases, view["cases"] = view["cases"], []
+    text = json.dumps(view, indent=2)
+    if cases:  # json writes no case as [], a layout of its own
+        body = ",\n    ".join("{" + _PAD + _encode_case(c)[1:-1] + "\n    }" for c in cases)
+        text = text.replace('"cases": []', '"cases": [\n    ' + body + "\n  ]", 1)
+    pieces = _LEAF.split(text)  # text, then (key, text) per leaf
     mats = [np.ascontiguousarray(m, dtype=complex).view(np.int64) for m in leaves]
     flat = np.concatenate([np.empty(0, np.int64), *(m.ravel() for m in mats)])
     bits, inverse = np.unique(flat, return_inverse=True)
-    text = json.dumps([*values, *bits.view(np.float64).tolist()], separators=("\n", ":"))
-    text = text[1:-1].split("\n")
-    cells = np.array(text[len(values) :], dtype=object)
-    yield head % tuple(text[:at])
-    base, leaf, end = n_report, iter(mats), 0  # the cases' values follow the report's
-    for i, case in enumerate(views):
-        (fmt, a, b), *rest = cases[case["pass"]]
-        yield (sep if i else "") + fmt % tuple(text[base + a : base + b])
-        for fmt, a, b in rest:
-            m = next(leaf)
-            start, end = end, end + m.size
-            yield from _matrix_chunks(m, cells[inverse[start:end]].tolist())
-            yield fmt % tuple(text[base + a : base + b])
-        base += len(case)
-    yield tail % tuple(text[after:n_report])
+    floats = json.dumps(bits.view(np.float64).tolist(), separators=("\n", ":"))
+    cells = np.array(floats[1:-1].split("\n"), dtype=object)
+    yield pieces[0]
+    end = 0
+    for m, key, piece in zip(mats, pieces[1::2], pieces[2::2], strict=True):
+        start, end = end, end + m.size
+        yield key
+        yield from _matrix_chunks(m, cells[inverse[start:end]].tolist())
+        yield piece
 
 
 def _matrix_chunks(m: np.ndarray, cells: list[str]):

@@ -132,12 +132,15 @@ def partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
             of them (:func:`item_or_stack`); a stack gives a stack of the
             reduced operators, each with the bits a call of its own would.
         keep: indices of the subsystems to retain, in any order.
-        dims: dimension of each subsystem; their product must match ``rho``.
+        dims: dimension of each subsystem, at least 1; their product must
+            match ``rho``.
         Both hold integers (an ``int`` or a numpy integer); anything else
         raises DimensionMismatch.
     """
     integer = "subsystem dimensions and keep indices must be integers"
     dims = tuple(int(_checked_int(d, DimensionMismatch, integer)) for d in dims)
+    if any(d < 1 for d in dims):
+        raise DimensionMismatch(f"subsystem dimensions must be at least 1, got {dims}")
     n = len(dims)
     total = int(np.prod(dims)) if dims else 1
     rho = item_or_stack(rho, (total, total), f"operator on subsystem dims {dims}")

@@ -565,6 +565,14 @@ _TALL = np.arange(3 * (cli._BLOCK_ROWS + 1)).reshape(-1, 3) * (0.1 - 0.2j)
 @example(report=_report_of((dm.H, np.full((2, 2), 0.5)), (np.full((1, 1), 0.5), dm.I2)))
 @example(report=_report_of_diffs(0.0, 1.0))  # a passing case, then a failing one
 @example(report=_report_of_diffs(1.0, 0.0))  # a failing case, then a passing one
+# the writer splices the cases in at "cases": [] and joins them with json's
+# own separators; string data that spells either must not move the splice
+@example(report=_report_with_text("\x00"))
+@example(report=_report_with_text('"cases": []'))
+@example(report=_report_with_text('"pass": true}'))
+@example(report=_report_with_text("},\n    {"))
+@example(report=_report_of_diffs(1.0, 2.0, math.inf))  # every case fails
+@example(report=Report([], 1e-9, 0, spec_hash="", timestamp=""))  # no case
 def test_emit_json_is_json_dumps_of_report_to_dict(report):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
@@ -1396,6 +1404,60 @@ def test_builder_n_over_register_cap_fails_at_parse(tmp_path, capsys, monkeypatc
     both = dict(doc, measurements=[dict(fixed, outcome="both")])
     assert _run_doc(tmp_path, both) == 2
     assert capsys.readouterr().err == f"error: {message}, got 5 + 1\n"
+
+
+def _forking_chain(n_forks: int) -> dict:
+    steps = [{"phi": 0.3 * (i + 1), "k": "both"} for i in range(n_forks)]
+    return {"kind": "block_chain", "chain": [*steps, {"phi": 0.5, "k": 1}]}
+
+
+def _teleport(inputs) -> dict:
+    noise = {"noise": {"builtin": "bit_flip", "p": 0.1}}
+    return {"kind": "teleport", "channels": noise, "resource_noise": "noise", "inputs": inputs}
+
+
+def _suite(n_cases: int) -> dict:
+    return {"kind": "block_chain", "random_suite": {"cases": n_cases}}
+
+
+@pytest.mark.parametrize(
+    "at_the_cap, past_it, got",
+    [
+        (_forking_chain(3), _forking_chain(4), "chain: {} 2^4 (4 forking steps)"),
+        (
+            _teleport({"random": 2}),
+            _teleport({"random": 3}),
+            "inputs.random: {} 4 * 3 (4 Bell outcomes per input)",
+        ),
+        (
+            _teleport(["plus", "zero"]),
+            _teleport(["plus", "zero", "one"]),
+            "inputs: {} 4 * 3 (4 Bell outcomes per input)",
+        ),
+        (_suite(4), _suite(5), "random_suite.cases: {} 2 * 5 (k = 0 and 1 per case)"),
+    ],
+    ids=["chain", "teleport_random", "teleport_list", "random_suite"],
+)
+def test_a_case_count_over_two_to_the_cap_fails_at_parse(
+    tmp_path, capsys, monkeypatch, at_the_cap, past_it, got
+):
+    # the qubit cap bounds log2 of a document's case count: 2^3 cases run, and
+    # one forking step, one input or one suite case more is refused by name
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "3")
+    assert _run_doc(tmp_path, at_the_cap) == 0
+    assert "summary: 8 cases," in capsys.readouterr().out
+    message = got.format("the cases must number <= 2^3 (NOISY_MBQC_MAX_QUBITS), got")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_experiment(spec_text(past_it))
+    assert _run_doc(tmp_path, past_it) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_billion_random_inputs_are_refused_at_the_default_cap(monkeypatch):
+    monkeypatch.delenv("NOISY_MBQC_MAX_QUBITS", raising=False)
+    message = "inputs.random: the cases must number <= 2^12 (NOISY_MBQC_MAX_QUBITS)"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_experiment(spec_text(_teleport({"random": 10**9})))
 
 
 _MPO_CALLS = (

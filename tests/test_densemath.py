@@ -104,6 +104,14 @@ def test_partial_trace_dimension_mismatch():
         dm.partial_trace(np.eye(4), keep=[0], dims=(2, 3))
 
 
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4)])
+def test_partial_trace_refuses_a_dimension_below_one(dims):
+    # the product of these dims matches the 4x4 operator; numpy's reshape
+    # raised its own bare ValueError on them
+    with pytest.raises(DimensionMismatch, match=r"^subsystem dimensions must be at least 1"):
+        dm.partial_trace(np.eye(4), keep=[0], dims=dims)
+
+
 @pytest.mark.parametrize(
     "keep, dims",
     [

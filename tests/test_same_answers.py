@@ -1,7 +1,10 @@
 """Smoke test of ``tools/same_answers.py``, the check that two checkouts give
-the same answers.  Its reference documents are parsed here, never run."""
+the same answers.  Its reference documents are parsed here; the demo specs and
+one workload document per size class are run, to check the JSON writer."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from noisy_mbqc import cli
+from noisy_mbqc.cli import report_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "same_answers.py"
@@ -65,3 +69,45 @@ def test_moves_reports_the_largest_change_of_each_field_and_the_signed_zeros():
         "moved: closed_form 0, oracle 3e-17, max_entry_diff 2e-17, "
         "trace_distance 2e-17, branch_prob 0; 1 signed zeros"
     )
+
+
+# size classes whose oracle takes seconds, skipped as perfbench's own tests do
+SLOW = ("wide_9", "wide_10")
+
+
+def _writer_documents() -> dict[str, str]:
+    """The demo specs, and the first document of each size class that each
+    workload makes at seed 7 (a class is a document's name without its index)."""
+    same_answers.reference_documents(ROOT)  # loads the workloads module
+    workloads = sys.modules["perfbench_workloads"]
+    specs = (ROOT / "demos" / "specs").glob("*.json")
+    docs = {f"demo_{p.stem}": p.read_text(encoding="utf-8") for p in specs}
+    for workload in workloads.GENERATORS:
+        for doc in workloads.make_documents(workload, 7):
+            size_class = doc.name.split("_", 1)[1]
+            if not size_class.endswith(SLOW):
+                docs.setdefault(f"{workload}_{size_class}", doc.text)
+    return dict(sorted(docs.items()))
+
+
+_WRITER_DOCUMENTS = _writer_documents()
+
+
+@pytest.mark.parametrize("text", _WRITER_DOCUMENTS.values(), ids=_WRITER_DOCUMENTS.keys())
+def test_each_reference_report_is_json_dumps_of_report_to_dict(tmp_path, monkeypatch, text):
+    reports, run_experiment = [], cli.run_experiment
+
+    def fixed(*args, **kwargs):
+        report = run_experiment(*args, **kwargs)
+        report.timestamp = "2000-01-01T00:00:00+00:00"
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(cli, "run_experiment", fixed)
+    spec, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(spec), "--out", str(out)]) in (0, 1)
+    [report] = reports
+    want = json.dumps(report_to_dict(report), indent=2) + "\n"
+    assert out.read_text(encoding="utf-8") == want
