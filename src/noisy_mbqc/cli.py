@@ -109,8 +109,9 @@ into its leaf, and one ``json.dumps`` of a list formats its distinct floats.
 Exit codes: 0 all cases within tolerance, 1 a case exceeded it, 2 the
 document or a module precondition was at fault (a document that needs more
 memory than exists included), or ``--cases`` selected no case.
-``NOISY_MBQC_MAX_QUBITS`` (default 12) caps the qubits one dense state holds:
-the oracle's live sites (two in a chain step) and an MPO contraction's open ones.
+``NOISY_MBQC_MAX_QUBITS``, an integer of at least 1 (default 12), caps the
+qubits one dense state holds: the oracle's live sites (two in a chain step) and
+an MPO contraction's open ones.
 At parse it also caps log2 of a document's case count: a chain's forking steps,
 log2(4N) for a teleport of N inputs, log2(2N) for a random suite of N cases and,
 for ``mpo``, its forking readouts, counted with its open sites.
@@ -391,7 +392,7 @@ def _case_cap(n_cases: int, where: str, got: str) -> None:
     bounds the cases too, as each case's work and report grow with their count."""
     cap = dm.max_qubits()
     _require(
-        n_cases <= 2**cap,
+        (n_cases - 1).bit_length() <= cap,  # n_cases <= 2**cap, without the power
         f"{where}: the cases must number <= 2^{cap} (NOISY_MBQC_MAX_QUBITS), got {got}",
     )
 

@@ -218,7 +218,7 @@ def mat_from_json(obj) -> np.ndarray:
         entries = np.array(obj, dtype=object)
     except ValueError:  # numpy's "inhomogeneous shape", refused below
         entries = np.array(None)
-    kinds = set(map(type, entries.flat))
+    kinds = set(map(type, entries.reshape(-1)))  # ``flat`` refuses past 32 axes
     if entries.ndim < 2 or entries.shape[-1] != 2 or not kinds <= {bool, int, float}:
         raise ValueError("expected a matrix of [re, im] pairs")
     if bool in kinds:
@@ -230,9 +230,13 @@ def mat_from_json(obj) -> np.ndarray:
 
 
 def max_qubits() -> int:
-    """Dense-simulation cap, overridable via the environment."""
+    """Dense-simulation cap, overridable via the environment: an integer of at
+    least 1, else SizeLimit."""
     raw = os.environ.get("NOISY_MBQC_MAX_QUBITS", "12")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise SizeLimit(f"NOISY_MBQC_MAX_QUBITS must be an integer, got {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise SizeLimit(f"NOISY_MBQC_MAX_QUBITS must be an integer of at least 1, got {raw!r}")
+    return cap

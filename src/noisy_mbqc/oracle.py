@@ -15,13 +15,13 @@ measurement names the unit ket of its outcome, the same readout form
 :func:`noisy_mbqc.mpo.mpo_measure` takes, and projects onto it without
 sampling, so the final trace is the probability of the chosen outcomes.
 
-One call runs a batch of branches of one circuit, a state of shape (B, D, D).
-A prep holds a 2x2 operator and a readout a unit 2-vector, each alone or in
-a stack along one or more leading axes (:func:`densemath.item_or_stack`).
-Each prep and readout adds its leading axes to the result, in op order; a
-lone one adds none.  A stack of P items multiplies B by P, and the result is
-(*leading axes, D, D).  Every branch sees the same arithmetic as a circuit of
-its own, bit for bit.
+One call runs a batch of B branches of one circuit.  A prep holds a 2x2
+operator and a readout a unit 2-vector, each alone or in a stack along one or
+more leading axes (:func:`densemath.item_or_stack`).  Each prep and readout
+adds its leading axes to the result, in op order; a lone one adds none.  The
+state holds the result's leading axes from the op that adds them, (*leading
+axes, D, D), a pending prep's at length 1 until its site joins.  Every branch
+sees the same arithmetic as a circuit of its own, bit for bit.
 
 Every op costs O(B * 4^m) on the m sites joined so far and not yet read
 out, and touches only its sites' ket and bra axes: a single-site unitary or
@@ -38,7 +38,6 @@ branches it forks into.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -98,23 +97,21 @@ class Measure:
 
 
 class _Register:
-    """Live subset of the register as a stack of dense operators, (B, D, D).
+    """Live subset of the register as dense operators, (*leading axes, D, D).
 
-    A prep waits in ``pending`` until an op touches its site (``positions``).
-    Each kernel views a branch as one ket and one bra axis per live site and
-    touches only the axes of the sites it acts on, O(B * 4^m) for m live sites.
+    The state holds the result's leading axes from the op that adds them, in
+    op order.  A prep waits in ``pending`` until an op touches its site
+    (``positions``).  Each kernel views a branch as one ket and one bra axis
+    per live site and touches only the axes of the sites it acts on, O(B * 4^m)
+    for B branches and m live sites.
     """
 
     def __init__(self, n: int):
         self.n, self.cap = n, dm.max_qubits()
         self.sites: list[int] = []  # joined sites, kept in ascending site order
-        # preps no op has touched yet, in op order: (site, (P, 2, 2) blocks, axes)
-        self.pending: deque[tuple[int, np.ndarray, range]] = deque()
-        self.waiting: set[int] = set()  # the sites of ``pending``
-        self.lengths: list[int] = []  # the length of each stack axis, in op order
-        self.axes: list[int] = []  # the op-order number of each branch axis
-        self.state = np.ones((1, 1, 1), dtype=complex)
-        self.spare = np.empty((0, 0, 0), dtype=complex)
+        self.pending: dict[int, np.ndarray] = {}  # site -> blocks, in op order
+        self.state = np.ones((1, 1), dtype=complex)
+        self.spare = np.empty(0, dtype=complex)
 
     @property
     def m(self) -> int:
@@ -130,50 +127,45 @@ class _Register:
         to and including theirs has joined."""
         for site in sites:
             self.check_site(site)
-            if site in self.waiting:
+            if site in self.pending:
                 self.join(site)
             if site not in self.sites:
                 raise SiteOutOfRange(f"site {site} has not been prepared")
         return [self.sites.index(site) for site in sites]
 
-    def new_axes(self, lead: tuple[int, ...]) -> range:
-        """Number the leading axes ``lead`` of a prep or readout stack, in op order."""
-        start = len(self.lengths)
-        self.lengths += lead
-        return range(start, len(self.lengths))
-
-    def hold(self, site: int, blocks: np.ndarray, axes: range):
-        """Record the prep of ``site`` in the (P, 2, 2) ``blocks`` as pending,
-        with the numbers of the leading axes it adds, empty for a lone prep."""
+    def hold(self, site: int, blocks: np.ndarray):
+        """Record the prep of ``site`` in ``blocks``, a 2x2 operator or a stack,
+        as pending, and give the state the stack's leading axes at length 1;
+        the blocks keep a length-1 axis for each leading axis before them."""
         self.check_site(site)
-        if site in self.sites or site in self.waiting:
+        if site in self.sites or site in self.pending:
             raise SiteOutOfRange(f"site {site} prepared twice")
-        self.pending.append((site, blocks, axes))
-        self.waiting.add(site)
+        lead, dims = self.state.shape[:-2], self.state.shape[-2:]
+        self.pending[site] = blocks.reshape((1,) * len(lead) + blocks.shape)
+        self.state = self.state.reshape(lead + (1,) * (blocks.ndim - 2) + dims)
 
     def join(self, last: int | None = None):
         """Tensor in pending preps in op order, through site ``last``'s (or all)."""
-        while self.pending:
-            site, blocks, axes = self.pending.popleft()
-            self.waiting.remove(site)
-            self.prep(site, blocks)
-            self.axes += axes
+        for site in list(self.pending):
+            self.prep(site, self.pending.pop(site))
             if site == last:
                 return
 
     def prep(self, site: int, blocks: np.ndarray):
-        """Tensor in one of the (P, 2, 2) ``blocks`` per branch, B -> B * P, if m < cap."""
+        """Tensor in the held ``blocks`` if m < cap, padded with a trailing
+        length-1 axis per leading axis added since: the prep's own length-1
+        axes in the state broadcast to the stack's lengths."""
         if self.m >= self.cap:
             held = f"{self.m + 1} qubits densely, over the cap of {self.cap}"
             raise SizeLimit(f"joining site {site} would hold {held} (NOISY_MBQC_MAX_QUBITS)")
         pos = bisect_left(self.sites, site)
         left, right = 2**pos, 2 ** (self.m - pos)
-        b, p = len(self.state), len(blocks)
-        grown = self.state.reshape(b, 1, left, 1, right, left, 1, right) * blocks.reshape(
-            1, p, 1, 2, 1, 1, 2, 1
+        lead, since = self.state.shape[:-2], (1,) * (self.state.ndim - blocks.ndim)
+        grown = self.state.reshape(*lead, left, 1, right, left, 1, right) * blocks.reshape(
+            *blocks.shape[:-2], *since, 1, 2, 1, 1, 2, 1
         )
         self.sites.insert(pos, site)
-        self.state = grown.reshape(b * p, 2**self.m, 2**self.m)
+        self.state = grown.reshape(*grown.shape[:-6], 2**self.m, 2**self.m)
 
     def apply(self, ks: np.ndarray, pos: int):
         """rho -> sum_r K_r rho K_r^dag on the site at ``pos``, K_r = ks[r].
@@ -184,9 +176,9 @@ class _Register:
         a register of one size allocate nothing.
         """
         sup = np.einsum("rij,rkl->ikjl", ks, ks.conj()).reshape(4, 4)
-        if self.spare.shape != self.state.shape:
-            self.spare = np.empty(self.state.shape, dtype=complex)
-        b = len(self.state)
+        if self.spare.size != self.state.size:
+            self.spare = np.empty(self.state.size, dtype=complex)
+        b = self.state.size >> 2 * self.m
         left, right = 2**pos, 2 ** (self.m - pos - 1)
         site_axes = (b, left, 2, right, left, 2, right)
         pair_first = (b, 2, 2, left, right, left, right)
@@ -207,25 +199,26 @@ class _Register:
         rows[:, 1, :, 1] *= -1
         cols = rows.reshape(-1, 2, mid, 2, b)
         cols[:, 1, :, 1] *= -1
-        self.state = cols.reshape(-1, dim, dim)
+        self.state = cols.reshape(self.state.shape)
 
     def project_out(self, kets: np.ndarray, pos: int):
         """<v| rho |v> on the site at ``pos``, which leaves the register, for
-        each of the (K, 2) ``kets``: each branch forks into K, B -> B * K."""
-        self.spare = np.empty((0, 0, 0), dtype=complex)  # free it: the register shrinks
-        b, k = len(self.state), len(kets)
+        each of the ``kets``, a 2-vector or a stack: each branch forks into one
+        per ket, and the state gains the stack's leading axes."""
+        self.spare = np.empty(0, dtype=complex)  # free it: the register shrinks
+        b, flat = self.state.size >> 2 * self.m, kets.reshape(-1, 2)
         left, right = 2**pos, 2 ** (self.m - pos - 1)
         rows = self.state.reshape(b * left, 2, -1)
         del self.sites[pos]
         dim = 2**self.m
-        forked = np.empty((b, k, dim * left, right), dtype=complex)
-        for i, ket in enumerate(kets):
+        forked = np.empty((b, len(flat), dim * left, right), dtype=complex)
+        for i, ket in enumerate(flat):
             half = np.matmul(ket.conj(), rows)
             np.matmul(ket, half.reshape(b, -1, 2, right), out=forked[:, i])
-        self.state = forked.reshape(b * k, dim, dim)
+        self.state = forked.reshape(*self.state.shape[:-2], *kets.shape[:-1], dim, dim)
 
 
-_PLUS = dm.projector(dm.PLUS)[None]
+_PLUS = dm.projector(dm.PLUS)
 _PLUS.setflags(write=False)
 
 
@@ -261,11 +254,10 @@ def simulate(n: int, ops) -> np.ndarray:
 
     for op in ops:
         if isinstance(op, PrepPlus):
-            reg.hold(op.site, _PLUS, range(0))
+            reg.hold(op.site, _PLUS)
         elif isinstance(op, PrepState):
             what = "prepared state (2x2, or a (P, 2, 2) stack)"
-            blocks = dm.item_or_stack(op.rho, (2, 2), what)
-            reg.hold(op.site, blocks.reshape(-1, 2, 2), reg.new_axes(blocks.shape[:-2]))
+            reg.hold(op.site, dm.item_or_stack(op.rho, (2, 2), what))
         elif isinstance(op, CZ):
             pa, pb = reg.positions(op.a, op.b)
             if pa == pb:
@@ -277,16 +269,11 @@ def simulate(n: int, ops) -> np.ndarray:
         elif isinstance(op, Channel1Q):
             reg.apply(op.channel.ops, *reg.positions(op.site))
         elif isinstance(op, Measure):
-            kets = _readout_kets(op.ket)
-            reg.project_out(kets.reshape(-1, 2), *reg.positions(op.site))
-            reg.axes += reg.new_axes(kets.shape[:-1])
+            reg.project_out(_readout_kets(op.ket), *reg.positions(op.site))
         else:
             raise TypeError(f"unknown circuit op {op!r}")
     reg.join()
-    dim = 2**reg.m
-    # a stacked prep may join after a later readout forked: axes back to op order
-    joined = reg.state.reshape(*(reg.lengths[a] for a in reg.axes), dim, dim)
-    return joined.transpose(*np.argsort(reg.axes), -2, -1)
+    return reg.state
 
 
 def cluster_ops(n: int) -> list:

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import tempfile
+import time
 import warnings
 from itertools import product
 from pathlib import Path
@@ -850,11 +851,23 @@ SKELETONS = [
     {"kind": "mpo", "builder": {"name": "one_clean", "n": 2}},
 ]
 
-# nulls, wrong types and out-of-range values; a 9-site builder leaves more
-# open sites than the cap the fuzz runs under, and the oracle never holds more
-# qubits than that cap, so no document grows a large dense state
+
+def _nested(depth: int) -> list:
+    """The pair [1.0, 0.0] inside ``depth`` lists: past 31, more axes than
+    ``ndarray.flat`` walks."""
+    obj = [1.0, 0.0]
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
+# nulls, wrong types, out-of-range values and pairs nested too deep; a 9-site
+# builder leaves more open sites than the cap the fuzz runs under, and the
+# oracle never holds more qubits than that cap, so no document grows a large
+# dense state
 _BAD_VALUES = [
-    None, True, "x", "0.5", 1.0, 1.7, -1, 0, 9, [], {}, [0.5], math.nan, math.inf
+    None, True, "x", "0.5", 1.0, 1.7, -1, 0, 9, [], {}, [0.5], math.nan, math.inf,
+    _nested(32), _nested(64),
 ]
 
 
@@ -1458,6 +1471,32 @@ def test_a_billion_random_inputs_are_refused_at_the_default_cap(monkeypatch):
     message = "inputs.random: the cases must number <= 2^12 (NOISY_MBQC_MAX_QUBITS)"
     with pytest.raises(ParseError, match=re.escape(message)):
         parse_experiment(spec_text(_teleport({"random": 10**9})))
+
+
+@pytest.mark.parametrize("depth", [32, 40, 64])
+def test_a_deeply_nested_matrix_is_spec_error(tmp_path, capsys, depth):
+    doc = dict(MINIMAL_BLOCK, input={"matrix": _nested(depth)})
+    assert _run_doc(tmp_path, doc) == 2
+    assert capsys.readouterr().err == "error: input.matrix: expected a matrix of [re, im] pairs\n"
+
+
+def test_a_huge_cap_bounds_the_cases_without_a_huge_power(tmp_path, capsys, monkeypatch):
+    # 2**cap as a Python int took seconds and hundreds of MB at a cap of 10^9
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", "1000000000")
+    start = time.perf_counter()
+    assert _run_doc(tmp_path, dict(MINIMAL_BLOCK, chain=[{"phi": 0.3, "k": "both"}])) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "summary: 2 cases," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_a_cap_that_is_not_an_integer_of_at_least_one_is_spec_error(
+    tmp_path, capsys, monkeypatch, raw
+):
+    monkeypatch.setenv("NOISY_MBQC_MAX_QUBITS", raw)
+    assert _run_doc(tmp_path, MINIMAL_BLOCK) == 2
+    message = f"NOISY_MBQC_MAX_QUBITS must be an integer of at least 1, got {raw!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _MPO_CALLS = (

@@ -417,6 +417,20 @@ def test_mat_from_json_refuses_what_is_not_an_array_of_pairs(obj):
         dm.mat_from_json(obj)
 
 
+@pytest.mark.parametrize("depth", [32, 40, 64])
+def test_mat_from_json_reads_a_pair_nested_past_32_axes(depth):
+    # ``ndarray.flat`` refuses an array of more than 32 axes; numpy holds 64 at
+    # most, so 64 lists around a pair leave lists as the entries
+    obj = [1.0, 0.0]
+    for _ in range(depth):
+        obj = [obj]
+    if depth < 64:
+        assert dm.mat_from_json(obj).shape == (1,) * depth
+    else:
+        with pytest.raises(ValueError, match=r"^expected a matrix of \[re, im\] pairs$"):
+            dm.mat_from_json(obj)
+
+
 def test_mat_from_json_refuses_an_integer_too_large_for_a_float():
     with pytest.raises(TypeError, match=r"^matrix entries must be finite$"):
         dm.mat_from_json([[10**400, 0]])

@@ -4,7 +4,8 @@ belongs in the tests, as a named reference.  Every private function, class,
 constant and method is read by the library itself.  Every option of a public function
 or method, and every defaulted field of a public class, is set by some call
 outside the tests.  Every array argument is converted by
-``densemath.stacked``."""
+``densemath.stacked``.  Every attribute the package assigns on ``self`` is
+read by the package."""
 
 import ast
 import re
@@ -99,6 +100,45 @@ def test_private_check_sees_functions_classes_constants_and_methods():
     )
     assert private_names(tree) == {"_f", "_C", "_m", "_n", "_K", "_T"}
     assert shared(ast.parse("import x\nfrom .m import _a, b\n_d()\nx._c\n")) == {"_a", "b", "_c"}
+
+
+def assigned_attributes(tree: ast.Module) -> set[str]:
+    """The attributes the code assigns on ``self``, as a target of any
+    assignment or through ``object.__setattr__(self, "name", ...)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                found.add(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                found.add(name.value)
+    return found
+
+
+def loaded_attributes(tree: ast.Module) -> set[str]:
+    """The attribute names the code reads, ``x.name`` in a load."""
+    nodes = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    return {n.attr for n in nodes if isinstance(n.ctx, ast.Load)}
+
+
+def test_every_attribute_the_package_assigns_is_read_by_it():
+    """An attribute the package only writes, such as a counter ``+=`` keeps,
+    is state left over from code that went."""
+    assigned = set().union(*map(assigned_attributes, PACKAGE_TREES.values()))
+    read = set().union(*map(loaded_attributes, PACKAGE_TREES.values()))
+    assert not assigned - read, f"the package assigns but never reads {sorted(assigned - read)}"
+
+
+def test_attribute_check_sees_assignments_setattr_and_reads():
+    tree = ast.parse(
+        "class R:\n    def __init__(self, n):\n        self.n, self.k = n, 0\n"
+        "        self.t: int = 1\n        self.k += 1\n        other.x = 2\n"
+        "        object.__setattr__(self, 'seed', n)\n        self.log[0] = self.n\n"
+    )
+    assert assigned_attributes(tree) == {"n", "k", "t", "seed"}
+    assert loaded_attributes(tree) == {"log", "n", "__setattr__"}
 
 
 CALLERS = [*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")]

@@ -829,6 +829,21 @@ def test_from_dict_rejects_malformed_sites(corrupt):
         mpo_from_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["seed", "site"])
+@pytest.mark.parametrize("depth", [32, 40, 64])
+def test_from_dict_rejects_a_pair_nested_past_32_axes(key, depth):
+    nested = [1.0, 0.0]
+    for _ in range(depth):
+        nested = [nested]
+    doc = mpo_to_dict(mpo_cluster(3))
+    if key == "seed":
+        doc["seed"] = nested
+    else:
+        doc["sites"][1]["matrices"] = nested
+    with pytest.raises(DimensionMismatch, match=r"^(site 1 |seed)"):
+        mpo_from_dict(doc)
+
+
 def _bool_site_entry(doc):
     doc["sites"][1]["matrices"][0][0][0][1] = [False, False]  # in place of 0
 

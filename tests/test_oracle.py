@@ -616,12 +616,41 @@ def _pending_across_a_fork(rng) -> tuple[int, list]:
     return 2, [PrepPlus(0), PrepState(1, rhos), Measure(0, kets), Unitary1Q(1, dm.H)]
 
 
+def _pending_across_two_forks(rng) -> tuple[int, list]:
+    """Site 1's (2, 3) prep stack stays pending while site 0 forks over a (2,)
+    ket stack and site 2 over a (2, 2) one; it joins at the unitary after both,
+    so the result is (2, 3, 2, 2, 2, D, D)."""
+    rhos = np.stack([random_density(rng) for _ in range(6)]).reshape(2, 3, 2, 2)
+    kets = [_random_unitary(rng)[:, 0] for _ in range(6)]
+    return 3, [
+        PrepPlus(0),
+        PrepPlus(2),
+        CZ(0, 2),
+        PrepState(1, rhos),
+        Measure(0, np.stack(kets[:2])),
+        Measure(2, np.stack(kets[2:]).reshape(2, 2, 2)),
+        Unitary1Q(1, dm.H),
+    ]
+
+
+def _untouched_after_a_fork(rng) -> tuple[int, list]:
+    """A (2, 3) prep stack issued after a (2, 2) fork that no op touches, so
+    it joins at the end: the result is (2, 2, 2, 3, D, D)."""
+    rhos = np.stack([random_density(rng) for _ in range(6)]).reshape(2, 3, 2, 2)
+    kets = np.stack([_random_unitary(rng)[:, 1] for _ in range(4)]).reshape(2, 2, 2)
+    return 2, [PrepPlus(0), Channel1Q(0, bit_flip(0.1)), Measure(0, kets), PrepState(1, rhos)]
+
+
 _PENDING_ACROSS_A_FORK = _pending_across_a_fork(np.random.default_rng(5))
+_PENDING_ACROSS_TWO_FORKS = _pending_across_two_forks(np.random.default_rng(6))
+_UNTOUCHED_AFTER_A_FORK = _untouched_after_a_fork(np.random.default_rng(7))
 
 
 @settings(max_examples=150, deadline=None)
 @given(stacked_circuits())
 @example(_PENDING_ACROSS_A_FORK)
+@example(_PENDING_ACROSS_TWO_FORKS)
+@example(_UNTOUCHED_AFTER_A_FORK)
 def test_a_batched_simulate_is_the_branch_loop_bit_for_bit(circuit):
     n, ops = circuit
     got, want = simulate(n, ops), branch_loop(n, ops)

@@ -1,4 +1,4 @@
-"""Every name a library module, test or demo imports is read somewhere in it."""
+"""Every name a library module, test, demo or tool imports is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "noisy_mbqc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -54,7 +54,7 @@ def read_names(tree: ast.Module) -> set[str]:
 
 
 def _label(path: Path) -> str:
-    """A library module by its file name, a test or demo by its folder too."""
+    """A library module by its file name, a test, demo or tool by its folder too."""
     return path.relative_to(PACKAGE if path.parent == PACKAGE else ROOT).as_posix()
 
 
