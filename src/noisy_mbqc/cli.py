@@ -71,8 +71,8 @@ oracle output comes from one ``oracle.simulate`` call.  An optional
 ``save_mpo`` path, a non-empty string, stores the prepared (pre-measurement)
 operator as ``mpo.mpo_to_dict`` writes it, ``{"seed": [[re, im] rows],
 "sites": [{"matrices": [P][S][rows][cols] of [re, im]}, ...]}`` (the last
-site, the boundary, as 1 x D rows), once every case has run and ``--cases``
-has selected at least one.
+site, the boundary, as 1 x D rows), once every case has run; a ``--cases``
+that matches no case is refused before any work.
 
 Integer fields (``seed``, ``inputs.random``, ``random_suite.cases``/``kraus``,
 ``builder.n``, sites, a chain entry's ``k``, ``flip_on`` entries, an ``outcome``)
@@ -89,12 +89,13 @@ The ``matrix`` of a ``unitary`` or ``mixed_unitary`` builtin and a site
 ``unitary`` are 2x2 with U^dag U within ``densemath.ATOL`` of I.
 
 ``parse_experiment`` reads and checks every field once, before any MPO, oracle
-or file work, and returns the spec with its kind's ``run(rng)``; the runner
-reads no field of the document.
+or file work, and returns the spec with its kind's case ids and ``run(rng)``,
+which returns the (N, d, d) stacks of closed forms and oracle outputs in the
+order of those ids; the runner reads no field of the document.
 
-Reports: every runner scores its cases once, as (N, d, d) stacks of closed
-forms and oracle outputs (``densemath.max_abs_diff`` and ``trace_distance``
-give one value per matrix).  The JSON and CSV writers and the console lines
+Reports: ``run_experiment`` scores a document's cases once, from those stacks
+(``densemath.max_abs_diff`` and ``trace_distance`` give one value per matrix,
+NaN for a non-finite one), and keeps the cases whose id contains ``--cases``.  The JSON and CSV writers and the console lines
 all read one view of a report, whose verdict per case is ``Report.ok``.
 ``--out`` writes CSV when the path ends in ``.csv``, else JSON (``"format":
 2``; a case's ``oracle`` matrix only when it fails) as
@@ -176,7 +177,8 @@ class ExperimentSpec:
 
     channels: dict[str, KrausChannel]
     payload: dict  # the document as read
-    run: Runner  # the selected cases, from the parsed fields; reads no field again
+    case_ids: list[str]  # in the order of the stacks run returns
+    run: Runner  # every case, from the parsed fields; reads no field again
     tolerance: float
     seed: int
     spec_hash: str
@@ -194,10 +196,9 @@ class CaseResult:
     branch_prob: float
 
 
-# run(rng, select) returns select(cases); select applies --cases and raises on an
-# empty selection, so a runner writes its files only after select returns.
-# numpy.random stays lazy.
-Runner = Callable[["np.random.Generator", Callable], list[CaseResult]]
+# run(rng) returns the (closed, oracle) (N, d, d) stacks of every case, in the
+# order of the spec's case ids; numpy.random stays lazy
+Runner = Callable[["np.random.Generator"], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -421,18 +422,22 @@ def parse_experiment(text: str) -> ExperimentSpec:
     for name, obj in sorted(channel_defs.items()):
         channels[name] = _parse_channel_def(name, obj)
 
+    tolerance = _tolerance(doc.get("tolerance", 1e-9), "tolerance")
+    seed = _at_least(doc.get("seed", 0), "seed", 0)
+    case_ids, run = _PARSERS[kind](doc, channels)
     return ExperimentSpec(
         channels=channels,
         payload=dict(doc),
-        tolerance=_tolerance(doc.get("tolerance", 1e-9), "tolerance"),
-        seed=_at_least(doc.get("seed", 0), "seed", 0),
+        case_ids=case_ids,
+        run=run,
+        tolerance=tolerance,
+        seed=seed,
         spec_hash=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        run=_PARSERS[kind](doc, channels),
     )
 
 
 # ---------------------------------------------------------------------------
-# Experiment kinds: each parser reads its fields and returns run(rng)
+# Experiment kinds: each parser reads its fields and returns (case ids, run)
 # ---------------------------------------------------------------------------
 
 
@@ -440,7 +445,7 @@ _SLOTS = ("alpha1", "alpha2", "alpha3", "alpha4")
 _COMMON = ("kind", "tolerance", "seed", "channels")  # the fields every kind reads
 
 
-def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> tuple[list, Runner]:
     _only(doc, (*_COMMON, "resource_noise", "inputs"), "", "a teleport document")
     eps = _resolve_ref(doc.get("resource_noise"), channels, "resource_noise")
     inputs = doc.get("inputs", {"random": 1})
@@ -455,8 +460,10 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     n_inputs = len(states) + n_random
     where = "inputs.random" if n_random else "inputs"
     _case_cap(4 * n_inputs, where, f"4 * {n_inputs} (4 Bell outcomes per input)")
+    bells = list(product(range(2), range(2)))
+    ids = [f"input{i}:s{s}t{t}" for i in range(n_inputs) for s, t in bells]
 
-    def run(rng, select) -> list[CaseResult]:
+    def run(rng):
         rhos = np.stack(states + [_random_density(rng) for _ in range(n_random)])
         if is_pauli_channel(eps):
             branch = functools.partial(pauli_corrected_target, eps)
@@ -464,12 +471,10 @@ def _parse_teleport(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
             branch = functools.partial(teleport_branch, diagonal_resource(eps))
         outputs = oracle.teleport_oracle_state(eps, rhos)
         # one call per Bell outcome over the input stack: closed[input, s, t]
-        bells = list(product(range(2), range(2)))
         closed = np.stack([branch(rhos, s, t) for s, t in bells], axis=1)
-        ids = [f"input{i}:s{s}t{t}" for i in range(len(rhos)) for s, t in bells]
-        return select(_cases(ids, closed.reshape(-1, 2, 2), outputs.reshape(-1, 2, 2)))
+        return closed.reshape(-1, 2, 2), outputs.reshape(-1, 2, 2)
 
-    return run
+    return ids, run
 
 
 def _parse_phi(obj, step_index: int, where: str) -> tuple[float, tuple[int, ...]]:
@@ -489,7 +494,7 @@ def _parse_phi(obj, step_index: int, where: str) -> tuple[float, tuple[int, ...]
     return magnitude, flip_on
 
 
-def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> tuple[list, Runner]:
     chain = doc.get("chain")
     suite = doc.get("random_suite")
     _require(
@@ -527,9 +532,11 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
         steps.append((phi, ks, alphas))
     forks = sum(len(ks) == 2 for _, ks, _ in steps)
     _case_cap(2**forks, "chain", f"2^{forks} ({forks} forking steps)")
+    axes = [ks for _, ks, _ in steps]
+    ids = ["k=" + "".join(map(str, outcomes)) for outcomes in product(*axes)]
     rho0 = _parse_state(doc.get("input", "plus"), "input")
 
-    def run(rng, select) -> list[CaseResult]:
+    def run(rng):
         # the prefixes of one length: their outcome strings, in product order,
         # and their closed forms and oracle outputs as (prefixes, 2, 2) stacks
         strings, closed, live = [()], rho0[None], rho0[None]
@@ -565,35 +572,34 @@ def _parse_block_chain(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
                 grown[prefix, k] = apply(channel, closed[prefix])
             strings = [(*outcomes, k) for outcomes in strings for k in ks]
             closed, live = grown.reshape(-1, 2, 2), live.reshape(-1, 2, 2)
-        ids = ["k=" + "".join(map(str, outcomes)) for outcomes in strings]
-        return select(_cases(ids, closed, live))
+        return closed, live
 
-    return run
+    return ids, run
 
 
-def _parse_block_random_suite(suite) -> Runner:
+def _parse_block_random_suite(suite) -> tuple[list, Runner]:
     _require(isinstance(suite, dict), "random_suite: expected {'cases': N}")
     _only(suite, ("cases", "kraus"), "random_suite", "a random suite")
     n_cases = _at_least(suite.get("cases", 0), "random_suite.cases", 1)
     n_kraus = _at_least(suite.get("kraus", 2), "random_suite.kraus", 1)
     _case_cap(2 * n_cases, "random_suite.cases", f"2 * {n_cases} (k = 0 and 1 per case)")
+    ids = [f"cfg{i}:k{k}" for i in range(n_cases) for k in (0, 1)]
 
-    def run(rng, select) -> list[CaseResult]:
-        ids, closed, orac = [], [], []
-        for i in range(n_cases):
+    def run(rng):
+        closed, orac = [], []
+        for _ in range(n_cases):
             phi = float(rng.uniform(0.0, 2.0 * np.pi))
             alphas = {slot: random_channel(rng, n_kraus) for slot in _SLOTS}
             for k in (0, 1):
                 cfg = BlockNoiseConfig(meas=MeasSpec.equatorial(phi, k), **alphas)
-                ids.append(f"cfg{i}:k{k}")
                 closed.append(choi(compose_block_noise(cfg)))
                 orac.append(oracle.block_oracle_channel(cfg))
-        return select(_cases(ids, np.stack(closed), np.stack(orac)))
+        return np.stack(closed), np.stack(orac)
 
-    return run
+    return ids, run
 
 
-def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
+def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> tuple[list, Runner]:
     reads = (*_COMMON, "builder", "site_ops", "measurements", "save_mpo")
     _only(doc, reads, "", "an mpo document")
     builder = doc.get("builder")
@@ -673,6 +679,8 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     opened, cap = sites - len(measurements), dm.max_qubits()
     rule = f"open sites plus forking readouts must be <= {cap} (NOISY_MBQC_MAX_QUBITS)"
     _require(opened + len(forks) <= cap, f"builder.n: {rule}, got {opened} + {len(forks)}")
+    axes = [ks for _, ks in measurements.values()]
+    ids = ["m=" + "".join(map(str, outcomes)) for outcomes in product(*axes)]
 
     # the one oracle circuit: every prep first, then per site its CZ to the
     # right, its events and its readout; simulate joins a prep only when an op
@@ -692,36 +700,26 @@ def _parse_mpo(doc: dict, channels: dict[str, KrausChannel]) -> Runner:
     # fork axes come out in site order; order puts them in measurement order
     order = [sorted(forks).index(site) for site in forks]  # at most cap forks
 
-    def run(rng, select) -> list[CaseResult]:
+    def run(rng):
         # the oracle first: a register it refuses wastes no MPO work
         orac = oracle.simulate(sites, circuit)
         outs = orac.transpose(*order, -2, -1).reshape(-1, *orac.shape[-2:])
         state = build(n)
         for site, update, value in updates:
             state = update(state, site, value)
-        branches = [((), state)]
+        branches = [state]
         for site, (kets, axis) in measurements.items():  # each prefix once, product order
-            branches = [
-                ((*ks, k), mpo_mod.mpo_measure(branch, site, kets[k]))
-                for ks, branch in branches
-                for k in axis
-            ]
-        ids = ["m=" + "".join(map(str, ks)) for ks, _ in branches]
-        closed = np.stack([mpo_mod.mpo_contract(branch) for _, branch in branches])
-        cases = _cases(ids, closed, outs)
-
-        # written once every case has run and --cases selected some, so a
-        # failed case or an empty selection leaves no file
-        cases = select(cases)
-        if save is not None:
+            branches = [mpo_mod.mpo_measure(b, site, kets[k]) for b in branches for k in axis]
+        closed = np.stack([mpo_mod.mpo_contract(branch) for branch in branches])
+        if save is not None:  # once every case has run, so a failed one leaves no file
             try:
                 with open(save, "w", encoding="utf-8") as fh:
                     fh.write(json.dumps(mpo_mod.mpo_to_dict(state)))
             except OSError as exc:
                 raise ParseError(f"save_mpo: cannot write: {exc}") from exc
-        return cases
+        return closed, outs
 
-    return run
+    return ids, run
 
 
 _PARSERS = {
@@ -743,21 +741,16 @@ def run_experiment(
     seed: int | None = None,
     case_filter: str | None = None,
 ) -> Report:
-    """Execute closed-form and oracle paths for every case of the spec."""
+    """Execute closed-form and oracle paths for every case of the spec and keep
+    those whose id contains ``case_filter``, refused before any work if none does."""
     tol = spec.tolerance if tolerance is None else _tolerance(tolerance, "tolerance")
     rng_seed = spec.seed if seed is None else _at_least(seed, "seed", 0)
-    rng = np.random.default_rng(rng_seed)
-
-    def select(cases: list[CaseResult]) -> list[CaseResult]:
-        kept = [c for c in cases if case_filter is None or case_filter in c.case_id]
-        _require(
-            bool(kept) or not cases,
-            f"--cases {case_filter!r} matches none of the {len(cases)} cases",
-        )
-        return kept
-
+    ids = spec.case_ids
+    keep = [case_filter is None or case_filter in case_id for case_id in ids]
+    _require(any(keep), f"--cases {case_filter!r} matches none of the {len(ids)} cases")
+    cases = _cases(ids, *spec.run(np.random.default_rng(rng_seed)))
     return Report(
-        cases=spec.run(rng, select),
+        cases=[case for case, kept in zip(cases, keep) if kept],
         tolerance=tol,
         seed=rng_seed,
         spec_hash=spec.spec_hash,

@@ -173,9 +173,12 @@ def _difference(a, b) -> np.ndarray:
 def trace_distance(a, b):
     """Half the sum of singular values of (a - b), per matrix of the last two
     axes: a float for two matrices, an array of the leading shape for two
-    stacks of them (each matrix gets the bits a call of its own would)."""
+    stacks of them (each matrix gets the bits a call of its own would).  A
+    matrix with a non-finite entry gives NaN, as LAPACK cannot take it."""
     d = _difference(a, b)
-    half = 0.5 * np.sum(np.linalg.svd(d, compute_uv=False), axis=-1)
+    finite = np.isfinite(d).all(axis=(-2, -1))
+    svals = np.linalg.svd(np.where(finite[..., None, None], d, 0.0), compute_uv=False)
+    half = np.where(finite, 0.5 * np.sum(svals, axis=-1), np.nan)
     return float(half) if d.ndim == 2 else half
 
 

@@ -2,11 +2,13 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
 import os
 import re
+import sys
 import tempfile
 import time
 import warnings
@@ -436,12 +438,51 @@ def test_case_filter():
     assert [c.case_id for c in report.cases] == ["k=0"]
 
 
-def test_case_filter_matching_nothing_is_spec_error(tmp_path, capsys):
-    # an empty selection certifies nothing, so it must not read as a pass
-    assert _run_doc(tmp_path, MINIMAL_BLOCK, "--cases", "nomatch") == 2
-    out, err = capsys.readouterr()
-    assert err == "error: --cases 'nomatch' matches none of the 2 cases\n"
-    assert "summary" not in out
+def _workload_documents(seed: int) -> dict[str, str]:
+    """Name -> text of every benchmark workload document at ``seed``; the
+    generator is imported by path, as perfbench is not a package."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up here
+    spec.loader.exec_module(workloads)
+    return {
+        f"{workload}_{doc.name}": doc.text
+        for workload in workloads.GENERATORS
+        for doc in workloads.make_documents(workload, seed)
+    }
+
+
+_CONTRACT_DOCUMENTS = _workload_documents(1) | {
+    f"demo_{p.stem}": p.read_text() for p in sorted((ROOT / "demos" / "specs").glob("*.json"))
+}
+
+
+@pytest.mark.parametrize("text", _CONTRACT_DOCUMENTS.values(), ids=_CONTRACT_DOCUMENTS.keys())
+def test_the_parsed_case_ids_are_the_report_case_ids(text):
+    spec = parse_experiment(text)
+    assert spec.case_ids == [c.case_id for c in run_experiment(spec).cases]
+
+
+_ONE_STEP = {"kind": "block_chain", "chain": [{"phi": 0.3, "k": "both"}]}
+
+
+@pytest.mark.parametrize("path", ["closed_form", "oracle"])
+def test_a_nan_output_fails_its_cases_with_exit_1(tmp_path, capsys, monkeypatch, path):
+    # LAPACK refused the NaN ("SVD did not converge", a ValueError), and the
+    # run exited 2 as if the document were at fault
+    if path == "closed_form":
+        monkeypatch.setattr(cli, "apply", lambda channel, rho: np.nan * rho)
+    else:
+        simulate = oracle.simulate
+        monkeypatch.setattr(oracle, "simulate", lambda *args: simulate(*args) * np.nan)
+    out = tmp_path / "report.json"
+    assert _run_doc(tmp_path, _ONE_STEP, "--out", str(out)) == 1
+    assert capsys.readouterr().out.endswith("-> FAIL\n")
+    cases = json.loads(out.read_text())["cases"]
+    assert len(cases) == 2
+    for case in cases:
+        assert math.isnan(case["trace_distance"]) and math.isnan(case["max_entry_diff"])
 
 
 def test_case_filter_matching_nothing_writes_no_save_mpo(tmp_path, capsys):
@@ -903,6 +944,28 @@ def broken_documents(draw):
 @pytest.mark.parametrize("doc", SKELETONS, ids=lambda d: d["kind"])
 def test_fuzz_skeletons_pass(tmp_path, doc):
     assert _run_doc(tmp_path, doc) == 0
+
+
+@pytest.mark.parametrize(
+    "doc, n_cases", zip(SKELETONS, (8, 8, 2, 2, 2, 1)), ids=[d["kind"] for d in SKELETONS]
+)
+def test_case_filter_matching_nothing_is_spec_error(tmp_path, capsys, monkeypatch, doc, n_cases):
+    # an empty selection certifies nothing, so it must not read as a pass, and
+    # it is refused from the case ids before any oracle or MPO work
+    def no_work(*args, **kwargs):
+        raise AssertionError("a refused selection ran the document")
+
+    for module, name in [
+        (oracle, "simulate"),
+        (oracle, "block_oracle_channel"),
+        (oracle, "teleport_oracle_state"),
+        (mpo, "mpo_contract"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
+    assert _run_doc(tmp_path, doc, "--cases", "nomatch") == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: --cases 'nomatch' matches none of the {n_cases} cases\n"
+    assert "summary" not in out
 
 
 @settings(max_examples=300, deadline=None)

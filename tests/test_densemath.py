@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -297,6 +298,21 @@ def test_stacked_distances_equal_the_per_matrix_calls_bit_for_bit(rng, d, lead):
             one = distance(a[index], b[index])
             assert type(one) is float
             assert np.float64(one).tobytes() == got[index].tobytes()
+
+
+def test_a_non_finite_matrix_has_a_nan_trace_distance(rng):
+    # LAPACK raised "SVD did not converge" on the whole stack, a ValueError
+    # the runner read as bad input, where the answer is simply wrong
+    a = np.stack([random_density(rng) for _ in range(3)])
+    b = np.stack([random_density(rng) for _ in range(3)])
+    b[1, 0, 1] = np.nan
+    got = dm.trace_distance(a, b)
+    assert math.isnan(got[1])
+    for i in (0, 2):
+        assert np.float64(dm.trace_distance(a[i], b[i])).tobytes() == got[i].tobytes()
+    one = dm.trace_distance(a[1], b[1])
+    assert type(one) is float and math.isnan(one)
+    assert math.isnan(dm.trace_distance(dm.I2, np.full((2, 2), np.inf)))
 
 
 def test_is_psd():

@@ -111,3 +111,23 @@ def test_each_reference_report_is_json_dumps_of_report_to_dict(tmp_path, monkeyp
     [report] = reports
     want = json.dumps(report_to_dict(report), indent=2) + "\n"
     assert out.read_text(encoding="utf-8") == want
+
+
+def test_answers_run_each_document_again_on_its_first_case(tmp_path):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    chain = {"kind": "block_chain", "chain": [{"phi": 0.3, "k": "both"}]}
+    (docs / "chain.json").write_text(json.dumps(chain), encoding="utf-8")
+    (docs / "bad.json").write_text("{}", encoding="utf-8")
+    found = same_answers.answers(ROOT, docs, tmp_path / "work")
+    assert sorted(found) == [
+        "bad.json --out x.csv",
+        "bad.json --out x.json",  # exit 2 writes no report, so no case to pick
+        "chain.json --cases first --out x.json",
+        "chain.json --out x.csv",
+        "chain.json --out x.json",
+    ]
+    code, out, err, text = found["chain.json --cases first --out x.json"]
+    assert (code, err) == (0, "")
+    assert out.startswith("k=0: ") and "summary: 1 cases, " in out
+    assert [c["case"] for c in json.loads(text)["cases"]] == ["k=0"]

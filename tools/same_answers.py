@@ -7,9 +7,11 @@ The reference documents are the ``calculus``, ``oracle_wide`` and
 seeds 7 and 11, plus NEW_ROOT's ``demos/specs/*.json``.  For each checkout,
 one fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` and that checkout's
 ``src`` first on its path runs every document through ``cli.main``, once with
-``--out x.json`` and once with ``--out x.csv``.  The two checkouts must agree
-on the exit code, stdout, stderr, the CSV bytes, and the JSON bytes apart
-from the ``meta.timestamp`` value.  Every document that differs is listed,
+``--out x.json`` and once with ``--out x.csv``; a document whose JSON report
+holds a case runs once more with ``--out x.json --cases`` set to that report's
+first case id, which the results list as ``--cases first``.  The two
+checkouts must agree on the exit code, stdout, stderr, the CSV bytes, and the
+JSON bytes apart from the ``meta.timestamp`` value.  Every document that differs is listed,
 and the exit code is 1 if any does, else 0.  For each JSON report that
 differs, the largest absolute change of each numeric field (``closed_form``,
 ``oracle``, ``max_entry_diff``, ``trace_distance``, ``branch_prob``) is
@@ -44,19 +46,30 @@ from noisy_mbqc import cli
 
 if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
     sys.exit(f"imported {cli.__file__}, not the checkout at {src}")
+
+
+def answer(doc, report, *extra):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["run", str(doc), "--out", report, *extra])
+        except (Exception, SystemExit) as exc:  # a traceback is an answer too
+            code = f"raised {exc!r}"
+    path = Path(report)
+    text = path.read_text(encoding="utf-8") if path.exists() else None
+    path.unlink(missing_ok=True)
+    return [code, out.getvalue(), err.getvalue(), text]
+
+
 results = {}
 for doc in sorted(Path(docs).iterdir()):
     for report in ("x.json", "x.csv"):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(["run", str(doc), "--out", report])
-            except (Exception, SystemExit) as exc:  # a traceback is an answer too
-                code = f"raised {exc!r}"
-        path = Path(report)
-        text = path.read_text(encoding="utf-8") if path.exists() else None
-        path.unlink(missing_ok=True)
-        results[f"{doc.name} --out {report}"] = [code, out.getvalue(), err.getvalue(), text]
+        results[f"{doc.name} --out {report}"] = answer(doc, report)
+    text = results[f"{doc.name} --out x.json"][3]
+    cases = json.loads(text)["cases"] if text is not None else []
+    if cases:
+        first = answer(doc, "x.json", "--cases", cases[0]["case"])
+        results[f"{doc.name} --cases first --out x.json"] = first
 Path(results_path).write_text(json.dumps(results), encoding="utf-8")
 """
 
@@ -143,9 +156,11 @@ def main(argv=None) -> int:
         new = answers(new_root, docs_dir, Path(tmp) / "new")
 
     fields = ("exit code", "stdout", "stderr", "report")
+    keys = old.keys() | new.keys()  # a --cases run may come from one checkout only
+    old, new = ({key: found.get(key, [None] * 4) for key in keys} for found in (old, new))
     differ = {
         key: [f for f, x, y in zip(fields, old[key], new[key]) if x != y]
-        for key in sorted(new)
+        for key in sorted(keys)
         if old[key] != new[key]
     }
     total, total_zeros = dict.fromkeys(NUMERIC_FIELDS, 0.0), 0
@@ -159,9 +174,9 @@ def main(argv=None) -> int:
             total_zeros += signed_zeros
     if differ:
         print(f"over all JSON reports, {moves_line(total, total_zeros)}")
-    codes = Counter(str(entry[0]) for key, entry in new.items() if key.endswith(".json"))
+    codes = Counter(str(new[f"{name} --out x.json"][0]) for name in docs)
     summary = ", ".join(f"exit {code}: {n}" for code, n in sorted(codes.items()))
-    documents = len({key.split(" --out ")[0] for key in differ})
+    documents = len({key.split(" --")[0] for key in differ})
     verdict = f"{documents} documents differ" if differ else "same answers"
     print(f"{verdict}; {len(docs)} documents ({summary})")
     return 1 if differ else 0
